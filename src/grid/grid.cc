@@ -23,18 +23,23 @@ void PointList::GrowLanes(std::size_t min_stride) {
   if (stride < min_stride) stride = min_stride;
   std::vector<double> lanes(static_cast<std::size_t>(dim_) * stride);
   // Copy each lane, dead head prefix included, so lane index i stays
-  // aligned with ids_[i].
+  // aligned with ids_[i]. std::copy_n, unlike memcpy, accepts the null
+  // source of the first growth.
   for (int d = 0; d < dim_; ++d) {
-    std::memcpy(lanes.data() + static_cast<std::size_t>(d) * stride,
-                lanes_.data() + static_cast<std::size_t>(d) * stride_,
-                ids_.size() * sizeof(double));
+    std::copy_n(lanes_.data() + static_cast<std::size_t>(d) * stride_,
+                ids_.size(),
+                lanes.data() + static_cast<std::size_t>(d) * stride);
   }
   lanes_.swap(lanes);
   stride_ = stride;
 }
 
 void PointList::MaybeCompact() {
-  if (head_ > 64 && head_ * 2 >= ids_.size()) {
+  // Compact once the dead prefix reaches the live size. A compaction moves
+  // at most head_ entries, each popped once since the last one, so the
+  // cost stays amortized O(1) while the list's extent stays within about
+  // twice its live peak (and its doubling capacity within about 4x).
+  if (head_ >= size()) {
     const std::size_t n = ids_.size() - head_;
     std::memmove(ids_.data(), ids_.data() + head_, n * sizeof(RecordId));
     ids_.resize(n);

@@ -39,7 +39,10 @@ using CellIndex = std::uint32_t;
 using CellCoords = std::array<std::int32_t, kMaxDims>;
 
 /// FIFO point list with a moving head: PushBack to insert, PopFront to
-/// expire, bounded-scan Erase for update streams.
+/// expire, bounded-scan Erase for update streams. PopFront compacts
+/// whenever the dead prefix reaches the live size, so a list's footprint
+/// is proportional to its live peak rather than to the number of records
+/// that ever passed through the cell.
 ///
 /// Besides the ids, the list stores the point coordinates in a lane-major
 /// (structure-of-arrays) layout: lane d is a contiguous run of coordinate

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "util/rng.h"
 
 namespace topkmon {
@@ -120,6 +123,59 @@ TEST(GridTest, PointListCompactionKeepsContents) {
   for (std::size_t i = 0; i < list.size(); ++i) {
     EXPECT_DOUBLE_EQ(x[i], static_cast<double>(900 + i) / 1000.0);
     EXPECT_DOUBLE_EQ(y[i], 0.5);
+  }
+}
+
+// A list whose live size holds steady at L must not grow with the number
+// of records that pass through it: its footprint stays within a constant
+// factor of max(L, initial lane stride) entries of 8 + 8d bytes.
+TEST(GridTest, PointListFootprintBoundedByLive) {
+  auto coord = [](RecordId id, int d) {
+    return static_cast<double>((id * 7 + static_cast<RecordId>(d) * 13) %
+                               1000) /
+           1000.0;
+  };
+  for (int dim : {2, 4}) {
+    for (std::size_t live : {0, 1, 2, 5, 50}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " live=" + std::to_string(live));
+      const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(dim);
+      const std::size_t bound =
+          4 * entry_bytes * std::max<std::size_t>(live, 16);
+      auto push = [&](PointList& list, RecordId id) {
+        Point p(dim);
+        for (int d = 0; d < dim; ++d) p[d] = coord(id, d);
+        list.PushBack(id, p);
+      };
+      PointList list;
+      RecordId next = 0;
+      RecordId oldest = 0;
+      for (; next < live; ++next) push(list, next);
+      std::size_t compactions = 0;
+      const std::size_t steps = 2000 * std::max<std::size_t>(live, 1);
+      for (std::size_t step = 0; step < steps; ++step) {
+        push(list, next++);
+        ASSERT_LE(list.MemoryBytes(), bound) << "after push " << step;
+        const RecordId* before = list.begin();
+        list.PopFront(oldest++);
+        ASSERT_LE(list.MemoryBytes(), bound) << "after pop " << step;
+        ASSERT_EQ(list.size(), live);
+        if (list.begin() == before + 1) continue;
+        // Compacted: ids stay in FIFO order and every lane stays aligned.
+        ++compactions;
+        RecordId expect = oldest;
+        for (const RecordId* it = list.begin(); it != list.end(); ++it) {
+          ASSERT_EQ(*it, expect++);
+        }
+        for (int d = 0; d < dim; ++d) {
+          const double* lane = list.Lane(d);
+          for (std::size_t i = 0; i < list.size(); ++i) {
+            ASSERT_EQ(lane[i], coord(oldest + i, d)) << "lane " << d;
+          }
+        }
+      }
+      EXPECT_GT(compactions, 0u);
+    }
   }
 }
 
