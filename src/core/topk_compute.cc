@@ -8,33 +8,32 @@ namespace {
 
 /// Scans one cell's point list, considering each point for the running
 /// top-k list (Figure 6, lines 7-8). The coordinates come from the cell's
-/// lane-major storage: unconstrained scans batch-score the whole list with
-/// one ScoreLanes call (contiguous, auto-vectorizable); constrained scans
-/// filter per point first so points outside R are neither scored nor
-/// counted (Figure 12: point p1).
+/// lane-major storage, one contiguous run at a time (two once the ring
+/// wraps), oldest first: unconstrained scans batch-score a run with one
+/// ScoreLanes call (auto-vectorizable); constrained scans filter per point
+/// first so points outside R are neither scored nor counted (Figure 12:
+/// point p1).
 void ScanCell(const Grid& grid, CellIndex cell, const ScoringFunction& f,
               const Rect* constraint, TopKList* top,
               std::vector<double>* score_buf,
               std::uint64_t* points_scored) {
-  const PointList& points = grid.PointsIn(cell);
-  const std::size_t n = points.size();
-  if (n == 0) return;
-  const RecordId* ids = points.begin();
   const int dim = grid.dim();
-  const double* lanes[kMaxDims];
-  for (int d = 0; d < dim; ++d) lanes[d] = points.Lane(d);
-  if (constraint == nullptr) {
-    score_buf->resize(n);
-    double* scores = score_buf->data();
-    f.ScoreLanes(lanes, n, scores);
-    *points_scored += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double score = scores[i];
-      if (!top->full() || score >= top->KthScore()) {
-        top->Consider(ids[i], score);
+  grid.PointsIn(cell).ForEachRun([&](const RecordId* ids,
+                                     const double* const* lanes,
+                                     std::size_t n) {
+    if (constraint == nullptr) {
+      score_buf->resize(n);
+      double* scores = score_buf->data();
+      f.ScoreLanes(lanes, n, scores);
+      *points_scored += n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double score = scores[i];
+        if (!top->full() || score >= top->KthScore()) {
+          top->Consider(ids[i], score);
+        }
       }
+      return;
     }
-  } else {
     Point p(dim);
     for (std::size_t i = 0; i < n; ++i) {
       bool inside = true;
@@ -53,7 +52,7 @@ void ScanCell(const Grid& grid, CellIndex cell, const ScoringFunction& f,
         top->Consider(ids[i], score);
       }
     }
-  }
+  });
 }
 
 }  // namespace

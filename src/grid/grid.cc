@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 namespace topkmon {
 
@@ -10,62 +10,51 @@ void PointList::PushBack(RecordId id, const Point& p) {
   assert(p.dim() >= 1);
   assert(dim_ == 0 || p.dim() == dim_);
   if (dim_ == 0) dim_ = p.dim();
-  const std::size_t idx = ids_.size();
-  if (idx >= stride_) GrowLanes(idx + 1);
-  ids_.push_back(id);
-  for (int d = 0; d < dim_; ++d) {
-    lanes_[static_cast<std::size_t>(d) * stride_ + idx] = p[d];
-  }
+  if (size_ == capacity_) Grow();
+  const std::uint32_t slot = (head_ + size_) & (capacity_ - 1);
+  ids()[slot] = id;
+  for (int d = 0; d < dim_; ++d) Lane(d)[slot] = p[d];
+  ++size_;
 }
 
-void PointList::GrowLanes(std::size_t min_stride) {
-  std::size_t stride = stride_ == 0 ? 16 : stride_ * 2;
-  if (stride < min_stride) stride = min_stride;
-  std::vector<double> lanes(static_cast<std::size_t>(dim_) * stride);
-  // Copy each lane, dead head prefix included, so lane index i stays
-  // aligned with ids_[i]. std::copy_n, unlike memcpy, accepts the null
-  // source of the first growth.
+void PointList::Grow() {
+  const std::uint32_t capacity =
+      capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
+  std::unique_ptr<unsigned char[]> block(new unsigned char[
+      static_cast<std::size_t>(capacity) *
+      (sizeof(RecordId) + static_cast<std::size_t>(dim_) * sizeof(double))]);
+  // Unwrap into the new block: the oldest entry lands in slot 0.
+  const std::uint32_t first = std::min(size_, capacity_ - head_);
+  const std::uint32_t second = size_ - first;
+  RecordId* to_ids = reinterpret_cast<RecordId*>(block.get());
+  double* to_lanes = reinterpret_cast<double*>(to_ids + capacity);
+  std::copy_n(ids() + head_, first, to_ids);
+  std::copy_n(ids(), second, to_ids + first);
   for (int d = 0; d < dim_; ++d) {
-    std::copy_n(lanes_.data() + static_cast<std::size_t>(d) * stride_,
-                ids_.size(),
-                lanes.data() + static_cast<std::size_t>(d) * stride);
+    double* to = to_lanes + static_cast<std::size_t>(d) * capacity;
+    std::copy_n(Lane(d) + head_, first, to);
+    std::copy_n(Lane(d), second, to + first);
   }
-  lanes_.swap(lanes);
-  stride_ = stride;
-}
-
-void PointList::MaybeCompact() {
-  // Compact once the dead prefix reaches the live size. A compaction moves
-  // at most head_ entries, each popped once since the last one, so the
-  // cost stays amortized O(1) while the list's extent stays within about
-  // twice its live peak (and its doubling capacity within about 4x).
-  if (head_ >= size()) {
-    const std::size_t n = ids_.size() - head_;
-    std::memmove(ids_.data(), ids_.data() + head_, n * sizeof(RecordId));
-    ids_.resize(n);
-    for (int d = 0; d < dim_; ++d) {
-      double* lane = lanes_.data() + static_cast<std::size_t>(d) * stride_;
-      std::memmove(lane, lane + head_, n * sizeof(double));
-    }
-    head_ = 0;
-  }
+  block_ = std::move(block);
+  capacity_ = capacity;
+  head_ = 0;
 }
 
 bool PointList::Erase(RecordId id) {
-  for (std::size_t i = head_; i < ids_.size(); ++i) {
-    if (ids_[i] == id) {
-      const std::size_t tail = ids_.size() - i - 1;
-      std::memmove(ids_.data() + i, ids_.data() + i + 1,
-                   tail * sizeof(RecordId));
-      ids_.resize(ids_.size() - 1);
-      for (int d = 0; d < dim_; ++d) {
-        double* lane = lanes_.data() + static_cast<std::size_t>(d) * stride_;
-        std::memmove(lane + i, lane + i + 1, tail * sizeof(double));
-      }
-      return true;
-    }
+  const std::uint32_t mask = capacity_ - 1;
+  std::uint32_t i = 0;
+  RecordId* const slots = ids();
+  while (i < size_ && slots[(head_ + i) & mask] != id) ++i;
+  if (i == size_) return false;
+  // Close the gap by moving every younger entry one slot toward the head.
+  for (; i + 1 < size_; ++i) {
+    const std::uint32_t to = (head_ + i) & mask;
+    const std::uint32_t from = (to + 1) & mask;
+    slots[to] = slots[from];
+    for (int d = 0; d < dim_; ++d) Lane(d)[to] = Lane(d)[from];
   }
-  return false;
+  --size_;
+  return true;
 }
 
 Grid::Grid(int dim, int cells_per_axis)
@@ -151,6 +140,15 @@ Status Grid::ErasePoint(CellIndex cell, RecordId id) {
   return Status::Ok();
 }
 
+bool Grid::RemoveInfluence(CellIndex cell, QueryId q) {
+  std::vector<QueryId>& il = cells_[cell].influence;
+  const auto it = std::find(il.begin(), il.end(), q);
+  if (it == il.end()) return false;
+  *it = il.back();
+  il.pop_back();
+  return true;
+}
+
 std::size_t Grid::TotalInfluenceEntries() const {
   std::size_t total = 0;
   for (const Cell& c : cells_) total += c.influence.size();
@@ -164,10 +162,7 @@ MemoryBreakdown Grid::Memory() const {
   std::size_t influence_bytes = 0;
   for (const Cell& c : cells_) {
     point_bytes += c.points.MemoryBytes();
-    // Hash-set node: value + next pointer; buckets: one pointer each.
-    influence_bytes +=
-        c.influence.size() * (sizeof(QueryId) + sizeof(void*)) +
-        c.influence.bucket_count() * sizeof(void*);
+    influence_bytes += VectorBytes(c.influence);
   }
   mb.Add("point_lists", point_bytes);
   mb.Add("influence_lists", influence_bytes);

@@ -3,23 +3,31 @@
 // The valid records are indexed by a regular grid over the unit workspace.
 // Cell c_{i1,...,id} spans [i_j*delta, (i_j+1)*delta) per axis, so the cell
 // covering a point is found in O(1). Each cell maintains:
-//   * a point list — ids of the valid records inside the cell, in arrival
-//     order. In the append-only model insertions and deletions are FIFO,
-//     so the list is a vector with a moving head (amortized O(1) at both
-//     ends). The update-stream model (Section 7) deletes from arbitrary
-//     positions; cells are small (N * delta^d points on average), so a
-//     bounded linear scan replaces the paper's per-cell hash table with
-//     the same expected O(1) cost and better locality.
-//   * an influence list IL_c — the set of queries whose influence region
-//     intersects the cell, stored as a hash set for O(1) insert / erase /
-//     membership (Section 4.1).
+//   * a point list — the valid records inside the cell, in arrival order.
+//     In the append-only model insertions and deletions are FIFO, so the
+//     list is a ring in one power-of-two block (ids, then one coordinate
+//     lane per axis): O(1) at both ends, doubling only when full, so its
+//     capacity is the cell's live peak rounded up. The update-stream model
+//     (Section 7) deletes from arbitrary positions; cells are small
+//     (N * delta^d points on average), so a bounded linear scan replaces
+//     the paper's per-cell hash table with the same expected cost and
+//     better locality.
+//   * an influence list IL_c — the queries whose influence region
+//     intersects the cell, as an unsorted vector. The paper asks for O(1)
+//     expected updates; a cell carries few queries, so a linear find (add,
+//     membership) and swap-with-last erase cost less than a hash node and
+//     allocate nothing per entry.
 
 #ifndef TOPKMON_GRID_GRID_H_
 #define TOPKMON_GRID_GRID_H_
 
+#include <algorithm>
 #include <array>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -38,69 +46,125 @@ using CellIndex = std::uint32_t;
 /// Per-axis integer coordinates of a cell.
 using CellCoords = std::array<std::int32_t, kMaxDims>;
 
-/// FIFO point list with a moving head: PushBack to insert, PopFront to
-/// expire, bounded-scan Erase for update streams. PopFront compacts
-/// whenever the dead prefix reaches the live size, so a list's footprint
-/// is proportional to its live peak rather than to the number of records
-/// that ever passed through the cell.
+/// FIFO point list: PushBack to insert, PopFront to expire, bounded-scan
+/// Erase for update streams. The entries live in a ring inside one block
+/// of capacity() slots, a power of two: capacity() ids followed by one
+/// lane of capacity() coordinates per axis. PopFront only advances the
+/// head; PushBack doubles the block when it is full, so the footprint is
+/// the live peak rounded up to a power of two (at least kInitialCapacity).
 ///
-/// Besides the ids, the list stores the point coordinates in a lane-major
-/// (structure-of-arrays) layout: lane d is a contiguous run of coordinate
-/// d for every entry, so the top-k scan batch-scores a whole cell with
-/// auto-vectorizable per-lane loops instead of chasing each record through
-/// the window (grid entries grow from 8 to 8 + 8d bytes per point; the
-/// paper's space numbers count only the id lane).
+/// The structure-of-arrays lanes let the top-k scan batch-score a cell
+/// with auto-vectorizable per-lane loops instead of chasing each record
+/// through the window (grid entries grow from 8 to 8 + 8d bytes per point;
+/// the paper's space numbers count only the ids). A wrapped ring holds
+/// its entries in two contiguous runs; ForEachRun visits them in order.
 class PointList {
  public:
+  static constexpr std::uint32_t kInitialCapacity = 4;
+  static_assert((kInitialCapacity & (kInitialCapacity - 1)) == 0,
+                "the ring indexes slots with a power-of-two mask");
+
+  /// Forward iterator over the ids, oldest first.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = RecordId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const RecordId*;
+    using reference = const RecordId&;
+
+    const_iterator() = default;
+    reference operator*() const { return ids_[pos_ & mask_]; }
+    const_iterator& operator++() {
+      ++pos_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++pos_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return pos_ == o.pos_; }
+    bool operator!=(const const_iterator& o) const { return pos_ != o.pos_; }
+
+   private:
+    friend class PointList;
+    const_iterator(const RecordId* ids, std::uint32_t mask, std::uint32_t pos)
+        : ids_(ids), mask_(mask), pos_(pos) {}
+
+    const RecordId* ids_ = nullptr;
+    std::uint32_t mask_ = 0;
+    std::uint32_t pos_ = 0;  // head + offset, reduced modulo capacity on use
+  };
+
   void PushBack(RecordId id, const Point& p);
 
   /// Removes the oldest entry, which must equal `id` (append-only model
   /// expires strictly FIFO within each cell).
   void PopFront(RecordId id) {
-    assert(head_ < ids_.size() && ids_[head_] == id);
+    assert(size_ > 0 && ids()[head_] == id);
     (void)id;
-    ++head_;
-    MaybeCompact();
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
   }
 
   /// Removes `id` wherever it is (update-stream model); returns false if
   /// absent.
   bool Erase(RecordId id);
 
-  std::size_t size() const { return ids_.size() - head_; }
-  bool empty() const { return size() == 0; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return capacity_; }
 
-  /// Valid entries, oldest first.
-  const RecordId* begin() const { return ids_.data() + head_; }
-  const RecordId* end() const { return ids_.data() + ids_.size(); }
+  const_iterator begin() const {
+    return const_iterator(ids(), capacity_ - 1, head_);
+  }
+  const_iterator end() const {
+    return const_iterator(ids(), capacity_ - 1, head_ + size_);
+  }
 
-  /// Contiguous coordinate-d lane of the valid entries, aligned with
-  /// begin(): Lane(d)[i] is coordinate d of the record begin()[i].
-  /// Requires 0 <= d < the dimensionality of the inserted points.
-  const double* Lane(int d) const {
-    assert(d >= 0 && d < dim_);
-    return lanes_.data() + static_cast<std::size_t>(d) * stride_ + head_;
+  /// Calls fn(ids, lanes, n) for each contiguous run of entries, oldest
+  /// first: one run, or two once the ring wraps. lanes[d][i] is coordinate
+  /// d of ids[i], for d below the dimensionality of the inserted points.
+  template <typename Fn>
+  void ForEachRun(Fn&& fn) const {
+    if (size_ == 0) return;
+    const std::uint32_t first = std::min(size_, capacity_ - head_);
+    const double* lanes[kMaxDims];
+    for (int d = 0; d < dim_; ++d) lanes[d] = Lane(d) + head_;
+    fn(ids() + head_, lanes, std::size_t{first});
+    if (first == size_) return;
+    for (int d = 0; d < dim_; ++d) lanes[d] = Lane(d);
+    fn(ids(), lanes, std::size_t{size_ - first});
   }
 
   std::size_t MemoryBytes() const {
-    return VectorBytes(ids_) + VectorBytes(lanes_);
+    return static_cast<std::size_t>(capacity_) *
+           (sizeof(RecordId) + static_cast<std::size_t>(dim_) * sizeof(double));
   }
 
  private:
-  void MaybeCompact();
-  void GrowLanes(std::size_t min_stride);
+  RecordId* ids() const { return reinterpret_cast<RecordId*>(block_.get()); }
+  /// Slot 0 of coordinate lane d; the lanes follow the ids in the block.
+  double* Lane(int d) const {
+    return reinterpret_cast<double*>(block_.get() +
+                                     capacity_ * sizeof(RecordId)) +
+           static_cast<std::size_t>(d) * capacity_;
+  }
+  void Grow();
 
-  std::vector<RecordId> ids_;
-  /// Lane-major coordinates; entry i of ids_ lives at lanes_[d*stride_+i].
-  std::vector<double> lanes_;
-  std::size_t stride_ = 0;  // per-lane capacity; >= ids_.size() once dim_>0
-  std::size_t head_ = 0;
+  /// capacity_ ids, then dim_ lanes of capacity_ coordinates; null until
+  /// the first PushBack.
+  std::unique_ptr<unsigned char[]> block_;
+  std::uint32_t capacity_ = 0;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
   int dim_ = 0;
 };
 
 /// The grid index. Owns per-cell point lists and influence lists; does not
 /// own the records themselves (those live in the SlidingWindow /
-/// RecordPool), keeping index entries at 8 bytes per point.
+/// RecordPool), keeping index entries at 8 + 8d bytes per point.
 class Grid {
  public:
   /// Grid with `cells_per_axis` cells on each of `dim` axes.
@@ -161,19 +225,20 @@ class Grid {
 
   /// Registers query `q` in IL_cell (idempotent).
   void AddInfluence(CellIndex cell, QueryId q) {
-    cells_[cell].influence.insert(q);
+    std::vector<QueryId>& il = cells_[cell].influence;
+    if (std::find(il.begin(), il.end(), q) == il.end()) il.push_back(q);
   }
 
   /// Removes query `q` from IL_cell; returns true iff it was present.
-  bool RemoveInfluence(CellIndex cell, QueryId q) {
-    return cells_[cell].influence.erase(q) > 0;
-  }
+  bool RemoveInfluence(CellIndex cell, QueryId q);
 
   bool HasInfluence(CellIndex cell, QueryId q) const {
-    return cells_[cell].influence.count(q) > 0;
+    const std::vector<QueryId>& il = cells_[cell].influence;
+    return std::find(il.begin(), il.end(), q) != il.end();
   }
 
-  const std::unordered_set<QueryId>& InfluenceList(CellIndex cell) const {
+  /// The queries of IL_cell, in no particular order.
+  const std::vector<QueryId>& InfluenceList(CellIndex cell) const {
     return cells_[cell].influence;
   }
 
@@ -181,13 +246,14 @@ class Grid {
   std::size_t TotalInfluenceEntries() const;
 
   /// Structure-size accounting for the space experiments (Figures 14b, 20):
-  /// cell directory, point lists, influence lists.
+  /// the bytes allocated for the cell directory, the point-list blocks and
+  /// the influence-list vectors (allocator overhead excluded).
   MemoryBreakdown Memory() const;
 
  private:
   struct Cell {
     PointList points;
-    std::unordered_set<QueryId> influence;
+    std::vector<QueryId> influence;
   };
 
   int dim_;

@@ -4,11 +4,78 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.h"
 
 namespace topkmon {
 namespace {
+
+double Coord(RecordId id, int d) {
+  return static_cast<double>((id * 7 + static_cast<RecordId>(d) * 13) %
+                             1000) /
+         1000.0;
+}
+
+Point PointFor(RecordId id, int dim) {
+  Point p(dim);
+  for (int d = 0; d < dim; ++d) p[d] = Coord(id, d);
+  return p;
+}
+
+struct Entry {
+  RecordId id;
+  std::vector<double> coords;
+};
+
+/// The list's entries as ForEachRun presents them, oldest first.
+std::vector<Entry> Entries(const PointList& list, int dim) {
+  std::vector<Entry> out;
+  list.ForEachRun(
+      [&out, dim](const RecordId* ids, const double* const* lanes,
+                  std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          Entry e{ids[i], {}};
+          for (int d = 0; d < dim; ++d) e.coords.push_back(lanes[d][i]);
+          out.push_back(std::move(e));
+        }
+      });
+  return out;
+}
+
+/// The lengths of the contiguous runs ForEachRun visits.
+std::vector<std::size_t> Runs(const PointList& list) {
+  std::vector<std::size_t> runs;
+  list.ForEachRun([&runs](const RecordId*, const double* const*,
+                          std::size_t n) { runs.push_back(n); });
+  return runs;
+}
+
+/// Expects `list` to hold exactly `ids` oldest first, through both the
+/// iterator and ForEachRun, with every coordinate lane aligned.
+void ExpectHolds(const PointList& list, const std::vector<RecordId>& ids) {
+  EXPECT_EQ(list.size(), ids.size());
+  EXPECT_EQ(std::vector<RecordId>(list.begin(), list.end()), ids);
+  const std::vector<Entry> entries = Entries(list, 3);
+  ASSERT_EQ(entries.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(entries[i].id, ids[i]);
+    for (int d = 0; d < 3; ++d) {
+      EXPECT_EQ(entries[i].coords[d], Coord(ids[i], d)) << "lane " << d;
+    }
+  }
+}
+
+/// Fills an empty list to the initial capacity with 2, 3, 4, 5 (d=3) and
+/// the ring wrapped: slots [4, 5, 2, 3], head at slot 2.
+void FillWrapped(PointList* list) {
+  for (RecordId id = 0; id < 4; ++id) list->PushBack(id, PointFor(id, 3));
+  list->PopFront(0);
+  list->PopFront(1);
+  list->PushBack(4, PointFor(4, 3));
+  list->PushBack(5, PointFor(5, 3));
+}
 
 TEST(GridTest, CellsPerAxisForBudgetMatchesPaperSizing) {
   // Section 8 tunes ~12^4 = 20736 total cells regardless of d.
@@ -108,73 +175,70 @@ TEST(GridTest, PointListPositionalErase) {
   EXPECT_EQ(g.ErasePoint(c, 99).code(), StatusCode::kNotFound);
 }
 
-TEST(GridTest, PointListCompactionKeepsContents) {
+TEST(GridTest, PointListLongFifoRunKeepsContents) {
   PointList list;
   for (RecordId i = 0; i < 1000; ++i) {
     list.PushBack(i, Point{static_cast<double>(i) / 1000.0, 0.5});
   }
   for (RecordId i = 0; i < 900; ++i) list.PopFront(i);
   EXPECT_EQ(list.size(), 100u);
+  EXPECT_EQ(list.capacity(), 1024u);
   RecordId expect = 900;
   for (RecordId id : list) EXPECT_EQ(id, expect++);
-  // The coordinate lanes compact in lockstep with the ids.
-  const double* x = list.Lane(0);
-  const double* y = list.Lane(1);
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    EXPECT_DOUBLE_EQ(x[i], static_cast<double>(900 + i) / 1000.0);
-    EXPECT_DOUBLE_EQ(y[i], 0.5);
+  // The coordinate lanes stay aligned with the ids.
+  const std::vector<Entry> entries = Entries(list, 2);
+  ASSERT_EQ(entries.size(), 100u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].id, 900 + i);
+    EXPECT_DOUBLE_EQ(entries[i].coords[0],
+                     static_cast<double>(900 + i) / 1000.0);
+    EXPECT_DOUBLE_EQ(entries[i].coords[1], 0.5);
   }
 }
 
 // A list whose live size holds steady at L must not grow with the number
-// of records that pass through it: its footprint stays within a constant
-// factor of max(L, initial lane stride) entries of 8 + 8d bytes.
+// of records that pass through it: its block holds the live peak L + 1
+// rounded up to a power of two, at most 2 * max(L, 1) entries of 8 + 8d
+// bytes (the initial capacity for the smallest lists).
 TEST(GridTest, PointListFootprintBoundedByLive) {
-  auto coord = [](RecordId id, int d) {
-    return static_cast<double>((id * 7 + static_cast<RecordId>(d) * 13) %
-                               1000) /
-           1000.0;
-  };
   for (int dim : {2, 4}) {
     for (std::size_t live : {0, 1, 2, 5, 50}) {
       SCOPED_TRACE("dim=" + std::to_string(dim) +
                    " live=" + std::to_string(live));
       const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(dim);
       const std::size_t bound =
-          4 * entry_bytes * std::max<std::size_t>(live, 16);
-      auto push = [&](PointList& list, RecordId id) {
-        Point p(dim);
-        for (int d = 0; d < dim; ++d) p[d] = coord(id, d);
-        list.PushBack(id, p);
-      };
+          entry_bytes * std::max<std::size_t>(PointList::kInitialCapacity,
+                                              2 * std::max<std::size_t>(
+                                                      live, 1));
       PointList list;
       RecordId next = 0;
       RecordId oldest = 0;
-      for (; next < live; ++next) push(list, next);
-      std::size_t compactions = 0;
+      for (; next < live; ++next) list.PushBack(next, PointFor(next, dim));
+      std::size_t wrapped = 0;
       const std::size_t steps = 2000 * std::max<std::size_t>(live, 1);
       for (std::size_t step = 0; step < steps; ++step) {
-        push(list, next++);
+        list.PushBack(next, PointFor(next, dim));
+        ++next;
         ASSERT_LE(list.MemoryBytes(), bound) << "after push " << step;
-        const RecordId* before = list.begin();
         list.PopFront(oldest++);
         ASSERT_LE(list.MemoryBytes(), bound) << "after pop " << step;
         ASSERT_EQ(list.size(), live);
-        if (list.begin() == before + 1) continue;
-        // Compacted: ids stay in FIFO order and every lane stays aligned.
-        ++compactions;
-        RecordId expect = oldest;
-        for (const RecordId* it = list.begin(); it != list.end(); ++it) {
-          ASSERT_EQ(*it, expect++);
-        }
-        for (int d = 0; d < dim; ++d) {
-          const double* lane = list.Lane(d);
-          for (std::size_t i = 0; i < list.size(); ++i) {
-            ASSERT_EQ(lane[i], coord(oldest + i, d)) << "lane " << d;
+        if (Runs(list).size() == 2) ++wrapped;
+        // Once per turnover: ids stay in FIFO order and every lane stays
+        // aligned.
+        if (step % (live + 1) != 0) continue;
+        const std::vector<Entry> entries = Entries(list, dim);
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+          ASSERT_EQ(entries[i].id, oldest + i);
+          for (int d = 0; d < dim; ++d) {
+            ASSERT_EQ(entries[i].coords[d], Coord(oldest + i, d))
+                << "lane " << d;
           }
         }
       }
-      EXPECT_GT(compactions, 0u);
+      if (live >= 2) {
+        EXPECT_GT(wrapped, 0u);
+      }
     }
   }
 }
@@ -185,11 +249,78 @@ TEST(GridTest, PointListLanesTrackErase) {
   list.PushBack(2, Point{0.2, 0.8});
   list.PushBack(3, Point{0.3, 0.7});
   ASSERT_TRUE(list.Erase(2));
-  ASSERT_EQ(list.size(), 2u);
-  EXPECT_DOUBLE_EQ(list.Lane(0)[0], 0.1);
-  EXPECT_DOUBLE_EQ(list.Lane(0)[1], 0.3);
-  EXPECT_DOUBLE_EQ(list.Lane(1)[0], 0.9);
-  EXPECT_DOUBLE_EQ(list.Lane(1)[1], 0.7);
+  const std::vector<Entry> entries = Entries(list, 2);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, 1u);
+  EXPECT_DOUBLE_EQ(entries[0].coords[0], 0.1);
+  EXPECT_DOUBLE_EQ(entries[0].coords[1], 0.9);
+  EXPECT_EQ(entries[1].id, 3u);
+  EXPECT_DOUBLE_EQ(entries[1].coords[0], 0.3);
+  EXPECT_DOUBLE_EQ(entries[1].coords[1], 0.7);
+}
+
+TEST(GridTest, PointListWrapAroundKeepsFifoAndLanes) {
+  PointList list;
+  FillWrapped(&list);
+  EXPECT_EQ(list.capacity(), PointList::kInitialCapacity);
+  ExpectHolds(list, {2, 3, 4, 5});
+  // Keep cycling through the same block: the head wraps past slot 0 too.
+  for (RecordId id = 6; id < 40; ++id) {
+    list.PopFront(id - 4);
+    list.PushBack(id, PointFor(id, 3));
+    ExpectHolds(list, {id - 3, id - 2, id - 1, id});
+  }
+  EXPECT_EQ(list.capacity(), PointList::kInitialCapacity);
+}
+
+TEST(GridTest, PointListGrowsWhileWrapped) {
+  PointList list;
+  FillWrapped(&list);
+  list.PushBack(6, PointFor(6, 3));
+  EXPECT_EQ(list.capacity(), 2 * PointList::kInitialCapacity);
+  ExpectHolds(list, {2, 3, 4, 5, 6});
+  // Growth unwraps the ring: the entries form one run again.
+  EXPECT_EQ(Runs(list), (std::vector<std::size_t>{5}));
+  list.PopFront(2);
+  list.PushBack(7, PointFor(7, 3));
+  ExpectHolds(list, {3, 4, 5, 6, 7});
+}
+
+TEST(GridTest, PointListEraseOnEitherSideOfTheWrap) {
+  // Slots hold [4, 5 | 2, 3]: 2 and 3 sit before the wrap, 4 and 5 after.
+  for (RecordId victim : {2, 3, 4, 5}) {
+    SCOPED_TRACE("erase " + std::to_string(victim));
+    PointList list;
+    FillWrapped(&list);
+    ASSERT_TRUE(list.Erase(victim));
+    std::vector<RecordId> rest;
+    for (RecordId id : {2, 3, 4, 5}) {
+      if (id != victim) rest.push_back(id);
+    }
+    ExpectHolds(list, rest);
+    EXPECT_FALSE(list.Erase(victim));
+    // The ring keeps working as a FIFO after the erase.
+    list.PushBack(6, PointFor(6, 3));
+    list.PopFront(rest.front());
+    rest.erase(rest.begin());
+    rest.push_back(6);
+    ExpectHolds(list, rest);
+  }
+}
+
+TEST(GridTest, PointListForEachRunSplitsAtTheWrap) {
+  PointList list;
+  EXPECT_TRUE(Runs(list).empty());
+  for (RecordId id = 0; id < 4; ++id) list.PushBack(id, PointFor(id, 3));
+  list.PopFront(0);
+  list.PopFront(1);
+  EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2}));
+  list.PushBack(4, PointFor(4, 3));
+  EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2, 1}));
+  list.PushBack(5, PointFor(5, 3));
+  EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2, 2}));
+  // The runs come oldest first.
+  ExpectHolds(list, {2, 3, 4, 5});
 }
 
 TEST(GridTest, InfluenceListAddRemove) {
@@ -205,6 +336,34 @@ TEST(GridTest, InfluenceListAddRemove) {
   EXPECT_FALSE(g.RemoveInfluence(3, 7));
   EXPECT_FALSE(g.HasInfluence(3, 7));
   EXPECT_EQ(g.TotalInfluenceEntries(), 1u);
+}
+
+TEST(GridTest, InfluenceListSwapEraseKeepsTheOthers) {
+  Grid g(2, 4);
+  for (QueryId q = 1; q <= 5; ++q) g.AddInfluence(2, q);
+  auto members = [&g] {
+    std::vector<QueryId> m = g.InfluenceList(2);
+    std::sort(m.begin(), m.end());
+    return m;
+  };
+  // The first, a middle and the last entry: each swap-erase keeps the rest.
+  EXPECT_TRUE(g.RemoveInfluence(2, 1));
+  EXPECT_EQ(members(), (std::vector<QueryId>{2, 3, 4, 5}));
+  EXPECT_TRUE(g.RemoveInfluence(2, 3));
+  EXPECT_EQ(members(), (std::vector<QueryId>{2, 4, 5}));
+  EXPECT_TRUE(g.RemoveInfluence(2, g.InfluenceList(2).back()));
+  EXPECT_EQ(g.InfluenceList(2).size(), 2u);
+  // Adding a present id after the swaps is still a no-op.
+  for (QueryId q : std::vector<QueryId>(g.InfluenceList(2))) {
+    g.AddInfluence(2, q);
+  }
+  EXPECT_EQ(g.InfluenceList(2).size(), 2u);
+  // An absent id is refused without disturbing the members.
+  EXPECT_FALSE(g.RemoveInfluence(2, 1));
+  EXPECT_FALSE(g.RemoveInfluence(2, 99));
+  EXPECT_FALSE(g.RemoveInfluence(0, 2));
+  EXPECT_EQ(g.InfluenceList(2).size(), 2u);
+  EXPECT_EQ(g.TotalInfluenceEntries(), 2u);
 }
 
 TEST(GridTest, MemoryBreakdownHasExpectedComponents) {

@@ -1,16 +1,22 @@
 // Steady-state index space: after many window turnovers the grid's point
-// lists must stay proportional to the live window (Section 4.1 keeps each
-// valid record once in its cell's list), not grow with the number of
-// records that ever passed through a cell.
+// lists must follow the live window (Section 4.1 keeps each valid record
+// once in its cell's list), not grow with the number of records that ever
+// passed through a cell. Each cell's block holds its live peak rounded up
+// to a power of two, so the test tracks every cell's live peak alongside
+// the engine and holds the lists to below twice those peaks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
+#include "grid/grid.h"
 #include "tests/test_util.h"
 
 namespace topkmon {
@@ -47,9 +53,14 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
   } else {
     engine = std::make_unique<TmaEngine>(opt);
   }
-  const std::size_t num_cells = c.dim == 2 ? 16 * 16 : 4 * 4 * 4 * 4;
   const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(c.dim);
-  const std::size_t bound = entry_bytes * (4 * n + 32 * num_cells);
+  // The engine's cells, with each one's live count and live peak. Both
+  // engines insert a cycle's arrivals before they expire, so a peak may
+  // count up to per_cycle records beyond the window.
+  const Grid cells(c.dim, opt.cells_per_axis);
+  std::vector<std::size_t> live(cells.num_cells(), 0);
+  std::vector<std::size_t> peak(cells.num_cells(), 0);
+  std::deque<CellIndex> window;
 
   for (const QuerySpec& q : MakeRandomQueries(c.dim, 8, 10, 31)) {
     TOPKMON_ASSERT_OK(engine->RegisterQuery(q));
@@ -61,11 +72,25 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
   for (int t = 0; t < turnovers; ++t) {
     for (std::size_t i = 0; i < cycles_per_turnover; ++i) {
       ++now;
-      TOPKMON_ASSERT_OK(
-          engine->ProcessCycle(now, source.NextBatch(per_cycle, now)));
+      const std::vector<Record> batch = source.NextBatch(per_cycle, now);
+      TOPKMON_ASSERT_OK(engine->ProcessCycle(now, batch));
+      for (const Record& r : batch) {
+        const CellIndex cell = cells.LocateCell(r.position);
+        window.push_back(cell);
+        peak[cell] = std::max(peak[cell], ++live[cell]);
+      }
+      for (; window.size() > n; window.pop_front()) --live[window.front()];
     }
     ASSERT_EQ(engine->WindowSize(), n);
-    ASSERT_LE(engine->Memory().Bytes("point_lists"), bound)
+    // A block doubles only when full, so it holds fewer than twice its
+    // cell's peak entries, or the initial capacity.
+    std::size_t bound_entries = 0;
+    for (std::size_t p : peak) {
+      bound_entries += std::max<std::size_t>(PointList::kInitialCapacity,
+                                             2 * p - (p > 0 ? 1 : 0));
+    }
+    ASSERT_LE(engine->Memory().Bytes("point_lists"),
+              entry_bytes * bound_entries)
         << "after " << t + 1 << " window turnovers";
   }
 }

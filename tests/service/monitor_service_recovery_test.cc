@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -30,6 +31,7 @@ using ::topkmon::testing::Scores;
 
 constexpr int kDim = 2;
 constexpr std::size_t kWindow = 400;
+constexpr std::uint64_t kSnapshotEveryCycles = 5;
 
 std::function<std::unique_ptr<MonitorEngine>()> TmaFactory() {
   return [] {
@@ -50,7 +52,7 @@ ServiceOptions JournaledOptions(const std::string& dir,
   opt.journal.dir = dir;
   opt.journal.snapshot_on_shutdown = snapshot_on_shutdown;
   // Force mid-stream rotations so the snapshot path is exercised too.
-  opt.journal.snapshot_every_cycles = 5;
+  opt.journal.snapshot_every_cycles = kSnapshotEveryCycles;
   return opt;
 }
 
@@ -99,6 +101,14 @@ void RunKillRestartScenario(bool clean_shutdown_snapshot) {
       registered.push_back(std::move(spec));
     }
     IngestPhase(**service, 1, 500, 11, &applied);
+    // Drain timing decides how many cycles those records took. If the
+    // last one completed a snapshot interval, the journal ends on a fresh
+    // snapshot with no cycle after it; one more single-record cycle leaves
+    // a tail for the restart to replay.
+    if (applied.size() % kSnapshotEveryCycles == 0) {
+      IngestPhase(**service, 501, 1, 13, &applied);
+      ASSERT_NE(applied.size() % kSnapshotEveryCycles, 0u);
+    }
     TOPKMON_ASSERT_OK((*service)->journal_status());
     (*service)->Shutdown();  // kill point (dtor would do the same)
   }
@@ -128,7 +138,7 @@ void RunKillRestartScenario(bool clean_shutdown_snapshot) {
   EXPECT_EQ((*service)->stats().active_queries, registered.size());
 
   // Continue the stream in the new incarnation.
-  IngestPhase(**service, 501, 500, 12, &applied);
+  IngestPhase(**service, 502, 500, 12, &applied);
 
   // New registrations must not collide with recovered query ids.
   const auto fresh = (*service)->Register(*alice, specs[0]);
