@@ -77,8 +77,8 @@ class MonitorEngine {
   /// Number of currently valid (indexed) records.
   virtual std::size_t WindowSize() const = 0;
 
-  /// The current window image for journal snapshots. Engines that keep a
-  /// SlidingWindow override this; exotic engines may leave it
+  /// The current window image for journal snapshots. Engines with a
+  /// FIFO window override this; exotic engines may leave it
   /// Unimplemented (such an engine cannot anchor journal segments).
   virtual Result<EngineSnapshot> SnapshotState() const {
     return Status::Unimplemented("engine " + name() +

@@ -24,9 +24,7 @@ bool DominatesOrEquals(const Point& a, const Point& b) {
 
 SkylineMonitor::SkylineMonitor(int dim, const WindowSpec& window)
     : dim_(dim),
-      window_(window.kind == WindowKind::kCountBased
-                  ? SlidingWindow::CountBased(window.capacity)
-                  : SlidingWindow::TimeBased(window.span)) {
+      window_(window) {
   assert(dim >= 1 && dim <= kMaxDims);
 }
 

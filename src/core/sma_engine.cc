@@ -4,19 +4,9 @@
 
 namespace topkmon {
 
-namespace {
-
-SlidingWindow MakeWindow(const WindowSpec& spec) {
-  return spec.kind == WindowKind::kCountBased
-             ? SlidingWindow::CountBased(spec.capacity)
-             : SlidingWindow::TimeBased(spec.span);
-}
-
-}  // namespace
-
 SmaEngine::SmaEngine(const GridEngineOptions& options)
     : grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(MakeWindow(options.window)) {}
+      window_(options.window) {}
 
 Status SmaEngine::RegisterQuery(const QuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
@@ -109,8 +99,8 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   // -- Pins (Figure 11, lines 4-11) ----------------------------------------
   for (const Record& p : arrivals) {
     TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
-    TOPKMON_RETURN_IF_ERROR(window_.Append(p));
     const CellIndex cell = grid_.LocateCell(p.position);
+    TOPKMON_RETURN_IF_ERROR(window_.Push(p.id, {p.arrival, cell}));
     grid_.InsertPoint(cell, p.id, p.position);
     ++stats_.arrivals;
     for (QueryId qid : grid_.InfluenceList(cell)) {
@@ -129,18 +119,17 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     }
   }
   // -- Pdel (lines 12-16) ----------------------------------------------------
-  for (const Record& p : window_.EvictExpired(now)) {
-    const CellIndex cell = grid_.LocateCell(p.position);
-    grid_.ErasePointFifo(cell, p.id);
+  window_.PopExpired(now, [this](RecordId id, const GridWindowEntry& e) {
+    grid_.ErasePointFifo(e.cell, id);
     ++stats_.expirations;
-    for (QueryId qid : grid_.InfluenceList(cell)) {
+    for (QueryId qid : grid_.InfluenceList(e.cell)) {
       QueryState& state = queries_.at(qid);
       // An expiring record found in the skyband is necessarily its
       // earliest-arrival entry and a member of the current top-k
       // (Section 5, footnote 5); its removal affects no dominance counter.
-      if (state.skyband.Remove(p.id)) state.changed = true;
+      if (state.skyband.Remove(id)) state.changed = true;
     }
-  }
+  });
   // -- Report / refill (lines 17-22) ----------------------------------------
   for (auto& [qid, state] : queries_) {
     if (!state.changed) continue;

@@ -20,11 +20,10 @@
 #include "core/engine.h"
 #include "core/piecewise_router.h"
 #include "core/skyband.h"
-#include "core/tma_engine.h"  // GridEngineOptions
+#include "core/tma_engine.h"  // GridEngineOptions, GridWindow
 #include "core/topk_compute.h"
 #include "grid/cell_traversal.h"
 #include "grid/grid.h"
-#include "stream/sliding_window.h"
 
 namespace topkmon {
 
@@ -44,8 +43,7 @@ class SmaEngine final : public MonitorEngine {
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{
-        last_cycle_, std::vector<Record>(window_.begin(), window_.end())};
+    return EngineSnapshot{last_cycle_, GridWindowImage(grid_, window_)};
   }
   const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;
@@ -76,10 +74,8 @@ class SmaEngine final : public MonitorEngine {
                            const PiecewiseFunction& fn);
   std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
 
-  const Record& Lookup(RecordId id) const { return window_.Get(id); }
-
   Grid grid_;
-  SlidingWindow window_;
+  GridWindow window_;
   TraversalScratch scratch_;
   std::unordered_map<QueryId, QueryState> queries_;
   std::unordered_map<QueryId, PiecewiseBook> piecewise_;

@@ -1,5 +1,8 @@
 #include "core/tma_engine.h"
 
+#include <cassert>
+#include <cstdint>
+
 #include "core/influence.h"
 
 namespace topkmon {
@@ -9,20 +12,26 @@ int GridEngineOptions::ResolvedCellsPerAxis() const {
   return Grid::CellsPerAxisForBudget(dim, cell_budget);
 }
 
-namespace {
-
-SlidingWindow MakeWindow(const WindowSpec& spec) {
-  return spec.kind == WindowKind::kCountBased
-             ? SlidingWindow::CountBased(spec.capacity)
-             : SlidingWindow::TimeBased(spec.span);
+std::vector<Record> GridWindowImage(const Grid& grid,
+                                    const GridWindow& window) {
+  std::vector<Record> image;
+  image.reserve(window.size());
+  // Entries of each cell already emitted = index of its next one.
+  std::vector<std::uint32_t> emitted(grid.num_cells(), 0);
+  RecordId id = window.front_id();
+  for (const GridWindowEntry& e : window) {
+    const PointList& points = grid.PointsIn(e.cell);
+    const std::uint32_t i = emitted[e.cell]++;
+    assert(points.IdAt(i) == id);
+    image.emplace_back(id++, points.PointAt(i), e.arrival);
+  }
+  return image;
 }
-
-}  // namespace
 
 TmaEngine::TmaEngine(const GridEngineOptions& options)
     : arrivals_first_(options.arrivals_before_expirations),
       grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(MakeWindow(options.window)) {}
+      window_(options.window) {}
 
 Status TmaEngine::RegisterQuery(const QuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
@@ -118,21 +127,25 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   // Pdel) are known; their *processing* order is configurable.
   for (const Record& p : arrivals) {
     TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
-    TOPKMON_RETURN_IF_ERROR(window_.Append(p));
+    TOPKMON_RETURN_IF_ERROR(
+        window_.Push(p.id, {p.arrival, grid_.LocateCell(p.position)}));
   }
-  const std::vector<Record> expired = window_.EvictExpired(now);
-  if (arrivals_first_) {
-    // Pins before Pdel (Figure 9): an arrival that beats the expiring kth
-    // record replaces it before the expiration is seen, avoiding a
-    // needless recomputation (Section 4.3).
-    for (const Record& p : arrivals) HandleArrival(p);
-    for (const Record& p : expired) HandleExpiry(p);
-  } else {
+  const auto expire = [this](RecordId id, const GridWindowEntry& e) {
+    HandleExpiry(id, e.cell);
+  };
+  if (!arrivals_first_) {
     // Ablation order: expirations first mark queries affected even when an
-    // arrival in the same cycle would have covered them.
-    for (const Record& p : expired) HandleExpiry(p);
-    for (const Record& p : arrivals) HandleArrival(p);
+    // arrival in the same cycle would have covered them. An arrival that
+    // expires in its own cycle is not in the grid yet; it goes last.
+    window_.PopExpired(now, expire,
+                       arrivals.empty() ? kInvalidRecordId
+                                        : arrivals.front().id);
   }
+  // Pins before Pdel (Figure 9): an arrival that beats the expiring kth
+  // record replaces it before the expiration is seen, avoiding a needless
+  // recomputation (Section 4.3).
+  for (const Record& p : arrivals) HandleArrival(p, window_.Get(p.id).cell);
+  window_.PopExpired(now, expire);
   // -- Recompute affected queries from scratch (lines 12-21) ---------------
   for (auto& [qid, state] : queries_) {
     if (!state.affected) continue;
@@ -155,8 +168,7 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   return Status::Ok();
 }
 
-void TmaEngine::HandleArrival(const Record& p) {
-  const CellIndex cell = grid_.LocateCell(p.position);
+void TmaEngine::HandleArrival(const Record& p, CellIndex cell) {
   grid_.InsertPoint(cell, p.id, p.position);
   ++stats_.arrivals;
   for (QueryId qid : grid_.InfluenceList(cell)) {
@@ -173,13 +185,12 @@ void TmaEngine::HandleArrival(const Record& p) {
   }
 }
 
-void TmaEngine::HandleExpiry(const Record& p) {
-  const CellIndex cell = grid_.LocateCell(p.position);
-  grid_.ErasePointFifo(cell, p.id);
+void TmaEngine::HandleExpiry(RecordId id, CellIndex cell) {
+  grid_.ErasePointFifo(cell, id);
   ++stats_.expirations;
   for (QueryId qid : grid_.InfluenceList(cell)) {
     QueryState& state = queries_.at(qid);
-    if (state.top_list.Contains(p.id)) state.affected = true;
+    if (state.top_list.Contains(id)) state.affected = true;
   }
 }
 

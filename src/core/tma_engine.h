@@ -47,6 +47,22 @@ struct GridEngineOptions {
   int ResolvedCellsPerAxis() const;
 };
 
+/// A valid record in a grid engine's window. The grid's point lists hold
+/// its id and coordinates; the window keeps only the cell to find them in.
+struct GridWindowEntry {
+  Timestamp arrival;
+  CellIndex cell;
+};
+static_assert(sizeof(GridWindowEntry) <= 16, "one window entry per record");
+
+using GridWindow = WindowFifo<GridWindowEntry>;
+
+/// The valid records, oldest first, rebuilt from the grid: the k-th entry
+/// of `window` in a cell is the k-th oldest entry of that cell's point
+/// list, because both keep arrival order.
+std::vector<Record> GridWindowImage(const Grid& grid,
+                                    const GridWindow& window);
+
 /// The Top-k Monitoring Algorithm.
 class TmaEngine final : public MonitorEngine {
  public:
@@ -63,8 +79,7 @@ class TmaEngine final : public MonitorEngine {
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{
-        last_cycle_, std::vector<Record>(window_.begin(), window_.end())};
+    return EngineSnapshot{last_cycle_, GridWindowImage(grid_, window_)};
   }
   const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;
@@ -84,8 +99,8 @@ class TmaEngine final : public MonitorEngine {
   /// reconciles influence lists (add processed, clean stale from frontier).
   void RecomputeFromScratch(QueryId id, QueryState& state);
 
-  void HandleArrival(const Record& p);
-  void HandleExpiry(const Record& p);
+  void HandleArrival(const Record& p, CellIndex cell);
+  void HandleExpiry(RecordId id, CellIndex cell);
 
   /// The pre-validated registration body (shared by external monotone
   /// queries and internal piecewise sub-queries, which skip the delta
@@ -99,11 +114,9 @@ class TmaEngine final : public MonitorEngine {
                            const PiecewiseFunction& fn);
   std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
 
-  const Record& Lookup(RecordId id) const { return window_.Get(id); }
-
   bool arrivals_first_;
   Grid grid_;
-  SlidingWindow window_;
+  GridWindow window_;
   TraversalScratch scratch_;
   std::unordered_map<QueryId, QueryState> queries_;
   std::unordered_map<QueryId, PiecewiseBook> piecewise_;

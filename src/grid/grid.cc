@@ -17,6 +17,14 @@ void PointList::PushBack(RecordId id, const Point& p) {
   ++size_;
 }
 
+Point PointList::PointAt(std::size_t i) const {
+  assert(i < size_);
+  const std::uint32_t slot = Slot(i);
+  Point p(dim_);
+  for (int d = 0; d < dim_; ++d) p[d] = Lane(d)[slot];
+  return p;
+}
+
 void PointList::Grow() {
   const std::uint32_t capacity =
       capacity_ == 0 ? kInitialCapacity : capacity_ * 2;

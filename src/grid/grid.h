@@ -116,6 +116,15 @@ class PointList {
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return capacity_; }
 
+  /// Id of the i-th oldest entry. Requires i < size().
+  RecordId IdAt(std::size_t i) const {
+    assert(i < size_);
+    return ids()[Slot(i)];
+  }
+
+  /// Coordinates of the i-th oldest entry. Requires i < size().
+  Point PointAt(std::size_t i) const;
+
   const_iterator begin() const {
     return const_iterator(ids(), capacity_ - 1, head_);
   }
@@ -145,6 +154,10 @@ class PointList {
 
  private:
   RecordId* ids() const { return reinterpret_cast<RecordId*>(block_.get()); }
+  /// Ring slot of the i-th oldest entry.
+  std::uint32_t Slot(std::size_t i) const {
+    return (head_ + static_cast<std::uint32_t>(i)) & (capacity_ - 1);
+  }
   /// Slot 0 of coordinate lane d; the lanes follow the ids in the block.
   double* Lane(int d) const {
     return reinterpret_cast<double*>(block_.get() +
@@ -162,9 +175,13 @@ class PointList {
   int dim_ = 0;
 };
 
-/// The grid index. Owns per-cell point lists and influence lists; does not
-/// own the records themselves (those live in the SlidingWindow /
-/// RecordPool), keeping index entries at 8 + 8d bytes per point.
+/// The grid index. Owns per-cell point lists (each valid record's id and
+/// coordinates, 8 + 8d bytes per point) and influence lists. For TMA and
+/// SMA the grid is the only store of ids and coordinates: their window
+/// keeps just each record's cell and arrival, and their snapshot reads the
+/// rest back from the point lists. The threshold monitor and the
+/// update-stream engine keep whole records elsewhere (SlidingWindow,
+/// RecordPool).
 class Grid {
  public:
   /// Grid with `cells_per_axis` cells on each of `dim` axes.

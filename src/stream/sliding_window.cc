@@ -1,53 +1,37 @@
 #include "stream/sliding_window.h"
 
+#include <string>
+
 namespace topkmon {
 
-SlidingWindow SlidingWindow::CountBased(std::size_t capacity) {
-  assert(capacity > 0);
-  return SlidingWindow(WindowKind::kCountBased, capacity, 0);
+WindowRules::WindowRules(const WindowSpec& spec) : spec_(spec) {
+  assert(spec.kind == WindowKind::kCountBased ? spec.capacity > 0
+                                              : spec.span > 0);
 }
 
-SlidingWindow SlidingWindow::TimeBased(Timestamp span) {
-  assert(span > 0);
-  return SlidingWindow(WindowKind::kTimeBased, 0, span);
-}
-
-Status SlidingWindow::Append(const Record& record) {
-  if (record.id == kInvalidRecordId) {
+Status WindowRules::Admit(RecordId id, Timestamp arrival, bool empty) {
+  if (id == kInvalidRecordId) {
     return Status::InvalidArgument("record has invalid id");
   }
-  if (!records_.empty() && record.id != next_id_) {
+  if (!empty && id != next_id_) {
     return Status::FailedPrecondition(
         "record ids must be contiguous and increasing: expected " +
-        std::to_string(next_id_) + ", got " + std::to_string(record.id));
+        std::to_string(next_id_) + ", got " + std::to_string(id));
   }
-  if (record.arrival < last_arrival_) {
+  if (arrival < last_arrival_) {
     return Status::FailedPrecondition(
         "arrival timestamps must be non-decreasing");
   }
-  if (records_.empty()) front_id_ = record.id;
-  records_.push_back(record);
-  next_id_ = record.id + 1;
-  last_arrival_ = record.arrival;
+  next_id_ = id + 1;
+  last_arrival_ = arrival;
   return Status::Ok();
 }
 
 std::vector<Record> SlidingWindow::EvictExpired(Timestamp now) {
   std::vector<Record> expired;
-  if (kind_ == WindowKind::kCountBased) {
-    while (records_.size() > capacity_) {
-      expired.push_back(records_.front());
-      records_.pop_front();
-      ++front_id_;
-    }
-  } else {
-    const Timestamp cutoff = now - span_;
-    while (!records_.empty() && records_.front().arrival <= cutoff) {
-      expired.push_back(records_.front());
-      records_.pop_front();
-      ++front_id_;
-    }
-  }
+  PopExpired(now, [&expired](RecordId, const Record& r) {
+    expired.push_back(r);
+  });
   return expired;
 }
 

@@ -5,9 +5,7 @@ namespace topkmon {
 TslEngine::TslEngine(const TslOptions& options)
     : dim_(options.dim),
       kmax_override_(options.kmax_override),
-      window_(options.window.kind == WindowKind::kCountBased
-                  ? SlidingWindow::CountBased(options.window.capacity)
-                  : SlidingWindow::TimeBased(options.window.span)),
+      window_(options.window),
       lists_(options.dim) {}
 
 Status TslEngine::RegisterQuery(const QuerySpec& spec) {

@@ -174,5 +174,36 @@ TEST(TmaEngineTest, StatsCountArrivalsAndExpirations) {
   EXPECT_EQ(engine.stats().cycles, 1u);
 }
 
+TEST(TmaEngineTest, ExpirationsFirstOrderAgreesWithBruteForce) {
+  // The ordering ablation handles Pdel before Pins. Batches larger than
+  // the window make some arrivals expire in their own cycle, before they
+  // were ever inserted into the grid.
+  GridEngineOptions opt = SmallOptions(2, 50);
+  opt.arrivals_before_expirations = false;
+  TmaEngine engine(opt);
+  BruteForceEngine brute(2, opt.window);
+  for (const QuerySpec& q : MakeRandomQueries(2, 6, 4, 11)) {
+    TOPKMON_ASSERT_OK(engine.RegisterQuery(q));
+    TOPKMON_ASSERT_OK(brute.RegisterQuery(q));
+  }
+  RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 5));
+  for (Timestamp now = 1; now <= 40; ++now) {
+    const std::size_t n = now % 3 == 0 ? 70 : 15;
+    const std::vector<Record> batch = source.NextBatch(n, now);
+    TOPKMON_ASSERT_OK(engine.ProcessCycle(now, batch));
+    TOPKMON_ASSERT_OK(brute.ProcessCycle(now, batch));
+    ASSERT_EQ(engine.grid().num_points(), brute.WindowSize())
+        << "cycle " << now;
+    for (QueryId id = 1; id <= 6; ++id) {
+      const auto got = engine.CurrentResult(id);
+      const auto want = brute.CurrentResult(id);
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(Scores(*got), Scores(*want))
+          << "query " << id << " at cycle " << now;
+    }
+  }
+  EXPECT_EQ(engine.stats().expirations, engine.stats().arrivals - 50);
+}
+
 }  // namespace
 }  // namespace topkmon

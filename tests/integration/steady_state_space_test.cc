@@ -3,7 +3,8 @@
 // once in its cell's list), not grow with the number of records that ever
 // passed through a cell. Each cell's block holds its live peak rounded up
 // to a power of two, so the test tracks every cell's live peak alongside
-// the engine and holds the lists to below twice those peaks.
+// the engine and holds the lists to below twice those peaks. The window
+// must not keep a second copy of the records beside the grid.
 
 #include <gtest/gtest.h>
 
@@ -91,6 +92,11 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
     }
     ASSERT_LE(engine->Memory().Bytes("point_lists"),
               entry_bytes * bound_entries)
+        << "after " << t + 1 << " window turnovers";
+    // The point lists hold each record's id and coordinates; the window
+    // keeps only a 16-byte (cell, arrival) entry per record, plus at most
+    // one 512-byte deque block. A whole-Record copy is 88 bytes.
+    ASSERT_LE(engine->Memory().Bytes("window"), 16 * n + 512)
         << "after " << t + 1 << " window turnovers";
   }
 }

@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,6 +41,8 @@ constexpr std::size_t kWindow = 500;
 constexpr int kProducers = 2;
 constexpr int kRecordsPerProducer = 600;
 constexpr std::size_t kBatch = 25;
+static_assert(kRecordsPerProducer / 2 % kBatch == 0,
+              "producers pause for the reconnect between two batches");
 
 std::vector<double> ApplyDelta(std::map<RecordId, double>& view,
                                const ResultDelta& delta) {
@@ -106,33 +110,50 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
   }
 
   // Subscriber threads long-poll their delta streams. Subscriber 1
-  // additionally drops its connection mid-run and resumes by label.
+  // additionally drops its connection mid-run and resumes by label: the
+  // producers pause at half their records until it has resumed, so the
+  // reconnect falls at the same point of the stream however the driver
+  // packs records into cycles.
   std::atomic<bool> done{false};
   std::vector<std::vector<DeltaEvent>> received(2);
   bool resumed_ok = false;
+  std::mutex midpoint_mu;
+  std::condition_variable midpoint_cv;
+  int producers_at_midpoint = 0;
+  bool reconnect_done = false;
   std::vector<std::thread> threads;
   for (int s = 0; s < 2; ++s) {
     threads.emplace_back([&, s] {
       std::unique_ptr<MonitorClient> client = std::move(subscribers[s]);
       bool reconnected = s == 0;  // only sub-b (s==1) reconnects
       while (true) {
+        // Read before the poll: once Flush() has returned every delta is
+        // in the hub, so an empty poll issued after that means the stream
+        // is drained. Read after, it could hide deltas published between
+        // the poll and the read.
+        const bool flushed = done.load();
         auto events =
             client->PollDeltas(512, std::chrono::milliseconds(20));
         ASSERT_TRUE(events.ok()) << events.status();
         received[s].insert(received[s].end(), events->begin(),
                            events->end());
-        if (!reconnected && received[s].size() >= 10) {
-          // Mid-run reconnect: drop the socket (session survives), come
-          // back with resume, keep polling the same stream.
-          client.reset();
-          auto again = MonitorClient::Connect("127.0.0.1", port, labels[s],
-                                              /*resume=*/true);
-          ASSERT_TRUE(again.ok()) << again.status();
-          resumed_ok = (*again)->resumed();
-          client = std::move(*again);
-          reconnected = true;
+        if (!reconnected) {
+          std::unique_lock<std::mutex> lock(midpoint_mu);
+          if (producers_at_midpoint == kProducers) {
+            // Mid-run reconnect: drop the socket (session survives), come
+            // back with resume, keep polling the same stream.
+            client.reset();
+            auto again = MonitorClient::Connect("127.0.0.1", port,
+                                                labels[s], /*resume=*/true);
+            reconnect_done = true;
+            midpoint_cv.notify_all();
+            ASSERT_TRUE(again.ok()) << again.status();
+            resumed_ok = (*again)->resumed();
+            client = std::move(*again);
+            reconnected = true;
+          }
         }
-        if (events->empty() && done.load()) break;
+        if (events->empty() && flushed) break;
       }
       TOPKMON_ASSERT_OK(client->Close(/*close_session=*/false));
     });
@@ -152,6 +173,14 @@ TEST(NetEndToEndTest, TcpClientsSeeGapFreeDeltasMatchingBruteForce) {
                                1000 + static_cast<std::uint64_t>(p));
       int sent = 0;
       while (sent < kRecordsPerProducer) {
+        if (sent == kRecordsPerProducer / 2) {
+          // Wait (bounded, so a failed subscriber cannot hang the test)
+          // until subscriber 1 has reconnected.
+          std::unique_lock<std::mutex> lock(midpoint_mu);
+          ++producers_at_midpoint;
+          midpoint_cv.wait_for(lock, std::chrono::seconds(30),
+                               [&] { return reconnect_done; });
+        }
         std::vector<Record> batch;
         for (std::size_t i = 0;
              i < kBatch && sent < kRecordsPerProducer; ++i, ++sent) {
