@@ -8,11 +8,14 @@
 namespace topkmon {
 
 IngestQueue::IngestQueue(const IngestOptions& options)
-    : options_(options), arena_(options.arena) {
+    : options_(options), arena_(options.arena), buf_(options.capacity) {
   assert(options_.capacity > 0);
   assert(options_.max_batch > 0);
   assert(options_.slack >= 0);
-  buf_.reserve(std::min<std::size_t>(options_.capacity, 4096));
+  // The arena holds the queued records, a drained batch awaiting
+  // CommitDrained, and the open chunk's tail.
+  arena_.Reserve(options_.capacity + options_.max_batch +
+                 options_.arena.chunk_records);
   next_id_ = options_.first_record_id;
   frontier_ = options_.min_timestamp;
   max_seen_ = options_.min_timestamp;
@@ -22,21 +25,23 @@ IngestQueue::~IngestQueue() {
   // Backstop: a queue destroyed with records still buffered (or drained
   // but uncommitted) hands their storage back so external arenas do not
   // leak. Single-record releases are fine here — this is not a hot path.
-  for (std::size_t i = head_; i < buf_.size(); ++i) {
-    if (buf_[i].owner != nullptr) buf_[i].owner->Release(buf_[i].rec, 1);
+  for (std::size_t i = 0; i < size_; ++i) {
+    const Pending& p = buf_[SlotLocked(i)];
+    if (p.owner != nullptr) p.owner->Release(p.rec, 1);
   }
-  buf_.clear();
-  head_ = 0;
+  size_ = 0;
   CommitDrained();
 }
 
 void IngestQueue::PushLocked(const Record* rec, Timestamp arrival,
                              RecordArena* owner) {
-  if (is_sorted_ && head_ < buf_.size() && arrival < buf_.back().arrival) {
+  if (is_sorted_ && size_ > 0 &&
+      arrival < buf_[SlotLocked(size_ - 1)].arrival) {
     is_sorted_ = false;
   }
-  buf_.push_back(Pending{arrival, push_seq_++, rec, owner,
-                         std::chrono::steady_clock::now()});
+  buf_[SlotLocked(size_)] = Pending{arrival, push_seq_++, rec, owner,
+                                    std::chrono::steady_clock::now()};
+  ++size_;
   max_seen_ = std::max(max_seen_, arrival);
   min_arrival_ = std::min(min_arrival_, arrival);
   ++stats_.pushed;
@@ -101,7 +106,14 @@ bool IngestQueue::ReleasableLocked() const {
 
 void IngestQueue::SortLocked() {
   if (is_sorted_) return;
-  std::sort(buf_.begin() + static_cast<std::ptrdiff_t>(head_), buf_.end(),
+  if (head_ + size_ > buf_.size()) {
+    // The run wraps: rotate it to the front so it is one range.
+    std::rotate(buf_.begin(),
+                buf_.begin() + static_cast<std::ptrdiff_t>(head_), buf_.end());
+    head_ = 0;
+  }
+  const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
+  std::sort(first, first + static_cast<std::ptrdiff_t>(size_),
             [](const Pending& a, const Pending& b) {
               if (a.arrival != b.arrival) return a.arrival < b.arrival;
               return a.seq < b.seq;
@@ -125,7 +137,7 @@ std::size_t IngestQueue::DrainBatch(
   const bool open_gate = flush_all || closed_ || !ReleasableLocked();
   SortLocked();
   std::size_t released = 0;
-  while (released < options_.max_batch && head_ < buf_.size()) {
+  while (released < options_.max_batch && size_ > 0) {
     Pending& p = buf_[head_];
     if (!open_gate && p.arrival + options_.slack > max_seen_) break;
     Timestamp arrival = p.arrival;
@@ -143,18 +155,13 @@ std::size_t IngestQueue::DrainBatch(
     }
     out->emplace_back(next_id_++, p.rec->position, arrival);
     pending_release_.push_back(Parked{p.rec, p.owner});
-    ++head_;
+    head_ = SlotLocked(1);
+    --size_;
     ++released;
   }
-  if (head_ == buf_.size()) {
-    buf_.clear();
-    head_ = 0;
-  } else if (head_ >= 64 && head_ * 2 >= buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  min_arrival_ = head_ < buf_.size() ? buf_[head_].arrival
-                                     : std::numeric_limits<Timestamp>::max();
+  if (size_ == 0) head_ = 0;
+  min_arrival_ = size_ > 0 ? buf_[head_].arrival
+                           : std::numeric_limits<Timestamp>::max();
   if (released > 0) {
     ++stats_.batches;
     *cycle_ts = frontier_;

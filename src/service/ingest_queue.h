@@ -12,10 +12,13 @@
 //   * Buffered tuples are *references* into a RecordArena (the queue's
 //     own arena for in-process pushes, the same arena for wire frames
 //     the TCP server decodes straight into it via
-//     MonitorService::ingest_arena()). The buffer itself is a flat
-//     sorted run with a head index: pushes append in O(1), and the run
-//     is re-sorted by (arrival, push sequence) only when a drain finds
-//     out-of-order arrivals — in-order streams never pay a sort.
+//     MonitorService::ingest_arena()). The buffer itself is a ring of
+//     `capacity` slots holding a sorted run: pushes append in O(1), and
+//     the run is re-sorted by (arrival, push sequence) only when a drain
+//     finds out-of-order arrivals — in-order streams never pay a sort.
+//     The ring and the arena chunks for a full queue are taken at
+//     construction, so the queue's footprint is set by its options, not
+//     by how deep a backlog has run.
 //   * A tuple is released only once the highest timestamp seen has
 //     advanced past it by `slack` time units, so out-of-order arrivals
 //     within the slack are re-sorted rather than clamped. Stragglers
@@ -209,7 +212,12 @@ class IngestQueue {
     RecordArena* owner;
   };
 
-  std::size_t SizeLocked() const { return buf_.size() - head_; }
+  std::size_t SizeLocked() const { return size_; }
+  /// Ring slot of the i-th oldest buffered record.
+  std::size_t SlotLocked(std::size_t i) const {
+    const std::size_t slot = head_ + i;
+    return slot < buf_.size() ? slot : slot - buf_.size();
+  }
   void PushLocked(const Record* rec, Timestamp arrival, RecordArena* owner);
   bool ReleasableLocked() const;
   /// Restores (arrival, seq) order over the live run if a push broke it.
@@ -221,10 +229,11 @@ class IngestQueue {
   mutable std::mutex mu_;
   std::condition_variable not_full_cv_;  ///< producers wait here
   std::condition_variable drain_cv_;     ///< the consumer waits here
-  /// Live run is buf_[head_..); the drained prefix is compacted away
-  /// once it reaches half the vector.
+  /// Ring of options.capacity slots; the live run is the size_ slots
+  /// from head_ on.
   std::vector<Pending> buf_;
   std::size_t head_ = 0;
+  std::size_t size_ = 0;
   bool is_sorted_ = true;
   /// Smallest buffered arrival (the slack-gate probe); max() when empty.
   Timestamp min_arrival_ = std::numeric_limits<Timestamp>::max();

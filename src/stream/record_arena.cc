@@ -36,14 +36,8 @@ Record* RecordArena::Allocate(std::size_t n) {
       free_chunks_.erase(fit);
       ++stats_.chunks_recycled;
     } else {
-      Chunk fresh;
-      fresh.capacity = std::max(options_.chunk_records, n);
-      fresh.slab = new Record[fresh.capacity];
-      chunks_.push_back(fresh);
-      ++stats_.chunks_created;
-      stats_.resident_bytes += fresh.capacity * sizeof(Record);
-      stats_.peak_resident_bytes =
-          std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
+      chunks_.push_back(
+          FreshChunkLocked(std::max(options_.chunk_records, n)));
     }
     open = &chunks_.back();
     open->used = 0;
@@ -53,6 +47,7 @@ Record* RecordArena::Allocate(std::size_t n) {
   Record* span = open->slab + open->used;
   open->used += n;
   open->last_epoch = epoch_;
+  if (open->used == open->capacity) open->sealed = true;
   stats_.allocated_records += n;
   return span;
 }
@@ -73,6 +68,28 @@ void RecordArena::Release(const Record* p, std::size_t n) {
   assert(false && "Release of a span this arena never allocated");
 }
 
+void RecordArena::Reserve(std::size_t records) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::size_t want =
+      (records + options_.chunk_records - 1) / options_.chunk_records;
+  for (std::size_t held = chunks_.size() + free_chunks_.size(); held < want;
+       ++held) {
+    free_chunks_.push_back(FreshChunkLocked(options_.chunk_records));
+  }
+  reserved_chunks_ = std::max(reserved_chunks_, want);
+}
+
+RecordArena::Chunk RecordArena::FreshChunkLocked(std::size_t capacity) {
+  Chunk fresh;
+  fresh.capacity = capacity;
+  fresh.slab = new Record[capacity];
+  ++stats_.chunks_created;
+  stats_.resident_bytes += capacity * sizeof(Record);
+  stats_.peak_resident_bytes =
+      std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
+  return fresh;
+}
+
 std::uint64_t RecordArena::current_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return epoch_;
@@ -80,15 +97,7 @@ std::uint64_t RecordArena::current_epoch() const {
 
 std::uint64_t RecordArena::AdvanceEpoch() {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t sealed = epoch_++;
-  if (!chunks_.empty() && !chunks_.back().sealed) {
-    // An untouched open chunk stays open; one that allocated in the
-    // sealed epoch is closed so the next span starts a fresh lifetime.
-    if (chunks_.back().last_epoch == sealed && chunks_.back().used > 0) {
-      chunks_.back().sealed = true;
-    }
-  }
-  return sealed;
+  return epoch_++;
 }
 
 void RecordArena::RetireThrough(std::uint64_t epoch) {
@@ -137,7 +146,9 @@ void RecordArena::ReclaimLocked() {
       ++it;
       continue;
     }
-    if (free_chunks_.size() < options_.max_free_chunks) {
+    // Free past the cap, but never below the reservation.
+    if (free_chunks_.size() < options_.max_free_chunks ||
+        chunks_.size() + free_chunks_.size() <= reserved_chunks_) {
       Chunk recycled = *it;
       recycled.used = 0;
       recycled.released = 0;

@@ -20,6 +20,9 @@
 //     no consumer still pins an epoch at or below the chunk's newest
 //     (PinEpoch/UnpinEpoch cover long-held views: a parked long-poll or
 //     a journal writer serializing from the span).
+// A chunk keeps taking spans across epochs and closes only when it is
+// full or the next span does not fit, so the resident bytes follow the
+// number of records in flight, not the number of cycles they span.
 //
 // Thread safety: all member functions are thread-safe (one internal
 // mutex). The intended shape is still single-producer per arena —
@@ -83,6 +86,12 @@ class RecordArena {
   /// recycled here.
   void Release(const Record* p, std::size_t n);
 
+  /// Allocates chunks for `records` records up front and keeps at least
+  /// that many for good (free or in use), so until more than `records`
+  /// are in flight the arena allocates nothing and its resident bytes do
+  /// not depend on how deep a backlog has run.
+  void Reserve(std::size_t records);
+
   /// The epoch new allocations are stamped with.
   std::uint64_t current_epoch() const;
 
@@ -124,6 +133,8 @@ class RecordArena {
   void ReclaimLocked();
   /// Smallest pinned epoch, or a value above every epoch when none.
   std::uint64_t MinPinnedLocked() const;
+  /// A new slab of `capacity` records, counted as created.
+  Chunk FreshChunkLocked(std::size_t capacity);
 
   const RecordArenaOptions options_;
 
@@ -133,6 +144,7 @@ class RecordArena {
   std::uint64_t epoch_ = 1;
   std::uint64_t retired_through_ = 0;
   std::map<std::uint64_t, std::size_t> pins_;
+  std::size_t reserved_chunks_ = 0;  ///< never freed (see Reserve)
   RecordArenaStats stats_;
 };
 

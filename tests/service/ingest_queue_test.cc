@@ -196,5 +196,33 @@ TEST(IngestQueueTest, MaxBatchSplitsLargeBacklogs) {
   EXPECT_EQ(cycle, 25);
 }
 
+TEST(IngestQueueTest, ReordersARunThatWrapsTheRing) {
+  IngestOptions opt;
+  opt.capacity = 8;
+  opt.max_batch = 5;
+  opt.slack = 100;
+  IngestQueue queue(opt);
+  for (Timestamp ts = 1; ts <= 6; ++ts) {
+    TOPKMON_ASSERT_OK(queue.Push(P(0.3, 0.3), ts));
+  }
+  std::vector<Record> out;
+  Timestamp cycle = 0;
+  EXPECT_EQ(queue.DrainBatch(&out, &cycle, std::chrono::milliseconds(0),
+                             /*flush_all=*/true),
+            5u);
+  // The live run starts at slot 5; these fill the ring past its end.
+  for (Timestamp ts : {12, 8, 11, 7, 10, 9, 13}) {
+    TOPKMON_ASSERT_OK(queue.Push(P(0.3, 0.3), ts));
+  }
+  EXPECT_EQ(queue.depth(), 8u);
+  const std::vector<Record> rest = DrainAll(queue);
+  ASSERT_EQ(rest.size(), 8u);
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(rest[i].arrival, static_cast<Timestamp>(6 + i));
+    EXPECT_EQ(rest[i].id, static_cast<RecordId>(5 + i));
+  }
+  EXPECT_EQ(queue.depth(), 0u);
+}
+
 }  // namespace
 }  // namespace topkmon

@@ -122,6 +122,49 @@ TEST(RecordArenaTest, SplitReleaseReclaimsWholeChunk) {
   arena.Release(next, 8);
 }
 
+TEST(RecordArenaTest, ShortEpochsShareAChunk) {
+  RecordArenaOptions opt;
+  opt.chunk_records = 8;
+  RecordArena arena(opt);
+
+  // One small span per cycle, none released yet: the resident bytes
+  // follow the records in flight, not the number of cycles they span.
+  std::vector<Record*> spans;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    spans.push_back(FillSpan(arena, 2, static_cast<RecordId>(cycle) * 2));
+    arena.RetireThrough(arena.AdvanceEpoch());
+  }
+  EXPECT_EQ(arena.stats().chunks_created, 1u);
+  EXPECT_EQ(arena.ResidentBytes(), opt.chunk_records * sizeof(Record));
+  for (Record* span : spans) arena.Release(span, 2);
+  arena.RetireThrough(arena.AdvanceEpoch());
+  EXPECT_EQ(arena.stats().released_records, 8u);
+}
+
+TEST(RecordArenaTest, ReservedChunksAreKeptPastTheFreeListCap) {
+  RecordArenaOptions opt;
+  opt.chunk_records = 4;
+  opt.max_free_chunks = 1;
+  RecordArena arena(opt);
+  arena.Reserve(16);
+  const std::size_t reserved = 16 * sizeof(Record);
+  EXPECT_EQ(arena.ResidentBytes(), reserved);
+
+  for (int round = 0; round < 3; ++round) {
+    std::vector<Record*> spans;
+    for (int i = 0; i < 4; ++i) {
+      spans.push_back(
+          FillSpan(arena, 4, static_cast<RecordId>(round * 16 + i * 4)));
+    }
+    for (Record* span : spans) arena.Release(span, 4);
+    arena.RetireThrough(arena.AdvanceEpoch());
+    EXPECT_EQ(arena.ResidentBytes(), reserved) << "round " << round;
+  }
+  const RecordArenaStats s = arena.stats();
+  EXPECT_EQ(s.chunks_created, 4u);
+  EXPECT_EQ(s.chunks_freed, 0u);
+}
+
 TEST(RecordArenaTest, OversizedSpanGetsDedicatedChunk) {
   RecordArenaOptions opt;
   opt.chunk_records = 4;
