@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -57,10 +56,6 @@ class RecordSpan {
       : data_(data), size_(size) {}
   RecordSpan(const std::vector<Record>& records)  // NOLINT: implicit
       : data_(records.data()), size_(records.size()) {}
-  /// Views a braced list (alive until the end of the full expression —
-  /// long enough for any call that does not retain the span).
-  RecordSpan(std::initializer_list<Record> records)  // NOLINT: implicit
-      : data_(records.begin()), size_(records.size()) {}
 
   const Record* data() const { return data_; }
   std::size_t size() const { return size_; }

@@ -8,7 +8,9 @@
 #ifndef TOPKMON_CORE_ENGINE_H_
 #define TOPKMON_CORE_ENGINE_H_
 
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/record.h"
@@ -26,6 +28,18 @@ namespace topkmon {
 struct EngineSnapshot {
   Timestamp last_cycle = 0;    ///< timestamp of the last processed cycle
   std::vector<Record> window;  ///< valid records in arrival (id) order
+};
+
+/// Receives a walk over an engine's window (MonitorEngine::VisitWindow).
+class WindowVisitor {
+ public:
+  virtual ~WindowVisitor() = default;
+  /// Called once, before any record: the timestamp of the last processed
+  /// cycle and the number of records the walk yields.
+  virtual void Begin(Timestamp last_cycle, std::size_t size) = 0;
+  /// One valid record; records come in arrival (id) order.
+  virtual void Visit(RecordId id, const Point& position,
+                     Timestamp arrival) = 0;
 };
 
 /// A continuous top-k monitoring engine.
@@ -80,9 +94,27 @@ class MonitorEngine {
   /// The current window image for journal snapshots. Engines with a
   /// FIFO window override this; exotic engines may leave it
   /// Unimplemented (such an engine cannot anchor journal segments).
+  /// Never default this to VisitWindow: VisitWindow's default calls it,
+  /// and the two defaults would call each other forever.
   virtual Result<EngineSnapshot> SnapshotState() const {
     return Status::Unimplemented("engine " + name() +
                                  " does not support state snapshots");
+  }
+
+  /// Walks the window oldest first, straight from the engine's own
+  /// storage; the journal encodes its snapshot anchors from this walk, so
+  /// a rotation holds no std::vector<Record> image of the window. The
+  /// default walks SnapshotState(), which keeps an engine or decorator
+  /// that overrides only SnapshotState() correct at the cost of that
+  /// copy.
+  virtual Status VisitWindow(WindowVisitor& visitor) const {
+    auto snapshot = SnapshotState();
+    if (!snapshot.ok()) return snapshot.status();
+    visitor.Begin(snapshot->last_cycle, snapshot->window.size());
+    for (const Record& r : snapshot->window) {
+      visitor.Visit(r.id, r.position, r.arrival);
+    }
+    return Status::Ok();
   }
 
   /// Rebuilds the window from a snapshot. Requires a freshly constructed
@@ -110,6 +142,24 @@ class MonitorEngine {
   /// Structure-size accounting of all engine state.
   virtual MemoryBreakdown Memory() const = 0;
 };
+
+/// SnapshotState() for an engine that overrides VisitWindow: collects
+/// the walk into an image.
+inline Result<EngineSnapshot> SnapshotFromWalk(const MonitorEngine& engine) {
+  struct Collector final : WindowVisitor {
+    EngineSnapshot image;
+    void Begin(Timestamp last_cycle, std::size_t size) override {
+      image.last_cycle = last_cycle;
+      image.window.reserve(size);
+    }
+    void Visit(RecordId id, const Point& position,
+               Timestamp arrival) override {
+      image.window.emplace_back(id, position, arrival);
+    }
+  } collector;
+  TOPKMON_RETURN_IF_ERROR(engine.VisitWindow(collector));
+  return std::move(collector.image);
+}
 
 }  // namespace topkmon
 

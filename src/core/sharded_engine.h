@@ -64,10 +64,14 @@ class ShardedEngine final : public MonitorEngine {
     return shards_.front()->WindowSize();
   }
   /// Every shard consumes the identical stream, so any shard's window is
-  /// the engine's window; restore (the base-class default) re-partitions
-  /// through the regular ProcessCycle fan-out.
+  /// the engine's window, for snapshots and walks alike; restore (the
+  /// base-class default) re-partitions through the regular ProcessCycle
+  /// fan-out.
   Result<EngineSnapshot> SnapshotState() const override {
     return shards_.front()->SnapshotState();
+  }
+  Status VisitWindow(WindowVisitor& visitor) const override {
+    return shards_.front()->VisitWindow(visitor);
   }
   /// Aggregated counters across shards (maintenance_seconds sums shard
   /// CPU time; wall-clock per cycle is roughly the max over shards).

@@ -43,7 +43,11 @@ class SmaEngine final : public MonitorEngine {
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{last_cycle_, GridWindowImage(grid_, window_)};
+    return SnapshotFromWalk(*this);
+  }
+  Status VisitWindow(WindowVisitor& visitor) const override {
+    VisitGridWindow(grid_, window_, last_cycle_, visitor);
+    return Status::Ok();
   }
   const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;

@@ -12,20 +12,18 @@ int GridEngineOptions::ResolvedCellsPerAxis() const {
   return Grid::CellsPerAxisForBudget(dim, cell_budget);
 }
 
-std::vector<Record> GridWindowImage(const Grid& grid,
-                                    const GridWindow& window) {
-  std::vector<Record> image;
-  image.reserve(window.size());
-  // Entries of each cell already emitted = index of its next one.
-  std::vector<std::uint32_t> emitted(grid.num_cells(), 0);
+void VisitGridWindow(const Grid& grid, const GridWindow& window,
+                     Timestamp last_cycle, WindowVisitor& visitor) {
+  visitor.Begin(last_cycle, window.size());
+  // Entries of each cell already visited = index of its next one.
+  std::vector<std::uint32_t> visited(grid.num_cells(), 0);
   RecordId id = window.front_id();
   for (const GridWindowEntry& e : window) {
     const PointList& points = grid.PointsIn(e.cell);
-    const std::uint32_t i = emitted[e.cell]++;
+    const std::uint32_t i = visited[e.cell]++;
     assert(points.IdAt(i) == id);
-    image.emplace_back(id++, points.PointAt(i), e.arrival);
+    visitor.Visit(id++, points.PointAt(i), e.arrival);
   }
-  return image;
 }
 
 TmaEngine::TmaEngine(const GridEngineOptions& options)

@@ -57,11 +57,11 @@ static_assert(sizeof(GridWindowEntry) <= 16, "one window entry per record");
 
 using GridWindow = WindowFifo<GridWindowEntry>;
 
-/// The valid records, oldest first, rebuilt from the grid: the k-th entry
-/// of `window` in a cell is the k-th oldest entry of that cell's point
-/// list, because both keep arrival order.
-std::vector<Record> GridWindowImage(const Grid& grid,
-                                    const GridWindow& window);
+/// Walks the valid records oldest first, reading each from the grid: the
+/// k-th entry of `window` in a cell is the k-th oldest entry of that
+/// cell's point list, because both keep arrival order.
+void VisitGridWindow(const Grid& grid, const GridWindow& window,
+                     Timestamp last_cycle, WindowVisitor& visitor);
 
 /// The Top-k Monitoring Algorithm.
 class TmaEngine final : public MonitorEngine {
@@ -79,7 +79,11 @@ class TmaEngine final : public MonitorEngine {
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
-    return EngineSnapshot{last_cycle_, GridWindowImage(grid_, window_)};
+    return SnapshotFromWalk(*this);
+  }
+  Status VisitWindow(WindowVisitor& visitor) const override {
+    VisitGridWindow(grid_, window_, last_cycle_, visitor);
+    return Status::Ok();
   }
   const EngineStats& stats() const override { return stats_; }
   MemoryBreakdown Memory() const override;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "core/engine.h"
 #include "journal/wire.h"
 
 namespace topkmon {
@@ -93,6 +94,24 @@ Status PutQuery(const JournaledQuery& q, std::string* out) {
   return Status::Ok();
 }
 
+/// A snapshot body up to and including the window count; the window's
+/// record span (when `window_size` > 0) follows.
+Status PutSnapshotHead(Timestamp last_cycle_ts, RecordId next_record_id,
+                       std::uint64_t next_query_id,
+                       const std::vector<JournaledQuery>& live_queries,
+                       std::uint64_t window_size, std::string* out) {
+  wire::PutU8(static_cast<std::uint8_t>(JournalRecordType::kSnapshot), out);
+  wire::PutI64(last_cycle_ts, out);
+  wire::PutU64(next_record_id, out);
+  wire::PutU64(next_query_id, out);
+  wire::PutU32(static_cast<std::uint32_t>(live_queries.size()), out);
+  for (const JournaledQuery& q : live_queries) {
+    TOPKMON_RETURN_IF_ERROR(PutQuery(q, out));
+  }
+  wire::PutU64(window_size, out);
+  return Status::Ok();
+}
+
 Status GetQuery(wire::ByteReader& in, JournaledQuery* out) {
   TOPKMON_RETURN_IF_ERROR(wire::GetQuerySpec(in, &out->spec));
   out->owner_label = in.GetString();
@@ -119,9 +138,22 @@ void EncodeSegmentHeader(std::string* out) {
 }
 
 void EncodeFrame(const std::string& body, std::string* out) {
-  wire::PutU32(static_cast<std::uint32_t>(body.size()), out);
-  wire::PutU32(Crc32(body.data(), body.size()), out);
+  const std::size_t at = out->size();
+  out->append(kFrameHeaderBytes, '\0');
   out->append(body);
+  SealFrame(at, out);
+}
+
+void SealFrame(std::size_t at, std::string* buf) {
+  const std::size_t body_at = at + kFrameHeaderBytes;
+  const std::size_t body_len = buf->size() - body_at;
+  const auto len32 = static_cast<std::uint32_t>(body_len);
+  const std::uint32_t crc = Crc32(buf->data() + body_at, body_len);
+  char* prologue = &(*buf)[at];
+  for (int i = 0; i < 4; ++i) {
+    prologue[i] = static_cast<char>(len32 >> (8 * i));
+    prologue[4 + i] = static_cast<char>(crc >> (8 * i));
+  }
 }
 
 void EncodeCycleBody(Timestamp ts, RecordSpan batch, std::string* out) {
@@ -153,30 +185,72 @@ void EncodeUnregisterBody(QueryId id, std::string* out) {
 
 Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out) {
   const std::size_t mark = out->size();
-  wire::PutU8(static_cast<std::uint8_t>(JournalRecordType::kSnapshot), out);
-  wire::PutI64(snapshot.last_cycle_ts, out);
-  wire::PutU64(snapshot.next_record_id, out);
-  wire::PutU64(snapshot.next_query_id, out);
-  wire::PutU32(static_cast<std::uint32_t>(snapshot.live_queries.size()),
-               out);
-  for (const JournaledQuery& q : snapshot.live_queries) {
-    const Status st = PutQuery(q, out);
-    if (!st.ok()) {
-      out->resize(mark);
-      return st;
-    }
+  const Status st =
+      PutSnapshotHead(snapshot.last_cycle_ts, snapshot.next_record_id,
+                      snapshot.next_query_id, snapshot.live_queries,
+                      snapshot.window.size(), out);
+  if (!st.ok()) {
+    out->resize(mark);
+    return st;
   }
-  std::size_t bytes = out->size() + 8;
   if (!snapshot.window.empty()) {
-    bytes += wire::RecordSpanMaxBytes(snapshot.window.size(),
-                                      snapshot.window[0].position.dim());
-  }
-  out->reserve(bytes);
-  wire::PutU64(snapshot.window.size(), out);
-  if (!snapshot.window.empty()) {
+    out->reserve(out->size() +
+                 wire::RecordSpanMaxBytes(snapshot.window.size(),
+                                          snapshot.window[0].position.dim()));
     wire::PutRecordSpan(snapshot.window.data(), snapshot.window.size(), out);
   }
   return Status::Ok();
+}
+
+Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out) {
+  // Writes the head when the walk announces its last cycle and size,
+  // then one span entry per record as the engine yields it.
+  class Encoder final : public WindowVisitor {
+   public:
+    Encoder(const SnapshotAnchor& anchor, std::string* out)
+        : anchor_(anchor), out_(out), span_(out) {}
+
+    void Begin(Timestamp last_cycle, std::size_t size) override {
+      size_ = size;
+      status_ = PutSnapshotHead(last_cycle, anchor_.next_record_id,
+                                anchor_.next_query_id, anchor_.live_queries,
+                                size, out_);
+      if (status_.ok() && size > 0) {
+        out_->reserve(out_->size() +
+                      wire::RecordSpanMaxBytes(size, anchor_.engine.dim()));
+      }
+    }
+
+    void Visit(RecordId id, const Point& position,
+               Timestamp arrival) override {
+      if (status_.ok()) span_.Add(id, position, arrival);
+    }
+
+    Status Finish() const {
+      TOPKMON_RETURN_IF_ERROR(status_);
+      if (span_.count() != size_) {
+        return Status::Internal("engine walked " +
+                                std::to_string(span_.count()) +
+                                " window records after announcing " +
+                                std::to_string(size_));
+      }
+      return Status::Ok();
+    }
+
+   private:
+    const SnapshotAnchor& anchor_;
+    std::string* out_;
+    wire::RecordSpanEncoder span_;
+    std::size_t size_ = 0;
+    Status status_ = Status::Internal("engine walk never began");
+  };
+
+  const std::size_t mark = out->size();
+  Encoder encoder(anchor, out);
+  Status st = anchor.engine.VisitWindow(encoder);
+  if (st.ok()) st = encoder.Finish();
+  if (!st.ok()) out->resize(mark);
+  return st;
 }
 
 Status DecodeSegmentHeader(const char* data, std::size_t n) {

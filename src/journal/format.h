@@ -31,6 +31,8 @@
 
 namespace topkmon {
 
+class MonitorEngine;
+
 /// First eight bytes of every segment file: "TKMJRNL1" in file order.
 inline constexpr std::uint64_t kJournalMagic = 0x314C4E524A4D4B54ull;
 
@@ -80,6 +82,20 @@ struct JournalSnapshot {
   std::vector<JournaledQuery> live_queries;  ///< in registration order
 };
 
+/// A snapshot taken from live state instead of a copy of it: the
+/// service's id allocators and query set, plus the engine whose last
+/// cycle and window are encoded straight from its own storage
+/// (MonitorEngine::VisitWindow). It encodes to the bytes of the
+/// JournalSnapshot that holds the engine's SnapshotState(). It refers to
+/// the engine and the query set, so it is used while both are held still
+/// (the service's engine lock).
+struct SnapshotAnchor {
+  const MonitorEngine& engine;
+  RecordId next_record_id = 0;
+  std::uint64_t next_query_id = 1;
+  const std::vector<JournaledQuery>& live_queries;
+};
+
 /// One decoded journal record (tagged by `type`; only the matching member
 /// is meaningful).
 struct JournalRecord {
@@ -106,6 +122,12 @@ void EncodeSegmentHeader(std::string* out);
 /// Appends a full frame (prologue + body) for the given record body.
 void EncodeFrame(const std::string& body, std::string* out);
 
+/// Fills in the prologue of the frame that starts at (*buf)[at]: a
+/// kFrameHeaderBytes placeholder whose body is the rest of *buf. Lets a
+/// writer encode a body in place behind its prologue instead of copying
+/// it into a frame.
+void SealFrame(std::size_t at, std::string* buf);
+
 /// Body builders (type byte + payload). EncodeRegisterBody fails with
 /// Unimplemented for scoring-function types the journal cannot encode
 /// (the Linear / Product / SumOfSquares / Piecewise families are
@@ -114,6 +136,10 @@ void EncodeCycleBody(Timestamp ts, RecordSpan batch, std::string* out);
 Status EncodeRegisterBody(const JournaledQuery& query, std::string* out);
 void EncodeUnregisterBody(QueryId id, std::string* out);
 Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out);
+/// The snapshot body of `anchor`, its window encoded record by record as
+/// the engine walks it. Fails with the engine's status when it cannot
+/// walk its window (*out is then left as it was).
+Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out);
 
 // ---- decoding ---------------------------------------------------------
 

@@ -61,6 +61,18 @@ CycleJournalWriter::CycleJournalWriter(const JournalOptions& options,
 Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
     const JournalOptions& options, const JournalSnapshot& initial,
     bool resuming) {
+  return OpenAnchored(options, initial, resuming);
+}
+
+Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
+    const JournalOptions& options, const SnapshotAnchor& initial,
+    bool resuming) {
+  return OpenAnchored(options, initial, resuming);
+}
+
+template <typename Anchor>
+Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::OpenAnchored(
+    const JournalOptions& options, const Anchor& initial, bool resuming) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("journal directory is empty");
   }
@@ -84,7 +96,8 @@ Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
 
 CycleJournalWriter::~CycleJournalWriter() { Close(); }
 
-Status CycleJournalWriter::OpenSegment(const JournalSnapshot& snapshot,
+template <typename Anchor>
+Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
                                        std::uint64_t index) {
   // Build the new segment on local state and commit the writer to it
   // only once its anchor snapshot is durable; a failed rotation leaves
@@ -99,10 +112,10 @@ Status CycleJournalWriter::OpenSegment(const JournalSnapshot& snapshot,
   }
   std::string bytes;
   EncodeSegmentHeader(&bytes);
-  std::string body;
-  Status st = EncodeSnapshotBody(snapshot, &body);
+  bytes.resize(kSegmentHeaderBytes + kFrameHeaderBytes);  // prologue
+  Status st = EncodeSnapshotBody(anchor, &bytes);
   if (st.ok()) {
-    EncodeFrame(body, &bytes);
+    SealFrame(kSegmentHeaderBytes, &bytes);
     st = WriteAllTo(fd, path, bytes);
   }
   if (st.ok()) {
@@ -214,15 +227,7 @@ Status CycleJournalWriter::AppendScratchFrame(bool is_cycle) {
     ++stats_.append_failures;
     return Status::FailedPrecondition("journal writer is closed");
   }
-  const std::size_t body_len = frame_scratch_.size() - kFrameHeaderBytes;
-  const std::uint32_t len32 = static_cast<std::uint32_t>(body_len);
-  const std::uint32_t crc =
-      Crc32(frame_scratch_.data() + kFrameHeaderBytes, body_len);
-  char* prologue = &frame_scratch_[0];
-  for (int i = 0; i < 4; ++i) {
-    prologue[i] = static_cast<char>(len32 >> (8 * i));
-    prologue[4 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  SealFrame(0, &frame_scratch_);
   Status st = WriteAll(frame_scratch_);
   if (st.ok()) {
     ++appends_since_sync_;
@@ -290,6 +295,13 @@ Status CycleJournalWriter::RotateWithSnapshot(
     return Status::FailedPrecondition("journal writer is closed");
   }
   return OpenSegment(snapshot, segment_index_ + 1);
+}
+
+Status CycleJournalWriter::RotateWithSnapshot(const SnapshotAnchor& anchor) {
+  if (closed_ || fd_ < 0) {
+    return Status::FailedPrecondition("journal writer is closed");
+  }
+  return OpenSegment(anchor, segment_index_ + 1);
 }
 
 Status CycleJournalWriter::Close() {

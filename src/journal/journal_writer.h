@@ -112,6 +112,11 @@ class CycleJournalWriter {
   static Result<std::unique_ptr<CycleJournalWriter>> Open(
       const JournalOptions& options, const JournalSnapshot& initial,
       bool resuming = false);
+  /// Same, anchored on live state: the anchor's window is encoded
+  /// straight from its engine (see SnapshotAnchor).
+  static Result<std::unique_ptr<CycleJournalWriter>> Open(
+      const JournalOptions& options, const SnapshotAnchor& initial,
+      bool resuming = false);
 
   ~CycleJournalWriter();
 
@@ -131,6 +136,7 @@ class CycleJournalWriter {
   /// Starts a new segment anchored by `snapshot`, fdatasyncs it, and
   /// garbage-collects superseded segments.
   Status RotateWithSnapshot(const JournalSnapshot& snapshot);
+  Status RotateWithSnapshot(const SnapshotAnchor& anchor);
 
   /// Group-commit time trigger: fdatasyncs iff there are unsynced
   /// appends and the kInterval time window (sync_interval_ms) has
@@ -162,10 +168,18 @@ class CycleJournalWriter {
  private:
   CycleJournalWriter(const JournalOptions& options, std::uint64_t next_index);
 
+  /// Open() for either kind of anchor (JournalSnapshot, SnapshotAnchor).
+  template <typename Anchor>
+  static Result<std::unique_ptr<CycleJournalWriter>> OpenAnchored(
+      const JournalOptions& options, const Anchor& initial, bool resuming);
+
   /// Creates and durably anchors segment `index`, committing the writer
   /// to it only on success (a failed rotation leaves the current segment
-  /// in place and appendable).
-  Status OpenSegment(const JournalSnapshot& snapshot, std::uint64_t index);
+  /// in place and appendable). The segment header, the anchor frame's
+  /// prologue and its body are encoded into one buffer, the body in
+  /// place behind its prologue, and written with one call.
+  template <typename Anchor>
+  Status OpenSegment(const Anchor& anchor, std::uint64_t index);
   /// Appends frame_scratch_, whose first kFrameHeaderBytes are a
   /// placeholder prologue patched here (length + CRC over the body that
   /// follows) — the body is encoded in place, never copied.

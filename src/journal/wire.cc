@@ -68,29 +68,35 @@ std::size_t RecordSpanMaxBytes(std::size_t count, int dim) {
   return 1 + 8 + 8 + count * (10 + 10 + static_cast<std::size_t>(dim) * 8);
 }
 
+void RecordSpanEncoder::Add(RecordId id, const Point& position,
+                            Timestamp arrival) {
+  if (count_ == 0) {
+    dim_ = position.dim();
+    PutU8(static_cast<std::uint8_t>(dim_), out_);
+    PutU64(id, out_);
+    PutI64(arrival, out_);
+    prev_id_ = id;
+    prev_arrival_ = arrival;
+  }
+  PutUvarint(id - prev_id_, out_);
+  PutUvarint(static_cast<std::uint64_t>(arrival - prev_arrival_), out_);
+#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  out_->append(reinterpret_cast<const char*>(position.data()),
+               static_cast<std::size_t>(dim_) * 8);
+#else
+  for (int d = 0; d < dim_; ++d) PutF64(position[d], out_);
+#endif
+  prev_id_ = id;
+  prev_arrival_ = arrival;
+  ++count_;
+}
+
 void PutRecordSpan(const Record* records, std::size_t count,
                    std::string* out) {
-  const int dim = records[0].position.dim();
-  PutU8(static_cast<std::uint8_t>(dim), out);
-  PutU64(records[0].id, out);
-  PutI64(records[0].arrival, out);
-  RecordId prev_id = records[0].id;
-  Timestamp prev_arrival = records[0].arrival;
-  const std::size_t coord_bytes = static_cast<std::size_t>(dim) * 8;
+  RecordSpanEncoder span(out);
   for (std::size_t i = 0; i < count; ++i) {
-    const Record& r = records[i];
-    PutUvarint(r.id - prev_id, out);
-    PutUvarint(static_cast<std::uint64_t>(r.arrival - prev_arrival), out);
-#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    out->append(reinterpret_cast<const char*>(r.position.data()),
-                coord_bytes);
-#else
-    for (int d = 0; d < dim; ++d) PutF64(r.position[d], out);
-#endif
-    prev_id = r.id;
-    prev_arrival = r.arrival;
+    span.Add(records[i].id, records[i].position, records[i].arrival);
   }
-  (void)coord_bytes;
 }
 
 namespace {

@@ -64,6 +64,29 @@ std::size_t RecordSpanMaxBytes(std::size_t count, int dim);
 void PutRecordSpan(const Record* records, std::size_t count,
                    std::string* out);
 
+/// The PutRecordSpan encoding fed one record at a time, for records that
+/// are not stored as a Record array (a snapshot anchor walks the
+/// engine's grid). PutRecordSpan is this encoder run over an array, so
+/// both write the same bytes. The span header goes out with the first
+/// record; an encoder that is never fed writes nothing. Same
+/// requirements as PutRecordSpan.
+class RecordSpanEncoder {
+ public:
+  explicit RecordSpanEncoder(std::string* out) : out_(out) {}
+
+  void Add(RecordId id, const Point& position, Timestamp arrival);
+
+  /// Records encoded so far.
+  std::size_t count() const { return count_; }
+
+ private:
+  std::string* out_;
+  std::size_t count_ = 0;
+  int dim_ = 0;
+  RecordId prev_id_ = 0;
+  Timestamp prev_arrival_ = 0;
+};
+
 /// Scoring-function encoding (family tag + payload). Linear / Product /
 /// SumOfSquares encode as dim coefficients; Piecewise (tag 4, journal
 /// format v2) encodes a piece count followed by per-piece domain corners

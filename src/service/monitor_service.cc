@@ -130,21 +130,17 @@ Result<std::unique_ptr<MonitorService>> MonitorService::Open(
   if (!report.ok()) return report.status();
 
   ServiceOptions adjusted = options;
-  JournalSnapshot anchor;
-  anchor.next_query_id = report->next_query_id;
   if (report->recovered) {
     // Resume the id/timestamp sequences where the journal left off: ids
     // must stay strictly increasing across restarts and no new tuple may
     // time-travel behind the last journaled cycle.
     adjusted.ingest.first_record_id = report->next_record_id;
     adjusted.ingest.min_timestamp = report->last_cycle_ts;
-    auto engine_snap = engine->SnapshotState();
-    if (!engine_snap.ok()) return engine_snap.status();
-    anchor.last_cycle_ts = engine_snap->last_cycle;
-    anchor.window = std::move(engine_snap->window);
-    anchor.next_record_id = report->next_record_id;
-    anchor.live_queries = report->live_queries;
   }
+  // On a first boot the engine is fresh, the query set empty and the
+  // record ids at their defaults, so this anchors an empty window.
+  const SnapshotAnchor anchor{*engine, report->next_record_id,
+                              report->next_query_id, report->live_queries};
   auto writer = CycleJournalWriter::Open(adjusted.journal, anchor,
                                          /*resuming=*/true);
   if (!writer.ok()) return writer.status();
@@ -703,9 +699,7 @@ Status MonitorService::Promote(std::uint64_t new_epoch) {
   TOPKMON_RETURN_IF_ERROR(ingest_.ResumeSequences(
       applier_->next_record_id(), applier_->last_cycle_ts()));
   if (!options_.journal.dir.empty()) {
-    auto snap = BuildSnapshotLocked();
-    if (!snap.ok()) return snap.status();
-    auto writer = CycleJournalWriter::Open(options_.journal, *snap,
+    auto writer = CycleJournalWriter::Open(options_.journal, AnchorLocked(),
                                            /*resuming=*/true);
     if (!writer.ok()) return writer.status();
     journal_ = std::move(*writer);
@@ -811,16 +805,21 @@ bool MonitorService::NeedsFlush() const {
   return applied_records_ - replicated_records_ < flush_fence_;
 }
 
-Result<JournalSnapshot> MonitorService::BuildSnapshotLocked() const {
-  auto engine_snap = engine_->SnapshotState();
-  if (!engine_snap.ok()) return engine_snap.status();
-  JournalSnapshot snap;
-  snap.last_cycle_ts = engine_snap->last_cycle;
-  snap.window = std::move(engine_snap->window);
-  snap.next_record_id = ingest_.NextRecordId();
-  snap.next_query_id = next_query_id_.load();
-  snap.live_queries = journaled_queries_;
-  return snap;
+SnapshotAnchor MonitorService::AnchorLocked() const {
+  return SnapshotAnchor{*engine_, ingest_.NextRecordId(),
+                        next_query_id_.load(), journaled_queries_};
+}
+
+void MonitorService::RotateJournalLocked() {
+  const Status st = JournalAppendLocked([this](CycleJournalWriter& w) {
+    return w.RotateWithSnapshot(AnchorLocked());
+  });
+  // JournalAppendLocked forgives Unimplemented as a refused input. Here
+  // it is an engine that cannot anchor a segment: nothing was written and
+  // the current segment keeps taking appends, but it is still a failure.
+  if (st.code() == StatusCode::kUnimplemented) {
+    journal_failures_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void MonitorService::DriverLoop() {
@@ -866,14 +865,7 @@ void MonitorService::DriverLoop() {
         applied_cycle_ts_.store(cycle_ts, std::memory_order_release);
       }
       if (journal_ != nullptr && journal_->SnapshotDue()) {
-        auto snap = BuildSnapshotLocked();
-        if (snap.ok()) {
-          JournalAppendLocked([&snap](CycleJournalWriter& w) {
-            return w.RotateWithSnapshot(*snap);
-          });
-        } else {
-          journal_failures_.fetch_add(1, std::memory_order_relaxed);
-        }
+        RotateJournalLocked();
       }
     }
     // The cycle's deltas were published inside ProcessCycle (the delta
@@ -940,14 +932,7 @@ void MonitorService::Shutdown() {
   std::lock_guard<std::mutex> engine_lock(engine_mu_);
   if (journal_ != nullptr && !journal_->closed()) {
     if (options_.journal.snapshot_on_shutdown && bootstrap_error_.ok()) {
-      auto snap = BuildSnapshotLocked();
-      if (snap.ok()) {
-        JournalAppendLocked([&snap](CycleJournalWriter& w) {
-          return w.RotateWithSnapshot(*snap);
-        });
-      } else {
-        journal_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
+      RotateJournalLocked();
     }
     JournalAppendLocked(
         [](CycleJournalWriter& w) { return w.Close(); });

@@ -509,9 +509,14 @@ class MonitorService {
   /// Seconds on the service's monotonic clock (token-bucket time base).
   double NowSeconds() const;
 
-  /// Builds a journal snapshot of the engine + live queries + id
-  /// allocators. Caller must hold engine_mu_.
-  Result<JournalSnapshot> BuildSnapshotLocked() const;
+  /// The journal anchor of the current state: the engine's window, the
+  /// live queries and the id allocators, read in place while encoded.
+  /// Caller must hold engine_mu_ for as long as the anchor is used.
+  SnapshotAnchor AnchorLocked() const;
+
+  /// Rotates the journal onto a fresh segment anchored by AnchorLocked().
+  /// Caller must hold engine_mu_.
+  void RotateJournalLocked();
 
   /// Appends one record via `append`, tracking failures; holds the
   /// journal healthy/unhealthy accounting in one place. Caller must hold

@@ -58,9 +58,17 @@ void RecordArena::Release(const Record* p, std::size_t n) {
   for (Chunk& c : chunks_) {
     if (p >= c.slab && p < c.slab + c.capacity) {
       assert(p + n <= c.slab + c.used);
+      stats_.released_records += n;
+      if (&c == &chunks_.back() && !c.sealed && p + n == c.slab + c.used &&
+          c.last_epoch < MinPinnedLocked()) {
+        // The newest span of the open chunk (a refused frame's suffix):
+        // no one else has seen it, so its space goes straight back to
+        // the chunk instead of waiting for the chunk to retire.
+        c.used -= n;
+        return;
+      }
       c.released += n;
       assert(c.released <= c.used);
-      stats_.released_records += n;
       ReclaimLocked();
       return;
     }

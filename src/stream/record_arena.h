@@ -83,7 +83,10 @@ class RecordArena {
   /// prefix/suffix of one — releases may be split, e.g. a rejected
   /// suffix now and the admitted prefix after cycle publish). Chunks
   /// whose records are all released and whose epoch has retired are
-  /// recycled here.
+  /// recycled here. Releasing the newest span of the open chunk (nothing
+  /// allocated after it, its epoch unpinned) returns the space to that
+  /// chunk at once, so a refused frame costs no storage even while no
+  /// epoch retires.
   void Release(const Record* p, std::size_t n);
 
   /// Allocates chunks for `records` records up front and keeps at least

@@ -17,9 +17,10 @@ QuerySpec LinearQuery(QueryId id, int k, std::vector<double> w) {
 
 TEST(BruteForceEngineTest, ComputesTopKByFullScan) {
   BruteForceEngine engine(2, WindowSpec::Count(10));
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.1, 0.1}, 1), Record(1, Point{0.9, 0.9}, 1),
-          Record(2, Point{0.5, 0.5}, 1)}));
+  const std::vector<Record> batch = {Record(0, Point{0.1, 0.1}, 1),
+                                     Record(1, Point{0.9, 0.9}, 1),
+                                     Record(2, Point{0.5, 0.5}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch));
   TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})));
   const auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
@@ -32,9 +33,10 @@ TEST(BruteForceEngineTest, ComputesTopKByFullScan) {
 TEST(BruteForceEngineTest, RespectsWindowEviction) {
   BruteForceEngine engine(2, WindowSpec::Count(2));
   TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 1, {1.0, 1.0})));
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.9, 0.9}, 1), Record(1, Point{0.2, 0.2}, 1),
-          Record(2, Point{0.3, 0.3}, 1)}));
+  const std::vector<Record> batch = {Record(0, Point{0.9, 0.9}, 1),
+                                     Record(1, Point{0.2, 0.2}, 1),
+                                     Record(2, Point{0.3, 0.3}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch));
   // Record 0 (the best) fell out of the 2-record window.
   const auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
@@ -46,8 +48,9 @@ TEST(BruteForceEngineTest, ConstraintFiltersRecords) {
   QuerySpec q = LinearQuery(1, 1, {1.0, 1.0});
   q.constraint = Rect(Point{0.0, 0.0}, Point{0.5, 0.5});
   TOPKMON_ASSERT_OK(engine.RegisterQuery(q));
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.9, 0.9}, 1), Record(1, Point{0.4, 0.4}, 1)}));
+  const std::vector<Record> batch = {Record(0, Point{0.9, 0.9}, 1),
+                                     Record(1, Point{0.4, 0.4}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch));
   const auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);

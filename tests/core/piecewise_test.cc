@@ -122,9 +122,10 @@ TEST(PiecewiseTest, BoundaryRecordsAreNotDuplicated) {
       PiecewiseTopKQuery::Register(&engine, 1, k, RidgePieces());
   ASSERT_TRUE(query.ok());
   // Records exactly on the ridge x1 = 0.5 belong to both pieces.
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.5, 0.9}, 1), Record(1, Point{0.5, 0.8}, 1),
-          Record(2, Point{0.2, 0.9}, 1)}));
+  const std::vector<Record> batch = {Record(0, Point{0.5, 0.9}, 1),
+                                     Record(1, Point{0.5, 0.8}, 1),
+                                     Record(2, Point{0.2, 0.9}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch));
   const auto result = query->CurrentResult();
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 3u);  // no id twice

@@ -70,8 +70,8 @@ TEST(ShardedEngineTest, DuplicateAndUnknownQueryErrors) {
 
 TEST(ShardedEngineTest, PropagatesCycleErrors) {
   ShardedEngine engine(2, SmaFactory(2, 100));
-  const Status st =
-      engine.ProcessCycle(1, {Record(0, Point{2.0, 0.5}, 1)});
+  const std::vector<Record> bad = {Record(0, Point{2.0, 0.5}, 1)};
+  const Status st = engine.ProcessCycle(1, bad);
   EXPECT_EQ(st.code(), StatusCode::kOutOfRange);
 }
 

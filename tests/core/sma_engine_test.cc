@@ -47,20 +47,22 @@ TEST(SmaEngineTest, SkybandAvoidsRecomputationOnExpiry) {
   opt.cells_per_axis = 7;
   opt.cell_budget = 0;
   SmaEngine engine(opt);
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.65, 0.85}, 1), Record(1, Point{0.15, 0.90}, 1)}));
+  const std::vector<Record> p1_p2 = {Record(0, Point{0.65, 0.85}, 1),
+                                     Record(1, Point{0.15, 0.90}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, p1_p2));
   TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 1, {1.0, 2.0})));
   // Arrivals above the threshold enter the skyband even though they do not
   // (yet) win.
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      2, {Record(2, Point{0.75, 0.85}, 2), Record(3, Point{0.90, 0.74}, 2)}));
+  const std::vector<Record> p3_p4 = {Record(2, Point{0.75, 0.85}, 2),
+                                     Record(3, Point{0.90, 0.74}, 2)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(2, p3_p4));
   // Window now holds {2, 3}: top is p2 (2.45); p3 (2.38) waits in the
   // skyband. p2 expires next cycle; SMA must answer p3 without recompute.
   auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result)[0].id, 2u);
-  TOPKMON_ASSERT_OK(
-      engine.ProcessCycle(3, {Record(4, Point{0.05, 0.05}, 3)}));
+  const std::vector<Record> p5 = {Record(4, Point{0.05, 0.05}, 3)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(3, p5));
   result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);

@@ -66,8 +66,9 @@ TEST(TmaEngineTest, HandCraftedScenarioFollowsFigure8) {
   opt.cell_budget = 0;
   TmaEngine engine(opt);
   // p1 near the top (winner), p2 weaker.
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      1, {Record(0, Point{0.65, 0.85}, 1), Record(1, Point{0.15, 0.90}, 1)}));
+  const std::vector<Record> p1_p2 = {Record(0, Point{0.65, 0.85}, 1),
+                                     Record(1, Point{0.15, 0.90}, 1)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(1, p1_p2));
   TOPKMON_ASSERT_OK(engine.RegisterQuery(LinearQuery(1, 1, {1.0, 2.0})));
   auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
@@ -77,8 +78,9 @@ TEST(TmaEngineTest, HandCraftedScenarioFollowsFigure8) {
   // Figure 8(a): p3, p4 arrive; p1, p2 expire (count window of 2). p3
   // scores above the old top record, so the insertion pre-empts the
   // expiration of p1 and no recomputation happens.
-  TOPKMON_ASSERT_OK(engine.ProcessCycle(
-      2, {Record(2, Point{0.75, 0.85}, 2), Record(3, Point{0.60, 0.60}, 2)}));
+  const std::vector<Record> p3_p4 = {Record(2, Point{0.75, 0.85}, 2),
+                                     Record(3, Point{0.60, 0.60}, 2)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(2, p3_p4));
   result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -87,8 +89,8 @@ TEST(TmaEngineTest, HandCraftedScenarioFollowsFigure8) {
   EXPECT_EQ(engine.stats().recomputations, 0u);
 
   // Figure 8(b): p5 arrives (weak), p3 expires => recomputation, p4 wins.
-  TOPKMON_ASSERT_OK(
-      engine.ProcessCycle(3, {Record(4, Point{0.10, 0.10}, 3)}));
+  const std::vector<Record> p5 = {Record(4, Point{0.10, 0.10}, 3)};
+  TOPKMON_ASSERT_OK(engine.ProcessCycle(3, p5));
   result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -136,8 +138,8 @@ TEST(TmaEngineTest, UnregisterClearsAllInfluenceEntries) {
 
 TEST(TmaEngineTest, RejectsOutOfRangeArrival) {
   TmaEngine engine(SmallOptions(2, 10));
-  const Status s =
-      engine.ProcessCycle(1, {Record(0, Point{1.5, 0.5}, 1)});
+  const std::vector<Record> bad = {Record(0, Point{1.5, 0.5}, 1)};
+  const Status s = engine.ProcessCycle(1, bad);
   EXPECT_EQ(s.code(), StatusCode::kOutOfRange);
 }
 

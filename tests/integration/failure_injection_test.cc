@@ -56,18 +56,21 @@ TEST(FailureInjectionTest, NonFiniteCoordinateRejected) {
 
 TEST(FailureInjectionTest, NonContiguousIdsRejected) {
   TmaEngine tma(Options2d());
-  TOPKMON_ASSERT_OK(tma.ProcessCycle(1, {Record(0, Point{0.5, 0.5}, 1)}));
-  EXPECT_EQ(
-      tma.ProcessCycle(2, {Record(5, Point{0.5, 0.5}, 2)}).code(),
-      StatusCode::kFailedPrecondition);
+  const std::vector<Record> first = {Record(0, Point{0.5, 0.5}, 1)};
+  const std::vector<Record> gap = {Record(5, Point{0.5, 0.5}, 2)};
+  TOPKMON_ASSERT_OK(tma.ProcessCycle(1, first));
+  EXPECT_EQ(tma.ProcessCycle(2, gap).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(FailureInjectionTest, EngineUsableAfterRejectedInput) {
   TmaEngine tma(Options2d());
   TOPKMON_ASSERT_OK(tma.RegisterQuery(LinearQuery(1, 2, {1.0, 1.0})));
-  EXPECT_FALSE(tma.ProcessCycle(1, {Record(0, Point{2.0, 0.5}, 1)}).ok());
+  const std::vector<Record> bad = {Record(0, Point{2.0, 0.5}, 1)};
+  const std::vector<Record> good = {Record(0, Point{0.9, 0.9}, 2)};
+  EXPECT_FALSE(tma.ProcessCycle(1, bad).ok());
   // The bad record was rejected before indexing; a good cycle still works.
-  TOPKMON_ASSERT_OK(tma.ProcessCycle(2, {Record(0, Point{0.9, 0.9}, 2)}));
+  TOPKMON_ASSERT_OK(tma.ProcessCycle(2, good));
   const auto result = tma.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
@@ -106,8 +109,10 @@ TEST(FailureInjectionTest, UpdateStreamDoubleDeleteFails) {
 TEST(FailureInjectionTest, ResultQueriesAfterErrorsStayConsistent) {
   SmaEngine sma(Options2d());
   TOPKMON_ASSERT_OK(sma.RegisterQuery(LinearQuery(1, 1, {1.0, 1.0})));
-  EXPECT_FALSE(sma.ProcessCycle(1, {Record(0, Point{-0.1, 0.5}, 1)}).ok());
-  TOPKMON_ASSERT_OK(sma.ProcessCycle(2, {Record(0, Point{0.4, 0.4}, 2)}));
+  const std::vector<Record> bad = {Record(0, Point{-0.1, 0.5}, 1)};
+  const std::vector<Record> good = {Record(0, Point{0.4, 0.4}, 2)};
+  EXPECT_FALSE(sma.ProcessCycle(1, bad).ok());
+  TOPKMON_ASSERT_OK(sma.ProcessCycle(2, good));
   const auto result = sma.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);

@@ -47,7 +47,8 @@ TEST_P(SkybandReduction, FutureResultUnionEqualsSkyband) {
   BruteForceEngine engine(dim, WindowSpec::Time(static_cast<Timestamp>(n)));
   Timestamp now = 0;
   for (const Record& r : records) {
-    TOPKMON_ASSERT_OK(engine.ProcessCycle(r.arrival, {r}));
+    const std::vector<Record> arrival = {r};
+    TOPKMON_ASSERT_OK(engine.ProcessCycle(r.arrival, arrival));
     now = r.arrival;
   }
   TOPKMON_ASSERT_OK(engine.RegisterQuery(q));

@@ -14,6 +14,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
+#include <utility>
 #include <vector>
 
 #include "core/brute_force_engine.h"
@@ -239,6 +241,141 @@ TEST(MonitorServiceRecoveryTest,
   EXPECT_GE(service.stats().journal_failures, 1u);
   TOPKMON_ASSERT_OK(service.Ingest(Point{0.1, 0.2}, 1));
   TOPKMON_ASSERT_OK(service.Flush());
+}
+
+/// One query's result change as a comparable value: ids with scores,
+/// each side sorted by id.
+struct Change {
+  Timestamp when = 0;
+  std::vector<std::pair<RecordId, double>> added;
+  std::vector<std::pair<RecordId, double>> removed;
+
+  bool operator==(const Change& o) const {
+    return when == o.when && added == o.added && removed == o.removed;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Change& c) {
+  os << "{when=" << c.when << " +" << c.added.size() << " -"
+     << c.removed.size() << "}";
+  return os;
+}
+
+Change ToChange(const ResultDelta& delta) {
+  Change c;
+  c.when = delta.when;
+  for (const ResultEntry& e : delta.added) c.added.emplace_back(e.id, e.score);
+  for (const ResultEntry& e : delta.removed) {
+    c.removed.emplace_back(e.id, e.score);
+  }
+  std::sort(c.added.begin(), c.added.end());
+  std::sort(c.removed.begin(), c.removed.end());
+  return c;
+}
+
+TEST(MonitorServiceRecoveryTest, DriverRotatedAnchorsRecoverCycleForCycle) {
+  constexpr std::uint64_t kEvery = 3;
+  ScopedTempDir dir;
+  ServiceOptions options =
+      JournaledOptions(dir.path(), /*snapshot_on_shutdown=*/false);
+  options.journal.snapshot_every_cycles = kEvery;
+  const auto specs = MakeRandomQueries(kDim, 4, 5, 777);
+  std::vector<QuerySpec> registered;
+  std::vector<std::pair<Timestamp, std::vector<Record>>> applied;
+
+  // ---- incarnation 1: the driver rotates several times ----------------
+  {
+    auto service = MonitorService::Open(TmaFactory(), options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    const SessionId alice = *(*service)->OpenSession("alice");
+    const SessionId bob = *(*service)->OpenSession("bob");
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const auto id =
+          (*service)->Register(i % 2 == 0 ? alice : bob, specs[i]);
+      ASSERT_TRUE(id.ok()) << id.status();
+      QuerySpec spec = specs[i];
+      spec.id = *id;
+      registered.push_back(std::move(spec));
+    }
+    // Each flushed phase is at least one cycle.
+    Timestamp ts = 1;
+    for (int phase = 0; phase < 12; ++phase, ts += 60) {
+      IngestPhase(**service, ts, 60, 100 + phase, &applied);
+    }
+    // End on a cycle past the last anchor, so recovery replays a tail.
+    if (applied.size() % kEvery == 0) {
+      IngestPhase(**service, ts, 1, 99, &applied);
+    }
+    TOPKMON_ASSERT_OK((*service)->journal_status());
+    EXPECT_GE((*service)->stats().journal_snapshots, 3u);
+    (*service)->Shutdown();  // kill: no sealing snapshot
+  }
+
+  // ---- incarnation 2: recover from the last driver-rotated anchor ----
+  auto service = MonitorService::Open(TmaFactory(), options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const RecoveryReport& report = (*service)->recovery();
+  ASSERT_TRUE(report.recovered);
+  EXPECT_FALSE(report.torn_tail);
+  EXPECT_FALSE(report.corrupt_record);
+  std::uint64_t segment = 0;
+  ASSERT_TRUE(ParseSegmentFileName(
+      report.segment.substr(report.segment.rfind('/') + 1), &segment));
+  EXPECT_GE(segment, 2u) << "recovered from " << report.segment;
+  EXPECT_GT(report.cycles_replayed, 0u);
+  EXPECT_LT(report.cycles_replayed, kEvery);
+
+  // Ground truth: BruteForce over incarnation 1's batches, then its
+  // per-query changes over incarnation 2's. Like the recovered engine,
+  // it starts reporting at the recovery point, so each query's first
+  // change carries its whole result.
+  BruteForceEngine truth(kDim, WindowSpec::Count(kWindow));
+  for (const QuerySpec& spec : registered) {
+    TOPKMON_ASSERT_OK(truth.RegisterQuery(spec));
+  }
+  for (const auto& [ts, batch] : applied) {
+    TOPKMON_ASSERT_OK(truth.ProcessCycle(ts, batch));
+  }
+  std::map<QueryId, std::vector<Change>> want;
+  truth.SetDeltaCallback([&want](const ResultDelta& delta) {
+    want[delta.query].push_back(ToChange(delta));
+  });
+  const std::size_t before = applied.size();
+  for (int phase = 0; phase < 6; ++phase) {
+    IngestPhase(**service, 2000 + 60 * phase, 60, 300 + phase, &applied);
+  }
+  for (std::size_t i = before; i < applied.size(); ++i) {
+    TOPKMON_ASSERT_OK(truth.ProcessCycle(applied[i].first, applied[i].second));
+  }
+
+  std::map<QueryId, std::vector<Change>> got;
+  for (const char* label : {"alice", "bob"}) {
+    const auto session = (*service)->FindSession(label);
+    ASSERT_TRUE(session.ok()) << label;
+    EXPECT_EQ((*service)->DroppedDeltas(*session), 0u);
+    std::vector<DeltaEvent> events;
+    (*service)->PollDeltas(*session, std::size_t(-1), &events);
+    std::uint64_t seq = 1;
+    for (const DeltaEvent& e : events) {
+      EXPECT_EQ(e.seq, seq++) << label;
+      got[e.delta.query].push_back(ToChange(e.delta));
+    }
+  }
+  ASSERT_EQ(got.size(), registered.size());
+  for (const QuerySpec& spec : registered) {
+    const std::vector<Change>& g = got[spec.id];
+    const std::vector<Change>& w = want[spec.id];
+    ASSERT_EQ(g.size(), w.size()) << "query " << spec.id;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      EXPECT_EQ(g[i], w[i]) << "query " << spec.id << ", change " << i;
+    }
+    const auto result = (*service)->CurrentResult(spec.id);
+    const auto truth_result = truth.CurrentResult(spec.id);
+    ASSERT_TRUE(result.ok());
+    ASSERT_TRUE(truth_result.ok());
+    EXPECT_EQ(Scores(*result), Scores(*truth_result)) << "query " << spec.id;
+  }
+  (*service)->Shutdown();
 }
 
 }  // namespace
