@@ -52,8 +52,10 @@ void BM_HeapTraversal(benchmark::State& state) {
 void BM_NaiveSortAllCells(benchmark::State& state) {
   const Fixture fixture(static_cast<int>(state.range(0)), 100000);
   const int k = static_cast<int>(state.range(1));
+  TraversalScratch scratch;
   for (auto _ : state) {
-    TopKComputation out = ComputeTopKNaive(*fixture.grid, fixture.f, k);
+    TopKComputation out =
+        ComputeTopKNaive(*fixture.grid, fixture.f, k, &scratch);
     benchmark::DoNotOptimize(out.result.data());
   }
   state.counters["cells"] = static_cast<double>(

@@ -7,6 +7,11 @@ void AddInfluenceEntries(Grid& grid, const std::vector<CellIndex>& cells,
   for (CellIndex cell : cells) grid.AddInfluence(cell, query);
 }
 
+void AppendInfluenceEntries(Grid& grid, const std::vector<CellIndex>& cells,
+                            QueryId query) {
+  for (CellIndex cell : cells) grid.AppendInfluence(cell, query);
+}
+
 void CleanupStaleInfluence(Grid& grid, const ScoringFunction& f,
                            const std::vector<CellIndex>& seeds, QueryId query,
                            TraversalScratch* scratch) {

@@ -10,6 +10,13 @@
 // can never re-enter the new influence region — the region is up-closed
 // toward the best corner and the frontier lies strictly below it — so no
 // live entry is ever removed.
+//
+// A query's first computation, at registration, takes a cheaper path. Its
+// id is new, so no cell carries it: each processed cell gets the id
+// appended without a find (a Debug assert checks it is absent), and there
+// is nothing stale to clean up, so the walk is skipped. Unregistering
+// removes every entry (RemoveAllInfluence), which is what lets a reused id
+// count as new. Recomputations add idempotently and run the cleanup walk.
 
 #ifndef TOPKMON_CORE_INFLUENCE_H_
 #define TOPKMON_CORE_INFLUENCE_H_
@@ -26,6 +33,11 @@ namespace topkmon {
 /// (idempotent; cells typically come from TopKComputation::processed_cells).
 void AddInfluenceEntries(Grid& grid, const std::vector<CellIndex>& cells,
                          QueryId query);
+
+/// Registers a newly registered `query`, which no cell carries yet, in the
+/// influence list of every cell in `cells`: an append per cell, no find.
+void AppendInfluenceEntries(Grid& grid, const std::vector<CellIndex>& cells,
+                            QueryId query);
 
 /// Removes stale influence entries of `query` reachable from the frontier
 /// `seeds` by walking toward decreasing scores through cells that carry

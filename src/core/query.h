@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/record.h"
@@ -80,6 +81,13 @@ class TopKList {
 
   /// Entries in ResultOrder (best first).
   const std::vector<ResultEntry>& entries() const { return entries_; }
+
+  /// Moves the entries out, leaving the list empty.
+  std::vector<ResultEntry> TakeEntries() {
+    std::vector<ResultEntry> out = std::move(entries_);
+    entries_.clear();
+    return out;
+  }
 
   void Clear() { entries_.clear(); }
 

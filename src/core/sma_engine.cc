@@ -35,7 +35,7 @@ Status SmaEngine::RegisterQuery(const QuerySpec& spec) {
 Status SmaEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
   ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, it->second);
+  RecomputeFromScratch(spec.id, it->second, /*fresh=*/true);
   if (report_delta) {
     delta_.Report(spec.id, last_cycle_, it->second.skyband.TopK());
   }
@@ -138,7 +138,7 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     if (state.skyband.size() < static_cast<std::size_t>(state.spec.k) &&
         window_.size() > 0) {
       ++stats_.recomputations;
-      RecomputeFromScratch(qid, state);
+      RecomputeFromScratch(qid, state, /*fresh=*/false);
     }
   }
   last_cycle_ = now;
@@ -155,7 +155,8 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   return Status::Ok();
 }
 
-void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
+void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state,
+                                     bool fresh) {
   const QuerySpec& spec = state.spec;
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
@@ -165,6 +166,10 @@ void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
   stats_.points_scored += computation.points_scored;
   state.skyband.Rebuild(computation.result);
   state.top_score = computation.KthScore(spec.k);
+  if (fresh) {
+    AppendInfluenceEntries(grid_, computation.processed_cells, id);
+    return;
+  }
   AddInfluenceEntries(grid_, computation.processed_cells, id);
   CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,
                         id, &scratch_);

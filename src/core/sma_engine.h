@@ -68,7 +68,12 @@ class SmaEngine final : public MonitorEngine {
     bool changed = false;  ///< skyband mutated this cycle
   };
 
-  void RecomputeFromScratch(QueryId id, QueryState& state);
+  /// Runs the computation module for `state`, refreshes its result and
+  /// reconciles influence lists. `fresh` marks a newly registered query,
+  /// which no cell carries yet: its processed cells get the id appended
+  /// and the cleanup walk is skipped. Otherwise the processed cells are
+  /// added idempotently and stale entries are cleaned from the frontier.
+  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
 
   /// Pre-validated registration body; internal piecewise sub-queries
   /// skip the delta report (only the parent's merged result is visible).

@@ -59,7 +59,7 @@ Status TmaEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
   QueryState& state = it->second;
   ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, state);
+  RecomputeFromScratch(spec.id, state, /*fresh=*/true);
   if (report_delta) {
     delta_.Report(spec.id, last_cycle_, state.top_list.entries());
   }
@@ -150,7 +150,7 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     state.affected = false;
     ++stats_.recomputations;
     ++stats_.result_changes;
-    RecomputeFromScratch(qid, state);
+    RecomputeFromScratch(qid, state, /*fresh=*/false);
   }
   last_cycle_ = now;
   if (delta_.enabled()) {
@@ -192,7 +192,8 @@ void TmaEngine::HandleExpiry(RecordId id, CellIndex cell) {
   }
 }
 
-void TmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
+void TmaEngine::RecomputeFromScratch(QueryId id, QueryState& state,
+                                     bool fresh) {
   const QuerySpec& spec = state.spec;
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
@@ -203,6 +204,10 @@ void TmaEngine::RecomputeFromScratch(QueryId id, QueryState& state) {
   state.top_list.Clear();
   for (const ResultEntry& e : computation.result) {
     state.top_list.Consider(e.id, e.score);
+  }
+  if (fresh) {
+    AppendInfluenceEntries(grid_, computation.processed_cells, id);
+    return;
   }
   AddInfluenceEntries(grid_, computation.processed_cells, id);
   CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,

@@ -99,9 +99,12 @@ class TmaEngine final : public MonitorEngine {
     bool affected = false;  ///< a result record expired this cycle
   };
 
-  /// Runs the computation module for `state`, refreshes its top-k list and
-  /// reconciles influence lists (add processed, clean stale from frontier).
-  void RecomputeFromScratch(QueryId id, QueryState& state);
+  /// Runs the computation module for `state`, refreshes its result and
+  /// reconciles influence lists. `fresh` marks a newly registered query,
+  /// which no cell carries yet: its processed cells get the id appended
+  /// and the cleanup walk is skipped. Otherwise the processed cells are
+  /// added idempotently and stale entries are cleaned from the frontier.
+  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
 
   void HandleArrival(const Record& p, CellIndex cell);
   void HandleExpiry(RecordId id, CellIndex cell);

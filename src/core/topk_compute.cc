@@ -61,29 +61,33 @@ TopKComputation ComputeTopK(const Grid& grid, const ScoringFunction& f,
                             int k, TraversalScratch* scratch,
                             const Rect* constraint) {
   assert(k >= 1);
-  TopKComputation out;
+  std::vector<CellIndex>& processed = scratch->processed();
+  processed.clear();
+  std::uint64_t points_scored = 0;
   TopKList top(k);
   MaxScoreTraversal traversal(grid, f, scratch, constraint);
   // Figure 6, line 5: de-heap while the next key can still contribute,
   // i.e. the result is incomplete or the key exceeds q.top_score.
   while (traversal.HasNext() &&
          (!top.full() || traversal.PeekMaxScore() > top.KthScore())) {
-    const MaxScoreTraversal::Entry entry = traversal.Next();
+    const CellKey entry = traversal.Next();
     ScanCell(grid, entry.cell, f, constraint, &top, &scratch->scores(),
-             &out.points_scored);
-    out.processed_cells.push_back(entry.cell);
+             &points_scored);
+    processed.push_back(entry.cell);
   }
-  out.frontier_cells = traversal.RemainingFrontier();
-  out.result = top.entries();
-  return out;
+  return TopKComputation{top.TakeEntries(), processed,
+                         traversal.RemainingFrontier(), points_scored};
 }
 
 TopKComputation ComputeTopKNaive(const Grid& grid, const ScoringFunction& f,
-                                 int k, const Rect* constraint) {
+                                 int k, TraversalScratch* scratch,
+                                 const Rect* constraint) {
   assert(k >= 1);
-  TopKComputation out;
+  std::vector<CellIndex>& processed = scratch->processed();
+  processed.clear();
+  scratch->frontier().clear();
+  std::uint64_t points_scored = 0;
   TopKList top(k);
-  std::vector<double> score_buf;
   // Compute the maxscore of every cell and sort descending (the expensive
   // strawman the heap traversal replaces, Section 4.2).
   struct CellScore {
@@ -113,12 +117,12 @@ TopKComputation ComputeTopKNaive(const Grid& grid, const ScoringFunction& f,
             });
   for (const CellScore& cs : order) {
     if (top.full() && cs.maxscore <= top.KthScore()) break;
-    ScanCell(grid, cs.cell, f, constraint, &top, &score_buf,
-             &out.points_scored);
-    out.processed_cells.push_back(cs.cell);
+    ScanCell(grid, cs.cell, f, constraint, &top, &scratch->scores(),
+             &points_scored);
+    processed.push_back(cs.cell);
   }
-  out.result = top.entries();
-  return out;
+  return TopKComputation{top.TakeEntries(), processed, scratch->frontier(),
+                         points_scored};
 }
 
 }  // namespace topkmon

@@ -27,14 +27,16 @@
 
 namespace topkmon {
 
-/// Output of one run of the computation module.
+/// Output of one run of the computation module. The cell lists live in
+/// the TraversalScratch the computation ran on and stay valid until that
+/// scratch's next traversal or walk.
 struct TopKComputation {
   /// Up to k entries in ResultOrder.
   std::vector<ResultEntry> result;
   /// Cells de-heaped and scanned, in processing order.
-  std::vector<CellIndex> processed_cells;
+  const std::vector<CellIndex>& processed_cells;
   /// Cells still en-heaped at termination (the frontier).
-  std::vector<CellIndex> frontier_cells;
+  const std::vector<CellIndex>& frontier_cells;
   /// Points whose score was evaluated.
   std::uint64_t points_scored = 0;
 
@@ -51,9 +53,9 @@ struct TopKComputation {
 /// from the grid's lane-major point lists, so whole cells are batch-scored
 /// without touching the window. When `constraint` is non-null, only points
 /// inside it are considered and only cells intersecting it are visited
-/// (constrained top-k, Section 7). `scratch` provides the visited marks and
-/// the score buffer; it must not be shared with a concurrently live
-/// traversal.
+/// (constrained top-k, Section 7). `scratch` provides the visited marks,
+/// the heap, the score buffer and the cell lists; it must not be shared
+/// with a concurrently live traversal.
 TopKComputation ComputeTopK(const Grid& grid, const ScoringFunction& f,
                             int k, TraversalScratch* scratch,
                             const Rect* constraint = nullptr);
@@ -61,8 +63,10 @@ TopKComputation ComputeTopK(const Grid& grid, const ScoringFunction& f,
 /// The naive strawman: maxscore of every cell + full sort, identical
 /// result and processed-cell semantics (no frontier; all unprocessed cells
 /// with maxscore above the threshold would be the frontier equivalent).
+/// Maxscores come from Grid::CellBounds, one Rect per cell.
 TopKComputation ComputeTopKNaive(const Grid& grid, const ScoringFunction& f,
-                                 int k, const Rect* constraint = nullptr);
+                                 int k, TraversalScratch* scratch,
+                                 const Rect* constraint = nullptr);
 
 }  // namespace topkmon
 

@@ -16,7 +16,7 @@ Status UpdateStreamTmaEngine::RegisterQuery(const QuerySpec& spec) {
   }
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
   ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, it->second);
+  RecomputeFromScratch(spec.id, it->second, /*fresh=*/true);
   return Status::Ok();
 }
 
@@ -80,14 +80,14 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
     state.affected = false;
     ++stats_.recomputations;
     ++stats_.result_changes;
-    RecomputeFromScratch(qid, state);
+    RecomputeFromScratch(qid, state, /*fresh=*/false);
   }
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }
 
-void UpdateStreamTmaEngine::RecomputeFromScratch(QueryId id,
-                                                 QueryState& state) {
+void UpdateStreamTmaEngine::RecomputeFromScratch(QueryId id, QueryState& state,
+                                                 bool fresh) {
   const QuerySpec& spec = state.spec;
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
@@ -98,6 +98,10 @@ void UpdateStreamTmaEngine::RecomputeFromScratch(QueryId id,
   state.top_list.Clear();
   for (const ResultEntry& e : computation.result) {
     state.top_list.Consider(e.id, e.score);
+  }
+  if (fresh) {
+    AppendInfluenceEntries(grid_, computation.processed_cells, id);
+    return;
   }
   AddInfluenceEntries(grid_, computation.processed_cells, id);
   CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,

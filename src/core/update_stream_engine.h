@@ -47,6 +47,7 @@ class UpdateStreamTmaEngine {
   Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const;
 
   std::size_t LiveCount() const { return pool_.size(); }
+  const Grid& grid() const { return grid_; }
   const EngineStats& stats() const { return stats_; }
   MemoryBreakdown Memory() const;
 
@@ -58,7 +59,12 @@ class UpdateStreamTmaEngine {
     bool affected = false;  ///< a result record was deleted this batch
   };
 
-  void RecomputeFromScratch(QueryId id, QueryState& state);
+  /// Runs the computation module for `state`, refreshes its result and
+  /// reconciles influence lists. `fresh` marks a newly registered query,
+  /// which no cell carries yet: its processed cells get the id appended
+  /// and the cleanup walk is skipped. Otherwise the processed cells are
+  /// added idempotently and stale entries are cleaned from the frontier.
+  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
 
   Grid grid_;
   RecordPool pool_;

@@ -8,17 +8,10 @@ namespace {
 
 struct HeapCompare {
   // std::push_heap builds a max-heap with operator<; compare maxscores.
-  bool operator()(const MaxScoreTraversal::Entry& a,
-                  const MaxScoreTraversal::Entry& b) const {
+  bool operator()(const CellKey& a, const CellKey& b) const {
     return a.maxscore < b.maxscore;
   }
 };
-
-/// Per-axis step from a cell toward lower scores: away from the best
-/// corner, i.e. -1 on increasing axes and +1 on decreasing axes.
-int DescendingStep(const ScoringFunction& f, int axis) {
-  return f.direction(axis) == Monotonicity::kIncreasing ? -1 : +1;
-}
 
 }  // namespace
 
@@ -31,6 +24,15 @@ void TraversalScratch::Reset(std::size_t num_cells) {
   if (++epoch_ == 0) {  // wrapped: clear and restart
     std::fill(marks_.begin(), marks_.end(), 0);
     epoch_ = 1;
+  }
+}
+
+DescendingSteps::DescendingSteps(const Grid& grid, const ScoringFunction& f) {
+  std::int64_t stride = 1;
+  for (int axis = grid.dim() - 1; axis >= 0; --axis) {
+    step[axis] = f.direction(axis) == Monotonicity::kIncreasing ? -1 : +1;
+    offset[axis] = step[axis] * stride;
+    stride *= grid.cells_per_axis();
   }
 }
 
@@ -70,94 +72,102 @@ MaxScoreTraversal::MaxScoreTraversal(const Grid& grid,
                                      const ScoringFunction& f,
                                      TraversalScratch* scratch,
                                      const Rect* constraint)
-    : grid_(grid), f_(f), scratch_(scratch), constraint_(constraint) {
+    : grid_(grid),
+      f_(f),
+      scratch_(scratch),
+      heap_(scratch->heap()),
+      steps_(grid, f),
+      corner_(grid.dim()) {
   assert(f.dim() == grid.dim());
   scratch_->Reset(grid.num_cells());
-  CellIndex seed;
-  if (constraint_ == nullptr) {
-    seed = SeedCell(grid, f);
-  } else {
-    // The cell containing the best corner of the constraint region has the
-    // highest clipped maxscore (Figure 12 starts at c_{5,5}).
-    seed = ConstrainedSeedCell(grid, f, *constraint_);
+  heap_.clear();
+  // Corner tables (see the file comment). The cell bounds use the
+  // arithmetic of Grid::CellBounds and the clipping that of the clipped
+  // rectangle cell ∩ constraint, so every key is bitwise
+  // f.MaxScore(clipped bounds).
+  const int m = grid.cells_per_axis();
+  const double delta = grid.delta();
+  std::vector<double>& corners = scratch_->corners();
+  std::vector<std::uint8_t>& meets = scratch_->meets();
+  corners.resize(static_cast<std::size_t>(grid.dim()) * m);
+  meets.resize(corners.size());
+  for (int axis = 0; axis < grid.dim(); ++axis) {
+    const bool increasing = steps_.step[axis] < 0;
+    for (int c = 0; c < m; ++c) {
+      const std::size_t slot = static_cast<std::size_t>(axis) * m + c;
+      const double lo = c * delta;
+      const double hi = std::min(1.0, (c + 1) * delta);
+      if (constraint == nullptr) {
+        corners[slot] = increasing ? hi : lo;
+        meets[slot] = 1;
+        continue;
+      }
+      const double clo = constraint->lo()[axis];
+      const double chi = constraint->hi()[axis];
+      meets[slot] = !(hi < clo || chi < lo);
+      corners[slot] = increasing ? std::min(hi, chi) : std::max(lo, clo);
+    }
   }
-  Push(seed);
+  corners_ = corners.data();
+  meets_ = meets.data();
+  // The cell containing the best corner of the constraint region has the
+  // highest clipped maxscore (Figure 12 starts at c_{5,5}).
+  const CellIndex seed = constraint == nullptr
+                             ? SeedCell(grid, f)
+                             : ConstrainedSeedCell(grid, f, *constraint);
+  const CellCoords coords = grid.Decompose(seed);
+  for (int axis = 0; axis < grid.dim(); ++axis) {
+    if (!meets_[static_cast<std::size_t>(axis) * m + coords[axis]]) return;
+  }
+  scratch_->Mark(seed);
+  LoadCorner(coords);
+  Push(seed, f_.Score(corner_));
 }
 
-std::optional<Rect> MaxScoreTraversal::ClippedBounds(CellIndex cell) const {
-  Rect bounds = grid_.CellBounds(cell);
-  if (constraint_ == nullptr) return bounds;
-  if (!bounds.Intersects(*constraint_)) return std::nullopt;
-  Point lo(grid_.dim());
-  Point hi(grid_.dim());
-  for (int i = 0; i < grid_.dim(); ++i) {
-    lo[i] = std::max(bounds.lo()[i], constraint_->lo()[i]);
-    hi[i] = std::min(bounds.hi()[i], constraint_->hi()[i]);
+void MaxScoreTraversal::LoadCorner(const CellCoords& coords) {
+  const std::size_t m = static_cast<std::size_t>(grid_.cells_per_axis());
+  for (int axis = 0; axis < grid_.dim(); ++axis) {
+    corner_[axis] = corners_[axis * m + coords[axis]];
   }
-  return Rect(lo, hi);
 }
 
-void MaxScoreTraversal::Push(CellIndex cell) {
-  if (!scratch_->Mark(cell)) return;  // already en-heaped
-  std::optional<Rect> bounds = ClippedBounds(cell);
-  if (!bounds.has_value()) return;  // outside the constraint region
-  heap_.push_back(Entry{cell, f_.MaxScore(*bounds)});
+void MaxScoreTraversal::Push(CellIndex cell, double maxscore) {
+  heap_.push_back(CellKey{cell, maxscore});
   std::push_heap(heap_.begin(), heap_.end(), HeapCompare{});
 }
 
-MaxScoreTraversal::Entry MaxScoreTraversal::Next() {
+CellKey MaxScoreTraversal::Next() {
   assert(HasNext());
   std::pop_heap(heap_.begin(), heap_.end(), HeapCompare{});
-  const Entry top = heap_.back();
+  const CellKey top = heap_.back();
   heap_.pop_back();
   ++num_processed_;
   // En-heap the per-axis neighbors one step toward lower scores
-  // (Figure 6, lines 9-12).
-  CellCoords coords = grid_.Decompose(top.cell);
+  // (Figure 6, lines 9-12). The popped cell meets the constraint on every
+  // axis, so a neighbor meets it iff it does on the axis it moved along,
+  // and its best corner differs from the popped cell's in that coordinate
+  // only.
+  const CellCoords coords = grid_.Decompose(top.cell);
+  LoadCorner(coords);
+  const std::size_t m = static_cast<std::size_t>(grid_.cells_per_axis());
   for (int axis = 0; axis < grid_.dim(); ++axis) {
-    const int step = DescendingStep(f_, axis);
-    const std::int32_t next = coords[axis] + step;
-    if (next < 0 || next >= grid_.cells_per_axis()) continue;
-    CellCoords neighbor = coords;
-    neighbor[axis] = next;
-    Push(grid_.Compose(neighbor));
+    CellIndex next = 0;
+    if (!steps_.Neighbor(grid_, top.cell, coords, axis, &next)) continue;
+    const std::size_t slot = axis * m + (coords[axis] + steps_.step[axis]);
+    if (!meets_[slot] || !scratch_->Mark(next)) continue;
+    const double own = corner_[axis];
+    corner_[axis] = corners_[slot];
+    Push(next, f_.Score(corner_));
+    corner_[axis] = own;
   }
   return top;
 }
 
-std::vector<CellIndex> MaxScoreTraversal::RemainingFrontier() const {
-  std::vector<CellIndex> frontier;
-  frontier.reserve(heap_.size());
-  for (const Entry& e : heap_) frontier.push_back(e.cell);
+const std::vector<CellIndex>& MaxScoreTraversal::RemainingFrontier() {
+  std::vector<CellIndex>& frontier = scratch_->frontier();
+  frontier.clear();
+  for (const CellKey& e : heap_) frontier.push_back(e.cell);
   return frontier;
-}
-
-void WalkDescending(const Grid& grid, const ScoringFunction& f,
-                    const std::vector<CellIndex>& seeds,
-                    TraversalScratch* scratch,
-                    const std::function<bool(CellIndex)>& visit) {
-  scratch->Reset(grid.num_cells());
-  std::vector<CellIndex> list;
-  list.reserve(seeds.size());
-  for (CellIndex seed : seeds) {
-    if (scratch->Mark(seed)) list.push_back(seed);
-  }
-  // The order of visiting does not matter (Section 4.3), so a plain list
-  // replaces the heap.
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    const CellIndex cell = list[i];
-    if (!visit(cell)) continue;
-    CellCoords coords = grid.Decompose(cell);
-    for (int axis = 0; axis < grid.dim(); ++axis) {
-      const int step = DescendingStep(f, axis);
-      const std::int32_t next = coords[axis] + step;
-      if (next < 0 || next >= grid.cells_per_axis()) continue;
-      CellCoords neighbor = coords;
-      neighbor[axis] = next;
-      const CellIndex ni = grid.Compose(neighbor);
-      if (scratch->Mark(ni)) list.push_back(ni);
-    }
-  }
 }
 
 }  // namespace topkmon

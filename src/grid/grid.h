@@ -14,9 +14,12 @@
 //     better locality.
 //   * an influence list IL_c — the queries whose influence region
 //     intersects the cell, as an unsorted vector. The paper asks for O(1)
-//     expected updates; a cell carries few queries, so a linear find (add,
-//     membership) and swap-with-last erase cost less than a hash node and
-//     allocate nothing per entry.
+//     expected updates. A query's first computation appends without a
+//     find: its id is new, so no list carries it yet. A recomputation adds
+//     idempotently with a linear find, and removal finds the entry and
+//     swaps the last one into its place. A cell carries few queries, so
+//     the finds cost less than a hash node and allocate nothing per entry;
+//     near the best corner, where a list holds ~Q entries, they are O(Q).
 
 #ifndef TOPKMON_GRID_GRID_H_
 #define TOPKMON_GRID_GRID_H_
@@ -244,6 +247,13 @@ class Grid {
   void AddInfluence(CellIndex cell, QueryId q) {
     std::vector<QueryId>& il = cells_[cell].influence;
     if (std::find(il.begin(), il.end(), q) == il.end()) il.push_back(q);
+  }
+
+  /// Registers query `q` in IL_cell, which must not carry it yet (a newly
+  /// registered query's first computation); O(1), no find.
+  void AppendInfluence(CellIndex cell, QueryId q) {
+    assert(!HasInfluence(cell, q));
+    cells_[cell].influence.push_back(q);
   }
 
   /// Removes query `q` from IL_cell; returns true iff it was present.

@@ -126,8 +126,9 @@ TEST(ComputeTopKTest, NaiveMatchesHeapTraversal) {
   TraversalScratch scratch;
   const TopKComputation heap =
       ComputeTopK(data.grid, f, 12, &scratch);
+  TraversalScratch naive_scratch;
   const TopKComputation naive =
-      ComputeTopKNaive(data.grid, f, 12);
+      ComputeTopKNaive(data.grid, f, 12, &naive_scratch);
   EXPECT_EQ(heap.result, naive.result);
 }
 
@@ -207,8 +208,9 @@ TEST_P(ConstrainedComputeProperty, MatchesBruteForceUnderConstraints) {
         data.grid, *f, k, &scratch, &constraint);
     EXPECT_EQ(heap.result, data.BruteTopK(*f, k, &constraint))
         << "constraint " << constraint.ToString();
+    TraversalScratch naive_scratch;
     const TopKComputation naive =
-        ComputeTopKNaive(data.grid, *f, k, &constraint);
+        ComputeTopKNaive(data.grid, *f, k, &naive_scratch, &constraint);
     EXPECT_EQ(heap.result, naive.result);
   }
 }

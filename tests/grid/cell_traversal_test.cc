@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
+#include "core/topk_compute.h"
+#include "stream/generators.h"
 #include "util/rng.h"
 
 namespace topkmon {
@@ -85,6 +90,208 @@ INSTANTIATE_TEST_SUITE_P(
     DimsAndResolutions, DescendingOrderProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
                        ::testing::Values(1, 2, 5, 8)));
+
+std::uint64_t Bits(double x) {
+  std::uint64_t b;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// f.MaxScore of the cell's bounds clipped to the constraint, computed
+// through Rects as ComputeTopKNaive does: the reference every corner-table
+// key must match bit for bit.
+double ClippedMaxScore(const Grid& g, const ScoringFunction& f, CellIndex cell,
+                       const Rect* constraint) {
+  const Rect bounds = g.CellBounds(cell);
+  if (constraint == nullptr) return f.MaxScore(bounds);
+  Point lo(g.dim());
+  Point hi(g.dim());
+  for (int i = 0; i < g.dim(); ++i) {
+    lo[i] = std::max(bounds.lo()[i], constraint->lo()[i]);
+    hi[i] = std::min(bounds.hi()[i], constraint->hi()[i]);
+  }
+  return f.MaxScore(Rect(lo, hi));
+}
+
+// Every key the corner tables produce must equal the maxscore of the
+// clipped cell bounds bit for bit, and the traversal must emit only cells
+// that intersect the constraint. On grids of 7 and 12 cells per axis some
+// multiples c * delta miss the grid line c / m by an ulp; on 49 cells per
+// axis m * delta is not exactly 1.0 either. Constraint corners snap to
+// grid lines in most trials.
+class CornerTableKeyProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CornerTableKeyProperty, KeysMatchClippedMaxScoreBitwise) {
+  const auto [dim, cells_per_axis] = GetParam();
+  const Grid g(dim, cells_per_axis);
+  Rng rng(7000 + dim * 100 + cells_per_axis);
+  auto uniform = [&rng]() { return rng.Uniform(); };
+  std::vector<std::unique_ptr<ScoringFunction>> functions;
+  for (FunctionFamily family :
+       {FunctionFamily::kLinear, FunctionFamily::kProduct,
+        FunctionFamily::kSumOfSquares}) {
+    functions.push_back(MakeRandomFunction(family, dim, uniform));
+  }
+  for (int trial = 0; trial < 2; ++trial) {
+    std::vector<double> w(dim);
+    for (double& x : w) x = rng.Uniform(-1.0, 1.0);
+    functions.push_back(std::make_unique<LinearFunction>(w));
+  }
+  auto grid_line = [&rng, cells_per_axis]() {
+    return static_cast<double>(rng.UniformInt(
+               static_cast<std::uint64_t>(cells_per_axis) + 1)) /
+           cells_per_axis;
+  };
+  TraversalScratch scratch;
+  for (const auto& f : functions) {
+    for (int trial = 0; trial < 9; ++trial) {
+      // Trial 0 is unconstrained; the rest draw a constraint.
+      std::unique_ptr<Rect> constraint;
+      if (trial > 0) {
+        Point lo(dim);
+        Point hi(dim);
+        for (int i = 0; i < dim; ++i) {
+          const double a = trial % 2 == 0 ? grid_line() : rng.Uniform();
+          const double b = trial > 4 ? grid_line() : rng.Uniform();
+          lo[i] = std::min(a, b);
+          hi[i] = std::max(a, b);
+        }
+        constraint = std::make_unique<Rect>(lo, hi);
+      }
+      MaxScoreTraversal traversal(g, *f, &scratch, constraint.get());
+      std::unordered_set<CellIndex> emitted;
+      while (traversal.HasNext()) {
+        const CellKey entry = traversal.Next();
+        EXPECT_TRUE(emitted.insert(entry.cell).second);
+        EXPECT_EQ(Bits(entry.maxscore),
+                  Bits(ClippedMaxScore(g, *f, entry.cell, constraint.get())))
+            << f->ToString() << " cell " << entry.cell;
+      }
+      // Unconstrained, every cell is emitted. Constrained, only cells that
+      // intersect the constraint are; a cell that merely touches it on a
+      // face above the seed is not reached, and holds no point inside it.
+      if (constraint == nullptr) {
+        EXPECT_EQ(emitted.size(), g.num_cells());
+        continue;
+      }
+      for (CellIndex cell : emitted) {
+        EXPECT_TRUE(g.CellBounds(cell).Intersects(*constraint))
+            << f->ToString() << " cell " << cell;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DimsAndResolutions, CornerTableKeyProperty,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(3, 7, 12)));
+INSTANTIATE_TEST_SUITE_P(
+    InexactUnitSide, CornerTableKeyProperty,
+    ::testing::Combine(::testing::Values(1, 2), ::testing::Values(49)));
+
+// The paper's cost counters per computation, pinned for a fixed seed set:
+// cells visited, frontier cells, points scored, and an FNV-1a hash of the
+// processed order and of the result (ids and score bits). The expected
+// values were recorded from the Rect-per-cell traversal that the corner
+// tables replaced; a traversal change that alters any visit, any key or
+// any tie order shows up here.
+struct PinnedCase {
+  int dim;
+  int cells_per_axis;
+  Distribution dist;
+  std::size_t records;
+  std::uint64_t cells_visited;
+  std::uint64_t frontier_cells;
+  std::uint64_t points_scored;
+  std::uint64_t order_hash;
+};
+
+void Fnv(std::uint64_t* h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    *h ^= (v >> (8 * i)) & 0xff;
+    *h *= 0x100000001b3ULL;
+  }
+}
+
+TEST(ComputeTopKPinningTest, CountersAndOrderMatchRecordedValues) {
+  const PinnedCase cases[] = {
+      {2, 10, Distribution::kIndependent, 3000, 69, 62, 1456,
+       4549130343657006760ULL},
+      {3, 7, Distribution::kAntiCorrelated, 4000, 824, 527, 2226,
+       7376269102966980172ULL},
+      {4, 12, Distribution::kAntiCorrelated, 20000, 16119, 8342, 1654,
+       9177548306349819399ULL},
+      {4, 12, Distribution::kClustered, 20000, 96831, 21942, 9784,
+       12830245186813861143ULL},
+  };
+  for (const PinnedCase& c : cases) {
+    Grid g(c.dim, c.cells_per_axis);
+    RecordSource source(MakeGenerator(c.dist, c.dim, 31 + c.dim));
+    for (std::size_t i = 0; i < c.records; ++i) {
+      const Record r = source.Next(0);
+      g.InsertPoint(g.LocateCell(r.position), r.id, r.position);
+    }
+    Rng rng(5100 + c.dim * 10 + c.cells_per_axis);
+    auto uniform = [&rng]() { return rng.Uniform(); };
+    TraversalScratch scratch;
+    std::uint64_t cells = 0;
+    std::uint64_t frontier = 0;
+    std::uint64_t points = 0;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int trial = 0; trial < 24; ++trial) {
+      std::unique_ptr<ScoringFunction> f;
+      switch (trial % 4) {
+        case 0:
+          f = MakeRandomFunction(FunctionFamily::kLinear, c.dim, uniform);
+          break;
+        case 1:
+          f = MakeRandomFunction(FunctionFamily::kProduct, c.dim, uniform);
+          break;
+        case 2:
+          f = MakeRandomFunction(FunctionFamily::kSumOfSquares, c.dim,
+                                 uniform);
+          break;
+        default: {
+          std::vector<double> w(c.dim);
+          for (double& x : w) x = rng.Uniform(-1.0, 1.0);
+          f = std::make_unique<LinearFunction>(w);
+        }
+      }
+      std::unique_ptr<Rect> constraint;
+      if (trial % 3 == 2) {
+        Point lo(c.dim);
+        Point hi(c.dim);
+        for (int i = 0; i < c.dim; ++i) {
+          const double a =
+              static_cast<double>(rng.UniformInt(
+                  static_cast<std::uint64_t>(c.cells_per_axis) + 1)) /
+              c.cells_per_axis;
+          const double b = rng.Uniform();
+          lo[i] = std::min(a, b);
+          hi[i] = std::max(a, b);
+        }
+        constraint = std::make_unique<Rect>(lo, hi);
+      }
+      const int k = trial % 2 == 0 ? 20 : 1 + trial;
+      const TopKComputation out =
+          ComputeTopK(g, *f, k, &scratch, constraint.get());
+      cells += out.processed_cells.size();
+      frontier += out.frontier_cells.size();
+      points += out.points_scored;
+      for (CellIndex cell : out.processed_cells) Fnv(&hash, cell);
+      for (const ResultEntry& e : out.result) {
+        Fnv(&hash, e.id);
+        Fnv(&hash, Bits(e.score));
+      }
+    }
+    EXPECT_EQ(cells, c.cells_visited) << "d=" << c.dim;
+    EXPECT_EQ(frontier, c.frontier_cells) << "d=" << c.dim;
+    EXPECT_EQ(points, c.points_scored) << "d=" << c.dim;
+    EXPECT_EQ(hash, c.order_hash) << "d=" << c.dim;
+  }
+}
 
 TEST(MaxScoreTraversalTest, FrontierIsEnheapedButUnprocessed) {
   Grid g(2, 8);
