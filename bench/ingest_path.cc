@@ -12,16 +12,18 @@
 // frames (batch=512, d=2) through one leg of the path:
 //
 //   decode-copying    DecodeNetBody into a fresh vector per frame
-//   decode-zerocopy   DecodeIngestBodyToArena into a recycled arena
-//   e2e-copying       copying decode + per-record TryPush + drain/commit
-//   e2e-zerocopy      arena decode + PushBatch + drain/commit
+//   decode-zerocopy   DecodeIngestBodyToArena into an arena, released
+//                     after each frame
+//   e2e-copying       copying decode + per-record TryPush + drain
+//   e2e-zerocopy      arena decode + PushBatch + drain (which hands the
+//                     frame's arena storage back)
 //
 // The two decode legs are NOT like-for-like: the arena decoder also runs
 // the per-record ValidatePoint/arrival screening that the copying path
 // defers to admission time (the frame-boundary validation contract), so
 // it does strictly more work per tuple. The e2e legs are the fair
-// comparison — both end with every record validated, admitted, drained
-// and committed.
+// comparison — both end with every record validated, admitted and
+// drained, and its arena storage released.
 //
 // Reported per row: rec_per_s (gated by tools/compare_bench_json.py) and
 // bytes_copied_per_record — the Record-payload stores a tuple suffers
@@ -129,12 +131,7 @@ LegResult DecodeZeroCopy(const std::vector<std::string>& bodies,
     if (!status.ok()) std::abort();
     result.records += view.count;
     arena.Release(view.records, view.count);
-    // The service advances the arena epoch once per drain cycle, which
-    // covers several wire frames; model a ~8-frame cycle so chunks fill
-    // before they seal and the free list gets exercised.
-    if (f % 8 == 7) arena.RetireThrough(arena.AdvanceEpoch());
   }
-  arena.RetireThrough(arena.AdvanceEpoch());
   result.seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -158,7 +155,6 @@ LegResult EndToEndCopying(const std::vector<std::string>& bodies,
     result.records += queue.DrainBatch(&drained, &cycle_ts,
                                        std::chrono::milliseconds(0),
                                        /*flush_all=*/true);
-    queue.CommitDrained();
   }
   result.seconds = watch.ElapsedSeconds();
   return result;
@@ -179,7 +175,7 @@ LegResult EndToEndZeroCopy(const std::vector<std::string>& bodies,
         body.data(), body.size(), kDim, queue.arena(), &view);
     if (!status.ok()) std::abort();
     const std::size_t pushed =
-        queue.PushBatch(view.records, view.count, &queue.arena());
+        queue.PushBatch(view.records, view.count);
     if (pushed < view.count) {
       queue.arena().Release(view.records + pushed, view.count - pushed);
       std::abort();  // capacity >> batch and we drain every frame
@@ -188,7 +184,6 @@ LegResult EndToEndZeroCopy(const std::vector<std::string>& bodies,
     result.records += queue.DrainBatch(&drained, &cycle_ts,
                                        std::chrono::milliseconds(0),
                                        /*flush_all=*/true);
-    queue.CommitDrained();
   }
   result.seconds = watch.ElapsedSeconds();
   return result;

@@ -209,7 +209,8 @@ Status GetRecordSpan(ByteReader& in, std::uint64_t count,
 
 /// Zero-copy variant: decodes `count` > 0 records straight into `out`,
 /// caller-provided storage for at least `count` records (a RecordArena
-/// span on the ingest hot path). Identical validation to the vector
+/// span on the ingest hot path, held until the ingest queue drains or
+/// the caller releases each record). Identical validation to the vector
 /// overload; on error the storage contents are unspecified and the
 /// caller releases them.
 Status GetRecordSpanInto(ByteReader& in, std::uint64_t count, Record* out);

@@ -352,10 +352,10 @@ inline NetMessageType PeekNetMessageType(const char* data, std::size_t n) {
 /// One ingest frame decoded straight into a RecordArena (the zero-copy
 /// hot path). `records[0..count)` live in the arena the decoder was
 /// given; ownership is the caller's until every record is handed to
-/// IngestQueue::PushBatch (which releases admitted storage after cycle
-/// publish) or released back explicitly. Validation happens exactly
-/// once, here at the frame boundary: dimensionality + unit-space
-/// containment (ValidatePoint) and the wire arrival range. Indices of
+/// IngestQueue::PushBatch (whose DrainBatch releases admitted storage)
+/// or released back explicitly. Validation happens exactly once, here
+/// at the frame boundary: dimensionality + unit-space containment
+/// (ValidatePoint) and the wire arrival range. Indices of
 /// records failing it are listed in `invalid` (ascending; normally
 /// empty, so no allocation) with the first refusal in `first_invalid`.
 struct IngestFrameView {

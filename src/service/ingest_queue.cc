@@ -8,39 +8,24 @@
 namespace topkmon {
 
 IngestQueue::IngestQueue(const IngestOptions& options)
-    : options_(options), arena_(options.arena), buf_(options.capacity) {
+    : options_(options), buf_(options.capacity) {
   assert(options_.capacity > 0);
   assert(options_.max_batch > 0);
   assert(options_.slack >= 0);
-  // The arena holds the queued records, a drained batch awaiting
-  // CommitDrained, and the open chunk's tail.
-  arena_.Reserve(options_.capacity + options_.max_batch +
-                 options_.arena.chunk_records);
+  // The arena holds the queued records and the open chunk's tail.
+  arena_.Reserve(options_.capacity + RecordArenaOptions{}.chunk_records);
   next_id_ = options_.first_record_id;
   frontier_ = options_.min_timestamp;
   max_seen_ = options_.min_timestamp;
 }
 
-IngestQueue::~IngestQueue() {
-  // Backstop: a queue destroyed with records still buffered (or drained
-  // but uncommitted) hands their storage back so external arenas do not
-  // leak. Single-record releases are fine here — this is not a hot path.
-  for (std::size_t i = 0; i < size_; ++i) {
-    const Pending& p = buf_[SlotLocked(i)];
-    if (p.owner != nullptr) p.owner->Release(p.rec, 1);
-  }
-  size_ = 0;
-  CommitDrained();
-}
-
-void IngestQueue::PushLocked(const Record* rec, Timestamp arrival,
-                             RecordArena* owner) {
+void IngestQueue::PushLocked(const Record* rec, Timestamp arrival) {
   if (is_sorted_ && size_ > 0 &&
       arrival < buf_[SlotLocked(size_ - 1)].arrival) {
     is_sorted_ = false;
   }
-  buf_[SlotLocked(size_)] = Pending{arrival, push_seq_++, rec, owner,
-                                    std::chrono::steady_clock::now()};
+  buf_[SlotLocked(size_)] =
+      Pending{arrival, push_seq_++, rec, std::chrono::steady_clock::now()};
   ++size_;
   max_seen_ = std::max(max_seen_, arrival);
   min_arrival_ = std::min(min_arrival_, arrival);
@@ -60,7 +45,7 @@ Status IngestQueue::Push(Point position, Timestamp arrival) {
   rec->id = kInvalidRecordId;
   rec->position = std::move(position);
   rec->arrival = arrival;
-  PushLocked(rec, arrival, &arena_);
+  PushLocked(rec, arrival);
   drain_cv_.notify_one();
   return Status::Ok();
 }
@@ -75,13 +60,12 @@ bool IngestQueue::TryPush(Point position, Timestamp arrival) {
   rec->id = kInvalidRecordId;
   rec->position = std::move(position);
   rec->arrival = arrival;
-  PushLocked(rec, arrival, &arena_);
+  PushLocked(rec, arrival);
   drain_cv_.notify_one();
   return true;
 }
 
-std::size_t IngestQueue::PushBatch(const Record* records, std::size_t n,
-                                   RecordArena* owner) {
+std::size_t IngestQueue::PushBatch(const Record* records, std::size_t n) {
   if (n == 0) return 0;
   std::size_t accepted = 0;
   {
@@ -90,7 +74,7 @@ std::size_t IngestQueue::PushBatch(const Record* records, std::size_t n,
     const std::size_t space = options_.capacity - SizeLocked();
     accepted = std::min(n, space);
     for (std::size_t i = 0; i < accepted; ++i) {
-      PushLocked(&records[i], records[i].arrival, owner);
+      PushLocked(&records[i], records[i].arrival);
     }
     stats_.shed += n - accepted;
   }
@@ -137,6 +121,11 @@ std::size_t IngestQueue::DrainBatch(
   const bool open_gate = flush_all || closed_ || !ReleasableLocked();
   SortLocked();
   std::size_t released = 0;
+  // The drained records' arena storage goes back as they are copied
+  // out, coalesced into runs that are contiguous in the arena (a frame
+  // drained in order releases as one call).
+  const Record* run = nullptr;
+  std::size_t run_len = 0;
   while (released < options_.max_batch && size_ > 0) {
     Pending& p = buf_[head_];
     if (!open_gate && p.arrival + options_.slack > max_seen_) break;
@@ -154,46 +143,26 @@ std::size_t IngestQueue::DrainBatch(
       *oldest_push = p.pushed_at;
     }
     out->emplace_back(next_id_++, p.rec->position, arrival);
-    pending_release_.push_back(Parked{p.rec, p.owner});
+    if (p.rec != run + run_len) {
+      arena_.Release(run, run_len);
+      run = p.rec;
+      run_len = 0;
+    }
+    ++run_len;
     head_ = SlotLocked(1);
     --size_;
     ++released;
   }
+  arena_.Release(run, run_len);
   if (size_ == 0) head_ = 0;
   min_arrival_ = size_ > 0 ? buf_[head_].arrival
                            : std::numeric_limits<Timestamp>::max();
   if (released > 0) {
     ++stats_.batches;
     *cycle_ts = frontier_;
-    // Seal the drained records' allocation epoch so their chunks retire
-    // as soon as CommitDrained hands the storage back.
-    const std::uint64_t sealed = arena_.AdvanceEpoch();
-    arena_.RetireThrough(sealed);
     not_full_cv_.notify_all();
   }
   return released;
-}
-
-void IngestQueue::CommitDrained() {
-  std::vector<Parked> parked;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    parked.swap(pending_release_);
-  }
-  // Coalesce contiguous same-owner runs (a drained wire frame releases
-  // as one call) and hand the storage back outside the queue mutex.
-  std::size_t i = 0;
-  while (i < parked.size()) {
-    std::size_t j = i + 1;
-    while (j < parked.size() && parked[j].owner == parked[i].owner &&
-           parked[j].rec == parked[i].rec + (j - i)) {
-      ++j;
-    }
-    if (parked[i].owner != nullptr) {
-      parked[i].owner->Release(parked[i].rec, j - i);
-    }
-    i = j;
-  }
 }
 
 void IngestQueue::Close() {
@@ -255,9 +224,7 @@ Status IngestQueue::ResumeSequences(RecordId next_record_id,
 
 std::size_t IngestQueue::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return buf_.capacity() * sizeof(Pending) +
-         pending_release_.capacity() * sizeof(Parked) +
-         arena_.ResidentBytes();
+  return buf_.capacity() * sizeof(Pending) + arena_.ResidentBytes();
 }
 
 }  // namespace topkmon

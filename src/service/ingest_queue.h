@@ -9,16 +9,16 @@
 //     (Push blocks while full) or load-shedding (TryPush refuses and
 //     counts the record as shed). PushBatch() admits a whole decoded
 //     wire frame of arena-backed records at once — the zero-copy path.
-//   * Buffered tuples are *references* into a RecordArena (the queue's
-//     own arena for in-process pushes, the same arena for wire frames
-//     the TCP server decodes straight into it via
-//     MonitorService::ingest_arena()). The buffer itself is a ring of
-//     `capacity` slots holding a sorted run: pushes append in O(1), and
-//     the run is re-sorted by (arrival, push sequence) only when a drain
-//     finds out-of-order arrivals — in-order streams never pay a sort.
-//     The ring and the arena chunks for a full queue are taken at
-//     construction, so the queue's footprint is set by its options, not
-//     by how deep a backlog has run.
+//   * Buffered tuples are *references* into the queue's RecordArena
+//     (in-process pushes allocate there; the TCP server decodes wire
+//     frames straight into it via MonitorService::ingest_arena()). The
+//     buffer itself is a ring of `capacity` slots holding a sorted run:
+//     pushes append in O(1), and the run is re-sorted by (arrival, push
+//     sequence) only when a drain finds out-of-order arrivals —
+//     in-order streams never pay a sort. The ring and the arena chunks
+//     for a full queue are taken at construction, so the queue's
+//     footprint is set by its options, not by how deep a backlog has
+//     run.
 //   * A tuple is released only once the highest timestamp seen has
 //     advanced past it by `slack` time units, so out-of-order arrivals
 //     within the slack are re-sorted rather than clamped. Stragglers
@@ -27,19 +27,15 @@
 //     travel.
 //   * DrainBatch() copies the releasable prefix into the consumer's
 //     reusable batch vector (the one copy on the wire path), assigns
-//     the strictly increasing record ids the engines require, and
-//     reports the cycle timestamp to process the batch at. The drained
-//     records' arena storage is NOT released yet: it is parked on a
-//     pending-release list until the consumer calls CommitDrained()
-//     after the cycle has been published (journal append + engine apply
-//     + observer all read the drained copy, but the arena epochs only
-//     retire once the cycle is out the door). When nothing clears the
-//     slack gate within `max_wait` the gate opens and whatever is
-//     buffered is released, bounding result staleness when the stream
-//     goes quiet.
+//     the strictly increasing record ids the engines require, reports
+//     the cycle timestamp to process the batch at, and hands the
+//     drained records' arena storage back: journal append, engine
+//     apply and the cycle observer all read the drained copy, never the
+//     arena. When nothing clears the slack gate within `max_wait` the
+//     gate opens and whatever is buffered is released, bounding result
+//     staleness when the stream goes quiet.
 //
-// Lock ordering: queue mutex before arena mutex; CommitDrained releases
-// arena storage outside the queue mutex.
+// Lock ordering: queue mutex before arena mutex.
 
 #ifndef TOPKMON_SERVICE_INGEST_QUEUE_H_
 #define TOPKMON_SERVICE_INGEST_QUEUE_H_
@@ -77,9 +73,6 @@ struct IngestOptions {
   /// stragglers — after recovery, no tuple may time-travel behind the
   /// last journaled cycle.
   Timestamp min_timestamp = std::numeric_limits<Timestamp>::min();
-  /// The queue's record arena (single pushes allocate from it; the TCP
-  /// server decodes wire frames straight into it).
-  RecordArenaOptions arena;
 };
 
 /// Observable ingest counters (all monotonically increasing except depth).
@@ -98,7 +91,6 @@ struct IngestStats {
 class IngestQueue {
  public:
   explicit IngestQueue(const IngestOptions& options);
-  ~IngestQueue();
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
@@ -113,20 +105,19 @@ class IngestQueue {
   bool TryPush(Point position, Timestamp arrival);
 
   /// Zero-copy admission of a decoded wire frame: `records` points at
-  /// `n` already-validated records allocated from `owner` (normally
-  /// this queue's own arena()). Admits exactly the first
-  /// min(n, capacity − depth) records — the prefix, in record order —
-  /// and returns that count without blocking; the refused suffix is
-  /// counted as shed and remains the caller's to release. Returns 0
-  /// once closed (not counted as shed). Admitted records' storage is
-  /// released by the queue after the cycle that drains them is
-  /// committed (CommitDrained).
-  std::size_t PushBatch(const Record* records, std::size_t n,
-                        RecordArena* owner);
+  /// `n` already-validated records allocated from this queue's arena().
+  /// Admits exactly the first min(n, capacity − depth) records — the
+  /// prefix, in record order — and returns that count without blocking;
+  /// the refused suffix is counted as shed and remains the caller's to
+  /// release. Returns 0 once closed (not counted as shed). Admitted
+  /// records' storage is released by the DrainBatch that takes them.
+  std::size_t PushBatch(const Record* records, std::size_t n);
 
   /// Consumer side: appends at most options.max_batch releasable records
-  /// to *out (ids assigned, timestamps non-decreasing) and sets *cycle_ts
-  /// to the timestamp the batch should be processed at. Blocks up to
+  /// to *out (ids assigned, timestamps non-decreasing), releases their
+  /// arena storage (contiguous runs coalesced into one Release call),
+  /// and sets *cycle_ts to the timestamp the batch should be processed
+  /// at. Blocks up to
   /// `max_wait` for the slack gate to clear; on timeout (or when
   /// `flush_all` is set, or after Close) everything buffered is released.
   /// Returns the number of records appended; 0 with closed() true and an
@@ -140,14 +131,6 @@ class IngestQueue {
                          bool flush_all = false,
                          std::chrono::steady_clock::time_point* oldest_push =
                              nullptr);
-
-  /// Releases the arena storage of every record drained so far back to
-  /// its owning arena. The consumer calls this once per cycle, *after*
-  /// the drained batch has been journaled, applied and published — the
-  /// "reclamation keyed to cycle publish" half of the arena contract.
-  /// Contiguous same-owner runs are coalesced into one Release call;
-  /// the actual releases happen outside the queue mutex.
-  void CommitDrained();
 
   /// Permanently closes the queue: subsequent pushes fail, blocked
   /// producers wake, and DrainBatch releases the remaining buffer.
@@ -187,29 +170,21 @@ class IngestQueue {
   /// drain. Lives exactly as long as the queue (== the service).
   RecordArena& arena() { return arena_; }
 
-  /// Arena slab bytes currently resident (the topkmon_arena_bytes
-  /// gauge; flat after warm-up is what the soak tier asserts).
-  std::size_t ArenaResidentBytes() const { return arena_.ResidentBytes(); }
+  /// The arena's counters (the topkmon_arena_* metrics).
   RecordArenaStats ArenaStats() const { return arena_.stats(); }
 
   /// Approximate heap footprint of the queue buffers + arena slabs.
   std::size_t MemoryBytes() const;
 
  private:
-  /// One buffered record: a reference into an arena plus the ordering
-  /// key. 40 bytes — the point payload stays in the arena slab.
+  /// One buffered record: a reference into the arena plus the ordering
+  /// key. 32 bytes — the point payload stays in the arena slab.
   struct Pending {
     Timestamp arrival;
     std::uint64_t seq;  ///< push order; ties on arrival keep FIFO order
     const Record* rec;  ///< arena-backed storage (position read at drain)
-    RecordArena* owner;
     /// Wall instant of the Push (ingest→publish latency measurement).
     std::chrono::steady_clock::time_point pushed_at;
-  };
-  /// A drained record's storage awaiting CommitDrained.
-  struct Parked {
-    const Record* rec;
-    RecordArena* owner;
   };
 
   std::size_t SizeLocked() const { return size_; }
@@ -218,7 +193,7 @@ class IngestQueue {
     const std::size_t slot = head_ + i;
     return slot < buf_.size() ? slot : slot - buf_.size();
   }
-  void PushLocked(const Record* rec, Timestamp arrival, RecordArena* owner);
+  void PushLocked(const Record* rec, Timestamp arrival);
   bool ReleasableLocked() const;
   /// Restores (arrival, seq) order over the live run if a push broke it.
   void SortLocked();
@@ -237,7 +212,6 @@ class IngestQueue {
   bool is_sorted_ = true;
   /// Smallest buffered arrival (the slack-gate probe); max() when empty.
   Timestamp min_arrival_ = std::numeric_limits<Timestamp>::max();
-  std::vector<Parked> pending_release_;
   bool closed_ = false;
   std::uint64_t push_seq_ = 0;
   Timestamp max_seen_ = std::numeric_limits<Timestamp>::min();

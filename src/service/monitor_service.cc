@@ -390,8 +390,7 @@ std::size_t MonitorService::TryIngestBatch(SessionId session,
   const std::size_t granted = sessions_.ConsumeUpToIngestTokens(
       session, n, NowSeconds(), &rate_refusal);
   const std::size_t pushed =
-      granted == 0 ? 0
-                   : ingest_.PushBatch(records, granted, &ingest_.arena());
+      granted == 0 ? 0 : ingest_.PushBatch(records, granted);
   if (pushed < granted) {
     *error = ingest_.closed()
                  ? Status::FailedPrecondition("ingest queue is closed")
@@ -888,11 +887,7 @@ void MonitorService::DriverLoop() {
     // The cycle may have published deltas and grown the journal: wake
     // front-end poll loops holding parked long-polls or fetches.
     NotifyProgress();
-    // Cycle published: hand the drained records' arena storage back so
-    // the decode path recycles it instead of growing the arena.
-    ingest_.CommitDrained();
   }
-  ingest_.CommitDrained();
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     stopped_ = true;

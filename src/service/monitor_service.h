@@ -228,8 +228,9 @@ class MonitorService {
                              std::size_t n, Status* error);
 
   /// The arena backing the ingest queue — where the TCP server decodes
-  /// ingest frame bodies so admitted records flow to the engine without
-  /// a copy. Alive exactly as long as the service.
+  /// ingest frame bodies so admitted records are not copied again until
+  /// the driver drains them into its cycle batch, which hands their
+  /// storage back. Alive exactly as long as the service.
   RecordArena& ingest_arena() { return ingest_.arena(); }
 
   /// Engine dimensionality (what ingested tuples are validated against).
@@ -461,8 +462,8 @@ class MonitorService {
   /// Installs a hook invoked by the driver thread with every (cycle
   /// timestamp, arrival batch) right before it is applied — the seam for
   /// journaling/persistence and for tests that need ground truth replay.
-  /// The span is only valid for the duration of the call: the records
-  /// may be arena-backed and are recycled after cycle publish.
+  /// The span views the driver's reusable batch vector and is only valid
+  /// for the duration of the call; copy whatever must outlive it.
   using CycleObserver = std::function<void(Timestamp, RecordSpan)>;
   void SetCycleObserver(CycleObserver observer);
 

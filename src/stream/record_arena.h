@@ -5,38 +5,27 @@
 // ingest frame, or the ingest queue admitting an in-process tuple)
 // allocates a contiguous span of Records, fills it in place, and hands
 // out RecordSpan views instead of copies. Consumers release the span
-// when they are done; storage is reclaimed chunk-at-a-time and recycled
-// through a bounded free list, so a warmed-up arena allocates no new
-// memory at steady state.
+// when they are done (the ingest queue does so as it drains a record
+// into the cycle batch); storage is reclaimed chunk-at-a-time and
+// recycled through a bounded free list, so a warmed-up arena allocates
+// no new memory at steady state.
 //
-// Reclamation is epoch-based and keyed to cycle publish:
-//   * every allocation is stamped with the arena's current epoch;
-//   * AdvanceEpoch() seals the current epoch — in the service this
-//     happens once per published cycle (IngestQueue::CommitDrained), in
-//     a poll loop once per decoded ingest frame;
-//   * RetireThrough(e) moves the retire frontier — a chunk can only be
-//     recycled once its newest allocation epoch is at or below the
-//     frontier, every record allocated from it has been released, AND
-//     no consumer still pins an epoch at or below the chunk's newest
-//     (PinEpoch/UnpinEpoch cover long-held views: a parked long-poll or
-//     a journal writer serializing from the span).
-// A chunk keeps taking spans across epochs and closes only when it is
-// full or the next span does not fit, so the resident bytes follow the
-// number of records in flight, not the number of cycles they span.
+// A chunk keeps taking spans until it is full or the next span does not
+// fit; it is then sealed, and recycled as soon as every record
+// allocated from it has been released. So the resident bytes follow the
+// number of records in flight, not how long they stay there.
 //
 // Thread safety: all member functions are thread-safe (one internal
-// mutex). The intended shape is still single-producer per arena —
-// allocation is amortized per *span*, not per record, so the lock is
-// not on the per-record path. Record contents are published to other
-// threads by whatever queue hands the span over (the ingest queue's
-// mutex), not by the arena.
+// mutex). Allocation is amortized per *span*, not per record, so the
+// lock is not on the per-record path. Record contents are published to
+// other threads by whatever queue hands the span over (the ingest
+// queue's mutex), not by the arena.
 
 #ifndef TOPKMON_STREAM_RECORD_ARENA_H_
 #define TOPKMON_STREAM_RECORD_ARENA_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -64,7 +53,7 @@ struct RecordArenaStats {
   std::size_t peak_resident_bytes = 0;  ///< high-water mark
 };
 
-/// Epoch-reclaimed region allocator of Record spans.
+/// Chunked region allocator of Record spans.
 class RecordArena {
  public:
   explicit RecordArena(const RecordArenaOptions& options = {});
@@ -73,20 +62,18 @@ class RecordArena {
   RecordArena(const RecordArena&) = delete;
   RecordArena& operator=(const RecordArena&) = delete;
 
-  /// A contiguous, uninitialized span of `n` records stamped with the
-  /// current epoch. Never returns nullptr for n > 0; n == 0 returns
-  /// nullptr. The span stays valid until all `n` records are Released
-  /// AND the reclamation conditions above let its chunk go.
+  /// A contiguous, uninitialized span of `n` records. Never returns
+  /// nullptr for n > 0; n == 0 returns nullptr. Each record stays valid
+  /// until it is Released.
   Record* Allocate(std::size_t n);
 
-  /// Hands back `n` records starting at `p` (an Allocate result or a
-  /// prefix/suffix of one — releases may be split, e.g. a rejected
-  /// suffix now and the admitted prefix after cycle publish). Chunks
-  /// whose records are all released and whose epoch has retired are
-  /// recycled here. Releasing the newest span of the open chunk (nothing
-  /// allocated after it, its epoch unpinned) returns the space to that
-  /// chunk at once, so a refused frame costs no storage even while no
-  /// epoch retires.
+  /// Hands back `n` records starting at `p` (an Allocate result or any
+  /// contiguous run of one — releases may be split, e.g. a rejected
+  /// suffix now and the admitted prefix as the queue drains it). A
+  /// sealed chunk whose records are all released is recycled here.
+  /// Releasing the newest span of the open chunk (nothing allocated
+  /// after it) returns the space to that chunk at once, so a refused
+  /// frame costs no storage.
   void Release(const Record* p, std::size_t n);
 
   /// Allocates chunks for `records` records up front and keeps at least
@@ -94,25 +81,6 @@ class RecordArena {
   /// are in flight the arena allocates nothing and its resident bytes do
   /// not depend on how deep a backlog has run.
   void Reserve(std::size_t records);
-
-  /// The epoch new allocations are stamped with.
-  std::uint64_t current_epoch() const;
-
-  /// Seals the current epoch and opens the next; returns the sealed
-  /// epoch. Call once per cycle publish (or per decoded frame).
-  std::uint64_t AdvanceEpoch();
-
-  /// Moves the retire frontier forward to `epoch` (monotone; lower
-  /// values are ignored). Chunks whose newest allocation epoch is at or
-  /// below the frontier become reclaimable once fully released and
-  /// unpinned.
-  void RetireThrough(std::uint64_t epoch);
-
-  /// Pins `epoch` against reclamation while a view into it is held
-  /// beyond its release point (journal writers, parked long-polls).
-  /// Pins nest; each PinEpoch needs a matching UnpinEpoch.
-  void PinEpoch(std::uint64_t epoch);
-  void UnpinEpoch(std::uint64_t epoch);
 
   /// Slab bytes currently held (live chunks + free list) — the
   /// topkmon_arena_bytes gauge. Zero growth of this at steady state is
@@ -125,17 +93,14 @@ class RecordArena {
   struct Chunk {
     Record* slab = nullptr;
     std::size_t capacity = 0;
-    std::size_t used = 0;          ///< records handed out of this chunk
-    std::size_t released = 0;      ///< records handed back
-    std::uint64_t last_epoch = 0;  ///< newest allocation epoch
-    bool sealed = false;           ///< no further allocations
+    std::size_t used = 0;      ///< records handed out of this chunk
+    std::size_t released = 0;  ///< records handed back
+    bool sealed = false;       ///< no further allocations
   };
 
-  /// Reclaims every chunk that satisfies the three conditions. Caller
-  /// holds mu_.
-  void ReclaimLocked();
-  /// Smallest pinned epoch, or a value above every epoch when none.
-  std::uint64_t MinPinnedLocked() const;
+  /// Moves the sealed, fully released chunks_[i] to the free list, or
+  /// frees it past the cap. Caller holds mu_.
+  void RecycleLocked(std::size_t i);
   /// A new slab of `capacity` records, counted as created.
   Chunk FreshChunkLocked(std::size_t capacity);
 
@@ -144,9 +109,6 @@ class RecordArena {
   mutable std::mutex mu_;
   std::vector<Chunk> chunks_;        ///< live chunks, oldest first
   std::vector<Chunk> free_chunks_;   ///< fully reclaimed, reusable slabs
-  std::uint64_t epoch_ = 1;
-  std::uint64_t retired_through_ = 0;
-  std::map<std::uint64_t, std::size_t> pins_;
   std::size_t reserved_chunks_ = 0;  ///< never freed (see Reserve)
   RecordArenaStats stats_;
 };

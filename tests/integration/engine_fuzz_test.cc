@@ -436,8 +436,8 @@ TEST(EngineFuzzTest, NamedWorkloadsAgreeWithBruteForce) {
 /// the full engine set while BruteForce is fed from the copying decode,
 /// so any divergence between the storage paths — decode, arena
 /// lifetime, span-threaded ProcessCycle, lane-major scoring — shows up
-/// as a score mismatch. Arena epochs advance per frame exactly as the
-/// service's drain loop does, so recycling runs under the fuzz too.
+/// as a score mismatch. Each frame's storage is released once its cycle
+/// has been applied, so recycling runs under the fuzz too.
 void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
   WorkloadOptions wopt;
   wopt.dim = kDim;
@@ -533,12 +533,10 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
       }
     }
 
-    // Cycle published: same lifecycle the ingest queue runs per drain.
     if (view.count > 0) arena.Release(view.records, view.count);
-    arena.RetireThrough(arena.AdvanceEpoch());
   }
-  // Everything released + retired: a warmed-up arena must not have
-  // ratcheted memory (chunks recycle through the bounded free list).
+  // Everything released: a warmed-up arena must not have ratcheted
+  // memory (chunks recycle through the bounded free list).
   const RecordArenaStats astats = arena.stats();
   EXPECT_EQ(astats.allocated_records, astats.released_records);
   EXPECT_LE(arena.ResidentBytes(),

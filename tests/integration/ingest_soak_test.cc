@@ -1,15 +1,16 @@
 // Arena soak: sustained full-rate wire ingest through a LocalCluster
 // with the admin plane scraped throughout, pinning the zero-copy hot
 // path's memory contract. The ingest queue reserves its arena chunks
-// when it is built: for a full queue, a drained batch awaiting publish
-// and the open chunk's tail. Past that reservation the only storage the
-// hot path may take is one decoded wire frame, so the
-// `topkmon_arena_peak_bytes` gauge (a lifetime high-water mark, monotone
-// by construction) must read exactly the reservation before any traffic
-// and never more than the reservation plus one frame's chunk — at every
-// scrape and at the end. The bound follows from the options alone, so
-// no timing (a loaded box, a descheduled driver) can move it; a leak, an
-// unreleased view or a reclamation bug pushes the peak past it.
+// when it is built: for a full queue and the open chunk's tail (a
+// drained record's storage goes back at the drain). Past that
+// reservation the only storage the hot path may take is one decoded
+// wire frame, so the `topkmon_arena_peak_bytes` gauge (a lifetime
+// high-water mark, monotone by construction) must read exactly the
+// reservation before any traffic and never more than the reservation
+// plus one frame's chunk — at every scrape and at the end. The bound
+// follows from the options alone, so no timing (a loaded box, a
+// descheduled driver) can move it; a leak, an unreleased record or a
+// reclamation bug pushes the peak past it.
 //
 // Mid-run, a ReplicaFollower attaches to partition 0 and performs a
 // full resync (bootstrap from the leader's oldest segment + live tail
@@ -43,6 +44,7 @@
 #include "net/client.h"
 #include "replica/follower.h"
 #include "stream/generators.h"
+#include "stream/record_arena.h"
 #include "tests/journal/journal_test_util.h"
 #include "tests/net/net_test_util.h"
 #include "tests/test_util.h"
@@ -146,9 +148,9 @@ TEST(IngestSoakTest, ArenaStopsGrowingAfterWarmup) {
   // The gauges are read exactly from the arena; a scrape prints them
   // rounded.
   const IngestOptions& ingest = options.service.ingest;
-  const std::size_t chunk = ingest.arena.chunk_records;
+  const std::size_t chunk = RecordArenaOptions{}.chunk_records;
   const std::size_t reserved_chunks =
-      (ingest.capacity + ingest.max_batch + chunk + chunk - 1) / chunk;
+      (ingest.capacity + chunk + chunk - 1) / chunk;
   const std::size_t reserved_bytes = reserved_chunks * chunk * sizeof(Record);
   const std::size_t bound_bytes =
       reserved_bytes + std::max(chunk, kWireBatch) * sizeof(Record);
@@ -274,7 +276,7 @@ TEST(IngestSoakTest, ArenaStopsGrowingAfterWarmup) {
         MetricValue(scrape, "topkmon_arena_chunks_recycled_total");
     // The contract under test: every byte the steady state needs was
     // reserved when the queue was built, give or take one frame. More
-    // means a view outlived its cycle or reclamation regressed.
+    // means a record was never released or reclamation regressed.
     EXPECT_LE(arena_peak(p), bound_bytes)
         << "partition " << p << " arena grew past its reservation";
     EXPECT_GE(final_bytes, 0.0) << "partition " << p;

@@ -224,5 +224,62 @@ TEST(IngestQueueTest, ReordersARunThatWrapsTheRing) {
   EXPECT_EQ(queue.depth(), 0u);
 }
 
+TEST(IngestQueueTest, DrainHandsArenaStorageBack) {
+  IngestOptions opt;
+  opt.slack = 0;
+  IngestQueue queue(opt);
+  // Two decoded frames with interleaved arrivals: the drain's (arrival,
+  // seq) order alternates between them, so each span comes back split
+  // into several runs rather than as one.
+  RecordArena& arena = queue.arena();
+  Record* first = arena.Allocate(4);
+  Record* second = arena.Allocate(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto ts = static_cast<Timestamp>(2 * i);
+    first[i] = Record(kInvalidRecordId, P(0.1, 0.1), ts + 1);
+    second[i] = Record(kInvalidRecordId, P(0.2, 0.2), ts + 2);
+  }
+  ASSERT_EQ(queue.PushBatch(first, 4), 4u);
+  ASSERT_EQ(queue.PushBatch(second, 4), 4u);
+  TOPKMON_ASSERT_OK(queue.Push(P(0.3, 0.3), 9));
+
+  const std::vector<Record> out = DrainAll(queue);
+  ASSERT_EQ(out.size(), 9u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].arrival, static_cast<Timestamp>(i + 1));
+    EXPECT_EQ(out[i].position[0], i == 8 ? 0.3 : (i % 2 == 0 ? 0.1 : 0.2));
+  }
+  // Nothing after the drain: the storage is already back.
+  const RecordArenaStats s = queue.ArenaStats();
+  EXPECT_EQ(s.allocated_records, 9u);
+  EXPECT_EQ(s.released_records, s.allocated_records);
+}
+
+TEST(IngestQueueTest, RefusedSuffixReturnsToTheOpenChunkAtOnce) {
+  IngestOptions opt;
+  opt.capacity = 4;
+  IngestQueue queue(opt);
+  RecordArena& arena = queue.arena();
+  Record* frame = arena.Allocate(6);
+  for (std::size_t i = 0; i < 6; ++i) {
+    frame[i] = Record(kInvalidRecordId, P(0.5, 0.5),
+                      static_cast<Timestamp>(i + 1));
+  }
+  ASSERT_EQ(queue.PushBatch(frame, 6), 4u);
+  EXPECT_EQ(queue.stats().shed, 2u);
+  // The caller releases the refused suffix; it was the open chunk's
+  // newest span, so the next allocation takes the same slots.
+  arena.Release(frame + 4, 2);
+  EXPECT_EQ(queue.ArenaStats().released_records, 2u);
+  Record* next = arena.Allocate(2);
+  EXPECT_EQ(next, frame + 4);
+  arena.Release(next, 2);
+
+  EXPECT_EQ(DrainAll(queue).size(), 4u);
+  const RecordArenaStats s = queue.ArenaStats();
+  EXPECT_EQ(s.allocated_records, 8u);
+  EXPECT_EQ(s.released_records, s.allocated_records);
+}
+
 }  // namespace
 }  // namespace topkmon

@@ -1,13 +1,13 @@
 // RecordArena lifetime and recycling, plus the zero-copy decode path's
 // arena discipline under hostile bytes.
 //
-// The arena's contract has three interlocking rules — a chunk recycles
-// only when (1) fully released, (2) its newest epoch is retired, and
-// (3) no consumer pins an epoch at or below it — and every rule exists
-// because some consumer holds views past the obvious release point: a
-// parked long-poll, a journal writer serializing a span, a decode that
-// failed mid-frame. Each test here breaks exactly one rule and asserts
-// storage stays put, then restores it and asserts storage moves.
+// The arena's contract: a chunk takes spans until it is full or the
+// next span does not fit, then seals, and a sealed chunk recycles once
+// every record allocated from it has been released — in whatever
+// order and however split the releases come (a refused frame suffix
+// now, the admitted prefix when the ingest queue drains it). Releasing
+// the open chunk's newest span hands its space straight back. The free
+// list is capped, but never below what Reserve took.
 //
 // Suite names (RecordArena*, ZeroCopy*) are pinned by CI's TSan job
 // (.github/workflows/ci.yml), which runs them under the race detector.
@@ -16,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,14 +55,12 @@ TEST(RecordArenaTest, ReleasedAndRetiredChunksRecycle) {
 
   Record* a = FillSpan(arena, 8, 0);
   arena.Release(a, 8);
-  arena.RetireThrough(arena.AdvanceEpoch());
   const std::size_t resident = arena.ResidentBytes();
 
   // The next same-size span must come from the free list, not malloc.
   Record* b = FillSpan(arena, 8, 8);
   EXPECT_EQ(arena.ResidentBytes(), resident);
   arena.Release(b, 8);
-  arena.RetireThrough(arena.AdvanceEpoch());
 
   const RecordArenaStats s = arena.stats();
   EXPECT_EQ(s.allocated_records, 16u);
@@ -67,56 +68,17 @@ TEST(RecordArenaTest, ReleasedAndRetiredChunksRecycle) {
   EXPECT_GE(s.chunks_recycled, 1u);
 }
 
-TEST(RecordArenaTest, UnretiredEpochHoldsStorage) {
-  RecordArenaOptions opt;
-  opt.chunk_records = 4;
-  RecordArena arena(opt);
-
-  Record* a = FillSpan(arena, 4, 0);
-  arena.Release(a, 4);
-  // Fully released but the epoch was never retired: no recycling.
-  EXPECT_EQ(arena.stats().chunks_recycled, 0u);
-  arena.RetireThrough(arena.AdvanceEpoch());
-  Record* b = FillSpan(arena, 4, 4);
-  EXPECT_GE(arena.stats().chunks_recycled, 1u);
-  arena.Release(b, 4);
-}
-
-TEST(RecordArenaTest, PinnedEpochHoldsStorageAgainstRetire) {
-  RecordArenaOptions opt;
-  opt.chunk_records = 4;
-  RecordArena arena(opt);
-
-  const std::uint64_t epoch = arena.current_epoch();
-  Record* a = FillSpan(arena, 4, 0);
-  // A parked long-poll (or journal writer) pins the epoch while holding
-  // a view past its release point.
-  arena.PinEpoch(epoch);
-  arena.Release(a, 4);
-  arena.RetireThrough(arena.AdvanceEpoch());
-  // Released AND retired, but pinned: the span must stay readable.
-  EXPECT_EQ(arena.stats().chunks_recycled, 0u);
-  EXPECT_EQ(a[3].id, 3u);
-  EXPECT_EQ(a[3].position[1], 0.75);
-
-  arena.UnpinEpoch(epoch);
-  Record* b = FillSpan(arena, 4, 4);
-  EXPECT_GE(arena.stats().chunks_recycled, 1u);
-  arena.Release(b, 4);
-}
-
 TEST(RecordArenaTest, SplitReleaseReclaimsWholeChunk) {
   RecordArenaOptions opt;
   opt.chunk_records = 8;
   RecordArena arena(opt);
 
-  // The server's shape: admitted prefix released after cycle publish,
-  // rejected suffix released immediately — split, out of order.
+  // The server's shape: rejected suffix released immediately, admitted
+  // prefix when the queue drains it — split, out of order.
   Record* span = FillSpan(arena, 8, 0);
   arena.Release(span + 5, 3);  // rejected suffix first
-  arena.RetireThrough(arena.AdvanceEpoch());
   EXPECT_EQ(arena.stats().chunks_recycled, 0u);
-  arena.Release(span, 5);  // admitted prefix after publish
+  arena.Release(span, 5);  // admitted prefix at drain
   Record* next = FillSpan(arena, 8, 8);
   EXPECT_GE(arena.stats().chunks_recycled, 1u);
   arena.Release(next, 8);
@@ -132,13 +94,30 @@ TEST(RecordArenaTest, ShortEpochsShareAChunk) {
   std::vector<Record*> spans;
   for (int cycle = 0; cycle < 4; ++cycle) {
     spans.push_back(FillSpan(arena, 2, static_cast<RecordId>(cycle) * 2));
-    arena.RetireThrough(arena.AdvanceEpoch());
   }
   EXPECT_EQ(arena.stats().chunks_created, 1u);
   EXPECT_EQ(arena.ResidentBytes(), opt.chunk_records * sizeof(Record));
   for (Record* span : spans) arena.Release(span, 2);
-  arena.RetireThrough(arena.AdvanceEpoch());
   EXPECT_EQ(arena.stats().released_records, 8u);
+}
+
+TEST(RecordArenaTest, OpenChunkRecyclesWhenTheNextSpanSealsIt) {
+  RecordArenaOptions opt;
+  opt.chunk_records = 8;
+  RecordArena arena(opt);
+
+  Record* a = FillSpan(arena, 2, 0);
+  Record* b = FillSpan(arena, 2, 2);
+  arena.Release(a, 2);
+  arena.Release(b, 2);
+  // Fully released but still open: the span that does not fit seals
+  // the chunk, which recycles it, and the span reuses its slab.
+  Record* c = FillSpan(arena, 8, 4);
+  const RecordArenaStats s = arena.stats();
+  EXPECT_EQ(s.chunks_created, 1u);
+  EXPECT_EQ(s.chunks_recycled, 1u);
+  EXPECT_EQ(arena.ResidentBytes(), opt.chunk_records * sizeof(Record));
+  arena.Release(c, 8);
 }
 
 TEST(RecordArenaTest, ReservedChunksAreKeptPastTheFreeListCap) {
@@ -157,7 +136,6 @@ TEST(RecordArenaTest, ReservedChunksAreKeptPastTheFreeListCap) {
           FillSpan(arena, 4, static_cast<RecordId>(round * 16 + i * 4)));
     }
     for (Record* span : spans) arena.Release(span, 4);
-    arena.RetireThrough(arena.AdvanceEpoch());
     EXPECT_EQ(arena.ResidentBytes(), reserved) << "round " << round;
   }
   const RecordArenaStats s = arena.stats();
@@ -176,7 +154,6 @@ TEST(RecordArenaTest, OversizedSpanGetsDedicatedChunk) {
     ASSERT_EQ(big[i].id, i);
   }
   arena.Release(big, 64);
-  arena.RetireThrough(arena.AdvanceEpoch());
   // One big free chunk is kept; a second oversized round must reuse it.
   const std::size_t resident = arena.ResidentBytes();
   Record* again = FillSpan(arena, 64, 64);
@@ -190,7 +167,7 @@ TEST(RecordArenaTest, FreeListCapBoundsResidency) {
   opt.max_free_chunks = 2;
   RecordArena arena(opt);
 
-  // Recycle-under-pressure: many rounds, each fully released + retired.
+  // Recycle-under-pressure: many rounds, each fully released.
   // Residency must flatline at the free-list cap, not ratchet.
   std::size_t high_water = 0;
   for (int round = 0; round < 200; ++round) {
@@ -200,7 +177,6 @@ TEST(RecordArenaTest, FreeListCapBoundsResidency) {
     arena.Release(b, 8);
     arena.Release(a, 8);
     arena.Release(c, 8);
-    arena.RetireThrough(arena.AdvanceEpoch());
     high_water = std::max(high_water, arena.ResidentBytes());
   }
   // 3 in-flight chunks + the free list; anything past that is a leak.
@@ -217,29 +193,46 @@ TEST(RecordArenaTest, ConcurrentProducersAndRecycler) {
   RecordArena arena(opt);
 
   // The service's real shape under TSan: several poll loops decode into
-  // the arena while the driver seals epochs and retires them.
+  // the arena and hand the spans over a mutex-guarded queue to one
+  // consumer (the driver's drain), which releases them from its thread.
+  constexpr int kProducers = 4;
+  constexpr int kRounds = 100;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<Record*> handed_over;
   std::vector<std::thread> producers;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&arena, t] {
-      for (int round = 0; round < 100; ++round) {
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
         Record* span =
             FillSpan(arena, 8, static_cast<RecordId>(t) * 100000 +
                                    static_cast<RecordId>(round) * 8);
-        for (std::size_t i = 0; i < 8; ++i) {
-          ASSERT_EQ(span[i].position[0], 0.25);
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          handed_over.push_back(span);
         }
-        arena.Release(span, 8);
+        cv.notify_one();
       }
     });
   }
-  std::thread recycler([&arena] {
-    for (int i = 0; i < 200; ++i) {
-      arena.RetireThrough(arena.AdvanceEpoch());
+  std::thread consumer([&] {
+    for (int taken = 0; taken < kProducers * kRounds; ++taken) {
+      Record* span = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return !handed_over.empty(); });
+        span = handed_over.front();
+        handed_over.pop_front();
+      }
+      for (std::size_t i = 0; i < 8; ++i) {
+        ASSERT_EQ(span[i].position[0], 0.25);
+        ASSERT_EQ(span[i].id, span[0].id + i);
+      }
+      arena.Release(span, 8);
     }
   });
   for (std::thread& p : producers) p.join();
-  recycler.join();
-  arena.RetireThrough(arena.AdvanceEpoch());
+  consumer.join();
   const RecordArenaStats s = arena.stats();
   EXPECT_EQ(s.allocated_records, s.released_records);
   EXPECT_EQ(s.allocated_records, 4u * 100u * 8u);
@@ -303,7 +296,6 @@ TEST(ZeroCopyDecodeTest, TruncatedFrameReleasesItsAllocation) {
   }
   const RecordArenaStats s = arena.stats();
   EXPECT_EQ(s.allocated_records, s.released_records);
-  arena.RetireThrough(arena.AdvanceEpoch());
   // A fresh decode into the now-consistent arena still works.
   IngestFrameView view;
   const std::string good = EncodeIngestBody(SampleRecords(4));
