@@ -43,14 +43,14 @@ struct Record {
 };
 
 /// Non-owning, contiguous view over records — the currency of the
-/// zero-copy ingest path. A span never outlives the storage it views:
-/// a cycle batch span views the driver's batch vector and is valid for
-/// the duration of the driver's cycle (journal append, engine apply,
-/// observer); an arena-backed span (a decoded wire frame) is valid
-/// until its records are released back to their RecordArena, which for
-/// admitted records happens when the ingest queue drains them.
-/// Implicitly constructible from a vector so every existing
-/// ProcessCycle / AppendCycle call site keeps compiling unchanged.
+/// ingest path. A span never outlives the storage it views: a cycle
+/// batch span views the driver's batch vector and is valid for the
+/// duration of the driver's cycle (journal append, engine apply,
+/// observer); a decoded wire-frame block views a poll loop's reusable
+/// decode block and is valid until the next block is decoded into it
+/// (IngestQueue::PushBatch copies what it admits, at the engine's
+/// dimensionality). Implicitly constructible from a vector so every
+/// ProcessCycle / AppendCycle call site takes one unchanged.
 class RecordSpan {
  public:
   constexpr RecordSpan() = default;

@@ -71,8 +71,8 @@ class MonitorEngine {
   /// Advances the stream by one processing cycle: admits `arrivals`
   /// (strictly increasing ids, non-decreasing timestamps), evicts expired
   /// records, and maintains every registered query's result. The span is
-  /// a borrowed view (typically the driver's reusable cycle batch or an
-  /// arena-backed wire batch): engines must copy whatever they keep and
+  /// a borrowed view (typically the driver's reusable cycle batch):
+  /// engines must copy whatever they keep and
   /// must not hold the view past the call.
   virtual Status ProcessCycle(Timestamp now, RecordSpan arrivals) = 0;
 

@@ -182,6 +182,9 @@ Point ByteReader::GetPoint() {
   return p;
 }
 
+// Not built on RecordSpanReader: emplacing each record straight into the
+// vector measured faster on the copying decode (bench_ingest_path's
+// decode-copying row) than decoding into a Record and copying it in.
 Status GetRecordSpan(ByteReader& in, std::uint64_t count,
                      std::vector<Record>* out) {
   const int dim = in.GetU8();
@@ -217,23 +220,36 @@ Status GetRecordSpan(ByteReader& in, std::uint64_t count,
   return Status::Ok();
 }
 
-Status GetRecordSpanInto(ByteReader& in, std::uint64_t count, Record* out) {
-  const int dim = in.GetU8();
-  if (!in.ok() || dim < 1 || dim > kMaxDims) {
+Status RecordSpanReader::Open(std::uint64_t count) {
+  dim_ = in_.GetU8();
+  if (!in_.ok() || dim_ < 1 || dim_ > kMaxDims) {
     return Status::InvalidArgument("bad record-span dimensionality");
   }
-  const std::size_t min_entry = 2 + static_cast<std::size_t>(dim) * 8;
-  if (count > in.remaining() / min_entry + 1) {
+  // Each entry is at least 2 varint bytes + dim coordinates.
+  const std::size_t min_entry = 2 + static_cast<std::size_t>(dim_) * 8;
+  if (count > in_.remaining() / min_entry + 1) {
     return Status::InvalidArgument("record count exceeds body size");
   }
-  RecordId prev_id = in.GetU64();
-  Timestamp prev_arrival = in.GetI64();
-  for (std::uint64_t i = 0; i < count; ++i) {
+  prev_id_ = in_.GetU64();
+  prev_arrival_ = in_.GetI64();
+  first_ = true;
+  return Status::Ok();
+}
+
+Status RecordSpanReader::Read(Record* out, std::size_t n) {
+  // Locals, not members, in the loop: stores into `out` could alias
+  // members of the same type and force a reload per record.
+  ByteReader& in = in_;
+  const int dim = dim_;
+  RecordId prev_id = prev_id_;
+  Timestamp prev_arrival = prev_arrival_;
+  for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t id_delta = in.GetUvarint();
     const std::uint64_t arrival_delta = in.GetUvarint();
-    if (i > 0 && id_delta == 0) {
+    if (!first_ && id_delta == 0) {
       return Status::InvalidArgument("non-increasing record id in span");
     }
+    first_ = false;
     Record& rec = out[i];
     rec.position = Point(dim);
     for (int d = 0; d < dim; ++d) rec.position[d] = in.GetF64();
@@ -245,6 +261,8 @@ Status GetRecordSpanInto(ByteReader& in, std::uint64_t count, Record* out) {
     rec.id = prev_id;
     rec.arrival = prev_arrival;
   }
+  prev_id_ = prev_id;
+  prev_arrival_ = prev_arrival;
   return Status::Ok();
 }
 

@@ -207,13 +207,27 @@ class ByteReader {
 Status GetRecordSpan(ByteReader& in, std::uint64_t count,
                      std::vector<Record>* out);
 
-/// Zero-copy variant: decodes `count` > 0 records straight into `out`,
-/// caller-provided storage for at least `count` records (a RecordArena
-/// span on the ingest hot path, held until the ingest queue drains or
-/// the caller releases each record). Identical validation to the vector
-/// overload; on error the storage contents are unspecified and the
-/// caller releases them.
-Status GetRecordSpanInto(ByteReader& in, std::uint64_t count, Record* out);
+/// Cursor over a record span, for a decoder that stores the records
+/// somewhere other than a growing vector (the ingest path decodes a
+/// frame block by block into reusable storage). Open reads the span
+/// header and bounds `count` like GetRecordSpan; each Read decodes the
+/// next records. The same validation as GetRecordSpan.
+class RecordSpanReader {
+ public:
+  explicit RecordSpanReader(ByteReader& in) : in_(in) {}
+
+  Status Open(std::uint64_t count);
+  /// Decodes the next `n` records into out[0, n) (InvalidArgument on a
+  /// truncated span or a non-increasing id).
+  Status Read(Record* out, std::size_t n);
+
+ private:
+  ByteReader& in_;
+  int dim_ = 0;
+  bool first_ = true;
+  RecordId prev_id_ = 0;
+  Timestamp prev_arrival_ = 0;
+};
 
 /// Inverse of PutFunction.
 Status GetFunction(ByteReader& in,

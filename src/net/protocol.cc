@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+
 #include "common/geometry.h"
 #include "journal/format.h"
 #include "journal/wire.h"
@@ -491,12 +493,54 @@ Status DecodeNetBody(const char* data, std::size_t n, NetMessage* out) {
                                  std::to_string(type));
 }
 
-Status DecodeIngestBodyToArena(const char* data, std::size_t n, int dim,
-                               RecordArena& arena, IngestFrameView* out) {
-  out->records = nullptr;
-  out->count = 0;
-  out->invalid.clear();
-  out->first_invalid = Status::Ok();
+namespace {
+
+/// One pass over an ingest body's record span (`in` is positioned at
+/// it): decodes it block by block into view->records and checks the
+/// body ends with the span. With a `sink`, each block is also validated
+/// and handed over before the next is decoded.
+Status DecodeIngestPass(
+    ByteReader in, std::uint32_t count, int dim, IngestFrameView* view,
+    const std::function<bool(const IngestFrameView&)>* sink) {
+  wire::RecordSpanReader span(in);
+  TOPKMON_RETURN_IF_ERROR(span.Open(count));
+  std::size_t done = 0;
+  while (done < count) {
+    const std::size_t n =
+        std::min<std::size_t>(kIngestBlockRecords, count - done);
+    // reserve() takes exactly n, which keeps the block at its bound.
+    if (view->records.capacity() < n) view->records.reserve(n);
+    view->records.resize(n);
+    view->invalid.clear();
+    view->first_invalid = Status::Ok();
+    TOPKMON_RETURN_IF_ERROR(span.Read(view->records.data(), n));
+    done += n;
+    if (done == count && in.remaining() != 0) {
+      return Status::InvalidArgument("trailing bytes after message");
+    }
+    if (sink == nullptr) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Record& r = view->records[i];
+      Status v = ValidatePoint(r.position, dim);
+      if (v.ok() && (r.arrival < 0 || r.arrival > kMaxWireArrival)) {
+        v = Status::OutOfRange("arrival timestamp outside the wire range");
+      }
+      if (!v.ok()) {
+        if (view->invalid.empty()) view->first_invalid = v;
+        view->invalid.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    if (!(*sink)(*view)) break;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status DecodeIngestBody(
+    const char* data, std::size_t n, int dim, IngestFrameView* view,
+    const std::function<bool(const IngestFrameView&)>& sink) {
+  view->frame_records = 0;
   ByteReader in(data, n);
   const std::uint8_t type = in.GetU8();
   if (!in.ok() ||
@@ -511,38 +555,13 @@ Status DecodeIngestBodyToArena(const char* data, std::size_t n, int dim,
     }
     return Status::Ok();
   }
-  // Coarse pre-allocation bound: the cheapest conceivable entry (dim 1)
-  // still costs ~10 bytes, so a count prefix promising more is hostile
-  // and must be refused BEFORE it sizes an arena allocation.
-  // GetRecordSpanInto re-checks with the exact per-dim entry size.
-  if (count > in.remaining() / 10 + 1) {
-    return Status::InvalidArgument("record count exceeds body size");
-  }
-  Record* records = arena.Allocate(count);
-  Status st = wire::GetRecordSpanInto(in, count, records);
-  if (st.ok() && in.remaining() != 0) {
-    st = Status::InvalidArgument("trailing bytes after message");
-  }
-  if (!st.ok()) {
-    arena.Release(records, count);
-    return st;
-  }
-  // Frame-boundary validation — the ONE place wire records are checked
+  // Frame-boundary validation is the ONE place wire records are checked
   // against the engine's unit space; downstream stages trust the view.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const Record& r = records[i];
-    Status v = ValidatePoint(r.position, dim);
-    if (v.ok() && (r.arrival < 0 || r.arrival > kMaxWireArrival)) {
-      v = Status::OutOfRange("arrival timestamp outside the wire range");
-    }
-    if (!v.ok()) {
-      if (out->invalid.empty()) out->first_invalid = v;
-      out->invalid.push_back(i);
-    }
+  if (count > kIngestBlockRecords) {
+    TOPKMON_RETURN_IF_ERROR(DecodeIngestPass(in, count, dim, view, nullptr));
   }
-  out->records = records;
-  out->count = count;
-  return Status::Ok();
+  view->frame_records = count;
+  return DecodeIngestPass(in, count, dim, view, &sink);
 }
 
 FrameParse TryParseNetFrame(const char* data, std::size_t n,

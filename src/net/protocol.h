@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,6 @@
 #include "common/status.h"
 #include "core/query.h"
 #include "service/subscription_hub.h"
-#include "stream/record_arena.h"
 
 namespace topkmon {
 
@@ -342,35 +342,44 @@ void EncodeNetFrame(const std::string& body, std::string* out);
 Status DecodeNetBody(const char* data, std::size_t n, NetMessage* out);
 
 /// The message type tag of a frame body (its first byte), or kError for
-/// an empty body. Lets the server route kIngest frames to the zero-copy
+/// an empty body. Lets the server route kIngest frames to the block
 /// decoder without a full DecodeNetBody pass.
 inline NetMessageType PeekNetMessageType(const char* data, std::size_t n) {
   if (n == 0) return NetMessageType::kError;
   return static_cast<NetMessageType>(static_cast<std::uint8_t>(data[0]));
 }
 
-/// One ingest frame decoded straight into a RecordArena (the zero-copy
-/// hot path). `records[0..count)` live in the arena the decoder was
-/// given; ownership is the caller's until every record is handed to
-/// IngestQueue::PushBatch (whose DrainBatch releases admitted storage)
-/// or released back explicitly. Validation happens exactly once, here
-/// at the frame boundary: dimensionality + unit-space containment
-/// (ValidatePoint) and the wire arrival range. Indices of
-/// records failing it are listed in `invalid` (ascending; normally
-/// empty, so no allocation) with the first refusal in `first_invalid`.
+/// Records a kIngest body is decoded into at a time (DecodeIngestBody):
+/// however many records a frame declares, a decode block never holds
+/// more than this.
+inline constexpr std::size_t kIngestBlockRecords = 4096;
+
+/// One decoded block of a kIngest body, in frame order. Validation
+/// happens exactly once, at decode: dimensionality + unit-space
+/// containment (ValidatePoint) and the wire arrival range. Indices into
+/// `records` of records failing it are listed in `invalid` (ascending;
+/// normally empty, so no allocation) with the first refusal in
+/// `first_invalid`. A caller keeps one view (the TCP server keeps one
+/// per poll loop) and passes it to every decode, so its storage is
+/// reused frame after frame and stays within kIngestBlockRecords
+/// records.
 struct IngestFrameView {
-  Record* records = nullptr;
-  std::size_t count = 0;
+  std::vector<Record> records;
+  std::size_t frame_records = 0;  ///< records in the whole frame
   std::vector<std::uint32_t> invalid;
   Status first_invalid;
 };
 
-/// Decodes a kIngest body into `arena` (see IngestFrameView). A
-/// malformed body returns InvalidArgument with every allocation already
-/// released — hostile bytes cannot leak arena storage. `dim` is the
-/// engine dimensionality records are validated against.
-Status DecodeIngestBodyToArena(const char* data, std::size_t n, int dim,
-                               RecordArena& arena, IngestFrameView* out);
+/// Decodes a kIngest body into `view`, at most kIngestBlockRecords
+/// records at a time, and calls `sink` after each block, in frame
+/// order; `sink` returns false to stop (the rest of the frame is not
+/// decoded). A malformed body returns InvalidArgument before `sink`
+/// sees any block: a body of more than one block is decoded once in
+/// full without calling `sink` first, so refusal is all or nothing.
+/// `dim` is the engine dimensionality records are validated against.
+Status DecodeIngestBody(
+    const char* data, std::size_t n, int dim, IngestFrameView* view,
+    const std::function<bool(const IngestFrameView&)>& sink);
 
 /// Outcome of scanning a receive buffer for one complete frame.
 enum class FrameParse {

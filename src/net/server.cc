@@ -594,7 +594,7 @@ void TcpServer::DrainFrames(PollLoop& loop, Connection& conn) {
       break;
     }
     // Ingest frames bypass DecodeNetBody entirely: the body is decoded
-    // straight into the service's record arena (no per-record copy, no
+    // block by block into the loop's reusable ingest block (no
     // NetMessage materialization). Pre-handshake frames fall through so
     // the "first frame must be Hello" check still fires.
     if (conn.hello_done &&
@@ -604,7 +604,7 @@ void TcpServer::DrainFrames(PollLoop& loop, Connection& conn) {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.frames_received;
       }
-      HandleIngest(conn, body, body_len);
+      HandleIngest(loop, conn, body, body_len);
       continue;
     }
     NetMessage msg;
@@ -983,8 +983,8 @@ void TcpServer::AnswerFetch(Connection& conn) {
   SendBody(conn, body);
 }
 
-void TcpServer::HandleIngest(Connection& conn, const char* body,
-                             std::size_t body_len) {
+void TcpServer::HandleIngest(PollLoop& loop, Connection& conn,
+                             const char* body, std::size_t body_len) {
   // Same parked-request discipline as HandleMessage: a pipelined ingest
   // while a long-poll is parked answers the poll first, keeping the
   // dialog a strict one-response-per-request sequence.
@@ -994,73 +994,77 @@ void TcpServer::HandleIngest(Connection& conn, const char* body,
   }
   if (conn.fetch_parked) AnswerFetch(conn);
 
-  RecordArena& arena = service_.ingest_arena();
-  IngestFrameView view;
-  const Status decode = DecodeIngestBodyToArena(
-      body, body_len, service_.dim(), arena, &view);
-  if (!decode.ok()) {
-    FailConnection(conn, decode);
-    return;
-  }
-
   std::uint32_t accepted = 0;
   std::uint32_t rejected = 0;
   std::uint64_t backpressured = 0;
   Status first_error;
-  // Walk the frame in record order, admitting each maximal run of valid
+  std::size_t examined = 0;  // frame records in the blocks already done
+  // Walk each block in record order, admitting each maximal run of valid
   // records in one batch call and interleaving the decode-time refusals
   // where they sit, so counts and first_error come out exactly as the
   // per-record path produced them.
-  std::size_t i = 0;
-  std::size_t inv = 0;
-  while (i < view.count) {
-    if (inv < view.invalid.size() && view.invalid[inv] == i) {
-      ++rejected;
-      if (first_error.ok()) first_error = view.first_invalid;
-      arena.Release(view.records + i, 1);
-      ++inv;
-      ++i;
-      continue;
-    }
-    const std::size_t end =
-        inv < view.invalid.size() ? view.invalid[inv] : view.count;
-    const std::size_t run = end - i;
-    // Non-blocking admission: a full ingest queue must never stall this
-    // poll loop (every other connection on it would stall too). The
-    // refusal is RESOURCE_EXHAUSTED and the ack's queue_hint tells the
-    // producer to self-pace; rate-limit refusals stay per-record.
-    Status err;
-    const std::size_t pushed =
-        service_.TryIngestBatch(conn.session, view.records + i, run, &err);
-    accepted += static_cast<std::uint32_t>(pushed);
-    if (pushed == run) {
+  const auto admit = [&](const IngestFrameView& block) {
+    const RecordSpan records(block.records);
+    std::size_t i = 0;
+    std::size_t inv = 0;
+    while (i < records.size()) {
+      if (inv < block.invalid.size() && block.invalid[inv] == i) {
+        ++rejected;
+        if (first_error.ok()) first_error = block.first_invalid;
+        ++inv;
+        ++i;
+        continue;
+      }
+      const std::size_t end =
+          inv < block.invalid.size() ? block.invalid[inv] : records.size();
+      const std::size_t run = end - i;
+      // Non-blocking admission: a full ingest queue must never stall this
+      // poll loop (every other connection on it would stall too). The
+      // refusal is RESOURCE_EXHAUSTED and the ack's queue_hint tells the
+      // producer to self-pace; rate-limit refusals stay per-record.
+      Status err;
+      const std::size_t pushed = service_.TryIngestBatch(
+          conn.session, records.subspan(i, run), &err);
+      accepted += static_cast<std::uint32_t>(pushed);
+      if (pushed == run) {
+        i = end;
+        continue;
+      }
+      if (first_error.ok()) first_error = err;
+      if (err.code() == StatusCode::kResourceExhausted) {
+        // The queue filled mid-batch: everything later in the frame
+        // would bounce off the same wall (admission is in arrival
+        // order), so the whole unadmitted tail is reported rejected
+        // wholesale, and the rest of the frame is never decoded.
+        const std::size_t remaining =
+            block.frame_records - (examined + i + pushed);
+        rejected += static_cast<std::uint32_t>(remaining);
+        backpressured += remaining;
+        return false;
+      }
+      // Rate-limit / closed / follower / fenced refusal: this run's
+      // remainder is refused, later records are still examined (a later
+      // invalid record must draw its own validation rejection).
+      rejected += static_cast<std::uint32_t>(run - pushed);
       i = end;
-      continue;
     }
-    if (first_error.ok()) first_error = err;
-    if (err.code() == StatusCode::kResourceExhausted) {
-      // The queue filled mid-batch: everything later in the frame would
-      // bounce off the same wall (admission is in arrival order), so
-      // hand the whole unadmitted tail back and report it rejected
-      // wholesale.
-      const std::size_t remaining = view.count - (i + pushed);
-      rejected += static_cast<std::uint32_t>(remaining);
-      backpressured += remaining;
-      arena.Release(view.records + i + pushed, remaining);
-      i = view.count;
-      break;
-    }
-    // Rate-limit / closed / follower / fenced refusal: this run's
-    // remainder is refused, later records are still examined (a later
-    // invalid record must draw its own validation rejection).
-    rejected += static_cast<std::uint32_t>(run - pushed);
-    arena.Release(view.records + i + pushed, run - pushed);
-    i = end;
-  }
+    examined += records.size();
+    return true;
+  };
+  const Status decode = DecodeIngestBody(
+      body, body_len, service_.dim(), &loop.ingest_block, admit);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.records_ingested += accepted;
     stats_.records_backpressured += backpressured;
+    stats_.ingest_block_records = std::max(
+        stats_.ingest_block_records, loop.ingest_block.records.capacity());
+  }
+  // A malformed body admitted nothing (DecodeIngestBody refuses it
+  // before the first block).
+  if (!decode.ok()) {
+    FailConnection(conn, decode);
+    return;
   }
   std::string ack;
   EncodeIngestAck(accepted, rejected, first_error,

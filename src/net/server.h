@@ -145,6 +145,9 @@ struct NetServerStats {
   std::uint64_t repl_chunks_sent = 0;  ///< answered replication fetches
   std::uint64_t repl_bytes_shipped = 0;  ///< journal bytes shipped
   std::size_t open_connections = 0;
+  /// Records the largest poll-loop ingest decode block can hold (at
+  /// most kIngestBlockRecords, whatever frames arrive).
+  std::size_t ingest_block_records = 0;
 
   std::string ToString() const;
 };
@@ -236,6 +239,9 @@ class TcpServer {
     std::atomic<std::size_t> gauge_connections{0};
     std::atomic<std::size_t> gauge_parked_polls{0};
     std::atomic<std::size_t> gauge_parked_fetches{0};
+    /// Where HandleIngest decodes ingest frames, one block at a time
+    /// (loop-thread private, reused frame after frame).
+    IngestFrameView ingest_block;
     std::thread thread;
   };
 
@@ -259,12 +265,12 @@ class TcpServer {
   void HandleMessage(PollLoop& loop, Connection& conn,
                      const NetMessage& msg);
   void HandleHello(PollLoop& loop, Connection& conn, const NetMessage& msg);
-  /// The zero-copy ingest path: DrainFrames routes kIngest frame bodies
-  /// here directly (no DecodeNetBody, no NetMessage), decoding straight
-  /// into the service's ingest arena and admitting maximal valid runs
+  /// The ingest hot path: DrainFrames routes kIngest frame bodies here
+  /// directly (no DecodeNetBody, no NetMessage), decoding them block by
+  /// block into the loop's ingest_block and admitting maximal valid runs
   /// batch-at-a-time. Counts and the ack's first_error match what the
   /// per-record path produced.
-  void HandleIngest(Connection& conn, const char* body,
+  void HandleIngest(PollLoop& loop, Connection& conn, const char* body,
                     std::size_t body_len);
   void HandleRegisterBatch(Connection& conn, const NetMessage& msg);
   void HandleReplFetch(Connection& conn, const NetMessage& msg);

@@ -7,25 +7,35 @@
 
 namespace topkmon {
 
-IngestQueue::IngestQueue(const IngestOptions& options)
-    : options_(options), buf_(options.capacity) {
+IngestQueue::IngestQueue(const IngestOptions& options, int dim)
+    : options_(options),
+      dim_(dim),
+      buf_(options.capacity),
+      lane_(options.capacity * static_cast<std::size_t>(dim)),
+      free_(options.capacity) {
   assert(options_.capacity > 0);
+  assert(options_.capacity <= std::numeric_limits<std::uint32_t>::max());
   assert(options_.max_batch > 0);
   assert(options_.slack >= 0);
-  // The arena holds the queued records and the open chunk's tail.
-  arena_.Reserve(options_.capacity + RecordArenaOptions{}.chunk_records);
+  assert(dim_ >= 1 && dim_ <= kMaxDims);
+  // Stacked so the first pushes take slots 0, 1, 2, ...
+  for (std::size_t i = 0; i < free_.size(); ++i) {
+    free_[i] = static_cast<std::uint32_t>(free_.size() - 1 - i);
+  }
   next_id_ = options_.first_record_id;
   frontier_ = options_.min_timestamp;
   max_seen_ = options_.min_timestamp;
 }
 
-void IngestQueue::PushLocked(const Record* rec, Timestamp arrival) {
+void IngestQueue::PushLocked(const double* coords, Timestamp arrival,
+                             std::chrono::steady_clock::time_point now) {
   if (is_sorted_ && size_ > 0 &&
       arrival < buf_[SlotLocked(size_ - 1)].arrival) {
     is_sorted_ = false;
   }
-  buf_[SlotLocked(size_)] =
-      Pending{arrival, push_seq_++, rec, std::chrono::steady_clock::now()};
+  const std::uint32_t slot = free_[options_.capacity - 1 - size_];
+  std::copy_n(coords, dim_, &lane_[slot * static_cast<std::size_t>(dim_)]);
+  buf_[SlotLocked(size_)] = Pending{arrival, push_seq_++, now, slot};
   ++size_;
   max_seen_ = std::max(max_seen_, arrival);
   min_arrival_ = std::min(min_arrival_, arrival);
@@ -33,7 +43,8 @@ void IngestQueue::PushLocked(const Record* rec, Timestamp arrival) {
   stats_.max_depth = std::max(stats_.max_depth, SizeLocked());
 }
 
-Status IngestQueue::Push(Point position, Timestamp arrival) {
+Status IngestQueue::Push(const Point& position, Timestamp arrival) {
+  assert(position.dim() == dim_);
   std::unique_lock<std::mutex> lock(mu_);
   not_full_cv_.wait(lock, [this] {
     return closed_ || SizeLocked() < options_.capacity;
@@ -41,42 +52,37 @@ Status IngestQueue::Push(Point position, Timestamp arrival) {
   if (closed_) {
     return Status::FailedPrecondition("ingest queue is closed");
   }
-  Record* rec = arena_.Allocate(1);
-  rec->id = kInvalidRecordId;
-  rec->position = std::move(position);
-  rec->arrival = arrival;
-  PushLocked(rec, arrival);
+  PushLocked(position.data(), arrival, std::chrono::steady_clock::now());
   drain_cv_.notify_one();
   return Status::Ok();
 }
 
-bool IngestQueue::TryPush(Point position, Timestamp arrival) {
+bool IngestQueue::TryPush(const Point& position, Timestamp arrival) {
+  assert(position.dim() == dim_);
+  const auto now = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(mu_);
   if (closed_ || SizeLocked() >= options_.capacity) {
     if (!closed_) ++stats_.shed;
     return false;
   }
-  Record* rec = arena_.Allocate(1);
-  rec->id = kInvalidRecordId;
-  rec->position = std::move(position);
-  rec->arrival = arrival;
-  PushLocked(rec, arrival);
+  PushLocked(position.data(), arrival, now);
   drain_cv_.notify_one();
   return true;
 }
 
-std::size_t IngestQueue::PushBatch(const Record* records, std::size_t n) {
-  if (n == 0) return 0;
+std::size_t IngestQueue::PushBatch(RecordSpan records) {
+  if (records.empty()) return 0;
+  const auto now = std::chrono::steady_clock::now();
   std::size_t accepted = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (closed_) return 0;
-    const std::size_t space = options_.capacity - SizeLocked();
-    accepted = std::min(n, space);
+    accepted = std::min(records.size(), options_.capacity - SizeLocked());
     for (std::size_t i = 0; i < accepted; ++i) {
-      PushLocked(&records[i], records[i].arrival);
+      assert(records[i].position.dim() == dim_);
+      PushLocked(records[i].position.data(), records[i].arrival, now);
     }
-    stats_.shed += n - accepted;
+    stats_.shed += records.size() - accepted;
   }
   if (accepted > 0) drain_cv_.notify_one();
   return accepted;
@@ -121,19 +127,13 @@ std::size_t IngestQueue::DrainBatch(
   const bool open_gate = flush_all || closed_ || !ReleasableLocked();
   SortLocked();
   std::size_t released = 0;
-  // The drained records' arena storage goes back as they are copied
-  // out, coalesced into runs that are contiguous in the arena (a frame
-  // drained in order releases as one call).
-  const Record* run = nullptr;
-  std::size_t run_len = 0;
   while (released < options_.max_batch && size_ > 0) {
     Pending& p = buf_[head_];
     if (!open_gate && p.arrival + options_.slack > max_seen_) break;
     Timestamp arrival = p.arrival;
     if (arrival < frontier_) {
       // Straggler beyond the slack: advance it to the frontier so the
-      // batch stays time-ordered for the window. The arena copy keeps
-      // its original timestamp — only the drained copy is coerced.
+      // batch stays time-ordered for the window.
       arrival = frontier_;
       ++stats_.coerced;
     }
@@ -142,18 +142,16 @@ std::size_t IngestQueue::DrainBatch(
         (released == 0 || p.pushed_at < *oldest_push)) {
       *oldest_push = p.pushed_at;
     }
-    out->emplace_back(next_id_++, p.rec->position, arrival);
-    if (p.rec != run + run_len) {
-      arena_.Release(run, run_len);
-      run = p.rec;
-      run_len = 0;
-    }
-    ++run_len;
+    Record& rec = out->emplace_back(next_id_++, Point(dim_), arrival);
+    const double* coords = &lane_[p.slot * static_cast<std::size_t>(dim_)];
+    for (int d = 0; d < dim_; ++d) rec.position[d] = coords[d];
+    // Slots come back in drain order, which after a sort is not the
+    // order they were taken in; the stack needs no other bookkeeping.
+    free_[options_.capacity - size_] = p.slot;
     head_ = SlotLocked(1);
     --size_;
     ++released;
   }
-  arena_.Release(run, run_len);
   if (size_ == 0) head_ = 0;
   min_arrival_ = size_ > 0 ? buf_[head_].arrival
                            : std::numeric_limits<Timestamp>::max();
@@ -223,8 +221,10 @@ Status IngestQueue::ResumeSequences(RecordId next_record_id,
 }
 
 std::size_t IngestQueue::MemoryBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buf_.capacity() * sizeof(Pending) + arena_.ResidentBytes();
+  // Sized at construction and never resized, so no lock is needed.
+  return buf_.capacity() * sizeof(Pending) +
+         lane_.capacity() * sizeof(double) +
+         free_.capacity() * sizeof(std::uint32_t);
 }
 
 }  // namespace topkmon

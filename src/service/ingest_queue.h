@@ -7,18 +7,18 @@
 //   * Push()/TryPush() admit a point with a client-supplied arrival
 //     timestamp from any thread. A bounded capacity applies backpressure
 //     (Push blocks while full) or load-shedding (TryPush refuses and
-//     counts the record as shed). PushBatch() admits a whole decoded
-//     wire frame of arena-backed records at once — the zero-copy path.
-//   * Buffered tuples are *references* into the queue's RecordArena
-//     (in-process pushes allocate there; the TCP server decodes wire
-//     frames straight into it via MonitorService::ingest_arena()). The
-//     buffer itself is a ring of `capacity` slots holding a sorted run:
-//     pushes append in O(1), and the run is re-sorted by (arrival, push
-//     sequence) only when a drain finds out-of-order arrivals —
-//     in-order streams never pay a sort. The ring and the arena chunks
-//     for a full queue are taken at construction, so the queue's
-//     footprint is set by its options, not by how deep a backlog has
-//     run.
+//     counts the record as shed). PushBatch() admits a whole validated
+//     wire-frame block at once, with one lock and one clock read.
+//   * The queue is the one owner of buffered records, stored at the
+//     engine's dimensionality d: a payload lane of `capacity` × d
+//     doubles, a free-slot stack handing out lane slots, and a ring of
+//     `capacity` fixed 32-byte (arrival, seq, push instant, slot) keys
+//     holding a sorted run. Pushes append in O(1), and the run is
+//     re-sorted by (arrival, push sequence) only when a drain finds
+//     out-of-order arrivals — in-order streams never pay a sort, and a
+//     sort moves only the keys. All of it is taken at construction,
+//     capacity × (36 + 8d) bytes, so the queue's footprint is set by its
+//     options and d, not by how deep a backlog has run.
 //   * A tuple is released only once the highest timestamp seen has
 //     advanced past it by `slack` time units, so out-of-order arrivals
 //     within the slack are re-sorted rather than clamped. Stragglers
@@ -28,14 +28,12 @@
 //   * DrainBatch() copies the releasable prefix into the consumer's
 //     reusable batch vector (the one copy on the wire path), assigns
 //     the strictly increasing record ids the engines require, reports
-//     the cycle timestamp to process the batch at, and hands the
-//     drained records' arena storage back: journal append, engine
-//     apply and the cycle observer all read the drained copy, never the
-//     arena. When nothing clears the slack gate within `max_wait` the
+//     the cycle timestamp to process the batch at, and pushes the
+//     drained records' lane slots back on the free stack: journal
+//     append, engine apply and the cycle observer all read the drained
+//     copy. When nothing clears the slack gate within `max_wait` the
 //     gate opens and whatever is buffered is released, bounding result
 //     staleness when the stream goes quiet.
-//
-// Lock ordering: queue mutex before arena mutex.
 
 #ifndef TOPKMON_SERVICE_INGEST_QUEUE_H_
 #define TOPKMON_SERVICE_INGEST_QUEUE_H_
@@ -49,7 +47,6 @@
 
 #include "common/record.h"
 #include "common/status.h"
-#include "stream/record_arena.h"
 
 namespace topkmon {
 
@@ -90,40 +87,41 @@ struct IngestStats {
 /// Thread-safe multi-producer single-consumer batching queue.
 class IngestQueue {
  public:
-  explicit IngestQueue(const IngestOptions& options);
+  /// A queue of records with `dim` coordinates (the engine's
+  /// dimensionality; every pushed point must have exactly that many).
+  IngestQueue(const IngestOptions& options, int dim);
 
   IngestQueue(const IngestQueue&) = delete;
   IngestQueue& operator=(const IngestQueue&) = delete;
 
   /// Admits a tuple, blocking while the buffer is at capacity
   /// (backpressure). Fails with FailedPrecondition once Close()d.
-  Status Push(Point position, Timestamp arrival);
+  Status Push(const Point& position, Timestamp arrival);
 
   /// Non-blocking admission; returns false when the buffer is full
   /// (counted as shed) or the queue is closed (not counted — the stream
   /// has ended, nothing was load-shed).
-  bool TryPush(Point position, Timestamp arrival);
+  bool TryPush(const Point& position, Timestamp arrival);
 
-  /// Zero-copy admission of a decoded wire frame: `records` points at
-  /// `n` already-validated records allocated from this queue's arena().
-  /// Admits exactly the first min(n, capacity − depth) records — the
-  /// prefix, in record order — and returns that count without blocking;
-  /// the refused suffix is counted as shed and remains the caller's to
-  /// release. Returns 0 once closed (not counted as shed). Admitted
-  /// records' storage is released by the DrainBatch that takes them.
-  std::size_t PushBatch(const Record* records, std::size_t n);
+  /// Batch admission of already-validated records (a decoded wire-frame
+  /// block): copies the arrival and the d coordinates of exactly the
+  /// first min(n, capacity − depth) records — the prefix, in record
+  /// order — and returns that count without blocking; the refused suffix
+  /// is counted as shed. Returns 0 once closed (not counted as shed).
+  /// The records' ids are ignored (DrainBatch assigns them).
+  std::size_t PushBatch(RecordSpan records);
 
   /// Consumer side: appends at most options.max_batch releasable records
-  /// to *out (ids assigned, timestamps non-decreasing), releases their
-  /// arena storage (contiguous runs coalesced into one Release call),
-  /// and sets *cycle_ts to the timestamp the batch should be processed
-  /// at. Blocks up to
+  /// to *out (ids assigned, timestamps non-decreasing), frees their
+  /// slots, and sets *cycle_ts to the timestamp the batch should be
+  /// processed at. Blocks up to
   /// `max_wait` for the slack gate to clear; on timeout (or when
   /// `flush_all` is set, or after Close) everything buffered is released.
   /// Returns the number of records appended; 0 with closed() true and an
   /// empty buffer means the stream is fully drained. When
   /// `oldest_push` is non-null and records were released, it receives
-  /// the earliest Push() wall instant among them — the driver times
+  /// the earliest push instant among them (one instant per Push,
+  /// TryPush or PushBatch call) — the driver times
   /// (publish instant − oldest push) into the ingest→publish latency
   /// histogram, so one sample per cycle records the batch's worst case.
   std::size_t DrainBatch(std::vector<Record>* out, Timestamp* cycle_ts,
@@ -165,27 +163,22 @@ class IngestQueue {
   /// closed.
   Status ResumeSequences(RecordId next_record_id, Timestamp min_timestamp);
 
-  /// The queue's record arena — where the TCP server decodes ingest
-  /// frames so admitted records are never copied between decode and
-  /// drain. Lives exactly as long as the queue (== the service).
-  RecordArena& arena() { return arena_; }
-
-  /// The arena's counters (the topkmon_arena_* metrics).
-  RecordArenaStats ArenaStats() const { return arena_.stats(); }
-
-  /// Approximate heap footprint of the queue buffers + arena slabs.
+  /// Bytes of record storage (key ring + payload lane + free-slot
+  /// stack): capacity × (36 + 8d), all taken at construction, so this
+  /// never changes (the topkmon_arena_bytes gauge).
   std::size_t MemoryBytes() const;
 
  private:
-  /// One buffered record: a reference into the arena plus the ordering
-  /// key. 32 bytes — the point payload stays in the arena slab.
+  /// One buffered record's ordering key; its coordinates sit in the
+  /// payload lane at `slot`, so a sort moves only these 32 bytes.
   struct Pending {
     Timestamp arrival;
     std::uint64_t seq;  ///< push order; ties on arrival keep FIFO order
-    const Record* rec;  ///< arena-backed storage (position read at drain)
-    /// Wall instant of the Push (ingest→publish latency measurement).
+    /// Wall instant of the push (ingest→publish latency measurement).
     std::chrono::steady_clock::time_point pushed_at;
+    std::uint32_t slot;  ///< payload lane slot (coordinates at slot × d)
   };
+  static_assert(sizeof(Pending) == 32, "docs quote 36 + 8d bytes a record");
 
   std::size_t SizeLocked() const { return size_; }
   /// Ring slot of the i-th oldest buffered record.
@@ -193,13 +186,16 @@ class IngestQueue {
     const std::size_t slot = head_ + i;
     return slot < buf_.size() ? slot : slot - buf_.size();
   }
-  void PushLocked(const Record* rec, Timestamp arrival);
+  /// Buffers one record: takes a free slot, copies its d coordinates
+  /// there and appends its key. Caller holds mu_ and checked capacity.
+  void PushLocked(const double* coords, Timestamp arrival,
+                  std::chrono::steady_clock::time_point now);
   bool ReleasableLocked() const;
   /// Restores (arrival, seq) order over the live run if a push broke it.
   void SortLocked();
 
   const IngestOptions options_;
-  RecordArena arena_;
+  const int dim_;
 
   mutable std::mutex mu_;
   std::condition_variable not_full_cv_;  ///< producers wait here
@@ -207,6 +203,12 @@ class IngestQueue {
   /// Ring of options.capacity slots; the live run is the size_ slots
   /// from head_ on.
   std::vector<Pending> buf_;
+  /// capacity × d coordinates; slot s holds lane_[s·d, (s+1)·d).
+  std::vector<double> lane_;
+  /// Free-slot stack: free_[0, capacity − size_) are the unused slots.
+  /// Push pops, the drain pushes back — in whatever order a sort left
+  /// the keys.
+  std::vector<std::uint32_t> free_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
   bool is_sorted_ = true;

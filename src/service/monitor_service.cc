@@ -50,7 +50,7 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
       engine_name_(engine_->name()),
       recovery_(std::move(recovery)),
       epoch_(std::chrono::steady_clock::now()),
-      ingest_(options.ingest),
+      ingest_(options.ingest, dim_),
       sessions_(options.session),
       hub_(options.hub),
       role_(role),
@@ -370,27 +370,28 @@ Status MonitorService::TryIngest(SessionId session, Point position,
 }
 
 std::size_t MonitorService::TryIngestBatch(SessionId session,
-                                          const Record* records,
-                                          std::size_t n, Status* error) {
+                                          RecordSpan records,
+                                          Status* error) {
   *error = RefuseIfFollower();
   if (!error->ok()) return 0;
   *error = RefuseIfFenced();
   if (!error->ok()) return 0;
+  const std::size_t n = records.size();
   if (n == 0) return 0;
 #ifndef NDEBUG
   // Records were validated once, at the frame boundary
-  // (DecodeIngestBodyToArena); re-validating per record here would
-  // undo the single-validation contract, so only debug builds assert it.
-  for (std::size_t i = 0; i < n; ++i) {
-    assert(ValidatePoint(records[i].position, dim_).ok());
-    assert(records[i].arrival >= 0);
+  // (DecodeIngestBody); re-validating per record here would undo the
+  // single-validation contract, so only debug builds assert it.
+  for (const Record& r : records) {
+    assert(ValidatePoint(r.position, dim_).ok());
+    assert(r.arrival >= 0);
   }
 #endif
   Status rate_refusal;
   const std::size_t granted = sessions_.ConsumeUpToIngestTokens(
       session, n, NowSeconds(), &rate_refusal);
   const std::size_t pushed =
-      granted == 0 ? 0 : ingest_.PushBatch(records, granted);
+      granted == 0 ? 0 : ingest_.PushBatch(records.subspan(0, granted));
   if (pushed < granted) {
     *error = ingest_.closed()
                  ? Status::FailedPrecondition("ingest queue is closed")
@@ -1109,20 +1110,16 @@ void MonitorService::SampleServiceMetrics(MetricSink& sink) const {
   sink.AddGauge("topkmon_journal_healthy",
                 "1 while journaling is healthy or disabled",
                 journal_status().ok() ? 1.0 : 0.0);
-  const RecordArenaStats arena = ingest_.ArenaStats();
+  // The ingest queue takes all its record storage at construction, so
+  // the two gauges read the same; both stay for dashboards that watch
+  // the peak.
+  const double queue_bytes = static_cast<double>(ingest_.MemoryBytes());
   sink.AddGauge("topkmon_arena_bytes",
-                "Slab bytes held by the ingest record arena "
-                "(live chunks + free list)",
-                static_cast<double>(arena.resident_bytes));
+                "Record storage bytes held by the ingest queue "
+                "(capacity x (36 + 8d), fixed at construction)",
+                queue_bytes);
   sink.AddGauge("topkmon_arena_peak_bytes",
-                "High-water mark of topkmon_arena_bytes",
-                static_cast<double>(arena.peak_resident_bytes));
-  sink.AddCounter("topkmon_arena_chunks_created_total",
-                  "Fresh slab allocations by the ingest record arena",
-                  static_cast<double>(arena.chunks_created));
-  sink.AddCounter("topkmon_arena_chunks_recycled_total",
-                  "Arena chunks reclaimed through the free list",
-                  static_cast<double>(arena.chunks_recycled));
+                "High-water mark of topkmon_arena_bytes", queue_bytes);
 }
 
 AdminResponse MonitorService::ServeMetrics() const {

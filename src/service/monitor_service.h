@@ -214,24 +214,16 @@ class MonitorService {
   Status Ingest(SessionId session, Point position, Timestamp arrival);
   Status TryIngest(SessionId session, Point position, Timestamp arrival);
 
-  /// Zero-copy batch admission for the wire hot path: `records[0..n)`
-  /// must already live in this service's ingest_arena() (decoded there by
-  /// DecodeIngestBodyToArena, which validated them at the frame
+  /// Batch admission for the wire hot path: `records` must already be
+  /// validated against dim() (DecodeIngestBody does it once, at the frame
   /// boundary — this call does NOT re-validate). Charges the session's
   /// token bucket for as many records as it covers, then admits the
-  /// granted prefix up to queue capacity, and returns the count actually
-  /// admitted (whose storage the queue now owns; the caller keeps
-  /// ownership of — and must Release — the rest). On a short admission
-  /// *error carries the refusal: queue-full/closed when the queue cut
-  /// the prefix, else the rate-limit (or follower/fenced) refusal.
-  std::size_t TryIngestBatch(SessionId session, const Record* records,
-                             std::size_t n, Status* error);
-
-  /// The arena backing the ingest queue — where the TCP server decodes
-  /// ingest frame bodies so admitted records are not copied again until
-  /// the driver drains them into its cycle batch, which hands their
-  /// storage back. Alive exactly as long as the service.
-  RecordArena& ingest_arena() { return ingest_.arena(); }
+  /// granted prefix up to queue capacity (the queue copies each one), and
+  /// returns the count actually admitted. On a short admission *error
+  /// carries the refusal: queue-full/closed when the queue cut the
+  /// prefix, else the rate-limit (or follower/fenced) refusal.
+  std::size_t TryIngestBatch(SessionId session, RecordSpan records,
+                             Status* error);
 
   /// Engine dimensionality (what ingested tuples are validated against).
   int dim() const { return dim_; }

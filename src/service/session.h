@@ -111,7 +111,7 @@ class SessionManager {
   Status ConsumeIngestTokens(SessionId session, double n,
                              double now_seconds);
 
-  /// Batch variant for the zero-copy wire path: takes as many whole
+  /// Batch variant for the wire ingest path: takes as many whole
   /// tokens as the bucket covers, up to `n`, and returns the granted
   /// count. Records beyond the grant are each counted as rate_limited
   /// (matching n single-token refusals). NotFound (granted 0) for

@@ -43,7 +43,7 @@
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
 #include "net/protocol.h"
-#include "stream/record_arena.h"
+#include "service/ingest_queue.h"
 #include "tests/test_util.h"
 #include "tsl/tsl_engine.h"
 #include "util/rng.h"
@@ -428,16 +428,36 @@ TEST(EngineFuzzTest, NamedWorkloadsAgreeWithBruteForce) {
   }
 }
 
+/// Asserts two record sequences are identical bit for bit: ids,
+/// arrivals and every coordinate's bit pattern.
+void ExpectSameRecords(const std::vector<Record>& got,
+                       const std::vector<Record>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    ASSERT_EQ(got[r].id, want[r].id) << what << " record " << r;
+    ASSERT_EQ(got[r].arrival, want[r].arrival) << what << " record " << r;
+    ASSERT_EQ(got[r].position.dim(), want[r].position.dim()) << what;
+    for (int d = 0; d < want[r].position.dim(); ++d) {
+      const double a = got[r].position[d];
+      const double b = want[r].position[d];
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << "coordinate bits diverged: " << what << " record " << r
+          << " dim " << d;
+    }
+  }
+}
+
 /// Wire-roundtrip mode: every cycle batch of a named workload is
-/// encoded as a kIngest frame body and decoded BOTH ways — the copying
-/// path (DecodeNetBody into a NetMessage) and the zero-copy path
-/// (DecodeIngestBodyToArena into a RecordArena). The two decodes are
-/// pinned bitwise against each other, then the arena-backed span drives
-/// the full engine set while BruteForce is fed from the copying decode,
-/// so any divergence between the storage paths — decode, arena
-/// lifetime, span-threaded ProcessCycle, lane-major scoring — shows up
-/// as a score mismatch. Each frame's storage is released once its cycle
-/// has been applied, so recycling runs under the fuzz too.
+/// encoded as a kIngest frame body and taken through the server's full
+/// ingest path — DecodeIngestBody into a reusable block, PushBatch into
+/// an IngestQueue of the engines' dimensionality, DrainBatch — and the
+/// drained batch drives the full engine set, while BruteForce is fed
+/// from the copying decode (DecodeNetBody). Decoded and drained records
+/// are pinned bitwise against the copying decode, so any divergence
+/// between the storage paths — block decode, the queue's payload lane
+/// and slot reuse, the drain copy, span-threaded ProcessCycle,
+/// lane-major scoring — shows up as a record or score mismatch.
 void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
   WorkloadOptions wopt;
   wopt.dim = kDim;
@@ -464,9 +484,17 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
   });
   std::vector<MonitorEngine*> engines = {&tma, &sma, &tsl, &sharded};
 
-  RecordArenaOptions aopt;
-  aopt.chunk_records = 64;  // small chunks so recycling actually cycles
-  RecordArena arena(aopt);
+  // Workload streams are time-ordered with ids from 1, so with no slack
+  // the queue releases each frame whole, in order, under the same ids.
+  IngestOptions qopt;
+  qopt.capacity = 1 << 12;
+  qopt.max_batch = qopt.capacity;
+  qopt.slack = 0;
+  qopt.first_record_id = 1;
+  IngestQueue queue(qopt, kDim);
+  IngestFrameView block;
+  std::vector<Record> decoded;
+  std::vector<Record> drained;
 
   std::set<QueryId> live;
   for (std::size_t s = 0; s < steps; ++s) {
@@ -487,39 +515,43 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
       }
     }
 
-    RecordSpan engine_batch;
-    IngestFrameView view;
     std::vector<Record> copied;
+    decoded.clear();
+    drained.clear();
     if (!step.arrivals.empty()) {
       std::string body;
       EncodeIngest(step.arrivals, &body);
       NetMessage msg;
       ASSERT_TRUE(DecodeNetBody(body.data(), body.size(), &msg).ok());
       copied = std::move(msg.tuples);
-      ASSERT_TRUE(DecodeIngestBodyToArena(body.data(), body.size(), kDim,
-                                          arena, &view)
-                      .ok());
-      ASSERT_TRUE(view.invalid.empty()) << name << " cycle " << s;
-      ASSERT_EQ(view.count, copied.size());
-      for (std::size_t r = 0; r < view.count; ++r) {
-        ASSERT_EQ(view.records[r].id, copied[r].id);
-        ASSERT_EQ(view.records[r].arrival, copied[r].arrival);
-        ASSERT_EQ(view.records[r].position.dim(), kDim);
-        for (int d = 0; d < kDim; ++d) {
-          const double a = view.records[r].position[d];
-          const double b = copied[r].position[d];
-          ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
-              << "coordinate bits diverged: workload '" << name
-              << "' cycle " << s << " record " << r << " dim " << d;
-        }
-      }
-      engine_batch = RecordSpan(view.records, view.count);
+      std::size_t pushed = 0;
+      const Status st = DecodeIngestBody(
+          body.data(), body.size(), kDim, &block,
+          [&](const IngestFrameView& b) {
+            EXPECT_TRUE(b.invalid.empty()) << name << " cycle " << s;
+            decoded.insert(decoded.end(), b.records.begin(),
+                           b.records.end());
+            pushed += queue.PushBatch(b.records);
+            return true;
+          });
+      ASSERT_TRUE(st.ok()) << st;
+      ASSERT_EQ(pushed, copied.size());
+      Timestamp cycle_ts = 0;
+      ASSERT_EQ(queue.DrainBatch(&drained, &cycle_ts,
+                                 std::chrono::milliseconds(0),
+                                 /*flush_all=*/true),
+                copied.size());
+      const std::string where =
+          "workload '" + name + "' cycle " + std::to_string(s);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameRecords(decoded, copied, "decoded, " + where));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectSameRecords(drained, copied, "drained, " + where));
     }
 
     ASSERT_TRUE(brute.ProcessCycle(step.now, copied).ok());
     for (MonitorEngine* e : engines) {
-      ASSERT_TRUE(e->ProcessCycle(step.now, engine_batch).ok())
-          << e->name();
+      ASSERT_TRUE(e->ProcessCycle(step.now, drained).ok()) << e->name();
     }
     for (const QueryId id : live) {
       const auto want = brute.CurrentResult(id);
@@ -532,17 +564,9 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
             << name << "' query " << id << " at cycle " << s;
       }
     }
-
-    if (view.count > 0) arena.Release(view.records, view.count);
   }
-  // Everything released: a warmed-up arena must not have ratcheted
-  // memory (chunks recycle through the bounded free list).
-  const RecordArenaStats astats = arena.stats();
-  EXPECT_EQ(astats.allocated_records, astats.released_records);
-  EXPECT_LE(arena.ResidentBytes(),
-            (aopt.max_free_chunks + 1) * aopt.chunk_records *
-                sizeof(Record) +
-                wopt.mean_batch * 8 * sizeof(Record));
+  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(queue.stats().coerced, 0u);
 }
 
 TEST(EngineFuzzTest, WireRoundtripNamedWorkloadsAgreeWithBruteForce) {

@@ -12,6 +12,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
+#include "journal/wire.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "tests/net/net_test_util.h"
@@ -65,6 +67,37 @@ class RawPeer {
     (void)::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
   }
 
+  /// Reads the next frame body into *msg, waiting up to `seconds`.
+  /// False on a close, a timeout or an undecodable frame.
+  bool ReadFrame(NetMessage* msg, int seconds) {
+    char buf[4096];
+    for (int waited = 0; waited < seconds;) {
+      const char* body = nullptr;
+      std::size_t body_len = 0;
+      std::size_t consumed = 0;
+      Status error;
+      const FrameParse parse =
+          TryParseNetFrame(pending_.data(), pending_.size(),
+                           kMaxNetFrameBytes, &body, &body_len, &consumed,
+                           &error);
+      if (parse == FrameParse::kBad) return false;
+      if (parse == FrameParse::kFrame) {
+        const bool ok = DecodeNetBody(body, body_len, msg).ok();
+        pending_.erase(0, consumed);
+        return ok;
+      }
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n == 0) return false;
+      if (n < 0) {
+        if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+        waited += 2;  // one SO_RCVTIMEO period
+        continue;
+      }
+      pending_.append(buf, static_cast<std::size_t>(n));
+    }
+    return false;
+  }
+
   /// Reads until the peer closes (or the 2 s timeout); returns all bytes.
   std::string ReadToEof() {
     std::string out;
@@ -80,6 +113,7 @@ class RawPeer {
  private:
   int fd_ = -1;
   bool connected_ = false;
+  std::string pending_;  ///< received bytes not yet parsed by ReadFrame
 };
 
 /// Decodes the first frame of `stream` as an Error message; reports the
@@ -413,6 +447,74 @@ TEST(ServerIdleTimeoutTest, APeerThatNeverReadsCannotGrowServerMemory) {
   EXPECT_EQ(server.stats().open_connections, 0u);
   // And the server is still fine for everyone else.
   ExpectServerHealthy(service, server.port(), "after-hog");
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(ServerIngestBlockTest, MaximalFrameLeavesTheDecodeBlockAtItsBound) {
+  // d = 1 makes the densest frame: 10 bytes a record, so a body at the
+  // 16 MiB frame limit declares ~1.68M records. The poll loop decodes it
+  // in kIngestBlockRecords blocks and must hold no more than one block.
+  constexpr int kOneDim = 1;
+  MonitorService service(
+      std::make_unique<BruteForceEngine>(kOneDim, WindowSpec::Count(100)),
+      FastOptions());
+  TcpServer server(service, FastServer());
+  TOPKMON_ASSERT_OK(server.Start());
+
+  constexpr std::size_t kSpanHeader = 1 + 8 + 8;  // dim, base id, arrival
+  const std::size_t count =
+      (kMaxNetFrameBytes - 1 - 4 - kSpanHeader) / (1 + 1 + 8);
+  std::string body;
+  body.reserve(kMaxNetFrameBytes);
+  wire::PutU8(static_cast<std::uint8_t>(NetMessageType::kIngest), &body);
+  wire::PutU32(static_cast<std::uint32_t>(count), &body);
+  {
+    wire::RecordSpanEncoder span(&body);
+    const Point p{0.5};
+    for (std::size_t i = 0; i < count; ++i) span.Add(i + 1, p, 1);
+  }
+  ASSERT_LE(body.size(), kMaxNetFrameBytes);
+  std::string stream;
+  {
+    std::string hello;
+    EncodeHello(false, "maximal", &hello);
+    EncodeNetFrame(hello, &stream);
+  }
+  EncodeNetFrame(body, &stream);
+  body = std::string();
+
+  RawPeer big(server.port());
+  ASSERT_TRUE(big.connected());
+  big.Send(stream);
+  stream = std::string();
+  NetMessage msg;
+  ASSERT_TRUE(big.ReadFrame(&msg, 60));
+  ASSERT_EQ(msg.type, NetMessageType::kWelcome);
+  ASSERT_TRUE(big.ReadFrame(&msg, 60));
+  ASSERT_EQ(msg.type, NetMessageType::kIngestAck);
+  // The queue (65536 slots) fills long before the frame ends: the rest
+  // is refused as backpressure, never decoded.
+  EXPECT_GT(msg.accepted, 0u);
+  EXPECT_EQ(std::size_t{msg.accepted} + msg.rejected, count);
+  EXPECT_EQ(msg.code, StatusCode::kResourceExhausted);
+  EXPECT_EQ(server.stats().ingest_block_records, kIngestBlockRecords);
+
+  // Another connection keeps ingesting once the backlog has drained.
+  TOPKMON_ASSERT_OK(service.Flush());
+  auto client = MonitorClient::Connect("127.0.0.1", server.port(), "small",
+                                       /*resume=*/false);
+  ASSERT_TRUE(client.ok()) << client.status();
+  std::vector<Record> batch;
+  batch.emplace_back(0, Point{0.25}, 2);
+  batch.emplace_back(0, Point{0.75}, 2);
+  const auto ack = (*client)->Ingest(std::move(batch));
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->accepted, 2u);
+  TOPKMON_ASSERT_OK(service.Flush());
+  EXPECT_EQ(service.stats().records_applied, msg.accepted + 2u);
+  EXPECT_EQ(server.stats().ingest_block_records, kIngestBlockRecords);
+  TOPKMON_ASSERT_OK((*client)->Close(/*close_session=*/true));
   server.Stop();
   service.Shutdown();
 }
