@@ -5,17 +5,86 @@
 // (bigger result lists / views and larger influence lists), and SMA sits
 // slightly above TMA (skybands store dominance counters and a few extra
 // entries).
+//
+// Two long runs follow: 50 window turnovers of IND d=2 under TMA and ANT
+// d=4 under SMA. Per-cell counts fluctuate, so a point list sized by its
+// cell's all-time peak would keep growing with the turnovers; one sized
+// by its live count stays within a constant factor of the 8 + 8d bytes a
+// live entry needs. They report the point lists' bytes per valid record
+// and how often a list's block was reallocated, per 1k records over the
+// whole run.
 
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common/harness.h"
+#include "core/sma_engine.h"
+#include "core/tma_engine.h"
 
 namespace topkmon {
 namespace bench {
 namespace {
+
+// Point lists after many window turnovers, one row per (engine, d, dist).
+void RunLongRuns(const WorkloadSpec& base, BenchResultWriter* json) {
+  constexpr int kTurnovers = 50;
+  struct LongRun {
+    EngineKind engine;
+    Distribution dist;
+    int dim;
+  };
+  std::printf("--- long run: %d window turnovers ---\n", kTurnovers);
+  TablePrinter table({"run", "point lists [B/rec]", "live entry [B]",
+                      "resizes [per 1k rec]", "engine [MiB]"});
+  for (const LongRun& run :
+       {LongRun{EngineKind::kTma, Distribution::kIndependent, 2},
+        LongRun{EngineKind::kSma, Distribution::kAntiCorrelated, 4}}) {
+    WorkloadSpec spec = base;
+    spec.distribution = run.dist;
+    spec.dim = run.dim;
+    spec.num_cycles = kTurnovers * spec.WarmupCycles();
+    const std::unique_ptr<MonitorEngine> engine = MakeEngine(run.engine, spec);
+    const Result<SimulationReport> report = RunWorkload(*engine, spec);
+    if (!report.ok()) {
+      std::fprintf(stderr, "long run failed: %s\n",
+                   report.status().ToString().c_str());
+      std::abort();
+    }
+    const Grid& grid =
+        run.engine == EngineKind::kTma
+            ? dynamic_cast<const TmaEngine&>(*engine).grid()
+            : dynamic_cast<const SmaEngine&>(*engine).grid();
+    const double records =
+        static_cast<double>(spec.WarmupCycles() + spec.num_cycles) *
+        static_cast<double>(spec.arrivals_per_cycle);
+    const double bytes_per_record =
+        static_cast<double>(report->memory.Bytes("point_lists")) /
+        static_cast<double>(spec.window_size);
+    const double resizes_per_krec =
+        1000.0 * static_cast<double>(grid.point_list_resizes()) / records;
+    const std::string label = std::string("long/") + EngineName(run.engine) +
+                              "/" + DistributionName(run.dist) + "/d" +
+                              std::to_string(run.dim);
+    table.AddRow({label, TablePrinter::Num(bytes_per_record, 4),
+                  TablePrinter::Int(8 + 8 * run.dim),
+                  TablePrinter::Num(resizes_per_krec, 4),
+                  TablePrinter::Num(report->memory.TotalMiB(), 4)});
+    BenchResultWriter::Row& row = json->AddRow(label);
+    row.tags["dist"] = DistributionName(run.dist);
+    row.tags["engine"] = EngineName(run.engine);
+    row.metrics["dim"] = static_cast<double>(run.dim);
+    row.metrics["turnovers"] = kTurnovers;
+    row.metrics["point_list_bytes_per_record"] = bytes_per_record;
+    row.metrics["point_list_resizes_per_krec"] = resizes_per_krec;
+    row.metrics["engine_mib"] = report->memory.TotalMiB();
+  }
+  table.Print(std::cout);
+  std::printf("\n");
+}
 
 int Main() {
   const Scale scale = GetScale();
@@ -91,6 +160,7 @@ int Main() {
     table.Print(std::cout);
     std::printf("\n");
   }
+  RunLongRuns(base, &json);
   json.Write();
   PrintExpectation(
       "TSL consumes the most space (d sorted lists over the window); TMA "

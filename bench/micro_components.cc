@@ -1,14 +1,17 @@
 // Component-level google-benchmark suite: the primitive operations whose
-// costs the Section 6 analysis composes (grid updates, skyband
-// maintenance, order-statistics tree, TA runs, sorted-list churn).
+// costs the Section 6 analysis composes (grid updates, point-list churn,
+// skyband maintenance, order-statistics tree, TA runs, sorted-list
+// churn).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/skyband.h"
 #include "core/topk_compute.h"
+#include "grid/grid.h"
 #include "stream/generators.h"
 #include "tsl/sorted_lists.h"
 #include "tsl/threshold_algorithm.h"
@@ -34,6 +37,36 @@ void BM_GridLocateAndInsert(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_GridLocateAndInsert)->Arg(2)->Arg(4)->Arg(6);
+
+// One cell's point list at a steady live size L: each iteration appends
+// one entry and expires the oldest (two operations). L = 4 and 8 sit at a
+// block boundary, 3, 5 and 9 beside one, 50 inside a 64-slot block; a
+// list that resized on every crossing would show it here.
+void BM_PointListFifoChurn(benchmark::State& state) {
+  const std::size_t live = static_cast<std::size_t>(state.range(0));
+  Grid grid(2, 1);
+  RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 19));
+  const std::vector<Record> batch = source.NextBatch(4096, 0);
+  RecordId next = 0;
+  RecordId oldest = 0;
+  for (; next < live; ++next) grid.InsertPoint(0, next, batch[next].position);
+  const std::uint64_t resizes_before = grid.point_list_resizes();
+  for (auto _ : state) {
+    grid.InsertPoint(0, next, batch[next & 4095].position);
+    ++next;
+    grid.ErasePointFifo(0, oldest++);
+  }
+  const PointList& points = grid.PointsIn(0);
+  benchmark::DoNotOptimize(points.size());
+  const double ops = 2.0 * static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+  state.counters["resizes_per_kop"] =
+      1000.0 *
+      static_cast<double>(grid.point_list_resizes() - resizes_before) / ops;
+  state.counters["capacity"] = static_cast<double>(points.capacity());
+}
+BENCHMARK(BM_PointListFifoChurn)->Arg(3)->Arg(4)->Arg(5)->Arg(8)->Arg(9)
+    ->Arg(50);
 
 void BM_SkybandInsert(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

@@ -10,7 +10,9 @@ void PointList::PushBack(RecordId id, const Point& p) {
   assert(p.dim() >= 1);
   assert(dim_ == 0 || p.dim() == dim_);
   if (dim_ == 0) dim_ = p.dim();
-  if (size_ == capacity_) Grow();
+  if (size_ == capacity_) {
+    Resize(capacity_ == 0 ? kInitialCapacity : 2 * capacity_);
+  }
   const std::uint32_t slot = (head_ + size_) & (capacity_ - 1);
   ids()[slot] = id;
   for (int d = 0; d < dim_; ++d) Lane(d)[slot] = p[d];
@@ -25,13 +27,11 @@ Point PointList::PointAt(std::size_t i) const {
   return p;
 }
 
-void PointList::Grow() {
-  const std::uint32_t capacity =
-      capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
+void PointList::Resize(std::uint32_t capacity) {
+  assert(size_ <= capacity);
   std::unique_ptr<unsigned char[]> block(new unsigned char[
       static_cast<std::size_t>(capacity) *
       (sizeof(RecordId) + static_cast<std::size_t>(dim_) * sizeof(double))]);
-  // Unwrap into the new block: the oldest entry lands in slot 0.
   const std::uint32_t first = std::min(size_, capacity_ - head_);
   const std::uint32_t second = size_ - first;
   RecordId* to_ids = reinterpret_cast<RecordId*>(block.get());
@@ -62,6 +62,7 @@ bool PointList::Erase(RecordId id) {
     for (int d = 0; d < dim_; ++d) Lane(d)[to] = Lane(d)[from];
   }
   --size_;
+  if (ShouldShrink()) Resize(capacity_ / 2);
   return true;
 }
 
@@ -140,10 +141,13 @@ Rect Grid::CellBounds(CellIndex cell) const {
 }
 
 Status Grid::ErasePoint(CellIndex cell, RecordId id) {
-  if (!cells_[cell].points.Erase(id)) {
+  PointList& points = cells_[cell].points;
+  const std::size_t capacity = points.capacity();
+  if (!points.Erase(id)) {
     return Status::NotFound("record " + std::to_string(id) +
                             " not in cell " + std::to_string(cell));
   }
+  point_list_resizes_ += points.capacity() != capacity;
   --num_points_;
   return Status::Ok();
 }

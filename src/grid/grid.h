@@ -6,12 +6,14 @@
 //   * a point list — the valid records inside the cell, in arrival order.
 //     In the append-only model insertions and deletions are FIFO, so the
 //     list is a ring in one power-of-two block (ids, then one coordinate
-//     lane per axis): O(1) at both ends, doubling only when full, so its
-//     capacity is the cell's live peak rounded up. The update-stream model
-//     (Section 7) deletes from arbitrary positions; cells are small
-//     (N * delta^d points on average), so a bounded linear scan replaces
-//     the paper's per-cell hash table with the same expected cost and
-//     better locality.
+//     lane per axis): O(1) amortized at both ends. The block doubles when
+//     full and halves when a removal leaves it a quarter full, so its
+//     capacity follows the cell's current live count, as the paper's
+//     space model (each valid record once) asks, rather than its
+//     all-time peak. The update-stream model (Section 7) deletes from
+//     arbitrary positions; cells are small (N * delta^d points on
+//     average), so a bounded linear scan replaces the paper's per-cell
+//     hash table with the same expected cost and better locality.
 //   * an influence list IL_c — the queries whose influence region
 //     intersects the cell, as an unsorted vector. The paper asks for O(1)
 //     expected updates. A query's first computation appends without a
@@ -52,9 +54,14 @@ using CellCoords = std::array<std::int32_t, kMaxDims>;
 /// FIFO point list: PushBack to insert, PopFront to expire, bounded-scan
 /// Erase for update streams. The entries live in a ring inside one block
 /// of capacity() slots, a power of two: capacity() ids followed by one
-/// lane of capacity() coordinates per axis. PopFront only advances the
-/// head; PushBack doubles the block when it is full, so the footprint is
-/// the live peak rounded up to a power of two (at least kInitialCapacity).
+/// lane of capacity() coordinates per axis. PushBack doubles the block
+/// when it is full. A removal that leaves at most a quarter of the block
+/// live halves it, down to kShrinkFloor slots, so capacity() never
+/// exceeds max(kShrinkFloor, 4 * size()). A resize leaves the list half
+/// full, so at least capacity()/4 removals or capacity()/2 insertions
+/// pass before the next one: both ends stay amortized O(1). A resize
+/// moves the entries to a new block; pointers from ForEachRun do not
+/// survive a PushBack, PopFront or Erase.
 ///
 /// The structure-of-arrays lanes let the top-k scan batch-score a cell
 /// with auto-vectorizable per-lane loops instead of chasing each record
@@ -64,7 +71,13 @@ using CellCoords = std::array<std::int32_t, kMaxDims>;
 class PointList {
  public:
   static constexpr std::uint32_t kInitialCapacity = 4;
-  static_assert((kInitialCapacity & (kInitialCapacity - 1)) == 0,
+  /// A removal never halves a block below this many slots. Sparse cells
+  /// hold a few live entries each; with a floor of 4, bench_fig20_space's
+  /// IND d=2 long run resized 2.6 times as often (164 against 62 per 1k
+  /// records) to save 5.5 of 46.5 bytes per record.
+  static constexpr std::uint32_t kShrinkFloor = 8;
+  static_assert((kInitialCapacity & (kInitialCapacity - 1)) == 0 &&
+                    (kShrinkFloor & (kShrinkFloor - 1)) == 0,
                 "the ring indexes slots with a power-of-two mask");
 
   /// Forward iterator over the ids, oldest first.
@@ -109,6 +122,7 @@ class PointList {
     (void)id;
     head_ = (head_ + 1) & (capacity_ - 1);
     --size_;
+    if (ShouldShrink()) Resize(capacity_ / 2);
   }
 
   /// Removes `id` wherever it is (update-stream model); returns false if
@@ -167,7 +181,12 @@ class PointList {
                                      capacity_ * sizeof(RecordId)) +
            static_cast<std::size_t>(d) * capacity_;
   }
-  void Grow();
+  bool ShouldShrink() const {
+    return capacity_ > kShrinkFloor && size_ <= capacity_ / 4;
+  }
+  /// Moves the entries into a new block of `capacity` slots, unwrapped:
+  /// the oldest entry lands in slot 0.
+  void Resize(std::uint32_t capacity);
 
   /// capacity_ ids, then dim_ lanes of capacity_ coordinates; null until
   /// the first PushBack.
@@ -218,14 +237,20 @@ class Grid {
   /// Appends `id` with its coordinates to the point list of `cell`
   /// (arrival). `p` must be the point that LocateCell mapped to `cell`.
   void InsertPoint(CellIndex cell, RecordId id, const Point& p) {
-    cells_[cell].points.PushBack(id, p);
+    PointList& points = cells_[cell].points;
+    const std::size_t capacity = points.capacity();
+    points.PushBack(id, p);
+    point_list_resizes_ += points.capacity() != capacity;
     ++num_points_;
   }
 
   /// FIFO removal on expiration (append-only model). `id` must be the
   /// oldest entry of the cell.
   void ErasePointFifo(CellIndex cell, RecordId id) {
-    cells_[cell].points.PopFront(id);
+    PointList& points = cells_[cell].points;
+    const std::size_t capacity = points.capacity();
+    points.PopFront(id);
+    point_list_resizes_ += points.capacity() != capacity;
     --num_points_;
   }
 
@@ -240,6 +265,10 @@ class Grid {
 
   /// Total number of indexed points.
   std::size_t num_points() const { return num_points_; }
+
+  /// Point-list blocks allocated so far: every grow, a cell's first block
+  /// included, and every shrink.
+  std::uint64_t point_list_resizes() const { return point_list_resizes_; }
 
   // -- Influence lists -----------------------------------------------------
 
@@ -288,6 +317,7 @@ class Grid {
   std::size_t num_cells_;
   double delta_;
   std::size_t num_points_ = 0;
+  std::uint64_t point_list_resizes_ = 0;
   std::vector<Cell> cells_;
 };
 

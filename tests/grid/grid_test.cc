@@ -155,10 +155,12 @@ TEST(GridTest, PointListFifo) {
   g.InsertPoint(c, 12, Point{0.14, 0.1});
   EXPECT_EQ(g.num_points(), 3u);
   EXPECT_EQ(g.PointsIn(c).size(), 3u);
+  EXPECT_EQ(g.point_list_resizes(), 1u);  // the cell's first block
   g.ErasePointFifo(c, 10);
   EXPECT_EQ(g.PointsIn(c).size(), 2u);
   EXPECT_EQ(*g.PointsIn(c).begin(), 11u);
   EXPECT_EQ(g.num_points(), 2u);
+  EXPECT_EQ(g.point_list_resizes(), 1u);
 }
 
 TEST(GridTest, PointListPositionalErase) {
@@ -182,7 +184,9 @@ TEST(GridTest, PointListLongFifoRunKeepsContents) {
   }
   for (RecordId i = 0; i < 900; ++i) list.PopFront(i);
   EXPECT_EQ(list.size(), 100u);
-  EXPECT_EQ(list.capacity(), 1024u);
+  // The block halved at 256 live entries (1024 -> 512) and at 128
+  // (512 -> 256); 100 live entries fill more than a quarter of 256.
+  EXPECT_EQ(list.capacity(), 256u);
   RecordId expect = 900;
   for (RecordId id : list) EXPECT_EQ(id, expect++);
   // The coordinate lanes stay aligned with the ids.
@@ -238,6 +242,107 @@ TEST(GridTest, PointListFootprintBoundedByLive) {
       }
       if (live >= 2) {
         EXPECT_GT(wrapped, 0u);
+      }
+    }
+  }
+}
+
+// Draining a list leaves a block that follows its current live size, not
+// the peak it once held: at most max(kShrinkFloor, 4L) slots for L live
+// entries. Every shrink keeps the FIFO order and the lanes aligned, also
+// when the ring is wrapped at the time of the shrink.
+TEST(GridTest, PointListFootprintFollowsLiveSize) {
+  for (bool wrapped : {false, true}) {
+    for (std::size_t live : {0, 1, 5, 50}) {
+      SCOPED_TRACE(std::string(wrapped ? "wrapped" : "unwrapped") +
+                   " live=" + std::to_string(live));
+      PointList list;
+      RecordId next = 0;
+      RecordId oldest = 0;
+      for (; next < 1000; ++next) list.PushBack(next, PointFor(next, 3));
+      if (wrapped) {
+        // Turn the ring over part of the way: 1000 entries in a
+        // 1024-slot block, the head 100 slots in. The first shrink, at
+        // 256 live entries, then finds the head at slot 844 and the
+        // entries split across the end of the block.
+        for (; oldest < 100; ++oldest) {
+          list.PopFront(oldest);
+          list.PushBack(next, PointFor(next, 3));
+          ++next;
+        }
+        ASSERT_EQ(list.capacity(), 1024u);
+        ASSERT_EQ(Runs(list).size(), 2u);
+      }
+      std::size_t capacity = list.capacity();
+      bool shrank_wrapped = false;
+      while (list.size() > live) {
+        const bool was_wrapped = Runs(list).size() == 2;
+        list.PopFront(oldest++);
+        if (list.capacity() == capacity) continue;
+        // A shrink halves the block and keeps the entries in order.
+        EXPECT_EQ(list.capacity(), capacity / 2);
+        capacity = list.capacity();
+        shrank_wrapped |= was_wrapped;
+        std::vector<RecordId> ids;
+        for (RecordId id = oldest; id < next; ++id) ids.push_back(id);
+        ExpectHolds(list, ids);
+        EXPECT_EQ(Runs(list).size(), ids.empty() ? 0u : 1u);
+      }
+      EXPECT_EQ(shrank_wrapped, wrapped);
+      EXPECT_LE(list.capacity(),
+                std::max<std::size_t>(PointList::kShrinkFloor, 4 * live));
+      // The shrunk list keeps working as a FIFO.
+      list.PushBack(next, PointFor(next, 3));
+      ++next;
+      std::vector<RecordId> ids;
+      for (RecordId id = oldest; id < next; ++id) ids.push_back(id);
+      ExpectHolds(list, ids);
+    }
+  }
+}
+
+// Alternating one insertion and one removal at any live size resizes the
+// block in the first step at most: a resize leaves the block half full,
+// and the next one needs a quarter of the block in removals or half in
+// insertions.
+TEST(GridTest, PointListDoesNotThrashAtABoundary) {
+  for (std::size_t boundary = 1; boundary <= 64; boundary *= 2) {
+    for (std::size_t live : {boundary - 1, boundary, boundary + 1}) {
+      for (bool pop_first : {false, true}) {
+        SCOPED_TRACE("live=" + std::to_string(live) +
+                     (pop_first ? " pop first" : " push first"));
+        PointList list;
+        RecordId next = 0;
+        RecordId oldest = 0;
+        // Reach `live` from above as well as from below: fill to 4x and
+        // drain, so the block sits at the shrink edge.
+        for (; next < 4 * live + 1; ++next) {
+          list.PushBack(next, PointFor(next, 2));
+        }
+        while (list.size() > live) list.PopFront(oldest++);
+        // Every operation is checked: a grow undone by the next removal
+        // leaves the capacity unchanged across the step.
+        std::size_t capacity = list.capacity();
+        std::size_t resizes = 0;
+        auto track = [&list, &capacity, &resizes] {
+          resizes += list.capacity() != capacity;
+          capacity = list.capacity();
+        };
+        for (int step = 0; step < 200; ++step) {
+          if (pop_first && list.size() > 0) {
+            list.PopFront(oldest++);
+            track();
+          }
+          list.PushBack(next, PointFor(next, 2));
+          ++next;
+          track();
+          if (!pop_first) {
+            list.PopFront(oldest++);
+            track();
+          }
+          if (step == 0) resizes = 0;
+        }
+        EXPECT_EQ(resizes, 0u);
       }
     }
   }

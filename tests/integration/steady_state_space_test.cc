@@ -1,10 +1,11 @@
 // Steady-state index space: after many window turnovers the grid's point
 // lists must follow the live window (Section 4.1 keeps each valid record
 // once in its cell's list), not grow with the number of records that ever
-// passed through a cell. Each cell's block holds its live peak rounded up
-// to a power of two, so the test tracks every cell's live peak alongside
-// the engine and holds the lists to below twice those peaks. The window
-// must not keep a second copy of the records beside the grid.
+// passed through a cell, nor stay at each cell's all-time peak. A cell's
+// block never holds more than max(8, 4L) slots for L live entries, so the
+// test tracks every cell's live count (and live peak) alongside the
+// engine and holds the lists to those bounds. The window must not keep a
+// second copy of the records beside the grid.
 
 #include <gtest/gtest.h>
 
@@ -49,18 +50,22 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
   opt.window = WindowSpec::Count(n);
   opt.cells_per_axis = c.dim == 2 ? 16 : 4;
   std::unique_ptr<MonitorEngine> engine;
+  const Grid* grid = nullptr;
   if (c.sma) {
-    engine = std::make_unique<SmaEngine>(opt);
+    auto sma = std::make_unique<SmaEngine>(opt);
+    grid = &sma->grid();
+    engine = std::move(sma);
   } else {
-    engine = std::make_unique<TmaEngine>(opt);
+    auto tma = std::make_unique<TmaEngine>(opt);
+    grid = &tma->grid();
+    engine = std::move(tma);
   }
   const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(c.dim);
   // The engine's cells, with each one's live count and live peak. Both
   // engines insert a cycle's arrivals before they expire, so a peak may
   // count up to per_cycle records beyond the window.
-  const Grid cells(c.dim, opt.cells_per_axis);
-  std::vector<std::size_t> live(cells.num_cells(), 0);
-  std::vector<std::size_t> peak(cells.num_cells(), 0);
+  std::vector<std::size_t> live(grid->num_cells(), 0);
+  std::vector<std::size_t> peak(grid->num_cells(), 0);
   std::deque<CellIndex> window;
 
   for (const QuerySpec& q : MakeRandomQueries(c.dim, 8, 10, 31)) {
@@ -76,7 +81,7 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
       const std::vector<Record> batch = source.NextBatch(per_cycle, now);
       TOPKMON_ASSERT_OK(engine->ProcessCycle(now, batch));
       for (const Record& r : batch) {
-        const CellIndex cell = cells.LocateCell(r.position);
+        const CellIndex cell = grid->LocateCell(r.position);
         window.push_back(cell);
         peak[cell] = std::max(peak[cell], ++live[cell]);
       }
@@ -93,6 +98,27 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
     ASSERT_LE(engine->Memory().Bytes("point_lists"),
               entry_bytes * bound_entries)
         << "after " << t + 1 << " window turnovers";
+    // A removal that leaves a block a quarter full halves it, down to
+    // kShrinkFloor slots, so the lists follow the current live counts too.
+    std::size_t live_bound_entries = 0;
+    for (std::size_t l : live) {
+      live_bound_entries +=
+          std::max<std::size_t>(PointList::kShrinkFloor, 4 * l);
+    }
+    ASSERT_LE(engine->Memory().Bytes("point_lists"),
+              entry_bytes * live_bound_entries)
+        << "after " << t + 1 << " window turnovers";
+    // The same bound per cell, where a cell that once peaked cannot hide
+    // behind the slack of the others.
+    for (CellIndex cell = 0; cell < grid->num_cells(); ++cell) {
+      const PointList& points = grid->PointsIn(cell);
+      ASSERT_EQ(points.size(), live[cell]) << "cell " << cell;
+      ASSERT_LE(points.capacity(),
+                std::max<std::size_t>(PointList::kShrinkFloor,
+                                      4 * live[cell]))
+          << "cell " << cell << " (peak " << peak[cell] << ") after "
+          << t + 1 << " window turnovers";
+    }
     // The point lists hold each record's id and coordinates; the window
     // keeps only a 16-byte (cell, arrival) entry per record, plus at most
     // one 512-byte deque block. A whole-Record copy is 88 bytes.
