@@ -63,9 +63,6 @@ class ScoringFunction {
   /// Monotonicity direction along dimension `i` (0-based).
   virtual Monotonicity direction(int i) const = 0;
 
-  /// Deep copy.
-  virtual std::unique_ptr<ScoringFunction> Clone() const = 0;
-
   /// Human-readable formula, e.g. "0.31*x1 + 0.82*x2".
   virtual std::string ToString() const = 0;
 
@@ -111,9 +108,6 @@ class LinearFunction final : public ScoringFunction {
     return weights_[i] < 0 ? Monotonicity::kDecreasing
                            : Monotonicity::kIncreasing;
   }
-  std::unique_ptr<ScoringFunction> Clone() const override {
-    return std::make_unique<LinearFunction>(weights_, bias_);
-  }
   std::string ToString() const override;
 
   const std::vector<double>& weights() const { return weights_; }
@@ -138,9 +132,6 @@ class ProductFunction final : public ScoringFunction {
   Monotonicity direction(int) const override {
     return Monotonicity::kIncreasing;
   }
-  std::unique_ptr<ScoringFunction> Clone() const override {
-    return std::make_unique<ProductFunction>(offsets_);
-  }
   std::string ToString() const override;
 
   const std::vector<double>& offsets() const { return offsets_; }
@@ -162,9 +153,6 @@ class SumOfSquaresFunction final : public ScoringFunction {
                   double* out) const override;
   Monotonicity direction(int) const override {
     return Monotonicity::kIncreasing;
-  }
-  std::unique_ptr<ScoringFunction> Clone() const override {
-    return std::make_unique<SumOfSquaresFunction>(coeffs_);
   }
   std::string ToString() const override;
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/piecewise_router.h"
-
 namespace topkmon {
 
 BruteForceEngine::BruteForceEngine(int dim, const WindowSpec& window)
@@ -16,13 +14,10 @@ Status BruteForceEngine::RegisterQuery(const QuerySpec& spec) {
   if (IsInternalQueryId(spec.id)) {
     // BruteForce never decomposes, but the reserved range is refused
     // uniformly so callers observe one id-space contract per engine.
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
+    return ReservedQueryIdError(spec.id);
   }
   if (queries_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
+    return DuplicateQueryIdError(spec.id);
   }
   QueryState state{spec, {}};
   Recompute(state);
@@ -34,8 +29,7 @@ Status BruteForceEngine::RegisterQuery(const QuerySpec& spec) {
 
 Status BruteForceEngine::UnregisterQuery(QueryId id) {
   if (queries_.erase(id) == 0) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   delta_.Forget(id);
   return Status::Ok();
@@ -84,8 +78,7 @@ Result<std::vector<ResultEntry>> BruteForceEngine::CurrentResult(
     QueryId id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   return it->second.result;
 }

@@ -22,14 +22,35 @@ void CleanupStaleInfluence(Grid& grid, const ScoringFunction& f,
   });
 }
 
-void RemoveAllInfluence(Grid& grid, const ScoringFunction& f, QueryId query,
-                        TraversalScratch* scratch, const Rect* constraint) {
-  const CellIndex seed = constraint == nullptr
-                             ? SeedCell(grid, f)
-                             : ConstrainedSeedCell(grid, f, *constraint);
+void RemoveAllInfluence(Grid& grid, const QuerySpec& spec,
+                        TraversalScratch* scratch) {
+  const ScoringFunction& f = *spec.function;
+  const CellIndex seed = spec.constraint.has_value()
+                             ? ConstrainedSeedCell(grid, f, *spec.constraint)
+                             : SeedCell(grid, f);
+  const QueryId query = spec.id;
   WalkDescending(grid, f, {seed}, scratch, [&grid, query](CellIndex cell) {
     return grid.RemoveInfluence(cell, query);
   });
+}
+
+TopKComputation RecomputeFromScratch(Grid& grid, const QuerySpec& spec,
+                                     bool fresh, TraversalScratch* scratch,
+                                     EngineStats* stats) {
+  const Rect* constraint =
+      spec.constraint.has_value() ? &*spec.constraint : nullptr;
+  TopKComputation computation =
+      ComputeTopK(grid, *spec.function, spec.k, scratch, constraint);
+  stats->cells_visited += computation.processed_cells.size();
+  stats->points_scored += computation.points_scored;
+  if (fresh) {
+    AppendInfluenceEntries(grid, computation.processed_cells, spec.id);
+  } else {
+    AddInfluenceEntries(grid, computation.processed_cells, spec.id);
+    CleanupStaleInfluence(grid, *spec.function, computation.frontier_cells,
+                          spec.id, scratch);
+  }
+  return computation;
 }
 
 }  // namespace topkmon

@@ -24,8 +24,11 @@
 #include <vector>
 
 #include "common/scoring.h"
+#include "core/query.h"
+#include "core/topk_compute.h"
 #include "grid/cell_traversal.h"
 #include "grid/grid.h"
+#include "util/stats.h"
 
 namespace topkmon {
 
@@ -46,12 +49,23 @@ void CleanupStaleInfluence(Grid& grid, const ScoringFunction& f,
                            const std::vector<CellIndex>& seeds, QueryId query,
                            TraversalScratch* scratch);
 
-/// Removes every influence entry of `query` (query termination,
+/// Removes every influence entry of the query `spec` (query termination,
 /// Section 4.3): walks from the cell with the globally maximal maxscore —
-/// the best corner of `constraint` when given, of the workspace otherwise.
-void RemoveAllInfluence(Grid& grid, const ScoringFunction& f, QueryId query,
-                        TraversalScratch* scratch,
-                        const Rect* constraint = nullptr);
+/// the best corner of the constraint region when the spec has one, of the
+/// workspace otherwise.
+void RemoveAllInfluence(Grid& grid, const QuerySpec& spec,
+                        TraversalScratch* scratch);
+
+/// One from-scratch computation of `spec` over `grid` (Figure 9, lines
+/// 12-21): runs the computation module, adds its cells visited and points
+/// scored to *stats, and reconciles the query's influence lists. `fresh`
+/// marks a newly registered query, which no cell carries yet: its
+/// processed cells get the id appended and the cleanup walk is skipped.
+/// Otherwise the processed cells are added idempotently and stale entries
+/// are cleaned from the frontier. The caller installs the returned result.
+TopKComputation RecomputeFromScratch(Grid& grid, const QuerySpec& spec,
+                                     bool fresh, TraversalScratch* scratch,
+                                     EngineStats* stats);
 
 }  // namespace topkmon
 

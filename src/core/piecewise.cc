@@ -1,6 +1,5 @@
 #include "core/piecewise.h"
 
-#include <algorithm>
 #include <limits>
 #include <string>
 
@@ -55,18 +54,6 @@ double PiecewiseFunction::Score(const Point& p) const {
   return -std::numeric_limits<double>::infinity();
 }
 
-std::unique_ptr<ScoringFunction> PiecewiseFunction::Clone() const {
-  std::vector<MonotonePiece> copy;
-  copy.reserve(pieces_.size());
-  for (const MonotonePiece& piece : pieces_) {
-    copy.push_back(MonotonePiece{
-        piece.domain,
-        std::shared_ptr<const ScoringFunction>(piece.function->Clone())});
-  }
-  return std::unique_ptr<ScoringFunction>(
-      new PiecewiseFunction(std::move(copy), dim_));
-}
-
 std::string PiecewiseFunction::ToString() const {
   std::string out = "piecewise[";
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
@@ -75,66 +62,6 @@ std::string PiecewiseFunction::ToString() const {
   }
   out += "]";
   return out;
-}
-
-Result<PiecewiseTopKQuery> PiecewiseTopKQuery::Register(
-    MonitorEngine* engine, QueryId base_id, int k,
-    std::vector<MonotonePiece> pieces) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("piecewise query needs an engine");
-  }
-  if (pieces.empty()) {
-    return Status::InvalidArgument(
-        "piecewise query needs at least one monotone piece");
-  }
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    QuerySpec spec;
-    spec.id = base_id + static_cast<QueryId>(i);
-    spec.k = k;
-    spec.function = pieces[i].function;
-    spec.constraint = pieces[i].domain;
-    const Status st = engine->RegisterQuery(spec);
-    if (!st.ok()) {
-      // Roll back the sub-queries registered so far.
-      for (std::size_t j = 0; j < i; ++j) {
-        (void)engine->UnregisterQuery(base_id + static_cast<QueryId>(j));
-      }
-      return st;
-    }
-  }
-  return PiecewiseTopKQuery(engine, base_id, k, pieces.size());
-}
-
-Result<std::vector<ResultEntry>> PiecewiseTopKQuery::CurrentResult() const {
-  std::vector<ResultEntry> merged;
-  for (std::size_t i = 0; i < num_pieces_; ++i) {
-    const Result<std::vector<ResultEntry>> piece =
-        engine_->CurrentResult(base_id_ + static_cast<QueryId>(i));
-    if (!piece.ok()) return piece.status();
-    merged.insert(merged.end(), piece->begin(), piece->end());
-  }
-  std::sort(merged.begin(), merged.end(), ResultOrder);
-  // Deduplicate boundary records reported by adjacent pieces: identical
-  // ids carry identical scores (the pieces agree with the global function
-  // on their shared boundary), so duplicates are adjacent after sorting.
-  std::vector<ResultEntry> result;
-  result.reserve(std::min<std::size_t>(merged.size(), k_));
-  for (const ResultEntry& e : merged) {
-    if (!result.empty() && result.back().id == e.id) continue;
-    result.push_back(e);
-    if (static_cast<int>(result.size()) == k_) break;
-  }
-  return result;
-}
-
-Status PiecewiseTopKQuery::Unregister() {
-  Status first_error;
-  for (std::size_t i = 0; i < num_pieces_; ++i) {
-    const Status st =
-        engine_->UnregisterQuery(base_id_ + static_cast<QueryId>(i));
-    if (!st.ok() && first_error.ok()) first_error = st;
-  }
-  return first_error;
 }
 
 }  // namespace topkmon

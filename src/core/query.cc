@@ -4,6 +4,22 @@
 
 namespace topkmon {
 
+Status ReservedQueryIdError(QueryId id) {
+  return Status::InvalidArgument(
+      "query id " + std::to_string(id) +
+      " is in the range reserved for engine-internal sub-queries");
+}
+
+Status DuplicateQueryIdError(QueryId id) {
+  return Status::AlreadyExists("query id " + std::to_string(id) +
+                               " already registered");
+}
+
+Status UnknownQueryIdError(QueryId id) {
+  return Status::NotFound("query id " + std::to_string(id) +
+                          " not registered");
+}
+
 Status QuerySpec::Validate(int dim) const {
   if (k < 1) {
     return Status::InvalidArgument("query k must be >= 1, got " +

@@ -38,6 +38,21 @@ inline bool ResultOrder(const ResultEntry& a, const ResultEntry& b) {
   return a.id > b.id;
 }
 
+/// First id of the range reserved for engine-internal sub-queries (the
+/// pieces of a piecewise-monotone query, core/query_table.h). Every
+/// engine refuses external registrations in [kInternalQueryIdBase, 2^32).
+inline constexpr QueryId kInternalQueryIdBase = QueryId{1} << 31;
+
+/// True for ids reserved for engine-internal sub-queries.
+inline bool IsInternalQueryId(QueryId id) {
+  return id >= kInternalQueryIdBase;
+}
+
+/// The query-id refusals, worded alike by every engine.
+Status ReservedQueryIdError(QueryId id);   ///< InvalidArgument
+Status DuplicateQueryIdError(QueryId id);  ///< AlreadyExists
+Status UnknownQueryIdError(QueryId id);    ///< NotFound
+
 /// A continuous top-k monitoring query as registered by a client:
 /// identifier, result cardinality k, monotone preference function, and an
 /// optional constraint region (constrained top-k, Section 7).

@@ -38,8 +38,7 @@ void ShardedEngine::Shutdown() {
 
 Status ShardedEngine::RegisterQuery(const QuerySpec& spec) {
   if (query_shard_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
+    return DuplicateQueryIdError(spec.id);
   }
   const std::size_t shard = next_shard_ % shards_.size();
   // Record the routing *before* the inner registration: the inner engine
@@ -58,8 +57,7 @@ Status ShardedEngine::RegisterQuery(const QuerySpec& spec) {
 Status ShardedEngine::UnregisterQuery(QueryId id) {
   auto it = query_shard_.find(id);
   if (it == query_shard_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   TOPKMON_RETURN_IF_ERROR(shards_[it->second]->UnregisterQuery(id));
   query_shard_.erase(it);
@@ -119,8 +117,7 @@ Result<std::vector<ResultEntry>> ShardedEngine::CurrentResult(
     QueryId id) const {
   auto it = query_shard_.find(id);
   if (it == query_shard_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   return shards_[it->second]->CurrentResult(id);
 }

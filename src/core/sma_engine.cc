@@ -6,91 +6,35 @@ namespace topkmon {
 
 SmaEngine::SmaEngine(const GridEngineOptions& options)
     : grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(options.window) {}
+      window_(options.window),
+      table_(name(), options.dim, this) {}
 
-Status SmaEngine::RegisterQuery(const QuerySpec& spec) {
-  TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
-  if (IsInternalQueryId(spec.id)) {
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
-  }
-  if (queries_.count(spec.id) > 0 || piecewise_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
-  }
-  if (!spec.function->IsMonotone()) {
-    const auto* fn =
-        dynamic_cast<const PiecewiseFunction*>(spec.function.get());
-    if (fn == nullptr) {
-      return Status::Unimplemented(
-          "SMA requires a per-dimension monotone or piecewise-monotone "
-          "scoring function; got '" + spec.function->ToString() + "'");
-    }
-    return RegisterPiecewise(spec, *fn);
-  }
-  return RegisterMonotone(spec, /*report_delta=*/true);
-}
-
-Status SmaEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
+void SmaEngine::AddEntry(const QuerySpec& spec) {
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
   ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, it->second, /*fresh=*/true);
-  if (report_delta) {
-    delta_.Report(spec.id, last_cycle_, it->second.skyband.TopK());
-  }
-  return Status::Ok();
+  Recompute(it->second, /*fresh=*/true);
 }
 
-Status SmaEngine::RegisterPiecewise(const QuerySpec& spec,
-                                    const PiecewiseFunction& fn) {
-  Result<std::vector<QuerySpec>> subs =
-      DecomposePiecewise(spec, fn, &next_internal_id_);
-  if (!subs.ok()) return subs.status();
-  PiecewiseBook book;
-  book.k = spec.k;
-  book.subs.reserve(subs->size());
-  for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, /*report_delta=*/false);
-    if (!st.ok()) {
-      for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
-      return st;
-    }
-    book.subs.push_back(sub.id);
-  }
-  auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Report(spec.id, last_cycle_, MergedPiecewise(it->second));
-  return Status::Ok();
-}
-
-Status SmaEngine::UnregisterQuery(QueryId id) {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) {
-    for (QueryId sid : pit->second.subs) (void)RemoveMonotone(sid);
-    piecewise_.erase(pit);
-    delta_.Forget(id);
-    return Status::Ok();
-  }
-  if (IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return RemoveMonotone(id);
-}
-
-Status SmaEngine::RemoveMonotone(QueryId id) {
+bool SmaEngine::RemoveEntry(QueryId id) {
   auto it = queries_.find(id);
-  if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  const QuerySpec& spec = it->second.spec;
-  const Rect* constraint =
-      spec.constraint.has_value() ? &*spec.constraint : nullptr;
-  RemoveAllInfluence(grid_, *spec.function, id, &scratch_, constraint);
+  if (it == queries_.end()) return false;
+  RemoveAllInfluence(grid_, it->second.spec, &scratch_);
   queries_.erase(it);
-  delta_.Forget(id);
-  return Status::Ok();
+  return true;
+}
+
+bool SmaEngine::AppendTopK(QueryId id, std::vector<ResultEntry>* out) const {
+  auto it = queries_.find(id);
+  if (it == queries_.end()) return false;
+  const std::vector<ResultEntry> entries = it->second.skyband.TopK();
+  out->insert(out->end(), entries.begin(), entries.end());
+  return true;
+}
+
+void SmaEngine::ReportEntries(QueryTable& table, Timestamp now) const {
+  for (const auto& [qid, state] : queries_) {
+    table.ReportEntry(qid, now, state.skyband.TopK());
+  }
 }
 
 Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
@@ -138,62 +82,20 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     if (state.skyband.size() < static_cast<std::size_t>(state.spec.k) &&
         window_.size() > 0) {
       ++stats_.recomputations;
-      RecomputeFromScratch(qid, state, /*fresh=*/false);
+      Recompute(state, /*fresh=*/false);
     }
   }
   last_cycle_ = now;
-  if (delta_.enabled()) {
-    for (const auto& [qid, state] : queries_) {
-      if (IsInternalQueryId(qid)) continue;  // only parents are reported
-      delta_.Report(qid, now, state.skyband.TopK());
-    }
-    for (const auto& [pid, book] : piecewise_) {
-      delta_.Report(pid, now, MergedPiecewise(book));
-    }
-  }
+  table_.ReportCycle(now);
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }
 
-void SmaEngine::RecomputeFromScratch(QueryId id, QueryState& state,
-                                     bool fresh) {
-  const QuerySpec& spec = state.spec;
-  const Rect* constraint =
-      spec.constraint.has_value() ? &*spec.constraint : nullptr;
+void SmaEngine::Recompute(QueryState& state, bool fresh) {
   const TopKComputation computation =
-      ComputeTopK(grid_, *spec.function, spec.k, &scratch_, constraint);
-  stats_.cells_visited += computation.processed_cells.size();
-  stats_.points_scored += computation.points_scored;
+      RecomputeFromScratch(grid_, state.spec, fresh, &scratch_, &stats_);
   state.skyband.Rebuild(computation.result);
-  state.top_score = computation.KthScore(spec.k);
-  if (fresh) {
-    AppendInfluenceEntries(grid_, computation.processed_cells, id);
-    return;
-  }
-  AddInfluenceEntries(grid_, computation.processed_cells, id);
-  CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,
-                        id, &scratch_);
-}
-
-Result<std::vector<ResultEntry>> SmaEngine::CurrentResult(QueryId id) const {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) return MergedPiecewise(pit->second);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return it->second.skyband.TopK();
-}
-
-std::vector<ResultEntry> SmaEngine::MergedPiecewise(
-    const PiecewiseBook& book) const {
-  std::vector<ResultEntry> merged;
-  for (QueryId sid : book.subs) {
-    const std::vector<ResultEntry> entries = queries_.at(sid).skyband.TopK();
-    merged.insert(merged.end(), entries.begin(), entries.end());
-  }
-  return MergePiecewiseTopK(book.k, std::move(merged));
+  state.top_score = computation.KthScore(state.spec.k);
 }
 
 MemoryBreakdown SmaEngine::Memory() const {

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "core/skyband.h"
 #include "core/tma_engine.h"  // GridEngineOptions, GridWindow
 #include "core/topk_compute.h"
@@ -28,18 +28,24 @@
 namespace topkmon {
 
 /// The Skyband Monitoring Algorithm.
-class SmaEngine final : public MonitorEngine {
+class SmaEngine final : public MonitorEngine, private QueryTable::Entries {
  public:
   explicit SmaEngine(const GridEngineOptions& options);
 
   std::string name() const override { return "SMA"; }
   int dim() const override { return grid_.dim(); }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
+  Status RegisterQuery(const QuerySpec& spec) override {
+    return table_.Register(spec, last_cycle_);
+  }
+  Status UnregisterQuery(QueryId id) override {
+    return table_.Unregister(id);
+  }
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
+  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override {
+    return table_.CurrentResult(id);
+  }
   void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
+    table_.SetDeltaCallback(std::move(callback));
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
@@ -68,29 +74,23 @@ class SmaEngine final : public MonitorEngine {
     bool changed = false;  ///< skyband mutated this cycle
   };
 
-  /// Runs the computation module for `state`, refreshes its result and
-  /// reconciles influence lists. `fresh` marks a newly registered query,
-  /// which no cell carries yet: its processed cells get the id appended
-  /// and the cleanup walk is skipped. Otherwise the processed cells are
-  /// added idempotently and stale entries are cleaned from the frontier.
-  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
+  // QueryTable::Entries: one skyband per monotone query.
+  void AddEntry(const QuerySpec& spec) override;
+  bool RemoveEntry(QueryId id) override;
+  bool HasEntry(QueryId id) const override { return queries_.count(id) > 0; }
+  bool AppendTopK(QueryId id, std::vector<ResultEntry>* out) const override;
+  void ReportEntries(QueryTable& table, Timestamp now) const override;
 
-  /// Pre-validated registration body; internal piecewise sub-queries
-  /// skip the delta report (only the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
-  Status RemoveMonotone(QueryId id);
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
+  /// Recomputes `state` from scratch (core/influence.h), rebuilds its
+  /// skyband from the result and resets its influence threshold.
+  void Recompute(QueryState& state, bool fresh);
 
   Grid grid_;
   GridWindow window_;
   TraversalScratch scratch_;
   std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
+  QueryTable table_;
   EngineStats stats_;
-  DeltaTracker delta_;
   Timestamp last_cycle_ = 0;
 };
 

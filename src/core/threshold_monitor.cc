@@ -28,8 +28,7 @@ ThresholdMonitor::ThresholdMonitor(int dim, const WindowSpec& window,
 Status ThresholdMonitor::RegisterQuery(const ThresholdQuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
   if (queries_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
+    return DuplicateQueryIdError(spec.id);
   }
   QueryState state;
   state.spec = spec;
@@ -60,8 +59,7 @@ Status ThresholdMonitor::RegisterQuery(const ThresholdQuerySpec& spec) {
 Status ThresholdMonitor::UnregisterQuery(QueryId id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   for (CellIndex cell : it->second.influence_cells) {
     grid_.RemoveInfluence(cell, id);
@@ -112,8 +110,7 @@ Result<std::vector<ResultEntry>> ThresholdMonitor::CurrentResult(
     QueryId id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   std::vector<ResultEntry> out;
   out.reserve(it->second.result.size());

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "core/topk_compute.h"
 #include "grid/cell_traversal.h"
 #include "grid/grid.h"
@@ -64,18 +64,24 @@ void VisitGridWindow(const Grid& grid, const GridWindow& window,
                      Timestamp last_cycle, WindowVisitor& visitor);
 
 /// The Top-k Monitoring Algorithm.
-class TmaEngine final : public MonitorEngine {
+class TmaEngine final : public MonitorEngine, private QueryTable::Entries {
  public:
   explicit TmaEngine(const GridEngineOptions& options);
 
   std::string name() const override { return "TMA"; }
   int dim() const override { return grid_.dim(); }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
+  Status RegisterQuery(const QuerySpec& spec) override {
+    return table_.Register(spec, last_cycle_);
+  }
+  Status UnregisterQuery(QueryId id) override {
+    return table_.Unregister(id);
+  }
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
+  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override {
+    return table_.CurrentResult(id);
+  }
   void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
+    table_.SetDeltaCallback(std::move(callback));
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
@@ -99,37 +105,27 @@ class TmaEngine final : public MonitorEngine {
     bool affected = false;  ///< a result record expired this cycle
   };
 
-  /// Runs the computation module for `state`, refreshes its result and
-  /// reconciles influence lists. `fresh` marks a newly registered query,
-  /// which no cell carries yet: its processed cells get the id appended
-  /// and the cleanup walk is skipped. Otherwise the processed cells are
-  /// added idempotently and stale entries are cleaned from the frontier.
-  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
+  // QueryTable::Entries: one top list per monotone query.
+  void AddEntry(const QuerySpec& spec) override;
+  bool RemoveEntry(QueryId id) override;
+  bool HasEntry(QueryId id) const override { return queries_.count(id) > 0; }
+  bool AppendTopK(QueryId id, std::vector<ResultEntry>* out) const override;
+  void ReportEntries(QueryTable& table, Timestamp now) const override;
+
+  /// Recomputes `state` from scratch (core/influence.h) and installs the
+  /// result in its top list.
+  void Recompute(QueryState& state, bool fresh);
 
   void HandleArrival(const Record& p, CellIndex cell);
   void HandleExpiry(RecordId id, CellIndex cell);
-
-  /// The pre-validated registration body (shared by external monotone
-  /// queries and internal piecewise sub-queries, which skip the delta
-  /// report — only the parent's merged result is ever reported).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
-  /// Removes one entry from the query table (internal or external).
-  Status RemoveMonotone(QueryId id);
-  /// Decomposes a piecewise-monotone spec into internal constrained
-  /// sub-queries (core/piecewise_router.h) and records the parent book.
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
 
   bool arrivals_first_;
   Grid grid_;
   GridWindow window_;
   TraversalScratch scratch_;
   std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
+  QueryTable table_;
   EngineStats stats_;
-  DeltaTracker delta_;
   Timestamp last_cycle_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include "core/update_stream_engine.h"
 
 #include "core/influence.h"
-#include "core/topk_compute.h"
 
 namespace topkmon {
 
@@ -11,25 +10,20 @@ UpdateStreamTmaEngine::UpdateStreamTmaEngine(const GridEngineOptions& options)
 Status UpdateStreamTmaEngine::RegisterQuery(const QuerySpec& spec) {
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim()));
   if (queries_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
+    return DuplicateQueryIdError(spec.id);
   }
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec));
   ++stats_.initial_computations;
-  RecomputeFromScratch(spec.id, it->second, /*fresh=*/true);
+  Recompute(it->second, /*fresh=*/true);
   return Status::Ok();
 }
 
 Status UpdateStreamTmaEngine::UnregisterQuery(QueryId id) {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
-  const QuerySpec& spec = it->second.spec;
-  const Rect* constraint =
-      spec.constraint.has_value() ? &*spec.constraint : nullptr;
-  RemoveAllInfluence(grid_, *spec.function, id, &scratch_, constraint);
+  RemoveAllInfluence(grid_, it->second.spec, &scratch_);
   queries_.erase(it);
   return Status::Ok();
 }
@@ -80,40 +74,26 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
     state.affected = false;
     ++stats_.recomputations;
     ++stats_.result_changes;
-    RecomputeFromScratch(qid, state, /*fresh=*/false);
+    Recompute(state, /*fresh=*/false);
   }
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }
 
-void UpdateStreamTmaEngine::RecomputeFromScratch(QueryId id, QueryState& state,
-                                                 bool fresh) {
-  const QuerySpec& spec = state.spec;
-  const Rect* constraint =
-      spec.constraint.has_value() ? &*spec.constraint : nullptr;
+void UpdateStreamTmaEngine::Recompute(QueryState& state, bool fresh) {
   const TopKComputation computation =
-      ComputeTopK(grid_, *spec.function, spec.k, &scratch_, constraint);
-  stats_.cells_visited += computation.processed_cells.size();
-  stats_.points_scored += computation.points_scored;
+      RecomputeFromScratch(grid_, state.spec, fresh, &scratch_, &stats_);
   state.top_list.Clear();
   for (const ResultEntry& e : computation.result) {
     state.top_list.Consider(e.id, e.score);
   }
-  if (fresh) {
-    AppendInfluenceEntries(grid_, computation.processed_cells, id);
-    return;
-  }
-  AddInfluenceEntries(grid_, computation.processed_cells, id);
-  CleanupStaleInfluence(grid_, *spec.function, computation.frontier_cells,
-                        id, &scratch_);
 }
 
 Result<std::vector<ResultEntry>> UpdateStreamTmaEngine::CurrentResult(
     QueryId id) const {
   auto it = queries_.find(id);
   if (it == queries_.end()) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
+    return UnknownQueryIdError(id);
   }
   return it->second.top_list.entries();
 }

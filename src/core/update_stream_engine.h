@@ -59,12 +59,9 @@ class UpdateStreamTmaEngine {
     bool affected = false;  ///< a result record was deleted this batch
   };
 
-  /// Runs the computation module for `state`, refreshes its result and
-  /// reconciles influence lists. `fresh` marks a newly registered query,
-  /// which no cell carries yet: its processed cells get the id appended
-  /// and the cleanup walk is skipped. Otherwise the processed cells are
-  /// added idempotently and stale entries are cleaned from the frontier.
-  void RecomputeFromScratch(QueryId id, QueryState& state, bool fresh);
+  /// Recomputes `state` from scratch (core/influence.h) and installs the
+  /// result in its top list.
+  void Recompute(QueryState& state, bool fresh);
 
   Grid grid_;
   RecordPool pool_;

@@ -6,88 +6,30 @@ TslEngine::TslEngine(const TslOptions& options)
     : dim_(options.dim),
       kmax_override_(options.kmax_override),
       window_(options.window),
-      lists_(options.dim) {}
+      lists_(options.dim),
+      table_(name(), options.dim, this) {}
 
-Status TslEngine::RegisterQuery(const QuerySpec& spec) {
-  TOPKMON_RETURN_IF_ERROR(spec.Validate(dim_));
-  if (IsInternalQueryId(spec.id)) {
-    return Status::InvalidArgument(
-        "query id " + std::to_string(spec.id) +
-        " is in the range reserved for engine-internal sub-queries");
-  }
-  if (queries_.count(spec.id) > 0 || piecewise_.count(spec.id) > 0) {
-    return Status::AlreadyExists("query id " + std::to_string(spec.id) +
-                                 " already registered");
-  }
-  if (!spec.function->IsMonotone()) {
-    const auto* fn =
-        dynamic_cast<const PiecewiseFunction*>(spec.function.get());
-    if (fn == nullptr) {
-      return Status::Unimplemented(
-          "TSL requires a per-dimension monotone or piecewise-monotone "
-          "scoring function; got '" + spec.function->ToString() + "'");
-    }
-    return RegisterPiecewise(spec, *fn);
-  }
-  return RegisterMonotone(spec, /*report_delta=*/true);
-}
-
-Status TslEngine::RegisterMonotone(const QuerySpec& spec, bool report_delta) {
+void TslEngine::AddEntry(const QuerySpec& spec) {
   const int kmax =
       kmax_override_ > 0 ? std::max(kmax_override_, spec.k)
                          : DefaultKmax(spec.k);
   auto [it, inserted] = queries_.emplace(spec.id, QueryState(spec, kmax));
   ++stats_.initial_computations;
   Refill(it->second);
-  if (report_delta) {
-    delta_.Report(spec.id, last_cycle_, it->second.view.TopK());
-  }
-  return Status::Ok();
 }
 
-Status TslEngine::RegisterPiecewise(const QuerySpec& spec,
-                                    const PiecewiseFunction& fn) {
-  Result<std::vector<QuerySpec>> subs =
-      DecomposePiecewise(spec, fn, &next_internal_id_);
-  if (!subs.ok()) return subs.status();
-  PiecewiseBook book;
-  book.k = spec.k;
-  book.subs.reserve(subs->size());
-  for (const QuerySpec& sub : *subs) {
-    const Status st = RegisterMonotone(sub, /*report_delta=*/false);
-    if (!st.ok()) {
-      for (QueryId sid : book.subs) (void)RemoveMonotone(sid);
-      return st;
-    }
-    book.subs.push_back(sub.id);
-  }
-  auto [it, inserted] = piecewise_.emplace(spec.id, std::move(book));
-  delta_.Report(spec.id, last_cycle_, MergedPiecewise(it->second));
-  return Status::Ok();
+bool TslEngine::AppendTopK(QueryId id, std::vector<ResultEntry>* out) const {
+  auto it = queries_.find(id);
+  if (it == queries_.end()) return false;
+  const std::vector<ResultEntry> entries = it->second.view.TopK();
+  out->insert(out->end(), entries.begin(), entries.end());
+  return true;
 }
 
-Status TslEngine::UnregisterQuery(QueryId id) {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) {
-    for (QueryId sid : pit->second.subs) (void)RemoveMonotone(sid);
-    piecewise_.erase(pit);
-    delta_.Forget(id);
-    return Status::Ok();
+void TslEngine::ReportEntries(QueryTable& table, Timestamp now) const {
+  for (const auto& [qid, state] : queries_) {
+    table.ReportEntry(qid, now, state.view.TopK());
   }
-  if (IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return RemoveMonotone(id);
-}
-
-Status TslEngine::RemoveMonotone(QueryId id) {
-  if (queries_.erase(id) == 0) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  delta_.Forget(id);
-  return Status::Ok();
 }
 
 Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
@@ -137,15 +79,7 @@ Status TslEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     }
   }
   last_cycle_ = now;
-  if (delta_.enabled()) {
-    for (const auto& [qid, state] : queries_) {
-      if (IsInternalQueryId(qid)) continue;  // only parents are reported
-      delta_.Report(qid, now, state.view.TopK());
-    }
-    for (const auto& [pid, book] : piecewise_) {
-      delta_.Report(pid, now, MergedPiecewise(book));
-    }
-  }
+  table_.ReportCycle(now);
   stats_.maintenance_seconds += watch.ElapsedSeconds();
   return Status::Ok();
 }
@@ -162,27 +96,6 @@ void TslEngine::Refill(QueryState& state) {
   random_accesses_ += ta.random_accesses;
   stats_.points_scored += ta.random_accesses;
   state.view.Refill(ta.result);
-}
-
-Result<std::vector<ResultEntry>> TslEngine::CurrentResult(QueryId id) const {
-  auto pit = piecewise_.find(id);
-  if (pit != piecewise_.end()) return MergedPiecewise(pit->second);
-  auto it = queries_.find(id);
-  if (it == queries_.end() || IsInternalQueryId(id)) {
-    return Status::NotFound("query id " + std::to_string(id) +
-                            " not registered");
-  }
-  return it->second.view.TopK();
-}
-
-std::vector<ResultEntry> TslEngine::MergedPiecewise(
-    const PiecewiseBook& book) const {
-  std::vector<ResultEntry> merged;
-  for (QueryId sid : book.subs) {
-    const std::vector<ResultEntry> entries = queries_.at(sid).view.TopK();
-    merged.insert(merged.end(), entries.begin(), entries.end());
-  }
-  return MergePiecewiseTopK(book.k, std::move(merged));
 }
 
 MemoryBreakdown TslEngine::Memory() const {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/piecewise_router.h"
+#include "core/query_table.h"
 #include "stream/sliding_window.h"
 #include "tsl/sorted_lists.h"
 #include "tsl/threshold_algorithm.h"
@@ -33,18 +33,24 @@ struct TslOptions {
 };
 
 /// The Threshold Sorted List engine.
-class TslEngine final : public MonitorEngine {
+class TslEngine final : public MonitorEngine, private QueryTable::Entries {
  public:
   explicit TslEngine(const TslOptions& options);
 
   std::string name() const override { return "TSL"; }
   int dim() const override { return dim_; }
-  Status RegisterQuery(const QuerySpec& spec) override;
-  Status UnregisterQuery(QueryId id) override;
+  Status RegisterQuery(const QuerySpec& spec) override {
+    return table_.Register(spec, last_cycle_);
+  }
+  Status UnregisterQuery(QueryId id) override {
+    return table_.Unregister(id);
+  }
   Status ProcessCycle(Timestamp now, RecordSpan arrivals) override;
-  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override;
+  Result<std::vector<ResultEntry>> CurrentResult(QueryId id) const override {
+    return table_.CurrentResult(id);
+  }
   void SetDeltaCallback(DeltaCallback callback) override {
-    delta_.SetCallback(std::move(callback));
+    table_.SetDeltaCallback(std::move(callback));
   }
   std::size_t WindowSize() const override { return window_.size(); }
   Result<EngineSnapshot> SnapshotState() const override {
@@ -69,25 +75,22 @@ class TslEngine final : public MonitorEngine {
     TopKView view;
   };
 
-  void Refill(QueryState& state);
+  // QueryTable::Entries: one materialized view per monotone query.
+  void AddEntry(const QuerySpec& spec) override;
+  bool RemoveEntry(QueryId id) override { return queries_.erase(id) > 0; }
+  bool HasEntry(QueryId id) const override { return queries_.count(id) > 0; }
+  bool AppendTopK(QueryId id, std::vector<ResultEntry>* out) const override;
+  void ReportEntries(QueryTable& table, Timestamp now) const override;
 
-  /// Pre-validated registration body; internal piecewise sub-queries
-  /// skip the delta report (only the parent's merged result is visible).
-  Status RegisterMonotone(const QuerySpec& spec, bool report_delta);
-  Status RemoveMonotone(QueryId id);
-  Status RegisterPiecewise(const QuerySpec& spec,
-                           const PiecewiseFunction& fn);
-  std::vector<ResultEntry> MergedPiecewise(const PiecewiseBook& book) const;
+  void Refill(QueryState& state);
 
   int dim_;
   int kmax_override_;
   SlidingWindow window_;
   SortedAttributeLists lists_;
   std::unordered_map<QueryId, QueryState> queries_;
-  std::unordered_map<QueryId, PiecewiseBook> piecewise_;
-  QueryId next_internal_id_ = kInternalQueryIdBase;
+  QueryTable table_;
   EngineStats stats_;
-  DeltaTracker delta_;
   Timestamp last_cycle_ = 0;
   std::uint64_t sorted_accesses_ = 0;
   std::uint64_t random_accesses_ = 0;

@@ -44,14 +44,6 @@ TEST(SumOfSquaresFunctionTest, ScoresQuadratic) {
   EXPECT_DOUBLE_EQ(f.Score(Point{0.5, 1.0}), 1.5);
 }
 
-TEST(ScoringFunctionTest, CloneIsDeepAndEquivalent) {
-  LinearFunction f({0.3, 0.7, 0.1});
-  auto clone = f.Clone();
-  const Point p{0.1, 0.9, 0.5};
-  EXPECT_DOUBLE_EQ(clone->Score(p), f.Score(p));
-  EXPECT_EQ(clone->dim(), 3);
-}
-
 TEST(ScoringFunctionTest, ToStringMentionsEveryTerm) {
   EXPECT_EQ(LinearFunction({0.5, 0.25}).ToString(),
             "0.500*x1 + 0.250*x2");

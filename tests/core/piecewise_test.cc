@@ -1,3 +1,7 @@
+// PiecewiseFunction's construction checks and piecewise-monotone queries
+// registered on the engines (Section 9), checked against brute-force
+// oracles under the true non-monotone functions.
+
 #include "core/piecewise.h"
 
 #include <gtest/gtest.h>
@@ -29,6 +33,17 @@ std::vector<MonotonePiece> RidgePieces() {
   return pieces;
 }
 
+/// A spec registering the piecewise function built from `pieces`.
+QuerySpec PiecewiseSpec(QueryId id, int k, std::vector<MonotonePiece> pieces) {
+  auto fn = PiecewiseFunction::Create(std::move(pieces));
+  EXPECT_TRUE(fn.ok()) << fn.status();
+  QuerySpec spec;
+  spec.id = id;
+  spec.k = k;
+  if (fn.ok()) spec.function = *fn;
+  return spec;
+}
+
 double RidgeScore(const Point& p) {
   return p[1] - std::abs(p[0] - 0.5);
 }
@@ -47,26 +62,72 @@ TEST(LinearFunctionBiasTest, BiasShiftsScoresUniformly) {
   const Point p{0.3, 0.4};
   EXPECT_DOUBLE_EQ(biased.Score(p), plain.Score(p) - 0.5);
   EXPECT_EQ(biased.direction(0), Monotonicity::kIncreasing);
-  auto clone = biased.Clone();
-  EXPECT_DOUBLE_EQ(clone->Score(p), biased.Score(p));
   EXPECT_NE(biased.ToString().find("-0.500 + "), std::string::npos);
+}
+
+std::shared_ptr<const ScoringFunction> Linear(std::vector<double> weights) {
+  return std::make_shared<LinearFunction>(std::move(weights));
+}
+
+/// Expects Create to refuse `pieces` with InvalidArgument and a message
+/// containing `why`.
+void ExpectCreateRefuses(std::vector<MonotonePiece> pieces,
+                         const std::string& why) {
+  const auto fn = PiecewiseFunction::Create(std::move(pieces));
+  ASSERT_FALSE(fn.ok());
+  EXPECT_EQ(fn.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(fn.status().message().find(why), std::string::npos)
+      << fn.status();
+}
+
+TEST(PiecewiseFunctionTest, CreateRefusesMalformedPieces) {
+  ExpectCreateRefuses({}, "at least one monotone piece");
+
+  const MonotonePiece unit{Rect::UnitSpace(2), Linear({1.0, 1.0})};
+  ExpectCreateRefuses(std::vector<MonotonePiece>(256, unit),
+                      "limited to 255 pieces, got 256");
+  EXPECT_TRUE(
+      PiecewiseFunction::Create(std::vector<MonotonePiece>(255, unit)).ok());
+
+  ExpectCreateRefuses({unit, MonotonePiece{Rect::UnitSpace(2), nullptr}},
+                      "piece 1 has no scoring function");
+
+  const auto ridge = PiecewiseFunction::Create(RidgePieces());
+  ASSERT_TRUE(ridge.ok());
+  ExpectCreateRefuses({unit, MonotonePiece{Rect::UnitSpace(2), *ridge}},
+                      "piece 1 is itself piecewise");
+
+  ExpectCreateRefuses(
+      {unit, MonotonePiece{Rect::UnitSpace(2), Linear({1.0, 1.0, 1.0})}},
+      "piece 1 has dimensionality 3, expected 2");
+
+  ExpectCreateRefuses({MonotonePiece{Rect::UnitSpace(3), Linear({1.0, 1.0})}},
+                      "piece 0 has a domain of mismatched dimensionality");
+}
+
+TEST(PiecewiseFunctionTest, ToStringListsEveryPiece) {
+  const std::vector<MonotonePiece> pieces = RidgePieces();
+  const auto fn = PiecewiseFunction::Create(pieces);
+  ASSERT_TRUE(fn.ok());
+  EXPECT_EQ((*fn)->ToString(), "piecewise[" + pieces[0].function->ToString() +
+                                   "; " + pieces[1].function->ToString() +
+                                   "]");
 }
 
 TEST(PiecewiseTest, RegistrationValidatesInput) {
   SmaEngine engine(Options2d(100));
-  EXPECT_FALSE(
-      PiecewiseTopKQuery::Register(nullptr, 1, 3, RidgePieces()).ok());
-  EXPECT_FALSE(PiecewiseTopKQuery::Register(&engine, 1, 3, {}).ok());
-  // Dimensionality mismatch inside a piece is caught by the engine and
-  // already-registered pieces are rolled back.
-  std::vector<MonotonePiece> bad = RidgePieces();
-  bad[1].function = std::make_shared<LinearFunction>(
-      std::vector<double>{1.0, 1.0, 1.0});
-  EXPECT_FALSE(PiecewiseTopKQuery::Register(&engine, 1, 3, bad).ok());
-  // The rollback freed the base id: a clean registration succeeds.
-  auto query = PiecewiseTopKQuery::Register(&engine, 1, 3, RidgePieces());
-  ASSERT_TRUE(query.ok());
-  TOPKMON_EXPECT_OK(query->Unregister());
+  // A well-formed piecewise function of the wrong dimensionality for the
+  // engine is refused, and the refusal leaves the id free.
+  std::vector<MonotonePiece> wide = RidgePieces();
+  for (MonotonePiece& piece : wide) {
+    piece.domain = Rect::UnitSpace(3);
+    piece.function = Linear({1.0, 1.0, 1.0});
+  }
+  EXPECT_EQ(engine.RegisterQuery(PiecewiseSpec(1, 3, wide)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.CurrentResult(1).status().code(), StatusCode::kNotFound);
+  TOPKMON_ASSERT_OK(engine.RegisterQuery(PiecewiseSpec(1, 3, RidgePieces())));
+  TOPKMON_EXPECT_OK(engine.UnregisterQuery(1));
 }
 
 TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
@@ -78,10 +139,8 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
       engine = std::make_unique<SmaEngine>(Options2d(300));
     }
     const int k = 5;
-    auto query =
-        PiecewiseTopKQuery::Register(engine.get(), 10, k, RidgePieces());
-    ASSERT_TRUE(query.ok());
-    EXPECT_EQ(query->num_pieces(), 2u);
+    TOPKMON_ASSERT_OK(
+        engine->RegisterQuery(PiecewiseSpec(10, k, RidgePieces())));
 
     RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 91));
     SlidingWindow shadow = SlidingWindow::CountBased(300);
@@ -95,7 +154,7 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
       for (const Record& r : shadow) {
         want.Consider(r.id, RidgeScore(r.position));
       }
-      const auto got = query->CurrentResult();
+      const auto got = engine->CurrentResult(10);
       ASSERT_TRUE(got.ok());
       const std::vector<double> got_scores = testing::Scores(*got);
       const std::vector<double> want_scores =
@@ -107,10 +166,13 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
             << "engine " << engine->name() << " t=" << now << " rank " << i;
       }
     }
-    TOPKMON_EXPECT_OK(query->Unregister());
+    TOPKMON_EXPECT_OK(engine->UnregisterQuery(10));
     EXPECT_EQ(engine->CurrentResult(10).status().code(),
               StatusCode::kNotFound);
-    EXPECT_EQ(engine->CurrentResult(11).status().code(),
+    // The per-piece sub-queries stay invisible to callers.
+    EXPECT_EQ(engine->UnregisterQuery(kInternalQueryIdBase).code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(engine->UnregisterQuery(kInternalQueryIdBase + 1).code(),
               StatusCode::kNotFound);
   }
 }
@@ -118,15 +180,13 @@ TEST(PiecewiseTest, MatchesNonMonotoneBruteForceOverStream) {
 TEST(PiecewiseTest, BoundaryRecordsAreNotDuplicated) {
   SmaEngine engine(Options2d(100));
   const int k = 4;
-  auto query =
-      PiecewiseTopKQuery::Register(&engine, 1, k, RidgePieces());
-  ASSERT_TRUE(query.ok());
+  TOPKMON_ASSERT_OK(engine.RegisterQuery(PiecewiseSpec(1, k, RidgePieces())));
   // Records exactly on the ridge x1 = 0.5 belong to both pieces.
   const std::vector<Record> batch = {Record(0, Point{0.5, 0.9}, 1),
                                      Record(1, Point{0.5, 0.8}, 1),
                                      Record(2, Point{0.2, 0.9}, 1)};
   TOPKMON_ASSERT_OK(engine.ProcessCycle(1, batch));
-  const auto result = query->CurrentResult();
+  const auto result = engine.CurrentResult(1);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 3u);  // no id twice
   EXPECT_EQ((*result)[0].id, 0u);  // 0.9 on the ridge
@@ -134,7 +194,7 @@ TEST(PiecewiseTest, BoundaryRecordsAreNotDuplicated) {
   EXPECT_EQ((*result)[2].id, 2u);  // 0.9 - 0.3
   EXPECT_DOUBLE_EQ((*result)[0].score, 0.9);
   EXPECT_DOUBLE_EQ((*result)[2].score, 0.6);
-  TOPKMON_EXPECT_OK(query->Unregister());
+  TOPKMON_EXPECT_OK(engine.UnregisterQuery(1));
 }
 
 TEST(PiecewiseTest, FourPieceSaddleFunction) {
@@ -159,8 +219,7 @@ TEST(PiecewiseTest, FourPieceSaddleFunction) {
       std::make_shared<LinearFunction>(std::vector<double>{-1.0, -1.0},
                                        1.0)});
   SmaEngine engine(Options2d(400));
-  auto query = PiecewiseTopKQuery::Register(&engine, 100, 6, pieces);
-  ASSERT_TRUE(query.ok());
+  TOPKMON_ASSERT_OK(engine.RegisterQuery(PiecewiseSpec(100, 6, pieces)));
   RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 7));
   SlidingWindow shadow = SlidingWindow::CountBased(400);
   for (Timestamp now = 1; now <= 25; ++now) {
@@ -173,7 +232,7 @@ TEST(PiecewiseTest, FourPieceSaddleFunction) {
       want.Consider(r.id, -std::abs(r.position[0] - c) -
                               std::abs(r.position[1] - c));
     }
-    const auto got = query->CurrentResult();
+    const auto got = engine.CurrentResult(100);
     ASSERT_TRUE(got.ok());
     const std::vector<double> got_scores = testing::Scores(*got);
     const std::vector<double> want_scores = testing::Scores(want.entries());
@@ -182,7 +241,7 @@ TEST(PiecewiseTest, FourPieceSaddleFunction) {
       EXPECT_NEAR(got_scores[i], want_scores[i], 1e-12) << "t=" << now;
     }
   }
-  TOPKMON_EXPECT_OK(query->Unregister());
+  TOPKMON_EXPECT_OK(engine.UnregisterQuery(100));
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 
 #include "core/brute_force_engine.h"
 #include "core/piecewise.h"
-#include "core/piecewise_router.h"
+#include "core/query.h"
 #include "core/sharded_engine.h"
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"

@@ -19,7 +19,7 @@
 
 #include "core/brute_force_engine.h"
 #include "core/piecewise.h"
-#include "core/piecewise_router.h"
+#include "core/query.h"
 #include "core/sma_engine.h"
 #include "core/tma_engine.h"
 #include "core/update_stream_engine.h"

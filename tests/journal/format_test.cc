@@ -126,9 +126,6 @@ class OpaqueFunction final : public ScoringFunction {
   Monotonicity direction(int) const override {
     return Monotonicity::kIncreasing;
   }
-  std::unique_ptr<ScoringFunction> Clone() const override {
-    return std::make_unique<OpaqueFunction>();
-  }
   std::string ToString() const override { return "opaque(x1, x2)"; }
 };
 

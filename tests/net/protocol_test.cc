@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/scoring.h"
+#include "journal/wire.h"
 #include "tests/test_util.h"
 
 namespace topkmon {
@@ -448,6 +449,35 @@ TEST(NetProtocolTest, DeeplyNestedPiecewiseCannotOverflowTheStack) {
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.message().find("nested piecewise"), std::string::npos) << st;
+}
+
+TEST(NetProtocolTest, PiecewiseRefusedByCreateIsRefusedOnTheWire) {
+  // Every piece parses on its own, but the second piece's function is
+  // 3-d while the first one's is 2-d: only PiecewiseFunction::Create sees
+  // the disagreement, and the decoder must pass its refusal on.
+  std::string body;
+  body.push_back(static_cast<char>(NetMessageType::kRegister));
+  wire::PutU32(1, &body);  // spec id
+  wire::PutU32(3, &body);  // k
+  wire::PutU8(4, &body);   // family: piecewise
+  wire::PutU8(2, &body);   // dim
+  wire::PutU8(2, &body);   // piece count
+  const Point lo{0.0, 0.0};
+  const Point hi{1.0, 1.0};
+  for (const LinearFunction& fn :
+       {LinearFunction({1.0, 1.0}), LinearFunction({1.0, 1.0, 1.0})}) {
+    wire::PutPoint(lo, &body);
+    wire::PutPoint(hi, &body);
+    TOPKMON_ASSERT_OK(wire::PutFunction(fn, &body));
+  }
+  wire::PutU8(0, &body);  // no constraint
+  NetMessage msg;
+  const Status st = DecodeNetBody(body.data(), body.size(), &msg);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("piece 1 has dimensionality 3, expected 2"),
+            std::string::npos)
+      << st;
 }
 
 }  // namespace
