@@ -101,8 +101,6 @@ using namespace topkmon;
 
 namespace {
 
-/// Builds the service (recovering --journal if given) shared by the
-/// local and serve modes.
 /// Shared engine factory of every serving mode.
 std::function<std::unique_ptr<MonitorEngine>()> EngineFactory(
     std::size_t window) {
@@ -118,6 +116,8 @@ std::function<std::unique_ptr<MonitorEngine>()> EngineFactory(
   };
 }
 
+/// Builds the service (recovering --journal if given) shared by the
+/// local and serve modes.
 std::unique_ptr<MonitorService> MakeService(std::size_t window,
                                             const std::string& journal_dir,
                                             SyncPolicy sync,

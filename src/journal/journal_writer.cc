@@ -18,23 +18,6 @@ namespace {
 using fs::ErrnoStatus;
 using fs::MakeDirs;
 
-/// Writes all of `bytes` to `fd`, riding out EINTR and partial writes.
-Status WriteAllTo(int fd, const std::string& path,
-                  const std::string& bytes) {
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write " + path, errno);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<SyncPolicy> ParseSyncPolicy(const std::string& name) {
@@ -116,7 +99,7 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
   Status st = EncodeSnapshotBody(anchor, &bytes);
   if (st.ok()) {
     SealFrame(kSegmentHeaderBytes, &bytes);
-    st = WriteAllTo(fd, path, bytes);
+    st = fs::WriteAll(fd, path, bytes);
   }
   if (st.ok()) {
     ++stats_.sync_calls;
@@ -124,7 +107,7 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
     // is its directory entry.
     if (::fdatasync(fd) != 0) st = ErrnoStatus("fdatasync " + path, errno);
   }
-  if (st.ok()) st = SyncDir();
+  if (st.ok()) st = fs::SyncDir(options_.dir);
   if (!st.ok()) {
     ++stats_.append_failures;
     ::close(fd);
@@ -148,7 +131,7 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
 }
 
 Status CycleJournalWriter::WriteAll(const std::string& bytes) {
-  TOPKMON_RETURN_IF_ERROR(WriteAllTo(fd_, segment_path_, bytes));
+  TOPKMON_RETURN_IF_ERROR(fs::WriteAll(fd_, segment_path_, bytes));
   segment_bytes_ += bytes.size();
   stats_.bytes_written += bytes.size();
   return Status::Ok();
@@ -194,16 +177,6 @@ Status CycleJournalWriter::Sync() {
   Status st = SyncFd();
   if (!st.ok()) ++stats_.append_failures;
   return st;
-}
-
-Status CycleJournalWriter::SyncDir() {
-  const int dfd = ::open(options_.dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return ErrnoStatus("open " + options_.dir, errno);
-  const int rc = ::fsync(dfd);
-  const int err = errno;
-  ::close(dfd);
-  if (rc != 0) return ErrnoStatus("fsync " + options_.dir, err);
-  return Status::Ok();
 }
 
 void CycleJournalWriter::GarbageCollect() {

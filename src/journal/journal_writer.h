@@ -186,7 +186,6 @@ class CycleJournalWriter {
   Status AppendScratchFrame(bool is_cycle);
   Status WriteAll(const std::string& bytes);
   Status SyncFd();
-  Status SyncDir();
   void GarbageCollect();
 
   const JournalOptions options_;

@@ -144,12 +144,10 @@ Status TcpServer::Start() {
   // fetches are answered promptly regardless of which loop owns them.
   listener_id_ = service_.AddProgressListener([this] { WakeAll(); });
   // Admin plane: the server's counters and per-loop gauges join the
-  // service's scrape and its /statusz document for as long as the
-  // server runs (Stop deregisters both before touching loops_).
+  // service's registry (so /metrics and /statusz) for as long as the
+  // server runs (Stop deregisters the sampler before touching loops_).
   sampler_id_ = service_.metrics().AddSampler(
       [this](MetricSink& sink) { SampleNetMetrics(sink); });
-  section_id_ =
-      service_.AddStatsSection("net", [this] { return StatsSection(); });
   for (auto& loop : loops_) {
     PollLoop* raw = loop.get();
     raw->thread = std::thread([this, raw] { LoopRun(*raw); });
@@ -165,14 +163,10 @@ void TcpServer::Stop() {
     listener_id_ = 0;
   }
   // Deregister from the admin plane before any loop state is torn
-  // down; both removals block until an in-flight scrape is done here.
+  // down; the removal blocks until an in-flight scrape is done here.
   if (sampler_id_ != 0) {
     service_.metrics().RemoveSampler(sampler_id_);
     sampler_id_ = 0;
-  }
-  if (section_id_ != 0) {
-    service_.RemoveStatsSection(section_id_);
-    section_id_ = 0;
   }
   WakeAll();
   if (acceptor_.joinable()) acceptor_.join();
@@ -273,41 +267,6 @@ void TcpServer::SampleNetMetrics(MetricSink& sink) const {
             loop->gauge_parked_fetches.load(std::memory_order_relaxed)),
         labels);
   }
-}
-
-std::vector<std::pair<std::string, std::string>> TcpServer::StatsSection()
-    const {
-  const NetServerStats s = stats();
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back("open_connections",
-                    std::to_string(s.open_connections));
-  rows.emplace_back("accepted", std::to_string(s.connections_accepted));
-  rows.emplace_back("refused", std::to_string(s.connections_refused));
-  rows.emplace_back("migrated", std::to_string(s.connections_migrated));
-  rows.emplace_back("frames_received", std::to_string(s.frames_received));
-  rows.emplace_back("frames_sent", std::to_string(s.frames_sent));
-  rows.emplace_back("protocol_errors",
-                    std::to_string(s.protocol_errors));
-  rows.emplace_back("records_ingested",
-                    std::to_string(s.records_ingested));
-  rows.emplace_back("records_backpressured",
-                    std::to_string(s.records_backpressured));
-  rows.emplace_back("repl_chunks_sent",
-                    std::to_string(s.repl_chunks_sent));
-  for (const auto& loop : loops_) {
-    rows.emplace_back(
-        "loop" + std::to_string(loop->index),
-        "conns=" +
-            std::to_string(
-                loop->gauge_connections.load(std::memory_order_relaxed)) +
-            " parked_polls=" +
-            std::to_string(
-                loop->gauge_parked_polls.load(std::memory_order_relaxed)) +
-            " parked_fetches=" +
-            std::to_string(loop->gauge_parked_fetches.load(
-                std::memory_order_relaxed)));
-  }
-  return rows;
 }
 
 void TcpServer::Wake(PollLoop& loop) {

@@ -299,9 +299,6 @@ class TcpServer {
   /// gauges into a metrics scrape (registered on the service's registry
   /// by Start, removed by Stop).
   void SampleNetMetrics(MetricSink& sink) const;
-  /// The "net" section one MonitorService::stats() / /statusz call
-  /// carries (registered by Start, removed by Stop).
-  std::vector<std::pair<std::string, std::string>> StatsSection() const;
 
   /// Current resume epoch of a session (0 until first resumed).
   std::uint64_t ResumeEpoch(SessionId session) const;
@@ -330,11 +327,10 @@ class TcpServer {
   std::size_t next_loop_ = 0;
   /// Progress-listener registration on the service (0 = none).
   std::uint64_t listener_id_ = 0;
-  /// Admin-plane registrations on the service (0 = none). Removed
-  /// before loops_ is torn down: RemoveSampler / RemoveStatsSection
-  /// block until no in-flight scrape still reads this server.
+  /// Admin-plane sampler on the service's registry (0 = none). Removed
+  /// before loops_ is torn down: RemoveSampler blocks until no
+  /// in-flight scrape still reads this server.
   std::uint64_t sampler_id_ = 0;
-  std::uint64_t section_id_ = 0;
 
   /// Resume epochs (see Connection::poll_epoch). Touched by every loop,
   /// but only on Hello-resume, park and the per-tick parked check.

@@ -33,12 +33,10 @@ bool SplitEndpoint(const std::string& endpoint, std::string* host,
 FailoverAgent::FailoverAgent(ReplicaFollower* follower,
                              FailoverOptions options)
     : follower_(follower), options_(std::move(options)) {
-  // Admin plane: election counters join the follower service's scrape
-  // and /statusz until Stop deregisters them.
+  // Admin plane: election counters join the follower service's
+  // registry (so /metrics and /statusz) until Stop deregisters them.
   sampler_id_ = follower_->service().metrics().AddSampler(
       [this](MetricSink& sink) { SampleFailoverMetrics(sink); });
-  section_id_ = follower_->service().AddStatsSection(
-      "failover", [this] { return StatsSection(); });
   thread_ = std::thread([this] { Loop(); });
 }
 
@@ -61,15 +59,11 @@ void FailoverAgent::Stop() {
   }
   if (joinable.joinable()) joinable.join();
   // First Stop only (later calls returned above). Outside mu_: the
-  // sampler/provider take mu_, and both removals block until any
-  // in-flight scrape is done with this object.
+  // sampler takes mu_, and the removal blocks until any in-flight
+  // scrape is done with this object.
   if (sampler_id_ != 0) {
     follower_->service().metrics().RemoveSampler(sampler_id_);
     sampler_id_ = 0;
-  }
-  if (section_id_ != 0) {
-    follower_->service().RemoveStatsSection(section_id_);
-    section_id_ = 0;
   }
 }
 
@@ -90,20 +84,6 @@ void FailoverAgent::SampleFailoverMetrics(MetricSink& sink) const {
   sink.AddGauge("topkmon_failover_promoted",
                 "1 once this node won an election and leads",
                 s.promoted ? 1.0 : 0.0);
-}
-
-std::vector<std::pair<std::string, std::string>>
-FailoverAgent::StatsSection() const {
-  const FailoverStats s = stats();
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back("elections_started",
-                    std::to_string(s.elections_started));
-  rows.emplace_back("rounds", std::to_string(s.rounds));
-  rows.emplace_back("probes_failed", std::to_string(s.probes_failed));
-  rows.emplace_back("leaders_adopted",
-                    std::to_string(s.leaders_adopted));
-  rows.emplace_back("promoted", s.promoted ? "1" : "0");
-  return rows;
 }
 
 FailoverStats FailoverAgent::stats() const {

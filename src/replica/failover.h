@@ -138,8 +138,6 @@ class FailoverAgent {
   /// Bridges election counters into the follower service's metric
   /// scrape (registered at construction, removed by Stop).
   void SampleFailoverMetrics(MetricSink& sink) const;
-  /// The "failover" section the service's stats() / /statusz carries.
-  std::vector<std::pair<std::string, std::string>> StatsSection() const;
 
   ReplicaFollower* const follower_;
   const FailoverOptions options_;
@@ -149,11 +147,10 @@ class FailoverAgent {
   FailoverStats stats_;
   std::atomic<bool> stop_{false};
   bool joined_ = false;
-  /// Admin-plane registrations on the follower's service (0 = none).
-  /// Removed by the first Stop(), outside mu_ (the sampler/provider
-  /// take mu_ — removing under it would deadlock).
+  /// Admin-plane sampler on the follower service's registry (0 =
+  /// none). Removed by the first Stop(), outside mu_ (the sampler takes
+  /// mu_ — removing under it would deadlock).
   std::uint64_t sampler_id_ = 0;
-  std::uint64_t section_id_ = 0;
   std::thread thread_;
 };
 

@@ -45,13 +45,11 @@ Result<std::unique_ptr<ReplicaFollower>> ReplicaFollower::Open(
       std::move(*service), options, service_options.journal.dir));
   TOPKMON_RETURN_IF_ERROR(follower->Bootstrap());
   // Admin plane: the pump's counters and apply lag join the follower
-  // service's scrape and /statusz for as long as the pump can run
-  // (Stop deregisters both).
+  // service's registry (so /metrics and /statusz) for as long as the
+  // pump can run (Stop deregisters the sampler).
   ReplicaFollower* raw = follower.get();
   follower->sampler_id_ = raw->service_->metrics().AddSampler(
       [raw](MetricSink& sink) { raw->SampleReplicaMetrics(sink); });
-  follower->section_id_ = raw->service_->AddStatsSection(
-      "replica", [raw] { return raw->StatsSection(); });
   follower->pump_ = std::thread([raw] { raw->PumpLoop(); });
   return follower;
 }
@@ -173,30 +171,25 @@ Status ReplicaFollower::PersistChunk(const std::string& data) {
                          O_CREAT | O_WRONLY | fresh | O_CLOEXEC, 0666);
     if (segment_fd_ < 0) return ErrnoStatus("open " + path, errno);
   }
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::write(segment_fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      // Discard any partial bytes this chunk managed to land: the retry
-      // re-appends the whole chunk at shipped_, and the local file must
-      // stay a byte-identical leader prefix.
-      (void)::ftruncate(segment_fd_, static_cast<off_t>(shipped_));
-      return ErrnoStatus("write shipped segment", err);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  const Status st = fs::WriteAll(segment_fd_, "shipped segment", data);
+  if (!st.ok()) {
+    // Discard any partial bytes this chunk managed to land: the retry
+    // re-appends the whole chunk at shipped_, and the local file must
+    // stay a byte-identical leader prefix.
+    (void)::ftruncate(segment_fd_, static_cast<off_t>(shipped_));
   }
-  return Status::Ok();
+  return st;
 }
 
-void ReplicaFollower::CloseSegmentFile(bool sync) {
-  if (segment_fd_ < 0) return;
-  if (sync) ::fdatasync(segment_fd_);
+Status ReplicaFollower::CloseSegmentFile(bool sync) {
+  if (segment_fd_ < 0) return Status::Ok();
+  Status st;
+  if (sync && ::fdatasync(segment_fd_) != 0) {
+    st = ErrnoStatus("fdatasync shipped segment", errno);
+  }
   ::close(segment_fd_);
   segment_fd_ = -1;
+  return st;
 }
 
 Status ReplicaFollower::ResyncFrom(std::uint64_t segment) {
@@ -450,19 +443,23 @@ void ReplicaFollower::PumpLoop() {
         Backoff(options_.reconnect_backoff);
         continue;
       }
-      // Segment complete: sync it (it is now a local recovery anchor),
-      // drop the ones before it, and continue into the next. Its anchor
-      // snapshot is skipped — replay already holds that exact state.
-      CloseSegmentFile(/*sync=*/true);
+      // Segment complete: sync it and its directory entry (it is now a
+      // local recovery anchor), drop the ones before it, and continue
+      // into the next. Its anchor snapshot is skipped — replay already
+      // holds that exact state. If it cannot be made durable, the older
+      // anchored segment stays as the restart point.
+      Status durable = CloseSegmentFile(/*sync=*/true);
+      if (durable.ok()) durable = fs::SyncDir(journal_dir_);
       const std::uint64_t finished = segment_;
       segment_ = chunk->next_segment;
       shipped_ = 0;
       header_done_ = false;
       anchor_done_ = false;
       apply_anchor_ = false;
-      WipeLocalSegments(finished);
+      if (durable.ok()) WipeLocalSegments(finished);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.segments_completed;
+      if (!durable.ok()) ++stats_.fetch_errors;
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -523,26 +520,6 @@ void ReplicaFollower::SampleReplicaMetrics(MetricSink& sink) const {
                 static_cast<double>(s.LagTs()));
 }
 
-std::vector<std::pair<std::string, std::string>>
-ReplicaFollower::StatsSection() const {
-  const ReplicaFollowerStats s = stats();
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back("connected", s.connected ? "1" : "0");
-  rows.emplace_back("apply_lag", std::to_string(s.LagTs()));
-  rows.emplace_back("applied_cycle_ts",
-                    std::to_string(s.applied_cycle_ts));
-  rows.emplace_back("leader_cycle_ts", std::to_string(s.leader_cycle_ts));
-  rows.emplace_back("current_segment",
-                    std::to_string(s.current_segment));
-  rows.emplace_back("shipped_offset", std::to_string(s.shipped_offset));
-  rows.emplace_back("chunks_received",
-                    std::to_string(s.chunks_received));
-  rows.emplace_back("restarts", std::to_string(s.restarts));
-  rows.emplace_back("fetch_errors", std::to_string(s.fetch_errors));
-  rows.emplace_back("leader", leader_endpoint());
-  return rows;
-}
-
 Status ReplicaFollower::WaitForCycleTs(Timestamp ts,
                                        std::chrono::milliseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
@@ -570,15 +547,11 @@ void ReplicaFollower::Stop() {
   }
   if (pump.joinable()) pump.join();
   // First Stop only (later calls returned above). Outside mu_: the
-  // sampler/provider take mu_, and both removals block until any
-  // in-flight scrape is done with this object.
+  // sampler takes mu_, and the removal blocks until any in-flight
+  // scrape is done with this object.
   if (sampler_id_ != 0) {
     service_->metrics().RemoveSampler(sampler_id_);
     sampler_id_ = 0;
-  }
-  if (section_id_ != 0) {
-    service_->RemoveStatsSection(section_id_);
-    section_id_ = 0;
   }
 }
 

@@ -177,7 +177,9 @@ class ReplicaFollower {
   bool ApplyBuffered(std::string* error);
   /// Appends chunk bytes to the current local segment file.
   Status PersistChunk(const std::string& data);
-  void CloseSegmentFile(bool sync);
+  /// Closes the local segment file, fdatasyncing it first when `sync`;
+  /// returns the fdatasync failure, if any (the file is closed anyway).
+  Status CloseSegmentFile(bool sync);
   /// Deletes every local segment except `keep` (default: delete all).
   void WipeLocalSegments(std::uint64_t keep = ~std::uint64_t{0});
   /// Full resync: wipe local state and restart shipping at `segment`.
@@ -188,8 +190,6 @@ class ReplicaFollower {
   /// Bridges pump counters + apply lag into the service's metric scrape
   /// (registered by Open, removed by Stop).
   void SampleReplicaMetrics(MetricSink& sink) const;
-  /// The "replica" section the service's stats() / /statusz carries.
-  std::vector<std::pair<std::string, std::string>> StatsSection() const;
 
   std::unique_ptr<MonitorService> service_;
   const ReplicaFollowerOptions options_;
@@ -228,11 +228,10 @@ class ReplicaFollower {
   ReplicaFollowerStats stats_;
   std::atomic<bool> stop_{false};
   bool stopped_ = false;  ///< pump joined
-  /// Admin-plane registrations on the owned service (0 = none).
-  /// Removed by the first Stop(), outside mu_ — the sampler/provider
-  /// take mu_ themselves, so removing under it would deadlock.
+  /// Admin-plane sampler on the owned service's registry (0 = none).
+  /// Removed by the first Stop(), outside mu_ — the sampler takes mu_
+  /// itself, so removing under it would deadlock.
   std::uint64_t sampler_id_ = 0;
-  std::uint64_t section_id_ = 0;
   std::thread pump_;
 };
 

@@ -49,19 +49,10 @@ Status WriteFencingEpoch(const std::string& dir, std::uint64_t epoch) {
   const std::string body = std::to_string(epoch) + "\n";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fs::ErrnoStatus("open " + tmp, errno);
-  const char* p = body.data();
-  std::size_t left = body.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return fs::ErrnoStatus("write " + tmp, err);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (const Status st = fs::WriteAll(fd, tmp, body); !st.ok()) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return st;
   }
   if (::fsync(fd) != 0) {
     const int err = errno;
@@ -80,13 +71,7 @@ Status WriteFencingEpoch(const std::string& dir, std::uint64_t epoch) {
     return fs::ErrnoStatus("rename " + tmp, err);
   }
   // Make the rename itself durable, as the journal does when sealing.
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return fs::ErrnoStatus("open " + dir, errno);
-  const int rc = ::fsync(dfd);
-  const int err = errno;
-  ::close(dfd);
-  if (rc != 0) return fs::ErrnoStatus("fsync " + dir, err);
-  return Status::Ok();
+  return fs::SyncDir(dir);
 }
 
 }  // namespace topkmon

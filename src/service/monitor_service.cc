@@ -26,12 +26,6 @@ std::string ServiceStats::ToString() const {
        << " journal_snapshots=" << journal_snapshots
        << " journal_failures=" << journal_failures;
   }
-  for (const auto& [name, rows] : sections) {
-    os << " | " << name << ":";
-    for (const auto& [key, value] : rows) {
-      os << " " << key << "=" << value;
-    }
-  }
   return os.str();
 }
 
@@ -935,7 +929,7 @@ void MonitorService::Shutdown() {
   }
 }
 
-ServiceStats MonitorService::CoreStats() const {
+ServiceStats MonitorService::stats() const {
   ServiceStats out;
   const IngestStats ingest = ingest_.stats();
   const HubStats hub = hub_.stats();
@@ -966,36 +960,6 @@ ServiceStats MonitorService::CoreStats() const {
   }
   out.journal_failures = journal_failures_.load(std::memory_order_relaxed);
   return out;
-}
-
-ServiceStats MonitorService::stats() const {
-  ServiceStats out = CoreStats();
-  std::lock_guard<std::mutex> lock(sections_mu_);
-  for (const auto& [id, name, provider] : sections_) {
-    (void)id;
-    out.sections.emplace_back(name, provider());
-  }
-  return out;
-}
-
-std::uint64_t MonitorService::AddStatsSection(std::string name,
-                                              StatsSectionProvider provider) {
-  std::lock_guard<std::mutex> lock(sections_mu_);
-  const std::uint64_t id = next_section_id_++;
-  sections_.emplace_back(id, std::move(name), std::move(provider));
-  return id;
-}
-
-void MonitorService::RemoveStatsSection(std::uint64_t id) {
-  // sections_mu_ is held while providers run (stats()), so acquiring it
-  // here is the barrier that makes captured objects safe to destroy.
-  std::lock_guard<std::mutex> lock(sections_mu_);
-  sections_.erase(
-      std::remove_if(sections_.begin(), sections_.end(),
-                     [id](const auto& entry) {
-                       return std::get<0>(entry) == id;
-                     }),
-      sections_.end());
 }
 
 std::uint16_t MonitorService::admin_port() const {
@@ -1036,7 +1000,7 @@ void MonitorService::SetupObservability() {
 }
 
 void MonitorService::SampleServiceMetrics(MetricSink& sink) const {
-  const ServiceStats s = CoreStats();
+  const ServiceStats s = stats();
   sink.AddCounter("topkmon_cycles_total", "Engine cycles driven",
                   static_cast<double>(s.cycles));
   sink.AddCounter("topkmon_records_ingested_total",
@@ -1175,22 +1139,9 @@ AdminResponse MonitorService::ServeStatusz() const {
        << ",\"dropped_deltas\":" << hub_.Dropped(info.id) << "}";
   }
   os << "]";
-  os << ",\"sections\":{";
-  first = true;
-  for (const auto& [name, rows] : s.sections) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << JsonEscape(name) << "\":{";
-    bool first_row = true;
-    for (const auto& [key, value] : rows) {
-      if (!first_row) os << ",";
-      first_row = false;
-      os << "\"" << JsonEscape(key) << "\":\"" << JsonEscape(value)
-         << "\"";
-    }
-    os << "}";
-  }
-  os << "}}";
+  // Every registered number — the service's own and each attached
+  // component's (net, replica, failover) — under its catalog name.
+  os << ",\"sections\":" << metrics_.Snapshot().ToJson() << "}";
   AdminResponse r;
   r.content_type = "application/json";
   r.body = os.str();

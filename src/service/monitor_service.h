@@ -64,7 +64,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -122,14 +121,6 @@ struct ServiceStats {
   std::size_t queue_depth = 0;          ///< records waiting in ingest
   std::size_t open_sessions = 0;
   std::size_t active_queries = 0;
-
-  /// Key/value sections contributed by attached components (the TCP
-  /// server, replica follower, failover agent) via AddStatsSection —
-  /// one stats() call reflects the whole node. Section order is
-  /// registration order; every value is pre-rendered to a string.
-  std::vector<std::pair<std::string,
-                        std::vector<std::pair<std::string, std::string>>>>
-      sections;
 
   std::string ToString() const;
 };
@@ -409,18 +400,6 @@ class MonitorService {
   /// as the service.
   MetricsRegistry& metrics() { return metrics_; }
 
-  /// One /statusz + stats() section: a name plus a provider returning
-  /// pre-rendered key/value rows. Providers run outside the service's
-  /// internal locks on every stats() / /statusz call and must be
-  /// thread-safe. Returns an id for RemoveStatsSection, which blocks
-  /// until no in-flight stats() call is still inside the provider —
-  /// after it returns, whatever the provider captured may be destroyed.
-  using StatsSectionProvider =
-      std::function<std::vector<std::pair<std::string, std::string>>()>;
-  std::uint64_t AddStatsSection(std::string name,
-                                StatsSectionProvider provider);
-  void RemoveStatsSection(std::uint64_t id);
-
   /// The admin endpoint's bound TCP port; 0 when options.admin.enabled
   /// is false or the bind failed (the failure is in admin_status()).
   std::uint16_t admin_port() const;
@@ -531,10 +510,6 @@ class MonitorService {
   /// Bridges the service's own counters/gauges into a scrape.
   void SampleServiceMetrics(MetricSink& sink) const;
 
-  /// stats() minus the attached-component sections — what the metric
-  /// sampler bridges (a scrape must not re-enter section providers).
-  ServiceStats CoreStats() const;
-
   const ServiceOptions options_;
   std::unique_ptr<MonitorEngine> engine_;
   const int dim_;
@@ -641,15 +616,6 @@ class MonitorService {
 
   std::mutex shutdown_mu_;
   bool shutdown_requested_ = false;
-
-  /// Stats sections (see AddStatsSection). sections_mu_ is held while a
-  /// provider runs, which is what makes RemoveStatsSection a barrier;
-  /// providers must therefore never call back into AddStatsSection /
-  /// RemoveStatsSection (they read plain stats structs in practice).
-  mutable std::mutex sections_mu_;
-  std::vector<std::tuple<std::uint64_t, std::string, StatsSectionProvider>>
-      sections_;
-  std::uint64_t next_section_id_ = 1;
 
   /// Admin endpoint (nullptr unless options.admin.enabled). Declared
   /// after everything its handlers read, so destruction stops the admin

@@ -1,8 +1,10 @@
 #include "util/fs.h"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
+#include <unistd.h>
 
 #include <cstring>
 
@@ -25,6 +27,31 @@ Status MakeDirs(const std::string& dir) {
       return ErrnoStatus("mkdir " + prefix, errno);
     }
   }
+  return Status::Ok();
+}
+
+Status WriteAll(int fd, const std::string& path, const std::string& bytes) {
+  const char* p = bytes.data();
+  std::size_t left = bytes.size();
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write " + path, errno);
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
+
+Status SyncDir(const std::string& dir) {
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd < 0) return ErrnoStatus("open " + dir, errno);
+  const int rc = ::fsync(dfd);
+  const int err = errno;
+  ::close(dfd);
+  if (rc != 0) return ErrnoStatus("fsync " + dir, err);
   return Status::Ok();
 }
 

@@ -397,9 +397,10 @@ TEST(AdminE2E, ConcurrentScrapesUnderLoad) {
         if (r.status != 200 || r.body.empty()) {
           scrape_failures.fetch_add(1);
         }
-        if (s % 2 == 0 &&
-            r.body.find("topkmon_net_open_connections") ==
-                std::string::npos) {
+        // /statusz carries the registry snapshot too, so both paths
+        // see the server's sampler while it runs.
+        if (r.body.find("topkmon_net_open_connections") ==
+            std::string::npos) {
           scrape_failures.fetch_add(1);  // net sampler missing mid-run
         }
       }
@@ -417,6 +418,15 @@ TEST(AdminE2E, ConcurrentScrapesUnderLoad) {
   EXPECT_EQ(after.status, 200);
   (void)(*client)->Close();
   server.Stop();
+  // Stop removed the server's sampler, and RemoveSampler is the barrier:
+  // no later scrape may still carry a net sample.
+  const HttpResponse stopped = Get(admin_port, "/statusz");
+  EXPECT_EQ(stopped.status, 200);
+  EXPECT_NE(stopped.body.find("\"sections\":{\"metrics\":["),
+            std::string::npos)
+      << stopped.body;
+  EXPECT_EQ(stopped.body.find("topkmon_net_"), std::string::npos)
+      << stopped.body;
   service.Shutdown();
 }
 
