@@ -39,8 +39,7 @@
 //
 // Replication quickstart (three terminals):
 //   service_demo --mode=serve --journal=/tmp/leaderj --port=4585
-//   service_demo --mode=follower --journal=/tmp/replj --port=4585 \
-//                --listen=4586
+//   service_demo --mode=follower --journal=/tmp/replj --port=4585 --listen=4586
 //   service_demo --mode=client --port=4585 --label=dash   # writes
 //   service_demo --mode=client --port=4586 --label=dash --records=0
 //                                       # reads the replica's stream
@@ -977,12 +976,23 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (*admin_port_flag > 65535) {
-    std::fprintf(stderr,
-                 "INVALID_ARGUMENT: flag --admin_port expects a port in "
-                 "[0, 65535], got %d\n",
-                 *admin_port_flag);
-    return 1;
+  // One range check for every port flag; --admin_port also takes -1.
+  const struct {
+    const char* name;
+    std::int64_t value;
+    std::int64_t min;
+  } port_flags[] = {{"port", *port_flag, 0},
+                    {"listen", *listen_flag, 0},
+                    {"admin_port", *admin_port_flag, -1}};
+  for (const auto& f : port_flags) {
+    if (f.value < f.min || f.value > 65535) {
+      std::fprintf(stderr,
+                   "INVALID_ARGUMENT: flag --%s expects a port in "
+                   "[%lld, 65535], got %lld\n",
+                   f.name, static_cast<long long>(f.min),
+                   static_cast<long long>(f.value));
+      return 1;
+    }
   }
   const auto journal_flag = flags->GetString("journal", "");
   const auto sync_flag = flags->GetString("sync", "none");

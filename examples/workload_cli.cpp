@@ -1,7 +1,9 @@
 // workload_cli — run any engine on any workload from the command line.
 //
-//   workload_cli --engine=sma --dist=ant --dim=4 --n=100000 --r=1000 \
+//   workload_cli --engine=sma --dist=ant --dim=4 --n=100000 --r=1000
 //                --q=100 --k=20 --cycles=50 --family=linear [--csv]
+//
+// (one command line, wrapped here).
 //
 // Prints the simulation report (timings, counters, memory breakdown) and,
 // with --compare, runs TMA, SMA, TSL and the brute-force oracle on the

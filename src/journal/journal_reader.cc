@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace topkmon {
 namespace {
@@ -40,6 +41,30 @@ Result<std::vector<SegmentInfo>> ListSegments(const std::string& dir) {
               return a.index < b.index;
             });
   return out;
+}
+
+AnchoredSegment OpenNewestAnchoredSegment(
+    const std::vector<SegmentInfo>& segments) {
+  AnchoredSegment found;
+  for (auto it = segments.rbegin(); it != segments.rend(); ++it) {
+    auto candidate = CycleJournalReader::Open(it->path);
+    if (!candidate.ok()) {
+      ++found.skipped;
+      continue;
+    }
+    CycleJournalReader::Outcome first = (*candidate)->Next();
+    if (first.kind != CycleJournalReader::Kind::kRecord ||
+        first.record.type != JournalRecordType::kSnapshot) {
+      ++found.skipped;
+      continue;
+    }
+    found.reader = std::move(*candidate);
+    found.anchor = std::move(first.record.snapshot);
+    found.path = it->path;
+    found.index = it->index;
+    break;
+  }
+  return found;
 }
 
 CycleJournalReader::CycleJournalReader(std::FILE* file,

@@ -89,6 +89,26 @@ class CycleJournalReader {
   std::string buffer_;
 };
 
+/// The segment a replay starts from: the newest one whose leading anchor
+/// snapshot is intact. A newer segment without one can only come from a
+/// crash mid-rotation (or a ship stopped mid-anchor), before the older
+/// segments were garbage-collected, so the search falls back past it.
+/// Crash recovery and the follower's bootstrap share this rule.
+struct AnchoredSegment {
+  /// Positioned just past the anchor; null when no segment qualifies.
+  std::unique_ptr<CycleJournalReader> reader;
+  JournalSnapshot anchor;
+  std::string path;
+  std::uint64_t index = 0;
+  /// Segments passed over, newest first, for want of an intact anchor.
+  std::uint64_t skipped = 0;
+};
+
+/// Opens the newest anchored segment of `segments` (ascending index, as
+/// ListSegments returns them).
+AnchoredSegment OpenNewestAnchoredSegment(
+    const std::vector<SegmentInfo>& segments);
+
 }  // namespace topkmon
 
 #endif  // TOPKMON_JOURNAL_JOURNAL_READER_H_

@@ -156,41 +156,23 @@ Result<RecoveryReport> RecoveryDriver::Replay(const std::string& dir,
   if (!segments.ok()) return segments.status();
   report.segments_found = segments->size();
 
-  // Newest segment with a usable anchor snapshot wins. A newer segment
-  // without one can only be the product of a crash mid-rotation, before
-  // the previous segments were garbage-collected — fall back.
-  std::unique_ptr<CycleJournalReader> reader;
-  JournalSnapshot anchor;
-  for (auto it = segments->rbegin(); it != segments->rend(); ++it) {
-    auto candidate = CycleJournalReader::Open(it->path);
-    if (!candidate.ok()) {
-      ++report.segments_skipped;
-      continue;
-    }
-    CycleJournalReader::Outcome first = (*candidate)->Next();
-    if (first.kind != CycleJournalReader::Kind::kRecord ||
-        first.record.type != JournalRecordType::kSnapshot) {
-      ++report.segments_skipped;
-      continue;
-    }
-    reader = std::move(*candidate);
-    anchor = std::move(first.record.snapshot);
-    report.segment = it->path;
-    break;
-  }
-  if (reader == nullptr) {
+  AnchoredSegment start = OpenNewestAnchoredSegment(*segments);
+  report.segments_skipped = start.skipped;
+  if (start.reader == nullptr) {
     // Empty directory (or no segment survived with an anchor): fresh
     // start. Defaults in the report already say "begin from zero".
     return report;
   }
+  report.segment = start.path;
+  CycleJournalReader& reader = *start.reader;
 
   JournalApplier applier(engine);
-  TOPKMON_RETURN_IF_ERROR(applier.ApplyAnchor(std::move(anchor)));
+  TOPKMON_RETURN_IF_ERROR(applier.ApplyAnchor(std::move(start.anchor)));
   report.recovered = true;
 
   // Replay everything the original process applied after the anchor.
   while (true) {
-    CycleJournalReader::Outcome outcome = reader->Next();
+    CycleJournalReader::Outcome outcome = reader.Next();
     if (outcome.kind == CycleJournalReader::Kind::kEnd) break;
     if (outcome.kind == CycleJournalReader::Kind::kIoError) {
       // The bytes on disk may be intact — failing (so the operator can
@@ -203,7 +185,7 @@ Result<RecoveryReport> RecoveryDriver::Replay(const std::string& dir,
       report.torn_tail = outcome.kind == CycleJournalReader::Kind::kTorn;
       report.corrupt_record =
           outcome.kind == CycleJournalReader::Kind::kCorrupt;
-      report.tail_bytes_dropped = reader->file_size() - outcome.offset;
+      report.tail_bytes_dropped = reader.file_size() - outcome.offset;
       report.tail_detail = outcome.detail;
       break;
     }

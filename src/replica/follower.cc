@@ -60,69 +60,44 @@ Status ReplicaFollower::Bootstrap() {
   if (!segments.ok()) return segments.status();
 
   // Resume from the newest locally shipped segment whose anchor snapshot
-  // is intact — the same selection rule RecoveryDriver uses. Newer
+  // is intact (OpenNewestAnchoredSegment, RecoveryDriver's rule). Newer
   // segments without a usable anchor (ship stopped mid-anchor) and all
   // older segments are deleted; they are only ever prefixes of what the
   // leader still has or superseded history.
-  std::unique_ptr<CycleJournalReader> reader;
-  std::string chosen_path;
-  std::uint64_t chosen_index = 0;
-  JournalSnapshot anchor;
-  for (auto it = segments->rbegin(); it != segments->rend(); ++it) {
-    auto candidate = CycleJournalReader::Open(it->path);
-    if (!candidate.ok()) continue;
-    CycleJournalReader::Outcome first = (*candidate)->Next();
-    if (first.kind != CycleJournalReader::Kind::kRecord ||
-        first.record.type != JournalRecordType::kSnapshot) {
-      continue;
-    }
-    reader = std::move(*candidate);
-    chosen_path = it->path;
-    chosen_index = it->index;
-    anchor = std::move(first.record.snapshot);
-    break;
-  }
-  if (reader == nullptr) {
-    // Nothing usable on disk: clean slate; the first fetch (segment 0)
-    // either hits the leader's live segment 0 or draws a restart
-    // pointing at the leader's oldest segment.
-    WipeLocalSegments();
-    segment_ = 0;
-    shipped_ = 0;
-    header_done_ = false;
-    anchor_done_ = false;
-    apply_anchor_ = true;
-    return Status::Ok();
-  }
-
-  TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicatedAnchor(std::move(anchor)));
+  AnchoredSegment start = OpenNewestAnchoredSegment(*segments);
+  const bool found = start.reader != nullptr;
   bool corrupt = false;
-  while (true) {
-    CycleJournalReader::Outcome outcome = reader->Next();
-    if (outcome.kind == CycleJournalReader::Kind::kEnd ||
-        outcome.kind == CycleJournalReader::Kind::kTorn) {
-      break;  // a torn tail is just an unfinished ship — truncate below
-    }
-    if (outcome.kind == CycleJournalReader::Kind::kIoError) {
-      return Status::Internal("I/O error reading " + chosen_path + ": " +
-                              outcome.detail);
-    }
-    if (outcome.kind == CycleJournalReader::Kind::kCorrupt) {
-      corrupt = true;
-      break;
-    }
-    TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicated(outcome.record));
-    {
+  std::uint64_t good_end = 0;
+  if (found) {
+    TOPKMON_RETURN_IF_ERROR(
+        service_->ApplyReplicatedAnchor(std::move(start.anchor)));
+    while (true) {
+      CycleJournalReader::Outcome outcome = start.reader->Next();
+      if (outcome.kind == CycleJournalReader::Kind::kEnd ||
+          outcome.kind == CycleJournalReader::Kind::kTorn) {
+        break;  // a torn tail is just an unfinished ship — truncate below
+      }
+      if (outcome.kind == CycleJournalReader::Kind::kIoError) {
+        return Status::Internal("I/O error reading " + start.path + ": " +
+                                outcome.detail);
+      }
+      if (outcome.kind == CycleJournalReader::Kind::kCorrupt) {
+        corrupt = true;
+        break;
+      }
+      TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicated(outcome.record));
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.records_applied;
     }
+    good_end = start.reader->offset();
+    start.reader.reset();
   }
-  const std::uint64_t good_end = reader->offset();
-  reader.reset();
-  if (corrupt) {
-    // Locally damaged bytes: drop everything and resync from the leader
-    // (the pump's first fetch of segment 0 resolves the real start).
-    TOPKMON_RETURN_IF_ERROR(service_->ResetFollowerState());
+  if (!found || corrupt) {
+    // Nothing usable on disk, or locally damaged bytes: drop everything
+    // and start clean. The pump's first fetch (segment 0) either hits the
+    // leader's live segment 0 or draws a restart pointing at the leader's
+    // oldest segment.
+    if (corrupt) TOPKMON_RETURN_IF_ERROR(service_->ResetFollowerState());
     WipeLocalSegments();
     segment_ = 0;
     shipped_ = 0;
@@ -131,11 +106,11 @@ Status ReplicaFollower::Bootstrap() {
     apply_anchor_ = true;
     return Status::Ok();
   }
-  WipeLocalSegments(chosen_index);
-  if (::truncate(chosen_path.c_str(), static_cast<off_t>(good_end)) != 0) {
-    return ErrnoStatus("truncate " + chosen_path, errno);
+  WipeLocalSegments(start.index);
+  if (::truncate(start.path.c_str(), static_cast<off_t>(good_end)) != 0) {
+    return ErrnoStatus("truncate " + start.path, errno);
   }
-  segment_ = chosen_index;
+  segment_ = start.index;
   shipped_ = good_end;
   header_done_ = true;
   anchor_done_ = true;

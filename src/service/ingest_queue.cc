@@ -22,9 +22,6 @@ IngestQueue::IngestQueue(const IngestOptions& options, int dim)
   for (std::size_t i = 0; i < free_.size(); ++i) {
     free_[i] = static_cast<std::uint32_t>(free_.size() - 1 - i);
   }
-  next_id_ = options_.first_record_id;
-  frontier_ = options_.min_timestamp;
-  max_seen_ = options_.min_timestamp;
 }
 
 void IngestQueue::PushLocked(const double* coords, Timestamp arrival,

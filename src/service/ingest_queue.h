@@ -60,16 +60,6 @@ struct IngestOptions {
   /// its arrival by this much, giving out-of-order producers a chance to
   /// slot in. 0 releases immediately in push order.
   Timestamp slack = 2;
-  /// First record id DrainBatch assigns. After crash recovery the service
-  /// resumes the id sequence where the journal left off, because record
-  /// ids must stay strictly increasing across restarts (they encode
-  /// arrival order for the engines' windows).
-  RecordId first_record_id = 0;
-  /// Initial release frontier. Arrivals timestamped at or before this are
-  /// coerced forward to it (and counted), exactly like in-stream
-  /// stragglers — after recovery, no tuple may time-travel behind the
-  /// last journaled cycle.
-  Timestamp min_timestamp = std::numeric_limits<Timestamp>::min();
 };
 
 /// Observable ingest counters (all monotonically increasing except depth).
@@ -155,12 +145,13 @@ class IngestQueue {
   /// this so recovery can resume the sequence).
   RecordId NextRecordId() const;
 
-  /// Re-seeds the id/timestamp sequences of an *empty* queue — the
-  /// promotion path: a replication follower built its state by replay
-  /// (nothing ever pushed), and on promotion new ingest must continue the
-  /// leader's record ids and never time-travel behind the last replayed
-  /// cycle. FailedPrecondition while records are buffered or the queue is
-  /// closed.
+  /// Re-seeds the id/timestamp sequences of an *empty* queue (they start
+  /// at id 0 with no frontier). A leader resuming a journal calls it:
+  /// record ids must stay strictly increasing across restarts and
+  /// promotions, and arrivals before `min_timestamp` are coerced forward
+  /// to it (and counted) like stragglers, so no tuple time-travels
+  /// behind the last journaled cycle. FailedPrecondition while records
+  /// are buffered or the queue is closed.
   Status ResumeSequences(RecordId next_record_id, Timestamp min_timestamp);
 
   /// Bytes of record storage (key ring + payload lane + free-slot

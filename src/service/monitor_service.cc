@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/geometry.h"
@@ -31,13 +31,16 @@ std::string ServiceStats::ToString() const {
 
 MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
                                const ServiceOptions& options)
-    : MonitorService(std::move(engine), options, RecoveryReport{}, nullptr) {}
+    : MonitorService(std::move(engine), options, RecoveryReport{}) {
+  // A fresh journal: a directory that already holds segments only marks
+  // journal_status(), and the service serves on unjournaled.
+  std::lock_guard<std::mutex> lock(engine_mu_);
+  StartLeaderLocked(LeaderStart{});
+}
 
 MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
                                const ServiceOptions& options,
-                               RecoveryReport recovery,
-                               std::unique_ptr<CycleJournalWriter> journal,
-                               ServiceRole role)
+                               RecoveryReport recovery)
     : options_(options),
       engine_(std::move(engine)),
       dim_(engine_->dim()),
@@ -46,31 +49,12 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
       epoch_(std::chrono::steady_clock::now()),
       ingest_(options.ingest, dim_),
       sessions_(options.session),
-      hub_(options.hub),
-      role_(role),
-      journal_(std::move(journal)) {
+      hub_(options.hub) {
   assert(engine_ != nullptr);
-  next_query_id_ = static_cast<QueryId>(recovery_.next_query_id);
   applied_cycle_ts_.store(recovery_.last_cycle_ts,
                           std::memory_order_release);
   leader_cycle_ts_.store(recovery_.last_cycle_ts,
                          std::memory_order_release);
-  // A journal dir without a pre-built writer means the caller used the
-  // plain constructor: start a fresh journal (Open() is the recovery
-  // path and hands in a writer that already resumed the directory). A
-  // follower never writes its journal dir — the ReplicaFollower ships
-  // leader bytes into it, and Promote() opens the writer.
-  if (role == ServiceRole::kLeader && journal_ == nullptr &&
-      !options_.journal.dir.empty()) {
-    auto writer =
-        CycleJournalWriter::Open(options_.journal, JournalSnapshot{});
-    if (writer.ok()) {
-      journal_ = std::move(*writer);
-    } else {
-      journal_status_ = writer.status();
-      journal_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
   // Adopt the persisted fencing epoch before serving: a restarted old
   // leader must come back at the epoch it was deposed at (or its own
   // last term), never at 0. A corrupt EPOCH file is recorded like a
@@ -80,15 +64,12 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
     if (epoch.ok()) {
       fencing_epoch_.store(*epoch, std::memory_order_release);
     } else {
-      journal_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (journal_status_.ok()) journal_status_ = epoch.status();
+      RecordJournalFault(epoch.status());
     }
   }
+  // The leader start arms it; a follower never reads it.
   if (options_.lease.enabled) {
     lease_ = std::make_unique<FencingLease>(options_.lease.duration_seconds);
-    // Arm from construction so a leader booted with no follower attached
-    // yet has the full lease duration to acquire one.
-    lease_->Start(NowSeconds());
   }
   // Instruments (and the admin endpoint) come up before the fan-out is
   // installed and before the driver starts: the delivery histogram must
@@ -98,12 +79,6 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
   // so the very first delta (a query's initial result) is routed.
   engine_->SetDeltaCallback(
       [this](const ResultDelta& delta) { hub_.Publish(delta); });
-  AdoptRecoveredQueries();
-  if (role == ServiceRole::kFollower) {
-    applier_ = std::make_unique<JournalApplier>(*engine_, FollowerHooks());
-  } else if (bootstrap_error_.ok()) {
-    driver_ = std::thread([this] { DriverLoop(); });
-  }
 }
 
 MonitorService::~MonitorService() { Shutdown(); }
@@ -122,27 +97,40 @@ Result<std::unique_ptr<MonitorService>> MonitorService::Open(
   }
   auto report = RecoveryDriver::Replay(options.journal.dir, *engine);
   if (!report.ok()) return report.status();
-
-  ServiceOptions adjusted = options;
-  if (report->recovered) {
-    // Resume the id/timestamp sequences where the journal left off: ids
-    // must stay strictly increasing across restarts and no new tuple may
-    // time-travel behind the last journaled cycle.
-    adjusted.ingest.first_record_id = report->next_record_id;
-    adjusted.ingest.min_timestamp = report->last_cycle_ts;
-  }
-  // On a first boot the engine is fresh, the query set empty and the
-  // record ids at their defaults, so this anchors an empty window.
-  const SnapshotAnchor anchor{*engine, report->next_record_id,
-                              report->next_query_id, report->live_queries};
-  auto writer = CycleJournalWriter::Open(adjusted.journal, anchor,
-                                         /*resuming=*/true);
-  if (!writer.ok()) return writer.status();
-
   std::unique_ptr<MonitorService> service(
-      new MonitorService(std::move(engine), adjusted, std::move(*report),
-                         std::move(*writer)));
-  if (!service->bootstrap_error_.ok()) return service->bootstrap_error_;
+      new MonitorService(std::move(engine), options, std::move(*report)));
+  const RecoveryReport& recovered = service->recovery_;
+
+  // Adopt before the leader start: a refused adoption returns here,
+  // before any segment is written or garbage-collected.
+  {
+    std::lock_guard<std::mutex> control(service->control_mu_);
+    for (const JournaledQuery& q : recovered.live_queries) {
+      Result<SessionId> session = service->AdoptSession(q.owner_label);
+      // Replay already registered the query with the engine.
+      const Status st =
+          session.ok() ? service->BindQuery(*session, q.spec,
+                                            [] { return Status::Ok(); })
+                       : session.status();
+      if (!st.ok()) {
+        return Status(st.code(), "adopting recovered query " +
+                                     std::to_string(q.spec.id) +
+                                     " for session '" + q.owner_label +
+                                     "': " + st.message());
+      }
+    }
+  }
+  // On a first boot the report holds the defaults, so this anchors an
+  // empty window and leaves the ingest sequences where they start.
+  {
+    std::lock_guard<std::mutex> lock(service->engine_mu_);
+    TOPKMON_RETURN_IF_ERROR(service->StartLeaderLocked(LeaderStart{
+        recovered.next_record_id,
+        recovered.recovered ? recovered.last_cycle_ts
+                            : std::numeric_limits<Timestamp>::min(),
+        recovered.next_query_id, recovered.live_queries,
+        /*resume_journal=*/true}));
+  }
   return service;
 }
 
@@ -156,43 +144,82 @@ Result<std::unique_ptr<MonitorService>> MonitorService::OpenFollower(
   if (engine == nullptr) {
     return Status::InvalidArgument("engine factory returned null");
   }
-  std::unique_ptr<MonitorService> service(new MonitorService(
-      std::move(engine), options, RecoveryReport{}, nullptr,
-      ServiceRole::kFollower));
+  std::unique_ptr<MonitorService> service(
+      new MonitorService(std::move(engine), options, RecoveryReport{}));
   // Safe post-ctor: a follower starts no driver thread, and nothing can
   // feed ApplyReplicated before this function returns the service.
   service->engine_factory_ = engine_factory;
-  service->leader_endpoint_ = std::move(leader_endpoint);
+  service->applier_ = std::make_unique<JournalApplier>(
+      *service->engine_, service->FollowerHooks());
+  service->SetLeaderEndpoint(std::move(leader_endpoint));
   return service;
 }
 
-void MonitorService::AdoptRecoveredQueries() {
-  std::unordered_map<std::string, SessionId> by_label;
-  for (const JournaledQuery& q : recovery_.live_queries) {
-    SessionId session = 0;
-    auto it = by_label.find(q.owner_label);
-    if (it != by_label.end()) {
-      session = it->second;
+Status MonitorService::StartLeaderLocked(LeaderStart from) {
+  // New ingest continues the journal's record ids and cannot time-travel
+  // behind its last cycle; new registrations continue its query ids.
+  TOPKMON_RETURN_IF_ERROR(
+      ingest_.ResumeSequences(from.next_record_id, from.min_timestamp));
+  next_query_id_ = static_cast<QueryId>(from.next_query_id);
+  journaled_queries_ = std::move(from.live_queries);
+  if (!options_.journal.dir.empty()) {
+    auto writer = CycleJournalWriter::Open(options_.journal, AnchorLocked(),
+                                           from.resume_journal);
+    if (writer.ok()) {
+      journal_ = std::move(*writer);
+      journal_->set_fsync_histogram(journal_fsync_hist_);
+      journal_progress_.fetch_add(1, std::memory_order_release);
+    } else if (from.resume_journal) {
+      // Recovered or replicated state never serves unjournaled.
+      return writer.status();
     } else {
-      Result<SessionId> opened = OpenSession(q.owner_label);
-      if (!opened.ok()) {
-        bootstrap_error_ = opened.status();
-        return;
-      }
-      session = *opened;
-      by_label.emplace(q.owner_label, session);
+      RecordJournalFault(writer.status());
     }
-    Status st = sessions_.Admit(session, q.spec.id, q.spec.k);
-    if (st.ok()) st = hub_.Bind(q.spec.id, session);
-    if (!st.ok()) {
-      bootstrap_error_ = Status(
-          st.code(), "adopting recovered query " +
-                         std::to_string(q.spec.id) + " for session '" +
-                         q.owner_label + "': " + st.message());
-      return;
-    }
-    journaled_queries_.push_back(q);
   }
+  // Armed at the start of the term, so a leader with no follower
+  // attached yet has the full lease duration to acquire one.
+  if (lease_ != nullptr) lease_->Start(NowSeconds());
+  role_.store(ServiceRole::kLeader, std::memory_order_release);
+  driver_ = std::thread([this] { DriverLoop(); });
+  return Status::Ok();
+}
+
+Result<SessionId> MonitorService::AdoptSession(const std::string& label) {
+  Result<SessionId> found = sessions_.FindByLabel(label);
+  if (found.ok()) return found;
+  return OpenSession(label);
+}
+
+template <typename EngineRegisterFn>
+Status MonitorService::BindQuery(SessionId session, const QuerySpec& spec,
+                                 EngineRegisterFn&& engine_register) {
+  TOPKMON_RETURN_IF_ERROR(sessions_.Admit(session, spec.id, spec.k));
+  // Bind before registering: the engine reports the initial result as a
+  // delta synchronously from RegisterQuery.
+  Status st = hub_.Bind(spec.id, session);
+  if (st.ok()) {
+    st = engine_register();
+    if (!st.ok()) hub_.Unbind(spec.id);
+  }
+  if (!st.ok()) sessions_.Release(spec.id);
+  return st;
+}
+
+Status MonitorService::DropQueryLocked(QueryId query) {
+  // Write-ahead: the termination is journaled before it is applied, so a
+  // crash in between forgets the query rather than resurrecting it.
+  JournalAppendLocked(
+      [query](CycleJournalWriter& w) { return w.AppendUnregister(query); });
+  const Status st = engine_->UnregisterQuery(query);
+  hub_.Unbind(query);
+  // NotFound after SessionManager::Close, which already released it.
+  sessions_.Release(query);
+  journaled_queries_.erase(
+      std::remove_if(
+          journaled_queries_.begin(), journaled_queries_.end(),
+          [query](const JournaledQuery& q) { return q.spec.id == query; }),
+      journaled_queries_.end());
+  return st;
 }
 
 double MonitorService::NowSeconds() const {
@@ -227,9 +254,7 @@ Status MonitorService::JournalAppendLocked(AppendFn&& append) {
   // caller's registration is rejected, nothing was written) — the
   // journal itself is still healthy.
   if (!st.ok() && st.code() != StatusCode::kUnimplemented) {
-    journal_failures_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(journal_status_mu_);
-    if (journal_status_.ok()) journal_status_ = st;
+    RecordJournalFault(st);
   }
   if (journal_->stats().bytes_written != bytes_before) {
     // Wakes parked replication fetches: the journal grew.
@@ -240,9 +265,14 @@ Status MonitorService::JournalAppendLocked(AppendFn&& append) {
 
 Status MonitorService::SyncJournal() {
   std::lock_guard<std::mutex> lock(engine_mu_);
-  if (journal_ == nullptr) return Status::Ok();
   return JournalAppendLocked(
       [](CycleJournalWriter& w) { return w.Sync(); });
+}
+
+void MonitorService::RecordJournalFault(const Status& st) {
+  journal_failures_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(journal_status_mu_);
+  if (journal_status_.ok()) journal_status_ = st;
 }
 
 Status MonitorService::journal_status() const {
@@ -250,24 +280,15 @@ Status MonitorService::journal_status() const {
   return journal_status_;
 }
 
-Status MonitorService::RefuseIfFollower() const {
-  if (role_.load(std::memory_order_acquire) != ServiceRole::kFollower) {
-    return Status::Ok();
-  }
-  std::string detail = "service is a read-only replication follower";
-  {
+Status MonitorService::RefuseWrite() {
+  if (role_.load(std::memory_order_acquire) == ServiceRole::kFollower) {
+    std::string detail = "service is a read-only replication follower";
     std::lock_guard<std::mutex> lock(leader_endpoint_mu_);
     if (!leader_endpoint_.empty()) {
       detail +=
           " (redirect writes to the leader at " + leader_endpoint_ + ")";
     }
-  }
-  return Status::FailedPrecondition(std::move(detail));
-}
-
-Status MonitorService::RefuseIfFenced() {
-  if (role_.load(std::memory_order_acquire) != ServiceRole::kLeader) {
-    return Status::Ok();
+    return Status::FailedPrecondition(std::move(detail));
   }
   // Even a leader running without a lease (a promoted replica whose
   // operator opted out of self-fencing) honors the fenced_ latch: once a
@@ -327,16 +348,32 @@ Status MonitorService::ObserveFencingEpoch(std::uint64_t epoch) {
 }
 
 Status MonitorService::Ingest(Point position, Timestamp arrival) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFenced());
-  TOPKMON_RETURN_IF_ERROR(ValidatePoint(position, dim_));
-  return ingest_.Push(std::move(position), arrival);
+  return IngestOne(nullptr, std::move(position), arrival, /*block=*/true);
 }
 
 Status MonitorService::TryIngest(Point position, Timestamp arrival) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFenced());
+  return IngestOne(nullptr, std::move(position), arrival, /*block=*/false);
+}
+
+Status MonitorService::Ingest(SessionId session, Point position,
+                              Timestamp arrival) {
+  return IngestOne(&session, std::move(position), arrival, /*block=*/true);
+}
+
+Status MonitorService::TryIngest(SessionId session, Point position,
+                                 Timestamp arrival) {
+  return IngestOne(&session, std::move(position), arrival, /*block=*/false);
+}
+
+Status MonitorService::IngestOne(const SessionId* session, Point position,
+                                 Timestamp arrival, bool block) {
+  TOPKMON_RETURN_IF_ERROR(RefuseWrite());
+  if (session != nullptr) {
+    TOPKMON_RETURN_IF_ERROR(
+        sessions_.ConsumeIngestTokens(*session, 1.0, NowSeconds()));
+  }
   TOPKMON_RETURN_IF_ERROR(ValidatePoint(position, dim_));
+  if (block) return ingest_.Push(std::move(position), arrival);
   if (ingest_.TryPush(std::move(position), arrival)) return Status::Ok();
   if (ingest_.closed()) {
     return Status::FailedPrecondition("ingest queue is closed");
@@ -347,28 +384,10 @@ Status MonitorService::TryIngest(Point position, Timestamp arrival) {
   return Status::ResourceExhausted("ingest queue is full");
 }
 
-Status MonitorService::Ingest(SessionId session, Point position,
-                              Timestamp arrival) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(
-      sessions_.ConsumeIngestTokens(session, 1.0, NowSeconds()));
-  return Ingest(std::move(position), arrival);
-}
-
-Status MonitorService::TryIngest(SessionId session, Point position,
-                                 Timestamp arrival) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(
-      sessions_.ConsumeIngestTokens(session, 1.0, NowSeconds()));
-  return TryIngest(std::move(position), arrival);
-}
-
 std::size_t MonitorService::TryIngestBatch(SessionId session,
                                           RecordSpan records,
                                           Status* error) {
-  *error = RefuseIfFollower();
-  if (!error->ok()) return 0;
-  *error = RefuseIfFenced();
+  *error = RefuseWrite();
   if (!error->ok()) return 0;
   const std::size_t n = records.size();
   if (n == 0) return 0;
@@ -408,96 +427,63 @@ Result<SessionId> MonitorService::FindSession(const std::string& label) const {
 
 Status MonitorService::CloseSession(SessionId session) {
   std::lock_guard<std::mutex> control(control_mu_);
-  // A follower session that owns queries owns *replicated* ones (clients
-  // cannot register here), and closing it would unregister them locally
-  // and silently diverge from the leader — refuse. A reader session that
-  // owns nothing is pure local state; short-lived follower readers must
-  // be able to release theirs or they pile into the session limit.
-  // control_mu_ serializes this check against replicated registrations.
-  if (role_.load(std::memory_order_acquire) == ServiceRole::kFollower) {
+  // Only a session that owns queries is refused. On a follower those are
+  // *replicated* queries (clients cannot register here), and closing it
+  // would unregister them locally and silently diverge from the leader;
+  // on a fenced leader it would journal unregisters under a deposed
+  // term. A session that owns nothing is pure local state: short-lived
+  // follower readers must be able to release theirs or they pile into
+  // the session limit. control_mu_ serializes this check against
+  // replicated registrations.
+  if (Status refused = RefuseWrite(); !refused.ok()) {
     const auto owned = sessions_.QueryCount(session);
     if (!owned.ok()) return owned.status();
-    if (*owned > 0) {
-      TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-    }
-  }
-  // Same shape on a fenced leader: closing a query-owning session would
-  // journal unregisters under a deposed term. Query-less sessions stay
-  // closable — they are pure local state.
-  if (Status fenced = RefuseIfFenced(); !fenced.ok()) {
-    const auto owned = sessions_.QueryCount(session);
-    if (!owned.ok()) return owned.status();
-    if (*owned > 0) return fenced;
+    if (*owned > 0) return refused;
   }
   Result<std::vector<QueryId>> owned = sessions_.Close(session);
   if (!owned.ok()) return owned.status();
   Status first_error;
   for (QueryId query : *owned) {
-    hub_.Unbind(query);
     std::lock_guard<std::mutex> lock(engine_mu_);
-    // Write-ahead: the termination is journaled before it is applied, so
-    // a crash in between forgets the query rather than resurrecting it.
-    JournalAppendLocked(
-        [query](CycleJournalWriter& w) { return w.AppendUnregister(query); });
-    const Status st = engine_->UnregisterQuery(query);
+    const Status st = DropQueryLocked(query);
     if (!st.ok() && first_error.ok()) first_error = st;
-    journaled_queries_.erase(
-        std::remove_if(journaled_queries_.begin(), journaled_queries_.end(),
-                       [query](const JournaledQuery& q) {
-                         return q.spec.id == query;
-                       }),
-        journaled_queries_.end());
   }
   hub_.Detach(session);
   return first_error;
 }
 
 Result<QueryId> MonitorService::Register(SessionId session, QuerySpec spec) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFenced());
+  TOPKMON_RETURN_IF_ERROR(RefuseWrite());
   std::lock_guard<std::mutex> control(control_mu_);
   spec.id = next_query_id_.fetch_add(1);
   TOPKMON_RETURN_IF_ERROR(spec.Validate(dim_));
   Result<std::string> label = sessions_.Label(session);
   if (!label.ok()) return label.status();
-  TOPKMON_RETURN_IF_ERROR(sessions_.Admit(session, spec.id, spec.k));
-  // Bind before registering: the engine reports the initial result as a
-  // delta synchronously from RegisterQuery.
-  Status st = hub_.Bind(spec.id, session);
-  if (st.ok()) {
+  TOPKMON_RETURN_IF_ERROR(BindQuery(session, spec, [&]() -> Status {
     std::lock_guard<std::mutex> lock(engine_mu_);
     JournaledQuery journaled{spec, std::move(*label)};
-    bool appended = false;
-    if (journal_ != nullptr) {
-      const Status js = JournalAppendLocked([&journaled](
-          CycleJournalWriter& w) { return w.AppendRegister(journaled); });
-      appended = js.ok();
-      // A spec the journal cannot encode must be refused outright — it
-      // would silently vanish on recovery. I/O failures degrade to
-      // journal_failures instead (availability over durability).
-      if (!js.ok() && js.code() == StatusCode::kUnimplemented) st = js;
-    }
-    if (st.ok()) st = engine_->RegisterQuery(spec);
+    const Status js = JournalAppendLocked([&journaled](
+        CycleJournalWriter& w) { return w.AppendRegister(journaled); });
+    // A spec the journal cannot encode must be refused outright — it
+    // would silently vanish on recovery. I/O failures degrade to
+    // journal_failures instead (availability over durability).
+    if (js.code() == StatusCode::kUnimplemented) return js;
+    const Status st = engine_->RegisterQuery(spec);
     if (st.ok()) {
       journaled_queries_.push_back(std::move(journaled));
-    } else if (appended) {
+    } else if (js.ok()) {
       // Compensate so replay unregisters what the engine refused.
       JournalAppendLocked([&spec](CycleJournalWriter& w) {
         return w.AppendUnregister(spec.id);
       });
     }
-  }
-  if (!st.ok()) {
-    hub_.Unbind(spec.id);
-    sessions_.Release(spec.id);
     return st;
-  }
+  }));
   return spec.id;
 }
 
 Status MonitorService::Unregister(SessionId session, QueryId query) {
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFollower());
-  TOPKMON_RETURN_IF_ERROR(RefuseIfFenced());
+  TOPKMON_RETURN_IF_ERROR(RefuseWrite());
   std::lock_guard<std::mutex> control(control_mu_);
   Result<SessionId> owner = sessions_.Owner(query);
   if (!owner.ok()) return owner.status();
@@ -506,20 +492,8 @@ Status MonitorService::Unregister(SessionId session, QueryId query) {
         "query id " + std::to_string(query) + " is owned by session " +
         std::to_string(*owner) + ", not " + std::to_string(session));
   }
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    JournalAppendLocked(
-        [query](CycleJournalWriter& w) { return w.AppendUnregister(query); });
-    TOPKMON_RETURN_IF_ERROR(engine_->UnregisterQuery(query));
-    journaled_queries_.erase(
-        std::remove_if(journaled_queries_.begin(), journaled_queries_.end(),
-                       [query](const JournaledQuery& q) {
-                         return q.spec.id == query;
-                       }),
-        journaled_queries_.end());
-  }
-  hub_.Unbind(query);
-  return sessions_.Release(query);
+  std::lock_guard<std::mutex> lock(engine_mu_);
+  return DropQueryLocked(query);
 }
 
 Result<std::vector<ResultEntry>> MonitorService::CurrentResult(
@@ -535,35 +509,16 @@ Result<SessionId> MonitorService::QueryOwner(QueryId query) const {
 JournalApplier::Hooks MonitorService::FollowerHooks() {
   JournalApplier::Hooks hooks;
   // Both hooks run with control_mu_ + engine_mu_ held by the apply path.
+  // Adoption by owner label, exactly like recovery: a follower client
+  // resuming the leader-side label reads the replica of its queries.
   hooks.register_query = [this](const JournaledQuery& q) -> Status {
-    // Session adoption by owner label, exactly like recovery: the oldest
-    // open session with the leader-side label owns the replica of its
-    // queries, so a follower client resuming that label reads them.
-    SessionId session = 0;
-    if (const auto found = sessions_.FindByLabel(q.owner_label);
-        found.ok()) {
-      session = *found;
-    } else {
-      auto opened = sessions_.Open(q.owner_label);
-      if (!opened.ok()) return opened.status();
-      hub_.Attach(*opened);
-      session = *opened;
-    }
-    TOPKMON_RETURN_IF_ERROR(sessions_.Admit(session, q.spec.id, q.spec.k));
-    Status st = hub_.Bind(q.spec.id, session);
-    // Bind before the engine call so the initial-result delta routes.
-    if (st.ok()) {
-      st = engine_->RegisterQuery(q.spec);
-      if (!st.ok()) hub_.Unbind(q.spec.id);
-    }
-    if (!st.ok()) sessions_.Release(q.spec.id);
-    return st;
+    Result<SessionId> session = AdoptSession(q.owner_label);
+    if (!session.ok()) return session.status();
+    return BindQuery(*session, q.spec,
+                     [this, &q] { return engine_->RegisterQuery(q.spec); });
   };
-  hooks.unregister_query = [this](QueryId id) -> Status {
-    const Status st = engine_->UnregisterQuery(id);
-    hub_.Unbind(id);
-    sessions_.Release(id);
-    return st;
+  hooks.unregister_query = [this](QueryId id) {
+    return DropQueryLocked(id);
   };
   return hooks;
 }
@@ -642,8 +597,7 @@ Status MonitorService::ResetFollowerState() {
   // resync — the new anchor re-registers the live set under the same
   // labels and ids.
   for (const JournaledQuery& q : applier_->live_queries()) {
-    hub_.Unbind(q.spec.id);
-    sessions_.Release(q.spec.id);
+    DropQueryLocked(q.spec.id);
   }
   engine_ = std::move(fresh);
   engine_->SetDeltaCallback(
@@ -685,29 +639,13 @@ Status MonitorService::Promote(std::uint64_t new_epoch) {
     TOPKMON_RETURN_IF_ERROR(
         WriteFencingEpoch(options_.journal.dir, new_epoch));
   }
-  // Seal replay bookkeeping into the service's own sequences: new ingest
-  // continues the leader's record ids and cannot time-travel behind the
-  // last replayed cycle; new registrations continue the query-id space.
-  journaled_queries_ = applier_->live_queries();
-  next_query_id_ = static_cast<QueryId>(applier_->next_query_id());
-  TOPKMON_RETURN_IF_ERROR(ingest_.ResumeSequences(
-      applier_->next_record_id(), applier_->last_cycle_ts()));
-  if (!options_.journal.dir.empty()) {
-    auto writer = CycleJournalWriter::Open(options_.journal, AnchorLocked(),
-                                           /*resuming=*/true);
-    if (!writer.ok()) return writer.status();
-    journal_ = std::move(*writer);
-    // The promoted writer is a new object: re-inject the fsync
-    // histogram the follower-role service never had a writer for.
-    journal_->set_fsync_histogram(journal_fsync_hist_);
-    journal_progress_.fetch_add(1, std::memory_order_release);
-  }
   fencing_epoch_.store(new_epoch, std::memory_order_release);
-  fenced_.store(false, std::memory_order_release);
-  if (lease_ != nullptr) lease_->Start(NowSeconds());
-  role_.store(ServiceRole::kLeader, std::memory_order_release);
-  driver_ = std::thread([this] { DriverLoop(); });
-  return Status::Ok();
+  // The replay bookkeeping becomes the leader's sequences, and the
+  // journal re-opens over the shipped directory.
+  return StartLeaderLocked(
+      LeaderStart{applier_->next_record_id(), applier_->last_cycle_ts(),
+                  applier_->next_query_id(), applier_->live_queries(),
+                  /*resume_journal=*/true});
 }
 
 ReplicationInfo MonitorService::replication() const {
@@ -831,10 +769,8 @@ void MonitorService::DriverLoop() {
       // tail to the platter even though no append will run for a while.
       {
         std::lock_guard<std::mutex> lock(engine_mu_);
-        if (journal_ != nullptr) {
-          JournalAppendLocked(
-              [](CycleJournalWriter& w) { return w.SyncIfDue(); });
-        }
+        JournalAppendLocked(
+            [](CycleJournalWriter& w) { return w.SyncIfDue(); });
       }
       // A flush fence may already be satisfied (fence raced a drain).
       flush_cv_.notify_all();
@@ -916,14 +852,10 @@ void MonitorService::Shutdown() {
   }
   if (driver_.joinable()) driver_.join();
   // With the driver parked, seal the journal: a final snapshot segment
-  // makes the next Open() replay nothing. Never after a failed bootstrap
-  // — journaled_queries_ is only partially adopted there, and rotating
-  // would garbage-collect the segment holding the full recovered state.
+  // makes the next Open() replay nothing.
   std::lock_guard<std::mutex> engine_lock(engine_mu_);
   if (journal_ != nullptr && !journal_->closed()) {
-    if (options_.journal.snapshot_on_shutdown && bootstrap_error_.ok()) {
-      RotateJournalLocked();
-    }
+    if (options_.journal.snapshot_on_shutdown) RotateJournalLocked();
     JournalAppendLocked(
         [](CycleJournalWriter& w) { return w.Close(); });
   }
@@ -983,9 +915,6 @@ void MonitorService::SetupObservability() {
       "Wall time of journal fdatasync calls (the group-commit ack "
       "point)");
   hub_.SetDeliveryHistogram(delta_delivery_hist_);
-  if (journal_ != nullptr) {
-    journal_->set_fsync_histogram(journal_fsync_hist_);
-  }
   metrics_.AddSampler(
       [this](MetricSink& sink) { SampleServiceMetrics(sink); });
   if (options_.admin.enabled) {

@@ -47,11 +47,18 @@
 // query registrations through the same session/label adoption recovery
 // uses — so follower clients resume their leader-side session labels and
 // read snapshots and delta streams from replayed state. Writes (Ingest,
-// Register, Unregister, CloseSession) are refused with a
-// redirect-to-leader FailedPrecondition. Promote() turns the follower
-// into a leader in place: id/timestamp sequences resume from the replay
-// bookkeeping, journaling re-opens over the shipped directory, and the
-// cycle driver starts.
+// Register, Unregister, CloseSession) pass one gate, which refuses them
+// with a redirect-to-leader FailedPrecondition (FENCED on a deposed
+// leader). Promote() turns the follower into a leader in place.
+//
+// One leader start: the public constructor (fresh), Open() (after
+// adopting the recovered queries, so a refused adoption writes nothing)
+// and Promote() (after persisting its new fencing epoch) all become a
+// leader through it. Under the engine mutex, in order, it resumes the
+// ingest id/timestamp sequences, sets the query-id allocator and the
+// journaled query set, opens the journal writer anchored on the current
+// state (fresh, or resuming the directory), arms the lease, flips the
+// role and, last, starts the cycle driver.
 
 #ifndef TOPKMON_SERVICE_MONITOR_SERVICE_H_
 #define TOPKMON_SERVICE_MONITOR_SERVICE_H_
@@ -60,6 +67,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -445,14 +453,27 @@ class MonitorService {
   void SetClockForTesting(std::function<double()> clock);
 
  private:
-  /// Shared delegate of the public constructor, Open() and
-  /// OpenFollower(): adopts an already-recovered engine plus the journal
-  /// writer continuing its journal, then re-creates recovered sessions
-  /// and (leader role) starts the driver.
+  /// Where a leader term picks up: fresh defaults, or the replay
+  /// bookkeeping of a recovered (Open) or replicated (Promote) journal.
+  struct LeaderStart {
+    RecordId next_record_id = 0;
+    Timestamp min_timestamp = std::numeric_limits<Timestamp>::min();
+    std::uint64_t next_query_id = 1;
+    std::vector<JournaledQuery> live_queries;
+    /// Resume the directory (a failed open fails the start) rather than
+    /// start a fresh journal (a failed open only marks journal_status()).
+    bool resume_journal = false;
+  };
+
+  /// Shared by the public constructor, Open() and OpenFollower(): brings
+  /// up the admin plane and the delta fan-out and starts nothing; the
+  /// service is a follower until StartLeaderLocked.
   MonitorService(std::unique_ptr<MonitorEngine> engine,
-                 const ServiceOptions& options, RecoveryReport recovery,
-                 std::unique_ptr<CycleJournalWriter> journal,
-                 ServiceRole role = ServiceRole::kLeader);
+                 const ServiceOptions& options, RecoveryReport recovery);
+
+  /// The one leader start (the file comment lists its steps). Caller
+  /// holds engine_mu_.
+  Status StartLeaderLocked(LeaderStart from);
 
   void DriverLoop();
   bool NeedsFlush() const;
@@ -460,23 +481,35 @@ class MonitorService {
   /// Fires every registered progress listener (see AddProgressListener).
   void NotifyProgress();
 
-  /// The redirect status follower-mode writes draw; Ok on a leader.
-  Status RefuseIfFollower() const;
+  /// The write gate: the redirect status on a follower, FENCED on a
+  /// leader whose lease lapsed (latched in fenced_) or that observed a
+  /// higher epoch, else Ok.
+  Status RefuseWrite();
 
-  /// FENCED refusal for writes on a leader whose lease lapsed or that
-  /// observed a higher epoch; Ok on followers and lease-less services.
-  /// Expiry latches fenced_ (sticky), so the check is at most one clock
-  /// read past the first refusal.
-  Status RefuseIfFenced();
+  /// The four single-tuple ingest calls: gate, session tokens (when
+  /// `session` is set), validation, then the queue.
+  Status IngestOne(const SessionId* session, Point position,
+                   Timestamp arrival, bool block);
 
   /// Applier hooks routing replicated query lifetime events through
-  /// session adoption + hub binding. Caller holds control_mu_ and
-  /// engine_mu_ during applier calls.
+  /// AdoptSession, BindQuery and DropQueryLocked. Caller holds
+  /// control_mu_ and engine_mu_ during applier calls.
   JournalApplier::Hooks FollowerHooks();
 
-  /// Re-opens sessions for recovered queries (one per original label) and
-  /// binds their subscriptions; failures land in bootstrap_error_.
-  void AdoptRecoveredQueries();
+  /// The oldest open session with this label, else a new one.
+  Result<SessionId> AdoptSession(const std::string& label);
+
+  /// Admits `spec` to `session`, binds its subscription, then runs
+  /// `engine_register`, undoing the earlier steps if a later one fails.
+  /// Caller holds control_mu_.
+  template <typename EngineRegisterFn>
+  Status BindQuery(SessionId session, const QuerySpec& spec,
+                   EngineRegisterFn&& engine_register);
+
+  /// Journals the unregister, unregisters from the engine, unbinds,
+  /// releases and forgets the journaled spec; returns the engine's
+  /// status. Caller holds control_mu_ and engine_mu_.
+  Status DropQueryLocked(QueryId query);
 
   /// Seconds on the service's monotonic clock (token-bucket time base).
   double NowSeconds() const;
@@ -490,6 +523,9 @@ class MonitorService {
   /// Caller must hold engine_mu_.
   void RotateJournalLocked();
 
+  /// Counts a journal fault and keeps the first one as journal_status().
+  void RecordJournalFault(const Status& st);
+
   /// Appends one record via `append`, tracking failures; holds the
   /// journal healthy/unhealthy accounting in one place. Caller must hold
   /// engine_mu_. No-op (Ok) when journaling is off.
@@ -497,9 +533,10 @@ class MonitorService {
   Status JournalAppendLocked(AppendFn&& append);
 
   /// Registers the service's owned instruments (latency histograms) and
-  /// its scrape-time sampler, injects the histograms into the hub and
-  /// journal writer, and — when options.admin.enabled — starts the
-  /// admin HTTP endpoint. Constructor-only.
+  /// its scrape-time sampler, injects the delivery histogram into the hub
+  /// (the leader start gives the writer its fsync histogram), and — when
+  /// options.admin.enabled — starts the admin HTTP endpoint.
+  /// Constructor-only.
   void SetupObservability();
 
   /// Admin endpoint handlers (run on the admin thread).
@@ -542,11 +579,12 @@ class MonitorService {
 
   std::atomic<QueryId> next_query_id_{1};
 
-  /// Replication state. role_ flips exactly once (Promote). The applier
-  /// and its bookkeeping are only touched under engine_mu_; the progress
-  /// timestamps are atomics so reads (snapshot staleness, parked fetch
-  /// probes) never take the engine lock.
-  std::atomic<ServiceRole> role_{ServiceRole::kLeader};
+  /// Replication state. role_ flips at most once, to kLeader, in
+  /// StartLeaderLocked. The applier and its bookkeeping are only touched
+  /// under engine_mu_; the progress timestamps are atomics so reads
+  /// (snapshot staleness, parked fetch probes) never take the engine
+  /// lock.
+  std::atomic<ServiceRole> role_{ServiceRole::kFollower};
   std::function<std::unique_ptr<MonitorEngine>()> engine_factory_;
   /// Guarded by leader_endpoint_mu_: rewritten by SetLeaderEndpoint when
   /// a failover re-targets this follower, read on every refused write.
@@ -560,8 +598,9 @@ class MonitorService {
   /// Lease + fencing state (v5). lease_ is only constructed when
   /// options.lease.enabled; fencing_epoch_ is a monotone max across
   /// Promote() and ObserveFencingEpoch(); fenced_ latches true when
-  /// this leader's lease lapses or a higher epoch appears, and only
-  /// Promote(new_epoch) clears it. epoch_mu_ serializes the
+  /// this leader's lease lapses or a higher epoch appears, and is never
+  /// cleared (only a leader latches it, and a service leads at most
+  /// once). epoch_mu_ serializes the
   /// persist-then-publish of a raised epoch (the EPOCH file must be
   /// durable before the in-memory epoch moves — a failed persist stays
   /// retryable); readers of fencing_epoch_ never take it.
@@ -579,16 +618,14 @@ class MonitorService {
 
   /// Journal state. The writer and the journaled-query registry (the live
   /// specs a snapshot must carry) are only touched under engine_mu_,
-  /// which keeps journal record order identical to engine apply order.
+  /// which keeps journal record order identical to engine apply order
+  /// (and lets the leader start assign journal_ while the admin thread
+  /// may already be scraping).
   std::unique_ptr<CycleJournalWriter> journal_;
   std::vector<JournaledQuery> journaled_queries_;  ///< registration order
   mutable std::mutex journal_status_mu_;
   Status journal_status_;
   std::atomic<std::uint64_t> journal_failures_{0};
-
-  /// First error during recovered-session adoption (ctor can't fail;
-  /// Open() checks and propagates this).
-  Status bootstrap_error_;
 
   /// Test clock override for NowSeconds. The flag is the hot-path
   /// guard: session-scoped ingest calls NowSeconds per record, so the

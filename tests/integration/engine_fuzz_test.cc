@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -490,8 +491,9 @@ void FuzzWorkloadWireRoundtrip(const std::string& name, std::size_t steps) {
   qopt.capacity = 1 << 12;
   qopt.max_batch = qopt.capacity;
   qopt.slack = 0;
-  qopt.first_record_id = 1;
   IngestQueue queue(qopt, kDim);
+  TOPKMON_ASSERT_OK(
+      queue.ResumeSequences(1, std::numeric_limits<Timestamp>::min()));
   IngestFrameView block;
   std::vector<Record> decoded;
   std::vector<Record> drained;

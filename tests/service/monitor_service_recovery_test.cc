@@ -11,10 +11,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -241,6 +244,75 @@ TEST(MonitorServiceRecoveryTest,
   EXPECT_GE(service.stats().journal_failures, 1u);
   TOPKMON_ASSERT_OK(service.Ingest(Point{0.1, 0.2}, 1));
   TOPKMON_ASSERT_OK(service.Flush());
+}
+
+/// Every file in `dir` by name, with its bytes.
+std::map<std::string, std::string> DirContents(const ScopedTempDir& dir) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : dir.Files()) {
+    std::ifstream in(dir.path() + "/" + name, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out[name] = bytes.str();
+  }
+  return out;
+}
+
+TEST(MonitorServiceRecoveryTest, FailedOpenWritesNothing) {
+  ScopedTempDir dir;
+  const ServiceOptions options =
+      JournaledOptions(dir.path(), /*snapshot_on_shutdown=*/false);
+  const auto specs = MakeRandomQueries(kDim, 3, 5, 31);
+  std::vector<QueryId> ids;
+  {
+    auto service = MonitorService::Open(TmaFactory(), options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    const SessionId owner = *(*service)->OpenSession("owner");
+    for (const QuerySpec& spec : specs) {
+      const auto id = (*service)->Register(owner, spec);
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+    std::vector<std::pair<Timestamp, std::vector<Record>>> applied;
+    IngestPhase(**service, 1, 100, 17, &applied);
+    TOPKMON_ASSERT_OK((*service)->journal_status());
+    (*service)->Shutdown();
+  }
+  const auto before = DirContents(dir);
+  ASSERT_FALSE(before.empty());
+
+  // One label owns 3 queries; a quota of 2 refuses the third adoption.
+  ServiceOptions tight = options;
+  tight.session.max_queries_per_session = 2;
+  auto refused = MonitorService::Open(TmaFactory(), tight);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status();
+  EXPECT_NE(refused.status().message().find("query quota"),
+            std::string::npos)
+      << refused.status();
+  // A failed Open() must not write or collect a segment.
+  const auto after = DirContents(dir);
+  EXPECT_EQ(after.size(), before.size()) << "files were added";
+  for (const auto& [name, bytes] : before) {
+    const auto it = after.find(name);
+    ASSERT_TRUE(it != after.end()) << name << " was deleted";
+    EXPECT_TRUE(it->second == bytes) << name << " was rewritten";
+  }
+
+  auto service = MonitorService::Open(TmaFactory(), options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  EXPECT_EQ((*service)->recovery().live_queries.size(), specs.size());
+  const auto owner = (*service)->FindSession("owner");
+  ASSERT_TRUE(owner.ok());
+  EXPECT_EQ((*service)->stats().active_queries, specs.size());
+  for (const QueryId id : ids) {
+    const auto got = (*service)->QueryOwner(id);
+    ASSERT_TRUE(got.ok()) << "query " << id;
+    EXPECT_EQ(*got, *owner);
+    EXPECT_TRUE((*service)->CurrentResult(id).ok()) << "query " << id;
+  }
+  (*service)->Shutdown();
 }
 
 /// One query's result change as a comparable value: ids with scores,
