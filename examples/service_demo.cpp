@@ -70,6 +70,7 @@
 //        per line, and exits; tools/check_metrics.py diffs this against
 //        the docs/ADMIN.md catalog)
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -499,8 +500,14 @@ int RunCluster(std::size_t partitions, int producers, std::size_t records,
   // 4. Routed producers: every thread dials its own router and assigns
   //    its own object ids — ownership (splitmix64(id) mod N) is computed
   //    client-side, so each batch splits into per-partition sub-batches
-  //    with per-partition backpressure pacing.
-  std::atomic<Timestamp> clock{1};
+  //    with per-partition backpressure pacing. The clock resumes past
+  //    the newest cycle any partition recovered.
+  Timestamp recovered_ts = 0;
+  for (std::size_t i = 0; i < partitions; ++i) {
+    recovered_ts = std::max(
+        recovered_ts, (*cluster)->service(i)->recovery().last_cycle_ts);
+  }
+  std::atomic<Timestamp> clock{recovered_ts + 1};
   std::atomic<std::uint64_t> next_id{1};
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> rejected{0};
@@ -615,19 +622,22 @@ int RunWorkloadDriven(const std::string& name, std::uint64_t seed,
                       std::size_t records, std::size_t queries, int k,
                       std::size_t window, const std::string& journal_dir,
                       SyncPolicy sync) {
+  auto owned_service = MakeService(window, journal_dir, sync);
+  if (owned_service == nullptr) return 1;
+  MonitorService& service = *owned_service;
   WorkloadOptions wopt;
   wopt.dim = 2;
   wopt.seed = seed;
   wopt.k = k;
   wopt.num_queries = queries;
+  // After a recovery the workload's clock resumes past the last
+  // recovered cycle.
+  wopt.start = service.recovery().last_cycle_ts + 1;
   auto workload = MakeWorkload(name, wopt);
   if (!workload.ok()) {
     std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
     return 1;
   }
-  auto owned_service = MakeService(window, journal_dir, sync);
-  if (owned_service == nullptr) return 1;
-  MonitorService& service = *owned_service;
 
   // One session owns every workload-scheduled query. After a journal
   // recovery the session is adopted by label and keeps the previous
@@ -828,7 +838,9 @@ int RunLocal(int producers, std::size_t records,
 
   // 4. Producer threads ingest concurrently; a shared atomic clock keeps
   //    timestamps globally unique (the ingest queue re-sorts stragglers).
-  std::atomic<Timestamp> clock{1};
+  //    After a recovery it resumes past the last recovered cycle, so no
+  //    record lands behind the window and gets coerced forward.
+  std::atomic<Timestamp> clock{service.recovery().last_cycle_ts + 1};
   std::vector<std::thread> workers;
   for (int p = 0; p < producers; ++p) {
     workers.emplace_back([&service, &clock, records, p] {

@@ -119,7 +119,8 @@ void QueryTable::ReportCycle(Timestamp now) {
 
 void QueryTable::ReportEntry(QueryId id, Timestamp now,
                              const std::vector<ResultEntry>& top_k) {
-  if (!IsInternalQueryId(id)) delta_.Report(id, now, top_k);
+  assert(!IsInternalQueryId(id));
+  delta_.Report(id, now, top_k);
 }
 
 std::vector<ResultEntry> QueryTable::Merged(const Parent& parent) const {

@@ -57,8 +57,10 @@ class QueryTable {
     /// no such entry.
     virtual bool AppendTopK(QueryId id,
                             std::vector<ResultEntry>* out) const = 0;
-    /// Calls table.ReportEntry(id, now, top-k) once per entry, in one walk
-    /// of the engine's table.
+    /// Calls table.ReportEntry(id, now, top-k) once per external entry,
+    /// in one walk of the engine's table. Internal piecewise sub-queries
+    /// are skipped before their top-k is built (their parent reports
+    /// them).
     virtual void ReportEntries(QueryTable& table, Timestamp now) const = 0;
 
    protected:
@@ -83,8 +85,8 @@ class QueryTable {
   }
   /// End of a cycle: reports every external query whose result changed.
   void ReportCycle(Timestamp now);
-  /// One entry's result, from Entries::ReportEntries; sub-queries are
-  /// reported through their parent instead.
+  /// One external entry's result, from Entries::ReportEntries
+  /// (sub-queries are reported through their parent instead).
   void ReportEntry(QueryId id, Timestamp now,
                    const std::vector<ResultEntry>& top_k);
 

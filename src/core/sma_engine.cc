@@ -33,6 +33,7 @@ bool SmaEngine::AppendTopK(QueryId id, std::vector<ResultEntry>* out) const {
 
 void SmaEngine::ReportEntries(QueryTable& table, Timestamp now) const {
   for (const auto& [qid, state] : queries_) {
+    if (IsInternalQueryId(qid)) continue;  // reported through its parent
     table.ReportEntry(qid, now, state.skyband.TopK());
   }
 }

@@ -56,6 +56,7 @@ bool TmaEngine::AppendTopK(QueryId id, std::vector<ResultEntry>* out) const {
 
 void TmaEngine::ReportEntries(QueryTable& table, Timestamp now) const {
   for (const auto& [qid, state] : queries_) {
+    if (IsInternalQueryId(qid)) continue;  // reported through its parent
     table.ReportEntry(qid, now, state.top_list.entries());
   }
 }

@@ -1,88 +1,12 @@
 #include "journal/format.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "core/engine.h"
 #include "journal/wire.h"
 
 namespace topkmon {
 namespace {
-
-// ---- CRC-32C (Castagnoli, reflected) ----------------------------------
-//
-// Every journaled byte is checksummed on the cycle-append hot path, so
-// the implementation matters: the SSE4.2 crc32 instruction where the CPU
-// has it, slicing-by-8 tables (8 input bytes folded per iteration)
-// otherwise.
-
-using Crc32Tables = std::uint32_t[8][256];
-
-const Crc32Tables& Crc32Table() {
-  static Crc32Tables table;
-  static const bool initialized = [] {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0x82F63B38u ^ (c >> 1) : c >> 1;
-      }
-      table[0][i] = c;
-    }
-    for (int k = 1; k < 8; ++k) {
-      for (std::uint32_t i = 0; i < 256; ++i) {
-        const std::uint32_t prev = table[k - 1][i];
-        table[k][i] = (prev >> 8) ^ table[0][prev & 0xFF];
-      }
-    }
-    return true;
-  }();
-  (void)initialized;
-  return table;
-}
-
-std::uint32_t Crc32Software(const unsigned char* p, std::size_t n,
-                            std::uint32_t c) {
-  const Crc32Tables& t = Crc32Table();
-#if !defined(__BYTE_ORDER__) || __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-  while (n >= 8) {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    std::memcpy(&lo, p, 4);
-    std::memcpy(&hi, p + 4, 4);
-    lo ^= c;
-    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
-        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    c = t[0][(c ^ p[i]) & 0xFF] ^ (c >> 8);
-  }
-  return c;
-}
-
-#if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target("sse4.2"))) std::uint32_t Crc32Hardware(
-    const unsigned char* p, std::size_t n, std::uint32_t c) {
-  std::uint64_t c64 = c;
-  while (n >= 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, p, 8);
-    c64 = __builtin_ia32_crc32di(c64, chunk);
-    p += 8;
-    n -= 8;
-  }
-  c = static_cast<std::uint32_t>(c64);
-  while (n > 0) {
-    c = __builtin_ia32_crc32qi(c, *p);
-    ++p;
-    --n;
-  }
-  return c;
-}
-#endif
 
 // ---- journal-specific composite encodings -----------------------------
 
@@ -121,39 +45,10 @@ Status GetQuery(wire::ByteReader& in, JournaledQuery* out) {
 
 }  // namespace
 
-std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const std::uint32_t c = seed ^ 0xFFFFFFFFu;
-#if defined(__x86_64__) && defined(__GNUC__)
-  static const bool has_sse42 = __builtin_cpu_supports("sse4.2");
-  if (has_sse42) return Crc32Hardware(p, n, c) ^ 0xFFFFFFFFu;
-#endif
-  return Crc32Software(p, n, c) ^ 0xFFFFFFFFu;
-}
-
 void EncodeSegmentHeader(std::string* out) {
   wire::PutU64(kJournalMagic, out);
   wire::PutU32(kJournalFormatVersion, out);
   wire::PutU32(0, out);  // reserved
-}
-
-void EncodeFrame(const std::string& body, std::string* out) {
-  const std::size_t at = out->size();
-  out->append(kFrameHeaderBytes, '\0');
-  out->append(body);
-  SealFrame(at, out);
-}
-
-void SealFrame(std::size_t at, std::string* buf) {
-  const std::size_t body_at = at + kFrameHeaderBytes;
-  const std::size_t body_len = buf->size() - body_at;
-  const auto len32 = static_cast<std::uint32_t>(body_len);
-  const std::uint32_t crc = Crc32(buf->data() + body_at, body_len);
-  char* prologue = &(*buf)[at];
-  for (int i = 0; i < 4; ++i) {
-    prologue[i] = static_cast<char>(len32 >> (8 * i));
-    prologue[4 + i] = static_cast<char>(crc >> (8 * i));
-  }
 }
 
 void EncodeCycleBody(Timestamp ts, RecordSpan batch, std::string* out) {
@@ -341,36 +236,6 @@ Status DecodeBody(const char* data, std::size_t n, JournalRecord* out) {
   }
   return Status::InvalidArgument("unknown journal record type " +
                                  std::to_string(type));
-}
-
-JournalFrameParse TryParseJournalFrame(const char* data, std::size_t n,
-                                       const char** body,
-                                       std::size_t* body_len,
-                                       std::size_t* consumed,
-                                       std::string* detail) {
-  if (n < kFrameHeaderBytes) return JournalFrameParse::kNeedMore;
-  std::uint32_t len = 0;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[i]))
-           << (8 * i);
-    crc |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[4 + i]))
-           << (8 * i);
-  }
-  if (len == 0 || len > kMaxRecordBytes) {
-    *detail = "implausible frame length " + std::to_string(len);
-    return JournalFrameParse::kBad;
-  }
-  if (n - kFrameHeaderBytes < len) return JournalFrameParse::kNeedMore;
-  const char* payload = data + kFrameHeaderBytes;
-  if (Crc32(payload, len) != crc) {
-    *detail = "frame CRC mismatch";
-    return JournalFrameParse::kBad;
-  }
-  *body = payload;
-  *body_len = len;
-  *consumed = kFrameHeaderBytes + len;
-  return JournalFrameParse::kFrame;
 }
 
 std::string SegmentFileName(std::uint64_t index) {

@@ -11,7 +11,7 @@
 // Layout summary (all integers little-endian, fixed width):
 //   segment  := header frame*
 //   header   := magic:u64 version:u32 reserved:u32
-//   frame    := body_len:u32 crc32(body):u32 body
+//   frame    := body_len:u32 crc32(body):u32 body   (wire.h's frame codec)
 //   body     := type:u8 payload
 // Every segment begins with a snapshot record, making each segment
 // self-contained: recovery reads exactly one segment — the newest one
@@ -49,11 +49,9 @@ inline constexpr std::uint32_t kJournalFormatVersion = 2;
 /// Bytes of the segment header (magic + version + reserved).
 inline constexpr std::size_t kSegmentHeaderBytes = 16;
 
-/// Bytes of a frame prologue (body_len + crc32).
-inline constexpr std::size_t kFrameHeaderBytes = 8;
-
-/// Upper bound on one frame body; a length prefix beyond this is treated
-/// as corruption rather than an allocation request.
+/// Upper bound on one frame body (wire::TryParseFrame's max_body); a
+/// length prefix beyond this is treated as corruption rather than an
+/// allocation request.
 inline constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
 /// Frame body type tags.
@@ -107,26 +105,10 @@ struct JournalRecord {
   JournalSnapshot snapshot;        ///< kSnapshot
 };
 
-/// CRC-32C (Castagnoli, reflected, polynomial 0x82F63B38) of `n` bytes,
-/// continuing from `seed` (pass 0 to start). Uses the SSE4.2 crc32
-/// instruction where available (every journaled byte is checksummed on
-/// the cycle-append hot path); check value: Crc32("123456789") ==
-/// 0xE3069283.
-std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
-
 // ---- encoding ---------------------------------------------------------
 
 /// Appends the 16-byte segment header to *out.
 void EncodeSegmentHeader(std::string* out);
-
-/// Appends a full frame (prologue + body) for the given record body.
-void EncodeFrame(const std::string& body, std::string* out);
-
-/// Fills in the prologue of the frame that starts at (*buf)[at]: a
-/// kFrameHeaderBytes placeholder whose body is the rest of *buf. Lets a
-/// writer encode a body in place behind its prologue instead of copying
-/// it into a frame.
-void SealFrame(std::size_t at, std::string* buf);
 
 /// Body builders (type byte + payload). EncodeRegisterBody fails with
 /// Unimplemented for scoring-function types the journal cannot encode
@@ -151,27 +133,6 @@ Status DecodeSegmentHeader(const char* data, std::size_t n);
 /// InvalidArgument on any malformed content (treated as corruption by the
 /// reader; the CRC already vouched for bit-level integrity).
 Status DecodeBody(const char* data, std::size_t n, JournalRecord* out);
-
-/// Outcome of scanning an in-memory byte buffer for one journal frame.
-/// The file-based CycleJournalReader is the recovery-time reader; this is
-/// the streaming flavor the replication follower uses to apply frames as
-/// their bytes arrive off the wire (a partial frame is kNeedMore — more
-/// bytes are coming — not a torn tail).
-enum class JournalFrameParse {
-  kNeedMore,  ///< prefix of a valid frame; wait for more bytes
-  kFrame,     ///< a complete, CRC-verified frame was extracted
-  kBad,       ///< implausible length or CRC mismatch (corruption)
-};
-
-/// Tries to extract one frame from `data[0..n)`. On kFrame, *body /
-/// *body_len reference the frame body inside `data` and *consumed is the
-/// full frame size to discard (the body still needs DecodeBody). On kBad,
-/// *detail describes the damage.
-JournalFrameParse TryParseJournalFrame(const char* data, std::size_t n,
-                                       const char** body,
-                                       std::size_t* body_len,
-                                       std::size_t* consumed,
-                                       std::string* detail);
 
 /// Segment file name for index `i`: "segment-000000000042.wal".
 std::string SegmentFileName(std::uint64_t index);

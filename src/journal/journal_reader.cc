@@ -2,22 +2,28 @@
 
 #include <dirent.h>
 #include <errno.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
 #include <utility>
 
+#include "journal/wire.h"
+
 namespace topkmon {
 namespace {
 
-std::uint32_t ReadU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
+/// Bytes read from the file per refill.
+constexpr std::size_t kReadBytes = 64u << 10;
+
+ssize_t ReadAt(int fd, char* buf, std::size_t n, std::uint64_t offset) {
+  ssize_t got;
+  do {
+    got = ::pread(fd, buf, n, static_cast<off_t>(offset));
+  } while (got < 0 && errno == EINTR);
+  return got;
 }
 
 }  // namespace
@@ -67,126 +73,103 @@ AnchoredSegment OpenNewestAnchoredSegment(
   return found;
 }
 
-CycleJournalReader::CycleJournalReader(std::FILE* file,
-                                       std::uint64_t file_size)
-    : file_(file), file_size_(file_size), offset_(kSegmentHeaderBytes) {}
-
-CycleJournalReader::~CycleJournalReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+CycleJournalReader::~CycleJournalReader() { ::close(fd_); }
 
 Result<std::unique_ptr<CycleJournalReader>> CycleJournalReader::Open(
     const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::NotFound("cannot open journal segment " + path + ": " +
                             std::strerror(errno));
   }
-  struct stat st;
-  if (::fstat(fileno(file), &st) != 0) {
-    std::fclose(file);
-    return Status::Internal("fstat " + path + ": " + std::strerror(errno));
-  }
+  std::unique_ptr<CycleJournalReader> reader(new CycleJournalReader(fd));
   char header[kSegmentHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
-    std::fclose(file);
+  const ssize_t got = ReadAt(fd, header, sizeof(header), 0);
+  if (got < 0) {
+    return Status::Internal("read " + path + ": " + std::strerror(errno));
+  }
+  if (static_cast<std::size_t>(got) != sizeof(header)) {
     return Status::InvalidArgument("journal segment " + path +
                                    " is shorter than its header");
   }
-  const Status hs = DecodeSegmentHeader(header, sizeof(header));
-  if (!hs.ok()) {
-    std::fclose(file);
-    return hs;
-  }
-  return std::unique_ptr<CycleJournalReader>(new CycleJournalReader(
-      file, static_cast<std::uint64_t>(st.st_size)));
+  TOPKMON_RETURN_IF_ERROR(DecodeSegmentHeader(header, sizeof(header)));
+  return reader;
+}
+
+std::uint64_t CycleJournalReader::file_size() const {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return 0;
+  return static_cast<std::uint64_t>(st.st_size);
+}
+
+void CycleJournalReader::DropReadAhead() {
+  buffer_.clear();
+  pos_ = 0;
+}
+
+CycleJournalReader::Outcome CycleJournalReader::Fail(Kind kind,
+                                                     std::string detail,
+                                                     Outcome out) {
+  terminal_ = kind;
+  out.kind = kind;
+  out.detail = std::move(detail);
+  return out;
 }
 
 CycleJournalReader::Outcome CycleJournalReader::Next() {
   Outcome out;
   out.offset = offset_;
-  if (done_) {
+  if (terminal_ != Kind::kRecord) {
     out.kind = terminal_;
     return out;
   }
-
-  char prologue[kFrameHeaderBytes];
-  const std::size_t got = std::fread(prologue, 1, sizeof(prologue), file_);
-  if (got < sizeof(prologue) && std::ferror(file_)) {
-    done_ = true;
-    terminal_ = Kind::kIoError;
-    out.kind = Kind::kIoError;
-    out.detail = "read error in frame prologue";
-    return out;
-  }
-  if (got == 0 && std::feof(file_)) {
-    done_ = true;
-    terminal_ = Kind::kEnd;
-    out.kind = Kind::kEnd;
-    return out;
-  }
-  if (got < sizeof(prologue)) {
-    done_ = true;
-    terminal_ = Kind::kTorn;
-    out.kind = Kind::kTorn;
-    out.detail = "frame prologue truncated (" + std::to_string(got) + " of " +
-                 std::to_string(sizeof(prologue)) + " bytes)";
-    return out;
-  }
-
-  const std::uint32_t body_len = ReadU32(prologue);
-  const std::uint32_t expected_crc = ReadU32(prologue + 4);
-  if (body_len == 0 || body_len > kMaxRecordBytes) {
-    done_ = true;
-    terminal_ = Kind::kCorrupt;
-    out.kind = Kind::kCorrupt;
-    out.detail = "implausible frame length " + std::to_string(body_len);
-    return out;
-  }
-  // A length that points past the end of the file is a torn append (the
-  // prologue landed, the body did not), not bit rot.
-  if (out.offset + kFrameHeaderBytes + body_len > file_size_) {
-    done_ = true;
-    terminal_ = Kind::kTorn;
-    out.kind = Kind::kTorn;
-    out.detail = "frame body extends past end of file";
-    return out;
-  }
-
-  buffer_.resize(body_len);
-  if (std::fread(&buffer_[0], 1, body_len, file_) != body_len) {
-    done_ = true;
-    if (std::ferror(file_)) {
-      terminal_ = Kind::kIoError;
-      out.kind = Kind::kIoError;
-      out.detail = "read error in frame body";
-    } else {
-      terminal_ = Kind::kTorn;
-      out.kind = Kind::kTorn;
-      out.detail = "frame body truncated";
+  while (true) {
+    const char* body = nullptr;
+    std::size_t body_len = 0;
+    std::size_t consumed = 0;
+    Status error;
+    const wire::FrameParse parse =
+        wire::TryParseFrame(buffer_.data() + pos_, buffer_.size() - pos_,
+                            kMaxRecordBytes, &body, &body_len, &consumed,
+                            &error);
+    if (parse == wire::FrameParse::kBad) {
+      return Fail(Kind::kCorrupt, error.message(), std::move(out));
     }
-    return out;
+    if (parse == wire::FrameParse::kFrame) {
+      error = DecodeBody(body, body_len, &out.record);
+      if (!error.ok()) {
+        return Fail(Kind::kCorrupt, error.message(), std::move(out));
+      }
+      pos_ += consumed;
+      offset_ += consumed;
+      out.kind = Kind::kRecord;
+      return out;
+    }
+    // kNeedMore: refill behind the unread bytes. A length that points
+    // past the end of the file reads up to it and ends torn, so a
+    // damaged prefix never buffers more than the file holds.
+    buffer_.erase(0, pos_);
+    pos_ = 0;
+    const std::size_t have = buffer_.size();
+    buffer_.resize(have + kReadBytes);
+    const ssize_t got = ReadAt(fd_, &buffer_[have], kReadBytes,
+                               offset_ + have);
+    if (got < 0) {
+      const int err = errno;
+      return Fail(Kind::kIoError,
+                  std::string("read error: ") + std::strerror(err),
+                  std::move(out));
+    }
+    buffer_.resize(have + static_cast<std::size_t>(got));
+    if (got == 0) {
+      out.kind = have == 0 ? Kind::kEnd : Kind::kTorn;
+      if (have != 0) {
+        out.detail = "file ends " + std::to_string(have) +
+                     " bytes into a frame";
+      }
+      return out;
+    }
   }
-  const std::uint32_t actual_crc = Crc32(buffer_.data(), buffer_.size());
-  if (actual_crc != expected_crc) {
-    done_ = true;
-    terminal_ = Kind::kCorrupt;
-    out.kind = Kind::kCorrupt;
-    out.detail = "CRC mismatch (stored " + std::to_string(expected_crc) +
-                 ", computed " + std::to_string(actual_crc) + ")";
-    return out;
-  }
-  const Status ds = DecodeBody(buffer_.data(), buffer_.size(), &out.record);
-  if (!ds.ok()) {
-    done_ = true;
-    terminal_ = Kind::kCorrupt;
-    out.kind = Kind::kCorrupt;
-    out.detail = ds.message();
-    return out;
-  }
-  offset_ += kFrameHeaderBytes + body_len;
-  out.kind = Kind::kRecord;
-  return out;
 }
 
 }  // namespace topkmon

@@ -1,10 +1,13 @@
 // CycleJournalReader — read side of the durable cycle journal.
 //
-// A reader iterates the records of one segment file in append order,
-// verifying the frame CRC of every record before decoding it. The two
-// failure shapes a write-ahead log must distinguish:
-//   * torn tail — the file ends mid-frame (crash during the last append).
-//     Expected after any unclean stop; recovery silently truncates it.
+// A reader iterates the records of one segment file in append order. It
+// refills a buffer from the file and cuts frames out of it with the one
+// frame codec (wire::TryParseFrame), so every record's CRC is verified
+// before it is decoded. The two damage shapes a write-ahead log must
+// distinguish:
+//   * torn tail — the file ends mid-frame (crash during the last append,
+//     or a shipped copy still being written). Expected after any unclean
+//     stop; recovery silently truncates it.
 //   * corrupt record — a complete frame whose CRC or content check fails
 //     (bit rot, external modification). Everything from the first corrupt
 //     record on is untrusted and dropped, and recovery reports it.
@@ -14,8 +17,8 @@
 #ifndef TOPKMON_JOURNAL_JOURNAL_READER_H_
 #define TOPKMON_JOURNAL_JOURNAL_READER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,13 +39,21 @@ struct SegmentInfo {
 Result<std::vector<SegmentInfo>> ListSegments(const std::string& dir);
 
 /// Sequential reader over one segment file.
+///
+/// Terminal-outcome contract: kCorrupt and kIoError are terminal, and
+/// every later Next() returns the same kind. kEnd and kTorn are not:
+/// they describe the file as it is now, so a later Next() reads the
+/// bytes appended since (the replication follower reads its shipped
+/// segment while chunks are still being appended). Crash recovery stops
+/// at the first of either.
 class CycleJournalReader {
  public:
   /// What Next() found at the current position.
   enum class Kind {
     kRecord,   ///< a valid record was decoded
-    kEnd,      ///< clean end of segment
-    kTorn,     ///< file ends mid-frame (crash tail) — stop and truncate
+    kEnd,      ///< no bytes past the last record (yet)
+    kTorn,     ///< file ends mid-frame (crash tail, or a frame whose
+               ///< rest has not been appended yet)
     kCorrupt,  ///< CRC or content check failed — stop and report
     kIoError,  ///< read(2)-level failure (EIO, not end-of-file): the
                ///< data on disk may be fine — recovery must fail, not
@@ -68,25 +79,32 @@ class CycleJournalReader {
   CycleJournalReader(const CycleJournalReader&) = delete;
   CycleJournalReader& operator=(const CycleJournalReader&) = delete;
 
-  /// Reads the next record. After anything other than kRecord the reader
-  /// is exhausted and keeps returning the same terminal outcome kind.
+  /// Reads the next record (see the class comment for what follows a
+  /// non-record outcome).
   Outcome Next();
 
   /// Current file offset (end of the last good record).
   std::uint64_t offset() const { return offset_; }
 
-  /// Total file size in bytes.
-  std::uint64_t file_size() const { return file_size_; }
+  /// Current file size in bytes (0 if it cannot be read).
+  std::uint64_t file_size() const;
+
+  /// Forgets the bytes read past offset(), so the next Next() reads the
+  /// file from offset() again. Call after truncating the file there.
+  void DropReadAhead();
 
  private:
-  CycleJournalReader(std::FILE* file, std::uint64_t file_size);
+  explicit CycleJournalReader(int fd) : fd_(fd) {}
 
-  std::FILE* file_;
-  std::uint64_t file_size_;
-  std::uint64_t offset_ = 0;
-  bool done_ = false;
-  Kind terminal_ = Kind::kEnd;
+  /// Latches the terminal `kind` and returns `out` carrying it.
+  Outcome Fail(Kind kind, std::string detail, Outcome out);
+
+  int fd_;
+  std::uint64_t offset_ = kSegmentHeaderBytes;
+  /// buffer_[pos_..] holds the file bytes that follow offset_.
   std::string buffer_;
+  std::size_t pos_ = 0;
+  Kind terminal_ = Kind::kRecord;  ///< kCorrupt / kIoError once failed
 };
 
 /// The segment a replay starts from: the newest one whose leading anchor

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "journal/journal_reader.h"
+#include "journal/wire.h"
 #include "util/fs.h"
 
 namespace topkmon {
@@ -95,10 +96,10 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
   }
   std::string bytes;
   EncodeSegmentHeader(&bytes);
-  bytes.resize(kSegmentHeaderBytes + kFrameHeaderBytes);  // prologue
+  bytes.resize(kSegmentHeaderBytes + wire::kFrameHeaderBytes);  // prologue
   Status st = EncodeSnapshotBody(anchor, &bytes);
   if (st.ok()) {
-    SealFrame(kSegmentHeaderBytes, &bytes);
+    wire::SealFrame(kSegmentHeaderBytes, &bytes);
     st = fs::WriteAll(fd, path, bytes);
   }
   if (st.ok()) {
@@ -200,7 +201,7 @@ Status CycleJournalWriter::AppendScratchFrame(bool is_cycle) {
     ++stats_.append_failures;
     return Status::FailedPrecondition("journal writer is closed");
   }
-  SealFrame(0, &frame_scratch_);
+  wire::SealFrame(0, &frame_scratch_);
   Status st = WriteAll(frame_scratch_);
   if (st.ok()) {
     ++appends_since_sync_;
@@ -232,15 +233,13 @@ Status CycleJournalWriter::AppendScratchFrame(bool is_cycle) {
 }
 
 Status CycleJournalWriter::AppendCycle(Timestamp ts, RecordSpan batch) {
-  frame_scratch_.clear();
-  frame_scratch_.resize(kFrameHeaderBytes);  // prologue placeholder
+  frame_scratch_.assign(wire::kFrameHeaderBytes, '\0');  // prologue
   EncodeCycleBody(ts, batch, &frame_scratch_);
   return AppendScratchFrame(/*is_cycle=*/true);
 }
 
 Status CycleJournalWriter::AppendRegister(const JournaledQuery& query) {
-  frame_scratch_.clear();
-  frame_scratch_.resize(kFrameHeaderBytes);
+  frame_scratch_.assign(wire::kFrameHeaderBytes, '\0');
   // An encode refusal (Unimplemented: non-journalable scoring function)
   // is a rejection of the caller's input, not a journal failure — the
   // segment is untouched and stays healthy.
@@ -249,8 +248,7 @@ Status CycleJournalWriter::AppendRegister(const JournaledQuery& query) {
 }
 
 Status CycleJournalWriter::AppendUnregister(QueryId id) {
-  frame_scratch_.clear();
-  frame_scratch_.resize(kFrameHeaderBytes);
+  frame_scratch_.assign(wire::kFrameHeaderBytes, '\0');
   EncodeUnregisterBody(id, &frame_scratch_);
   return AppendScratchFrame(/*is_cycle=*/false);
 }

@@ -180,7 +180,7 @@ class CycleJournalWriter {
   /// place behind its prologue, and written with one call.
   template <typename Anchor>
   Status OpenSegment(const Anchor& anchor, std::uint64_t index);
-  /// Appends frame_scratch_, whose first kFrameHeaderBytes are a
+  /// Appends frame_scratch_, whose first wire::kFrameHeaderBytes are a
   /// placeholder prologue patched here (length + CRC over the body that
   /// follows) — the body is encoded in place, never copied.
   Status AppendScratchFrame(bool is_cycle);

@@ -6,13 +6,16 @@
 // same little-endian building blocks: fixed-width integers, IEEE-754
 // doubles by bit pattern, LEB128 varints, length-prefixed strings, and
 // the delta-compressed record span that makes a batch of stream tuples
-// cost ~2 + 8·dim bytes per record. This header is the single home of
-// those encodings so the two formats can never drift apart on the
-// primitives, and the scoring-function / query-spec encodings are shared
-// verbatim (a query registered over the wire is journaled byte-identically).
+// cost ~2 + 8·dim bytes per record. Both also carry their messages in
+// the same CRC-32C frame, `body_len:u32 crc32c(body):u32 body`. This
+// header is the single home of those encodings and of the one frame
+// codec, so the two formats can never drift apart on them, and the
+// scoring-function / query-spec encodings are shared verbatim (a query
+// registered over the wire is journaled byte-identically).
 //
-// Everything here is format-version-agnostic: framing (length prefixes,
-// CRCs, headers, type tags) stays with the owning format.
+// Everything here is format-version-agnostic: segment headers, message
+// type tags and each format's bound on a frame body stay with the
+// owning format.
 
 #ifndef TOPKMON_JOURNAL_WIRE_H_
 #define TOPKMON_JOURNAL_WIRE_H_
@@ -235,6 +238,48 @@ Status GetFunction(ByteReader& in,
 
 /// Inverse of PutQuerySpec (validates the constraint rectangle).
 Status GetQuerySpec(ByteReader& in, QuerySpec* out);
+
+// ---- frames -----------------------------------------------------------
+
+/// CRC-32C (Castagnoli, reflected, polynomial 0x82F63B38) of `n` bytes,
+/// continuing from `seed` (pass 0 to start). Uses the SSE4.2 crc32
+/// instruction where available (every framed byte is checksummed on the
+/// cycle-append and ingest hot paths); check value:
+/// Crc32("123456789") == 0xE3069283.
+std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// Bytes of a frame prologue (body_len + crc32c).
+inline constexpr std::size_t kFrameHeaderBytes = 8;
+
+/// Fills in the prologue of the frame that starts at (*buf)[at]: a
+/// kFrameHeaderBytes placeholder whose body is the rest of *buf. Lets a
+/// writer encode a body in place behind its prologue instead of copying
+/// it into a frame.
+void SealFrame(std::size_t at, std::string* buf);
+
+/// Appends a full frame (prologue + body) for `body`.
+void PutFrame(const std::string& body, std::string* out);
+
+/// Outcome of scanning a byte buffer for one frame.
+enum class FrameParse {
+  kNeedMore,  ///< a prefix of a valid frame; more bytes are needed
+  kFrame,     ///< a complete, CRC-verified frame was extracted
+  kBad,       ///< zero or oversized length, or a CRC mismatch
+};
+
+/// Tries to extract one frame from `data[0..n)`. A body length of 0 or
+/// above `max_body` is refused before any body byte is waited for, so a
+/// hostile prefix never makes a caller buffer more than `max_body`
+/// bytes. On kFrame, *body / *body_len reference the frame body inside
+/// `data` and *consumed is the full frame size to discard (the body
+/// still needs the owning format's decoder). On kBad, *error
+/// (InvalidArgument) describes the damage; nothing after it can be
+/// trusted, since a byte stream cannot be re-synchronised past a bad
+/// frame.
+FrameParse TryParseFrame(const char* data, std::size_t n,
+                         std::size_t max_body, const char** body,
+                         std::size_t* body_len, std::size_t* consumed,
+                         Status* error);
 
 }  // namespace wire
 }  // namespace topkmon

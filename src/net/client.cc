@@ -13,6 +13,8 @@
 #include <cstring>
 #include <thread>
 
+#include "journal/wire.h"
+
 namespace topkmon {
 namespace {
 
@@ -93,8 +95,8 @@ MonitorClient::~MonitorClient() {
 Status MonitorClient::SendFrame(const std::string& body) {
   if (fd_ < 0) return Status::FailedPrecondition("client is closed");
   std::string frame;
-  frame.reserve(kNetFrameHeaderBytes + body.size());
-  EncodeNetFrame(body, &frame);
+  frame.reserve(wire::kFrameHeaderBytes + body.size());
+  wire::PutFrame(body, &frame);
   std::size_t sent = 0;
   while (sent < frame.size()) {
     const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
@@ -127,10 +129,10 @@ Result<NetMessage> MonitorClient::RecvMessage(
     std::size_t body_len = 0;
     std::size_t consumed = 0;
     Status error;
-    const FrameParse parse =
-        TryParseNetFrame(inbuf_.data(), inbuf_.size(), kMaxNetFrameBytes,
-                         &body, &body_len, &consumed, &error);
-    if (parse == FrameParse::kBad) {
+    const wire::FrameParse parse =
+        wire::TryParseFrame(inbuf_.data(), inbuf_.size(), kMaxNetFrameBytes,
+                            &body, &body_len, &consumed, &error);
+    if (parse == wire::FrameParse::kBad) {
       // After a framing error the stream cannot be re-synchronized.
       ::close(fd_);
       fd_ = -1;
@@ -138,7 +140,7 @@ Result<NetMessage> MonitorClient::RecvMessage(
       return Status(error.code(), "server frame rejected: " +
                                       error.message());
     }
-    if (parse == FrameParse::kFrame) {
+    if (parse == wire::FrameParse::kFrame) {
       NetMessage msg;
       const Status st = DecodeNetBody(body, body_len, &msg);
       inbuf_.erase(0, consumed);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/geometry.h"
-#include "journal/format.h"
 #include "journal/wire.h"
 
 namespace topkmon {
@@ -273,12 +272,6 @@ void EncodeStatusInfo(std::uint8_t role, std::uint64_t fencing_epoch,
   wire::PutU64(segment, out);
   wire::PutU64(offset, out);
   wire::PutU8(fenced ? 1 : 0, out);
-}
-
-void EncodeNetFrame(const std::string& body, std::string* out) {
-  wire::PutU32(static_cast<std::uint32_t>(body.size()), out);
-  wire::PutU32(Crc32(body.data(), body.size()), out);
-  out->append(body);
 }
 
 Status DecodeNetBody(const char* data, std::size_t n, NetMessage* out) {
@@ -562,32 +555,6 @@ Status DecodeIngestBody(
   }
   view->frame_records = count;
   return DecodeIngestPass(in, count, dim, view, &sink);
-}
-
-FrameParse TryParseNetFrame(const char* data, std::size_t n,
-                            std::size_t max_body, const char** body,
-                            std::size_t* body_len, std::size_t* consumed,
-                            Status* error) {
-  if (n < kNetFrameHeaderBytes) return FrameParse::kNeedMore;
-  ByteReader in(data, n);
-  const std::uint32_t len = in.GetU32();
-  const std::uint32_t crc = in.GetU32();
-  if (len > max_body) {
-    *error = Status::InvalidArgument(
-        "frame length " + std::to_string(len) + " exceeds the " +
-        std::to_string(max_body) + "-byte limit");
-    return FrameParse::kBad;
-  }
-  if (n - kNetFrameHeaderBytes < len) return FrameParse::kNeedMore;
-  const char* payload = data + kNetFrameHeaderBytes;
-  if (Crc32(payload, len) != crc) {
-    *error = Status::InvalidArgument("frame CRC mismatch");
-    return FrameParse::kBad;
-  }
-  *body = payload;
-  *body_len = len;
-  *consumed = kNetFrameHeaderBytes + len;
-  return FrameParse::kFrame;
 }
 
 }  // namespace topkmon

@@ -9,7 +9,8 @@
 // (tools/check_docs.py fails when kNetProtocolVersion diverges).
 //
 // Layout summary (all integers little-endian, fixed width):
-//   frame := body_len:u32 crc32c(body):u32 body
+//   frame := body_len:u32 crc32c(body):u32 body   (wire.h's frame codec,
+//            shared with the journal)
 //   body  := type:u8 payload
 // Each direction of a connection is a plain stream of frames; there is
 // no stream-level header. Versioning rides in the Hello/Welcome exchange
@@ -103,11 +104,9 @@ inline constexpr std::uint32_t kMinNetProtocolVersion = 4;
 /// un-clustered server).
 inline constexpr std::uint32_t kNoServerTag = 0xFFFFFFFFu;
 
-/// Bytes of a frame prologue (body_len + crc32c).
-inline constexpr std::size_t kNetFrameHeaderBytes = 8;
-
-/// Upper bound on one frame body; a length prefix beyond this is treated
-/// as a protocol violation rather than an allocation request.
+/// Upper bound on one frame body (wire::TryParseFrame's max_body); a
+/// length prefix beyond this is treated as a protocol violation rather
+/// than an allocation request.
 inline constexpr std::uint32_t kMaxNetFrameBytes = 1u << 24;
 
 /// Admissible arrival-timestamp range for wire ingest. Timestamps are
@@ -331,9 +330,6 @@ void EncodeStatusInfo(std::uint8_t role, std::uint64_t fencing_epoch,
                       Timestamp applied_cycle_ts, std::uint64_t segment,
                       std::uint64_t offset, bool fenced, std::string* out);
 
-/// Wraps a message body in a frame (length prefix + CRC-32C + body).
-void EncodeNetFrame(const std::string& body, std::string* out);
-
 // ---- decoding ---------------------------------------------------------
 
 /// Decodes one frame body into *out. InvalidArgument on any malformed
@@ -380,24 +376,6 @@ struct IngestFrameView {
 Status DecodeIngestBody(
     const char* data, std::size_t n, int dim, IngestFrameView* view,
     const std::function<bool(const IngestFrameView&)>& sink);
-
-/// Outcome of scanning a receive buffer for one complete frame.
-enum class FrameParse {
-  kNeedMore,  ///< prefix of a valid frame; read more bytes
-  kFrame,     ///< a complete, CRC-verified frame was extracted
-  kBad,       ///< protocol violation (oversized length or CRC mismatch)
-};
-
-/// Tries to extract one frame from `data[0..n)`. On kFrame, *body /
-/// *body_len reference the frame body inside `data` and *consumed is the
-/// total frame size to discard. On kBad, *error describes the violation
-/// (the connection should be failed: after a framing error the stream
-/// can never be re-synchronized). `max_body` bounds the accepted body
-/// length (pass kMaxNetFrameBytes).
-FrameParse TryParseNetFrame(const char* data, std::size_t n,
-                            std::size_t max_body, const char** body,
-                            std::size_t* body_len, std::size_t* consumed,
-                            Status* error);
 
 }  // namespace topkmon
 

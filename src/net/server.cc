@@ -14,6 +14,8 @@
 #include <sstream>
 #include <vector>
 
+#include "journal/wire.h"
+
 namespace topkmon {
 namespace {
 
@@ -544,11 +546,11 @@ void TcpServer::DrainFrames(PollLoop& loop, Connection& conn) {
     std::size_t body_len = 0;
     std::size_t consumed = 0;
     Status error;
-    const FrameParse parse = TryParseNetFrame(
+    const wire::FrameParse parse = wire::TryParseFrame(
         conn.in.data() + off, conn.in.size() - off, options_.max_frame_bytes,
         &body, &body_len, &consumed, &error);
-    if (parse == FrameParse::kNeedMore) break;
-    if (parse == FrameParse::kBad) {
+    if (parse == wire::FrameParse::kNeedMore) break;
+    if (parse == wire::FrameParse::kBad) {
       FailConnection(conn, error);
       break;
     }
@@ -1082,7 +1084,7 @@ void TcpServer::EvictConnection(Connection& conn) {
 }
 
 void TcpServer::SendBody(Connection& conn, const std::string& body) {
-  EncodeNetFrame(body, &conn.out);
+  wire::PutFrame(body, &conn.out);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.frames_sent;
 }

@@ -2,11 +2,8 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "journal/format.h"
@@ -65,63 +62,42 @@ Status ReplicaFollower::Bootstrap() {
   // older segments are deleted; they are only ever prefixes of what the
   // leader still has or superseded history.
   AnchoredSegment start = OpenNewestAnchoredSegment(*segments);
-  const bool found = start.reader != nullptr;
-  bool corrupt = false;
-  std::uint64_t good_end = 0;
-  if (found) {
+  if (start.reader != nullptr) {
     TOPKMON_RETURN_IF_ERROR(
         service_->ApplyReplicatedAnchor(std::move(start.anchor)));
-    while (true) {
-      CycleJournalReader::Outcome outcome = start.reader->Next();
-      if (outcome.kind == CycleJournalReader::Kind::kEnd ||
-          outcome.kind == CycleJournalReader::Kind::kTorn) {
-        break;  // a torn tail is just an unfinished ship — truncate below
+    segment_ = start.index;
+    reader_ = std::move(start.reader);
+    anchor_ = Anchor::kDone;
+    if (ApplyShipped().ok()) {
+      // A torn tail is just an unfinished ship: cut it off, so the next
+      // chunk lands right behind the last applied record.
+      WipeLocalSegments(start.index);
+      shipped_ = reader_->offset();
+      if (::truncate(start.path.c_str(), static_cast<off_t>(shipped_)) !=
+          0) {
+        return ErrnoStatus("truncate " + start.path, errno);
       }
-      if (outcome.kind == CycleJournalReader::Kind::kIoError) {
-        return Status::Internal("I/O error reading " + start.path + ": " +
-                                outcome.detail);
-      }
-      if (outcome.kind == CycleJournalReader::Kind::kCorrupt) {
-        corrupt = true;
-        break;
-      }
-      TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicated(outcome.record));
+      reader_->DropReadAhead();
+      // These bytes predate this process — they may include a deposed
+      // leader's unshipped tail. The first connect verifies the leader's
+      // fencing epoch before fetching past them (see PumpLoop).
+      resumed_from_disk_ = true;
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.records_applied;
+      stats_.current_segment = segment_;
+      stats_.shipped_offset = shipped_;
+      return Status::Ok();
     }
-    good_end = start.reader->offset();
-    start.reader.reset();
-  }
-  if (!found || corrupt) {
-    // Nothing usable on disk, or locally damaged bytes: drop everything
-    // and start clean. The pump's first fetch (segment 0) either hits the
-    // leader's live segment 0 or draws a restart pointing at the leader's
-    // oldest segment.
-    if (corrupt) TOPKMON_RETURN_IF_ERROR(service_->ResetFollowerState());
-    WipeLocalSegments();
+    // Locally damaged or diverged bytes: undo what was applied.
+    TOPKMON_RETURN_IF_ERROR(service_->ResetFollowerState());
+    reader_.reset();
     segment_ = 0;
-    shipped_ = 0;
-    header_done_ = false;
-    anchor_done_ = false;
-    apply_anchor_ = true;
-    return Status::Ok();
+    anchor_ = Anchor::kApply;
   }
-  WipeLocalSegments(start.index);
-  if (::truncate(start.path.c_str(), static_cast<off_t>(good_end)) != 0) {
-    return ErrnoStatus("truncate " + start.path, errno);
-  }
-  segment_ = start.index;
-  shipped_ = good_end;
-  header_done_ = true;
-  anchor_done_ = true;
-  apply_anchor_ = false;
-  // These bytes predate this process — they may include a deposed
-  // leader's unshipped tail. The first connect verifies the leader's
-  // fencing epoch before fetching past them (see PumpLoop).
-  resumed_from_disk_ = true;
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.current_segment = segment_;
-  stats_.shipped_offset = shipped_;
+  // Nothing usable on disk, or damaged bytes: drop everything and start
+  // clean. The pump's first fetch (segment 0) either hits the leader's
+  // live segment 0 or draws a restart pointing at the leader's oldest
+  // segment.
+  WipeLocalSegments();
   return Status::Ok();
 }
 
@@ -175,12 +151,10 @@ Status ReplicaFollower::ResyncFrom(std::uint64_t segment) {
   TOPKMON_RETURN_IF_ERROR(service_->ResetFollowerState());
   CloseSegmentFile(/*sync=*/false);
   WipeLocalSegments();
+  reader_.reset();
   segment_ = segment;
   shipped_ = 0;
-  buffer_.clear();
-  header_done_ = false;
-  anchor_done_ = false;
-  apply_anchor_ = true;
+  anchor_ = Anchor::kApply;
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.restarts;
   stats_.current_segment = segment_;
@@ -188,81 +162,62 @@ Status ReplicaFollower::ResyncFrom(std::uint64_t segment) {
   return Status::Ok();
 }
 
-bool ReplicaFollower::ApplyBuffered(std::string* error) {
-  std::size_t off = 0;
-  bool ok = true;
+Status ReplicaFollower::ApplyShipped() {
+  if (reader_ == nullptr) {
+    // A reader starts at the segment header; wait until all of it landed.
+    if (shipped_ < kSegmentHeaderBytes) return Status::Ok();
+    auto opened = CycleJournalReader::Open(journal_dir_ + "/" +
+                                           SegmentFileName(segment_));
+    if (!opened.ok()) return opened.status();
+    reader_ = std::move(*opened);
+  }
   while (true) {
-    if (!header_done_) {
-      if (buffer_.size() - off < kSegmentHeaderBytes) break;
-      const Status st =
-          DecodeSegmentHeader(buffer_.data() + off, kSegmentHeaderBytes);
-      if (!st.ok()) {
-        *error = st.message();
-        ok = false;
+    CycleJournalReader::Outcome outcome = reader_->Next();
+    switch (outcome.kind) {
+      case CycleJournalReader::Kind::kEnd:
+      case CycleJournalReader::Kind::kTorn:
+        return Status::Ok();  // the rest has not been shipped yet
+      case CycleJournalReader::Kind::kCorrupt:
+      case CycleJournalReader::Kind::kIoError:
+        return Status::Internal("shipped segment: " + outcome.detail);
+      case CycleJournalReader::Kind::kRecord:
         break;
-      }
-      off += kSegmentHeaderBytes;
-      header_done_ = true;
     }
-    const char* body = nullptr;
-    std::size_t body_len = 0;
-    std::size_t consumed = 0;
-    std::string detail;
-    const JournalFrameParse parse =
-        TryParseJournalFrame(buffer_.data() + off, buffer_.size() - off,
-                             &body, &body_len, &consumed, &detail);
-    if (parse == JournalFrameParse::kNeedMore) break;
-    if (parse == JournalFrameParse::kBad) {
-      *error = detail;
-      ok = false;
-      break;
-    }
-    JournalRecord record;
-    Status st = DecodeBody(body, body_len, &record);
-    if (!st.ok()) {
-      *error = st.message();
-      ok = false;
-      break;
-    }
-    if (!anchor_done_) {
-      if (record.type != JournalRecordType::kSnapshot) {
-        *error = "segment does not start with a snapshot record";
-        ok = false;
-        break;
-      }
-      if (apply_anchor_) {
-        st = service_->ApplyReplicatedAnchor(std::move(record.snapshot));
-        if (!st.ok()) {
-          *error = st.message();
-          ok = false;
-          break;
-        }
+    if (anchor_ != Anchor::kDone) {
+      // OpenNewestAnchoredSegment's rule: a segment opens with its anchor.
+      if (outcome.record.type != JournalRecordType::kSnapshot) {
+        return Status::Internal("shipped segment has no leading anchor");
       }
       // A skipped anchor describes exactly the state continuous replay
       // already reached crossing the segment boundary.
-      anchor_done_ = true;
-    } else {
-      st = service_->ApplyReplicated(record);
-      if (!st.ok()) {
-        // Divergence (the engine refused a replicated cycle): the only
-        // safe recovery is a full resync from a leader snapshot.
-        *error = st.message();
-        ok = false;
-        break;
+      if (anchor_ == Anchor::kApply) {
+        TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicatedAnchor(
+            std::move(outcome.record.snapshot)));
       }
+      anchor_ = Anchor::kDone;
+    } else {
+      // A refused record is divergence: only a resync recovers.
+      TOPKMON_RETURN_IF_ERROR(service_->ApplyReplicated(outcome.record));
     }
-    off += consumed;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.records_applied;
   }
-  buffer_.erase(0, off);
-  return ok;
 }
 
 void ReplicaFollower::Backoff(std::chrono::milliseconds wait) {
   std::unique_lock<std::mutex> lock(mu_);
   stop_cv_.wait_for(lock, wait,
                     [this] { return stop_.load() || retarget_; });
+}
+
+void ReplicaFollower::FailFetch(bool drop_client) {
+  if (drop_client) client_.reset();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.fetch_errors;
+    if (drop_client) stats_.connected = false;
+  }
+  Backoff(options_.reconnect_backoff);
 }
 
 void ReplicaFollower::PumpLoop() {
@@ -291,11 +246,7 @@ void ReplicaFollower::PumpLoop() {
           host, port, options_.label,
           /*resume=*/true, options_.client);
       if (!connected.ok()) {
-        std::unique_lock<std::mutex> lock(mu_);
-        ++stats_.fetch_errors;
-        stats_.connected = false;
-        lock.unlock();
-        Backoff(options_.reconnect_backoff);
+        FailFetch(/*drop_client=*/true);
         continue;
       }
       client_ = std::move(*connected);
@@ -303,44 +254,30 @@ void ReplicaFollower::PumpLoop() {
         std::lock_guard<std::mutex> lock(mu_);
         stats_.connected = true;
       }
-      if (resumed_from_disk_) {
-        resumed_from_disk_ = false;
-        if (client_->fencing_epoch() > service_->fencing_epoch()) {
-          // The journal we resumed from was written under an older
-          // fencing epoch than the leader serves — a deposed leader's
-          // directory rejoining after a failover. Its unshipped tail
-          // occupies the same (segment, offset) coordinates the new
-          // leader filled with its own term's records, so continuing
-          // byte-wise could silently splice two histories. Wipe and
-          // re-ship from scratch; the leader's oldest anchor is a
-          // complete catch-up.
-          if (const Status st = ResyncFrom(0); !st.ok()) {
-            // Nothing was wiped (ResyncFrom resets the service first);
-            // re-arm the guard and retry — fetching suspect bytes is
-            // never an acceptable fallback.
-            resumed_from_disk_ = true;
-            client_.reset();
-            std::unique_lock<std::mutex> lock(mu_);
-            ++stats_.fetch_errors;
-            stats_.connected = false;
-            lock.unlock();
-            Backoff(options_.reconnect_backoff);
-            continue;
-          }
-        }
+      // The journal we resumed from was written under an older fencing
+      // epoch than the leader serves — a deposed leader's directory
+      // rejoining after a failover. Its unshipped tail occupies the same
+      // (segment, offset) coordinates the new leader filled with its own
+      // term's records, so continuing byte-wise could silently splice
+      // two histories. Wipe and re-ship from scratch; the leader's oldest
+      // anchor is a complete catch-up.
+      if (resumed_from_disk_ &&
+          client_->fencing_epoch() > service_->fencing_epoch() &&
+          !ResyncFrom(0).ok()) {
+        // Nothing was wiped (ResyncFrom resets the service first); the
+        // guard stays armed and the pump retries — fetching suspect
+        // bytes is never an acceptable fallback.
+        FailFetch(/*drop_client=*/true);
+        continue;
       }
+      resumed_from_disk_ = false;
     }
     auto chunk = client_->ReplFetch(segment_, shipped_,
                                     options_.fetch_bytes,
                                     options_.fetch_wait);
     if (!chunk.ok()) {
       // Leader unreachable (or restarting): keep serving reads, retry.
-      client_.reset();
-      std::unique_lock<std::mutex> lock(mu_);
-      ++stats_.fetch_errors;
-      stats_.connected = false;
-      lock.unlock();
-      Backoff(options_.reconnect_backoff);
+      FailFetch(/*drop_client=*/true);
       continue;
     }
     service_->SetLeaderProgress(client_->leader_cycle_ts());
@@ -350,13 +287,8 @@ void ReplicaFollower::PumpLoop() {
     // is over. A failed persist is treated like a fetch error: backing
     // off and retrying is safer than applying bytes whose epoch we
     // could not record.
-    if (const Status st =
-            service_->ObserveFencingEpoch(client_->fencing_epoch());
-        !st.ok()) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++stats_.fetch_errors;
-      lock.unlock();
-      Backoff(options_.reconnect_backoff);
+    if (!service_->ObserveFencingEpoch(client_->fencing_epoch()).ok()) {
+      FailFetch(/*drop_client=*/false);
       continue;
     }
     {
@@ -369,55 +301,44 @@ void ReplicaFollower::PumpLoop() {
       // The leader garbage-collected past us (or the journal was
       // replaced): wipe and catch up from a fresh snapshot anchor.
       if (!ResyncFrom(chunk->next_segment).ok()) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.fetch_errors;
-        }
-        Backoff(options_.reconnect_backoff);
+        FailFetch(/*drop_client=*/false);
       }
       continue;
     }
     if (!chunk->data.empty()) {
-      // Persist before apply: a follower restart resumes from its disk.
-      if (const Status st = PersistChunk(chunk->data); !st.ok()) {
-        std::unique_lock<std::mutex> lock(mu_);
-        ++stats_.fetch_errors;
-        lock.unlock();
-        Backoff(options_.reconnect_backoff);
+      // Persist before apply: the follower applies what is on its disk,
+      // and a follower restart resumes from there.
+      if (!PersistChunk(chunk->data).ok()) {
+        FailFetch(/*drop_client=*/false);
         continue;
       }
       shipped_ += chunk->data.size();
       // Chained replication: a follower of *this* follower parks its
       // fetches against our service's progress counter.
       service_->NoteJournalGrowth();
-      buffer_.append(chunk->data);
-      std::string error;
-      if (!ApplyBuffered(&error)) {
-        // Damaged or diverged shipped bytes: full resync from the start
-        // of this segment (its anchor makes that complete). A failed
-        // resync mutated nothing — the next apply failure re-triggers
-        // it after the backoff.
-        if (!ResyncFrom(segment_).ok()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.fetch_errors;
-        }
+    }
+    Status applied = ApplyShipped();
+    if (applied.ok() && chunk->sealed &&
+        (anchor_ != Anchor::kDone || reader_->offset() != shipped_)) {
+      // A sealed segment must end on a frame boundary; a dangling
+      // partial frame means the shipped copy is damaged.
+      applied = Status::Internal("sealed segment ends mid-frame");
+    }
+    if (!applied.ok()) {
+      // Damaged or diverged shipped bytes: full resync from the start
+      // of this segment (its anchor makes that complete). A failed
+      // resync mutated nothing — the next apply failure re-triggers it
+      // after the backoff.
+      if (ResyncFrom(segment_).ok()) {
         Backoff(options_.reconnect_backoff);
-        continue;
+      } else {
+        FailFetch(/*drop_client=*/false);
       }
+      continue;
     }
     const bool tail_chasing =
         !chunk->sealed && chunk->data.size() < options_.fetch_bytes;
     if (chunk->sealed) {
-      if (!buffer_.empty() || !anchor_done_) {
-        // A sealed segment must end on a frame boundary; a dangling
-        // partial frame means the shipped copy is damaged.
-        if (!ResyncFrom(segment_).ok()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.fetch_errors;
-        }
-        Backoff(options_.reconnect_backoff);
-        continue;
-      }
       // Segment complete: sync it and its directory entry (it is now a
       // local recovery anchor), drop the ones before it, and continue
       // into the next. Its anchor snapshot is skipped — replay already
@@ -428,9 +349,8 @@ void ReplicaFollower::PumpLoop() {
       const std::uint64_t finished = segment_;
       segment_ = chunk->next_segment;
       shipped_ = 0;
-      header_done_ = false;
-      anchor_done_ = false;
-      apply_anchor_ = false;
+      reader_.reset();
+      anchor_ = Anchor::kSkip;
       if (durable.ok()) WipeLocalSegments(finished);
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.segments_completed;
@@ -446,6 +366,7 @@ void ReplicaFollower::PumpLoop() {
     }
   }
   CloseSegmentFile(/*sync=*/true);
+  reader_.reset();
   client_.reset();
 }
 
@@ -532,9 +453,9 @@ void ReplicaFollower::Stop() {
 
 Status ReplicaFollower::Promote() {
   Stop();
-  // Any partial frame in buffer_ is simply un-applied prefix bytes; the
-  // promotion snapshot anchors a fresh segment, so the torn local tail
-  // is superseded, exactly like a crash tail on recovery.
+  // A partial frame at the end of the local segment is simply un-applied
+  // prefix bytes; the promotion snapshot anchors a fresh segment, so the
+  // torn local tail is superseded, exactly like a crash tail on recovery.
   return service_->Promote();
 }
 

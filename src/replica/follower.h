@@ -8,21 +8,25 @@
 //   ReplFetch (segment, offset) ──► leader TcpServer / JournalShipper
 //        ▲                                   │ raw journal bytes
 //        │                                   ▼
-//   local journal dir  ◄── append ── chunk ── parse complete frames
-//   (byte-identical leader prefix)            │ CycleJournalReader logic,
-//                                             ▼ in-memory (format.h)
-//                              MonitorService::ApplyReplicated
-//                              (engine + sessions + delta fan-out)
+//   local journal dir  ◄──── append ──── chunk
+//   (byte-identical leader prefix)
+//        │ CycleJournalReader over the local segment
+//        ▼
+//   MonitorService::ApplyReplicated (engine + sessions + delta fan-out)
 //
 // Guarantees and behaviors:
-//   * Bytes are persisted to the local journal directory *before* they
-//     are applied, so a follower restart resumes from its own disk
-//     (Open replays the newest locally-anchored segment exactly like
-//     crash recovery — RecoveryDriver's selection rule — truncates any
-//     torn tail, and continues fetching from that offset).
+//   * The follower applies exactly what is on its disk: each chunk is
+//     persisted to the local journal directory, then read back through
+//     the same CycleJournalReader crash recovery uses, in one loop that
+//     serves both the bootstrap and the live pump. A follower restart
+//     therefore resumes from its own disk (Open replays the newest
+//     locally-anchored segment exactly like crash recovery —
+//     RecoveryDriver's selection rule — truncates any torn tail, and
+//     continues fetching from that offset).
 //   * A chunk ending mid-frame (the leader's live tail) just waits for
-//     the rest: partial frames are never applied, so a torn leader tail
-//     can at worst delay the follower, not corrupt it.
+//     the rest: the reader reports the partial frame as a torn tail and
+//     reads on once the next chunk lands, so a torn leader tail can at
+//     worst delay the follower, not corrupt it.
 //   * `sealed` chunks advance to the next segment; its anchor snapshot
 //     is skipped (the follower already holds exactly that state).
 //   * `restart` (the leader garbage-collected past us, or was replaced)
@@ -52,6 +56,7 @@
 #include <string>
 #include <thread>
 
+#include "journal/journal_reader.h"
 #include "net/client.h"
 #include "service/monitor_service.h"
 
@@ -172,9 +177,18 @@ class ReplicaFollower {
   Status Bootstrap();
 
   void PumpLoop();
-  /// Applies every complete frame buffered for the current segment.
-  /// Returns false on corruption (caller resyncs).
-  bool ApplyBuffered(std::string* error);
+  /// Reads the local copy of the current segment through reader_ and
+  /// applies every complete record past it: the segment's anchor first
+  /// (applied after a resync, skipped after crossing a sealed segment),
+  /// then the records behind it. Ok once it reaches the end of the
+  /// shipped bytes, even mid-frame (the next chunk brings the rest); an
+  /// error when the copy is damaged or the service refuses a record
+  /// (the caller resyncs).
+  Status ApplyShipped();
+  /// The pump's failure tail: counts a fetch error, drops the leader
+  /// connection (and reports disconnected) when `drop_client`, and
+  /// backs off before the next attempt.
+  void FailFetch(bool drop_client);
   /// Appends chunk bytes to the current local segment file.
   Status PersistChunk(const std::string& data);
   /// Closes the local segment file, fdatasyncing it first when `sync`;
@@ -206,10 +220,12 @@ class ReplicaFollower {
   std::unique_ptr<MonitorClient> client_;
   std::uint64_t segment_ = 0;        ///< segment being shipped
   std::uint64_t shipped_ = 0;        ///< bytes of it on local disk
-  std::string buffer_;               ///< received, not yet applied
-  bool header_done_ = false;         ///< 16-byte segment header consumed
-  bool anchor_done_ = false;         ///< leading snapshot record consumed
-  bool apply_anchor_ = true;         ///< apply (bootstrap/resync) vs skip
+  /// Reads the local copy of segment_; null until its header landed.
+  std::unique_ptr<CycleJournalReader> reader_;
+  /// The segment's leading anchor snapshot: still to apply (bootstrap,
+  /// resync), still to skip (a sealed segment was crossed), or read.
+  enum class Anchor { kApply, kSkip, kDone };
+  Anchor anchor_ = Anchor::kApply;
   /// Set when Bootstrap resumed from pre-existing local bytes; armed
   /// until the first successful connect. Bytes this process shipped
   /// itself are always a prefix of the elected leader's journal, but

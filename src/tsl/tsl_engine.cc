@@ -28,6 +28,7 @@ bool TslEngine::AppendTopK(QueryId id, std::vector<ResultEntry>* out) const {
 
 void TslEngine::ReportEntries(QueryTable& table, Timestamp now) const {
   for (const auto& [qid, state] : queries_) {
+    if (IsInternalQueryId(qid)) continue;  // reported through its parent
     table.ReportEntry(qid, now, state.view.TopK());
   }
 }

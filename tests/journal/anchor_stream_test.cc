@@ -25,6 +25,7 @@
 #include "core/tma_engine.h"
 #include "journal/format.h"
 #include "journal/journal_writer.h"
+#include "journal/wire.h"
 #include "stream/generators.h"
 #include "tests/journal/journal_test_util.h"
 #include "tests/test_util.h"
@@ -302,7 +303,7 @@ std::string VectorSegment(const MonitorEngine& engine, RecordId next_id,
                           const std::vector<JournaledQuery>& live) {
   std::string segment;
   EncodeSegmentHeader(&segment);
-  EncodeFrame(VectorAnchor(engine, next_id, live), &segment);
+  wire::PutFrame(VectorAnchor(engine, next_id, live), &segment);
   return segment;
 }
 

@@ -6,24 +6,25 @@
 #include <vector>
 
 #include "common/scoring.h"
+#include "journal/wire.h"
 
 namespace topkmon {
 namespace {
 
 TEST(JournalFormatTest, Crc32MatchesTheStandardCheckValue) {
   // The canonical CRC-32C (Castagnoli) check value for "123456789".
-  EXPECT_EQ(Crc32("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(wire::Crc32("123456789", 9), 0xE3069283u);
   // Incremental computation matches one-shot.
-  const std::uint32_t partial = Crc32("12345", 5);
-  EXPECT_EQ(Crc32("6789", 4, partial), 0xE3069283u);
-  EXPECT_EQ(Crc32("", 0), 0u);
+  const std::uint32_t partial = wire::Crc32("12345", 5);
+  EXPECT_EQ(wire::Crc32("6789", 4, partial), 0xE3069283u);
+  EXPECT_EQ(wire::Crc32("", 0), 0u);
   // Byte-at-a-time equals the sliced/hardware bulk path on a long input
   // (exercises the 8-byte folding loop and the unaligned tail).
   std::string long_input;
   for (int i = 0; i < 1000; ++i) long_input.push_back(static_cast<char>(i));
   std::uint32_t rolling = 0;
-  for (char c : long_input) rolling = Crc32(&c, 1, rolling);
-  EXPECT_EQ(Crc32(long_input.data(), long_input.size()), rolling);
+  for (char c : long_input) rolling = wire::Crc32(&c, 1, rolling);
+  EXPECT_EQ(wire::Crc32(long_input.data(), long_input.size()), rolling);
 }
 
 TEST(JournalFormatTest, CycleBodyRoundtrips) {

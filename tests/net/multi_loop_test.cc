@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/brute_force_engine.h"
+#include "journal/wire.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "tests/journal/journal_test_util.h"
@@ -125,9 +126,9 @@ std::vector<NetMessage> DecodeStream(const std::string& stream) {
     std::size_t body_len = 0;
     std::size_t consumed = 0;
     Status error;
-    if (TryParseNetFrame(stream.data() + off, stream.size() - off,
-                         kMaxNetFrameBytes, &body, &body_len, &consumed,
-                         &error) != FrameParse::kFrame) {
+    if (wire::TryParseFrame(stream.data() + off, stream.size() - off,
+                            kMaxNetFrameBytes, &body, &body_len, &consumed,
+                            &error) != wire::FrameParse::kFrame) {
       break;
     }
     NetMessage msg;
@@ -174,7 +175,7 @@ TEST(MultiLoopServerTest, SlowLorisOnOneLoopNeverStallsAnotherLoop) {
   {
     std::string body;
     EncodeHello(false, "loris", &body);
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
   }
   RawPeer loris(server.port());
   ASSERT_TRUE(loris.connected());
@@ -266,10 +267,10 @@ TEST(MultiLoopServerTest, HalfCloseBehindAMigrationStillGetsItsChunk) {
   {
     std::string body;
     EncodeHello(false, "eof-fetcher", &body);
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
     body.clear();
     EncodeReplFetch(0, 0, 1 << 20, /*wait_ms=*/0, &body);
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
   }
   peer.Send(stream);
   peer.ShutdownWrite();

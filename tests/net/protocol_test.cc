@@ -1,6 +1,6 @@
 // Wire-protocol unit tests: every message type round-trips through its
-// encoder and DecodeNetBody, frames round-trip through EncodeNetFrame and
-// TryParseNetFrame, and hostile inputs (truncation, bit flips, oversized
+// encoder and DecodeNetBody, frames round-trip through wire::PutFrame and
+// wire::TryParseFrame, and hostile inputs (truncation, bit flips, oversized
 // lengths, lying counts) decode to clean errors, never crashes or
 // over-allocations.
 
@@ -21,14 +21,15 @@ namespace {
 /// Encodes `body` as a frame and re-extracts it, asserting a clean parse.
 NetMessage RoundTrip(const std::string& body) {
   std::string stream;
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   const char* parsed_body = nullptr;
   std::size_t body_len = 0;
   std::size_t consumed = 0;
   Status error;
-  EXPECT_EQ(TryParseNetFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
-                             &parsed_body, &body_len, &consumed, &error),
-            FrameParse::kFrame)
+  EXPECT_EQ(wire::TryParseFrame(stream.data(), stream.size(),
+                                kMaxNetFrameBytes, &parsed_body, &body_len,
+                                &consumed, &error),
+            wire::FrameParse::kFrame)
       << error;
   EXPECT_EQ(consumed, stream.size());
   NetMessage msg;
@@ -301,15 +302,15 @@ TEST(NetFrameTest, PartialFramesAskForMoreBytes) {
   std::string body;
   EncodeHello(false, "x", &body);
   std::string stream;
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   const char* out_body = nullptr;
   std::size_t body_len = 0;
   std::size_t consumed = 0;
   Status error;
   for (std::size_t n = 0; n < stream.size(); ++n) {
-    EXPECT_EQ(TryParseNetFrame(stream.data(), n, kMaxNetFrameBytes,
-                               &out_body, &body_len, &consumed, &error),
-              FrameParse::kNeedMore)
+    EXPECT_EQ(wire::TryParseFrame(stream.data(), n, kMaxNetFrameBytes,
+                                  &out_body, &body_len, &consumed, &error),
+              wire::FrameParse::kNeedMore)
         << "prefix length " << n;
   }
 }
@@ -318,7 +319,7 @@ TEST(NetFrameTest, EveryBitFlipIsCaughtByTheCrc) {
   std::string body;
   EncodeRegisterAck(1234, &body);
   std::string pristine;
-  EncodeNetFrame(body, &pristine);
+  wire::PutFrame(body, &pristine);
   for (std::size_t i = 0; i < pristine.size(); ++i) {
     std::string stream = pristine;
     stream[i] = static_cast<char>(stream[i] ^ 0x01);
@@ -326,14 +327,14 @@ TEST(NetFrameTest, EveryBitFlipIsCaughtByTheCrc) {
     std::size_t body_len = 0;
     std::size_t consumed = 0;
     Status error;
-    const FrameParse parse =
-        TryParseNetFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
-                         &out_body, &body_len, &consumed, &error);
+    const wire::FrameParse parse =
+        wire::TryParseFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
+                            &out_body, &body_len, &consumed, &error);
     // A flip in the length prefix may shrink the frame below the
     // available bytes (kNeedMore) or trip the size limit (kBad); any
     // flip that leaves a complete frame must fail the CRC — a damaged
     // frame is never decoded.
-    if (parse == FrameParse::kFrame) {
+    if (parse == wire::FrameParse::kFrame) {
       ADD_FAILURE() << "bit flip at byte " << i << " went undetected";
     }
   }
@@ -352,9 +353,10 @@ TEST(NetFrameTest, OversizedLengthPrefixIsRejectedNotAllocated) {
   std::size_t body_len = 0;
   std::size_t consumed = 0;
   Status error;
-  EXPECT_EQ(TryParseNetFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
-                             &body, &body_len, &consumed, &error),
-            FrameParse::kBad);
+  EXPECT_EQ(wire::TryParseFrame(stream.data(), stream.size(),
+                                kMaxNetFrameBytes, &body, &body_len,
+                                &consumed, &error),
+            wire::FrameParse::kBad);
   EXPECT_EQ(error.code(), StatusCode::kInvalidArgument);
 }
 

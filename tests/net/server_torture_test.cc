@@ -76,12 +76,12 @@ class RawPeer {
       std::size_t body_len = 0;
       std::size_t consumed = 0;
       Status error;
-      const FrameParse parse =
-          TryParseNetFrame(pending_.data(), pending_.size(),
-                           kMaxNetFrameBytes, &body, &body_len, &consumed,
-                           &error);
-      if (parse == FrameParse::kBad) return false;
-      if (parse == FrameParse::kFrame) {
+      const wire::FrameParse parse =
+          wire::TryParseFrame(pending_.data(), pending_.size(),
+                              kMaxNetFrameBytes, &body, &body_len, &consumed,
+                              &error);
+      if (parse == wire::FrameParse::kBad) return false;
+      if (parse == wire::FrameParse::kFrame) {
         const bool ok = DecodeNetBody(body, body_len, msg).ok();
         pending_.erase(0, consumed);
         return ok;
@@ -123,9 +123,9 @@ bool FirstFrameIsError(const std::string& stream, StatusCode* code) {
   std::size_t body_len = 0;
   std::size_t consumed = 0;
   Status error;
-  if (TryParseNetFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
-                       &body, &body_len, &consumed,
-                       &error) != FrameParse::kFrame) {
+  if (wire::TryParseFrame(stream.data(), stream.size(), kMaxNetFrameBytes,
+                          &body, &body_len, &consumed,
+                          &error) != wire::FrameParse::kFrame) {
     return false;
   }
   NetMessage msg;
@@ -196,8 +196,8 @@ TEST_F(ServerTortureTest, BadCrcFailsOnlyThatConnection) {
   std::string body;
   EncodeHello(false, "evil", &body);
   std::string stream;
-  EncodeNetFrame(body, &stream);
-  stream[kNetFrameHeaderBytes] ^= 0x40;  // damage the body, keep the CRC
+  wire::PutFrame(body, &stream);
+  stream[wire::kFrameHeaderBytes] ^= 0x40;  // damage the body, keep the CRC
   RawPeer peer(server_->port());
   peer.Send(stream);
   StatusCode code = StatusCode::kOk;
@@ -212,7 +212,7 @@ TEST_F(ServerTortureTest, WrongVersionAndWrongMagicAreRefused) {
     EncodeHello(false, "time-traveler", &body);
     body[5] = 99;  // version field (after type + magic)
     std::string stream;
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
     RawPeer peer(server_->port());
     peer.Send(stream);
     StatusCode code = StatusCode::kOk;
@@ -224,7 +224,7 @@ TEST_F(ServerTortureTest, WrongVersionAndWrongMagicAreRefused) {
     EncodeHello(false, "imposter", &body);
     body[1] ^= 0x7F;  // magic field
     std::string stream;
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
     RawPeer peer(server_->port());
     peer.Send(stream);
     StatusCode code = StatusCode::kOk;
@@ -244,10 +244,10 @@ TEST_F(ServerTortureTest, PreviousVersionHelloNegotiatesItsDialect) {
   EncodeHello(false, "legacy-v4", &body);
   body[5] = 4;  // version field (after type + magic), little-endian
   std::string stream;
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   body.clear();
   EncodeStatusRequest(&body);
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   RawPeer peer(server_->port());
   ASSERT_TRUE(peer.connected());
   peer.Send(stream);
@@ -257,20 +257,20 @@ TEST_F(ServerTortureTest, PreviousVersionHelloNegotiatesItsDialect) {
   std::size_t frame_len = 0;
   std::size_t consumed = 0;
   Status error;
-  ASSERT_EQ(TryParseNetFrame(answer.data(), answer.size(),
-                             kMaxNetFrameBytes, &frame, &frame_len,
-                             &consumed, &error),
-            FrameParse::kFrame)
+  ASSERT_EQ(wire::TryParseFrame(answer.data(), answer.size(),
+                                kMaxNetFrameBytes, &frame, &frame_len,
+                                &consumed, &error),
+            wire::FrameParse::kFrame)
       << error;
   NetMessage welcome;
   TOPKMON_ASSERT_OK(DecodeNetBody(frame, frame_len, &welcome));
   ASSERT_EQ(welcome.type, NetMessageType::kWelcome);
   EXPECT_EQ(welcome.version, 4u);
   EXPECT_EQ(welcome.fencing_epoch, 0u);  // absent on the wire at v4
-  ASSERT_EQ(TryParseNetFrame(answer.data() + consumed,
-                             answer.size() - consumed, kMaxNetFrameBytes,
-                             &frame, &frame_len, &consumed, &error),
-            FrameParse::kFrame)
+  ASSERT_EQ(wire::TryParseFrame(answer.data() + consumed,
+                                answer.size() - consumed, kMaxNetFrameBytes,
+                                &frame, &frame_len, &consumed, &error),
+            wire::FrameParse::kFrame)
       << error;
   NetMessage info;
   TOPKMON_ASSERT_OK(DecodeNetBody(frame, frame_len, &info));
@@ -297,7 +297,7 @@ TEST_F(ServerTortureTest, RequestBeforeHelloIsRefused) {
   std::string body;
   EncodePoll(10, 0, &body);
   std::string stream;
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   RawPeer peer(server_->port());
   peer.Send(stream);
   StatusCode code = StatusCode::kOk;
@@ -311,7 +311,7 @@ TEST_F(ServerTortureTest, SlowLorisNeverWedgesTheDriverThread) {
   std::string body;
   EncodeHello(false, "loris", &body);
   std::string stream;
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
 
   std::vector<std::unique_ptr<RawPeer>> slow;
   for (int i = 0; i < 3; ++i) {
@@ -332,10 +332,10 @@ TEST_F(ServerTortureTest, SlowLorisNeverWedgesTheDriverThread) {
     std::size_t body_len = 0;
     std::size_t consumed = 0;
     Status error;
-    ASSERT_EQ(TryParseNetFrame(response.data(), response.size(),
-                               kMaxNetFrameBytes, &frame_body, &body_len,
-                               &consumed, &error),
-              FrameParse::kFrame);
+    ASSERT_EQ(wire::TryParseFrame(response.data(), response.size(),
+                                  kMaxNetFrameBytes, &frame_body, &body_len,
+                                  &consumed, &error),
+              wire::FrameParse::kFrame);
     NetMessage msg;
     TOPKMON_ASSERT_OK(DecodeNetBody(frame_body, body_len, &msg));
     EXPECT_EQ(msg.type, NetMessageType::kWelcome);
@@ -349,7 +349,7 @@ TEST_F(ServerTortureTest, AbruptDisconnectsLeakNothing) {
     std::string body;
     EncodeHello(false, "drop-" + std::to_string(i), &body);
     std::string stream;
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
     peer.Send(stream.substr(0, 1 + i % stream.size()));
     // Destructor slams the connection mid-frame.
   }
@@ -424,7 +424,7 @@ TEST(ServerIdleTimeoutTest, APeerThatNeverReadsCannotGrowServerMemory) {
   {
     std::string body;
     EncodeHello(false, "hog", &body);
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
   }
   // Pipeline many requests without ever reading a response: the
   // response buffer must hit the cap and the connection must be
@@ -432,7 +432,7 @@ TEST(ServerIdleTimeoutTest, APeerThatNeverReadsCannotGrowServerMemory) {
   for (int i = 0; i < 64; ++i) {
     std::string body;
     EncodeSnapshotRequest(static_cast<QueryId>(1000 + i), &body);
-    EncodeNetFrame(body, &stream);
+    wire::PutFrame(body, &stream);
   }
   hog.Send(stream);
   // Wait for the cap to trip (the definitive signal — checking the
@@ -479,9 +479,9 @@ TEST(ServerIngestBlockTest, MaximalFrameLeavesTheDecodeBlockAtItsBound) {
   {
     std::string hello;
     EncodeHello(false, "maximal", &hello);
-    EncodeNetFrame(hello, &stream);
+    wire::PutFrame(hello, &stream);
   }
-  EncodeNetFrame(body, &stream);
+  wire::PutFrame(body, &stream);
   body = std::string();
 
   RawPeer big(server.port());

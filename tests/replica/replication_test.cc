@@ -19,6 +19,8 @@
 #include "journal/format.h"
 #include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
+#include "journal/recovery.h"
+#include "journal/wire.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "replica/follower.h"
@@ -63,22 +65,22 @@ TEST(ReplicaFrameParseTest, NeedMoreThenFrameThenBad) {
   std::string body;
   EncodeCycleBody(42, MakeBatch(0, 3, 42), &body);
   std::string frame;
-  EncodeFrame(body, &frame);
+  wire::PutFrame(body, &frame);
 
   const char* got_body = nullptr;
   std::size_t body_len = 0;
   std::size_t consumed = 0;
-  std::string detail;
+  Status detail;
   // Every proper prefix is kNeedMore — a torn tail never decodes.
   for (std::size_t n = 0; n < frame.size(); ++n) {
-    EXPECT_EQ(TryParseJournalFrame(frame.data(), n, &got_body, &body_len,
-                                   &consumed, &detail),
-              JournalFrameParse::kNeedMore)
+    EXPECT_EQ(wire::TryParseFrame(frame.data(), n, kMaxRecordBytes,
+                                  &got_body, &body_len, &consumed, &detail),
+              wire::FrameParse::kNeedMore)
         << "prefix " << n;
   }
-  ASSERT_EQ(TryParseJournalFrame(frame.data(), frame.size(), &got_body,
-                                 &body_len, &consumed, &detail),
-            JournalFrameParse::kFrame);
+  ASSERT_EQ(wire::TryParseFrame(frame.data(), frame.size(), kMaxRecordBytes,
+                                &got_body, &body_len, &consumed, &detail),
+            wire::FrameParse::kFrame);
   EXPECT_EQ(consumed, frame.size());
   EXPECT_EQ(body_len, body.size());
   JournalRecord record;
@@ -89,9 +91,10 @@ TEST(ReplicaFrameParseTest, NeedMoreThenFrameThenBad) {
   // Flip a body byte: complete frame, wrong CRC -> kBad.
   std::string damaged = frame;
   damaged[damaged.size() - 1] = static_cast<char>(damaged.back() ^ 0x40);
-  EXPECT_EQ(TryParseJournalFrame(damaged.data(), damaged.size(), &got_body,
-                                 &body_len, &consumed, &detail),
-            JournalFrameParse::kBad);
+  EXPECT_EQ(wire::TryParseFrame(damaged.data(), damaged.size(),
+                                kMaxRecordBytes, &got_body, &body_len,
+                                &consumed, &detail),
+            wire::FrameParse::kBad);
 }
 
 // ---- shipper chunk semantics -------------------------------------------
@@ -141,7 +144,7 @@ TEST(ReplicaShipperTest, TornLeaderTailShipsAndCompletesLater) {
   std::string body;
   EncodeCycleBody(2, MakeBatch(10, 4, 2), &body);
   std::string frame;
-  EncodeFrame(body, &frame);
+  wire::PutFrame(body, &frame);
   const std::string first_half = frame.substr(0, frame.size() / 2);
   AppendBytes(path, first_half);
 
@@ -489,6 +492,70 @@ TEST(ReplicaFollowerTest, MirrorsLeaderThroughTinyChunksAndServesReads) {
   EXPECT_EQ(ack->first_error.code(), StatusCode::kFailedPrecondition);
   fserver.Stop();
   (*follower)->Stop();
+}
+
+TEST(ReplicaFollowerTest, LiveStateEqualsRecoveryOfItsOwnDirectory) {
+  // Small segments, all retained: the follower crosses sealed segments
+  // (skipping their anchors) instead of resyncing.
+  Leader leader(/*window=*/400, /*segment_bytes=*/16u << 10,
+                /*retain_segments=*/64);
+  const auto session = leader.service->OpenSession("dash");
+  ASSERT_TRUE(session.ok());
+  std::vector<QueryId> queries;
+  for (const QuerySpec& spec : MakeRandomQueries(kDim, 4, 4, 23)) {
+    const auto id = leader.service->Register(*session, spec);
+    ASSERT_TRUE(id.ok()) << id.status();
+    queries.push_back(*id);
+  }
+
+  // The follower's engine, kept for the comparison below (it is read
+  // only after Stop() joined the pump that feeds it).
+  MonitorEngine* live_engine = nullptr;
+  const auto factory = [&live_engine] {
+    auto engine = std::make_unique<BruteForceEngine>(
+        kDim, WindowSpec::Count(400));
+    live_engine = engine.get();
+    return std::unique_ptr<MonitorEngine>(std::move(engine));
+  };
+  ScopedTempDir fdir;
+  const std::string repl_dir = fdir.path() + "/repl";
+  auto fopt = FollowerOptions(leader.server->port());
+  fopt.fetch_bytes = 61;  // chunk boundaries land mid-frame
+  auto follower = ReplicaFollower::Open(
+      factory, FollowerServiceOptions(repl_dir), fopt);
+  ASSERT_TRUE(follower.ok()) << follower.status();
+
+  Timestamp clock = 0;
+  IngestRecords(leader, 1500, &clock);
+  const QueryId gone = queries.back();
+  queries.pop_back();
+  TOPKMON_ASSERT_OK(leader.service->Unregister(*session, gone));
+  IngestRecords(leader, 1500, &clock);
+  TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+      leader.service->replication().applied_cycle_ts,
+      std::chrono::seconds(30)));
+  (*follower)->Stop();
+  ASSERT_GT((*follower)->stats().segments_completed, 0u)
+      << "the leader never rotated; the test does not cross a segment";
+  ASSERT_EQ((*follower)->stats().restarts, 0u);
+
+  // Crash recovery of the follower's own directory into a fresh engine
+  // reaches exactly the state the follower holds live.
+  BruteForceEngine recovered(kDim, WindowSpec::Count(400));
+  const auto report = RecoveryDriver::Replay(repl_dir, recovered);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->recovered);
+  ASSERT_NE(live_engine, nullptr);
+  EXPECT_EQ(recovered.WindowSize(), live_engine->WindowSize());
+  for (QueryId q : queries) {
+    const auto want = recovered.CurrentResult(q);
+    const auto got = (*follower)->service().CurrentResult(q);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*want, *got) << "query " << q;
+  }
+  EXPECT_FALSE(recovered.CurrentResult(gone).ok());
+  EXPECT_FALSE((*follower)->service().CurrentResult(gone).ok());
 }
 
 TEST(ReplicaFollowerTest, RestartResumesFromLocalJournalEvenWithTornTail) {
