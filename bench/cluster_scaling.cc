@@ -117,20 +117,7 @@ RunResult RunSingleLeader(std::size_t records, std::size_t window) {
       batch.emplace_back(0, gen->NextPoint(), ts);
     }
     const double start = watch.ElapsedSeconds();
-    std::size_t off = 0;
-    while (off < batch.size()) {
-      std::vector<Record> part(batch.begin() + static_cast<long>(off),
-                               batch.end());
-      const auto ack = (*client)->Ingest(std::move(part));
-      if (!ack.ok()) std::abort();
-      off += ack->accepted;
-      if (ack->rejected == 0) break;
-      if (ack->first_error.code() != StatusCode::kResourceExhausted) {
-        std::abort();
-      }
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(100 + 4u * ack->queue_hint));
-    }
+    IngestPaced(**client, batch);
     rpc_seconds.push_back(watch.ElapsedSeconds() - start);
     sent += n;
   }

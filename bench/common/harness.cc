@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "core/brute_force_engine.h"
@@ -298,6 +299,23 @@ void PrintWorkloadRegistry() {
       std::printf("    --workload-param=%s=<v>  %s (default %g)\n",
                   p.name.c_str(), p.description.c_str(), p.value);
     }
+  }
+}
+
+void IngestPaced(MonitorClient& client, const std::vector<Record>& batch) {
+  std::size_t off = 0;
+  while (off < batch.size()) {
+    std::vector<Record> part(batch.begin() + static_cast<long>(off),
+                             batch.end());
+    const auto ack = client.Ingest(std::move(part));
+    if (!ack.ok()) std::abort();
+    off += ack->accepted;
+    if (ack->rejected == 0) break;
+    if (ack->first_error.code() != StatusCode::kResourceExhausted) {
+      std::abort();
+    }
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(100 + 4u * ack->queue_hint));
   }
 }
 

@@ -22,6 +22,7 @@
 
 #include "core/engine.h"
 #include "core/simulation.h"
+#include "net/client.h"
 #include "util/table_printer.h"
 #include "workload/workload.h"
 
@@ -72,6 +73,12 @@ void PrintExpectation(const std::string& note);
 /// the vector. 0.0 on empty input. One definition shared by the
 /// latency benches so their percentiles stay comparable.
 double Percentile(std::vector<double>& samples, double p);
+
+/// Sends `batch` over `client`, paced by backpressure (protocol v3): a
+/// RESOURCE_EXHAUSTED ack means the server queue filled mid-batch and
+/// accepted a prefix, so back off by the ack's queue hint and resend
+/// the suffix. Aborts on any other failure, like RunEngine.
+void IngestPaced(MonitorClient& client, const std::vector<Record>& batch);
 
 /// A named-workload selection parsed from argv. Benches that can drive
 /// their engines from src/workload/ call ParseWorkloadFlags and, when

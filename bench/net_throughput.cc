@@ -219,24 +219,7 @@ RunResult RunWireClients(int clients, std::size_t records_per_client,
           push_wall[static_cast<std::size_t>(ts)] = pushed_at;
           batch.emplace_back(0, gen->NextPoint(), ts);
         }
-        // Hint-paced ingest (protocol v3): a RESOURCE_EXHAUSTED
-        // refusal means the queue filled mid-batch; the accepted tuples
-        // are the batch prefix, so back off by the hint and resend the
-        // suffix instead of aborting.
-        std::size_t off = 0;
-        while (off < batch.size()) {
-          std::vector<Record> part(
-              batch.begin() + static_cast<long>(off), batch.end());
-          const auto ack = (*client)->Ingest(std::move(part));
-          if (!ack.ok()) std::abort();
-          off += ack->accepted;
-          if (ack->rejected == 0) break;
-          if (ack->first_error.code() != StatusCode::kResourceExhausted) {
-            std::abort();
-          }
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(100 + 4u * ack->queue_hint));
-        }
+        IngestPaced(**client, batch);
         sent += n;
       }
       (void)(*client)->Close(/*close_session=*/false);

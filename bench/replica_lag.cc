@@ -180,8 +180,7 @@ RunResult Run(std::size_t records, std::size_t window, Config config) {
         for (std::size_t i = 0; i < n; ++i) {
           batch.emplace_back(0, gen->NextPoint(), ++ts);
         }
-        const auto ack = (*producer)->Ingest(std::move(batch));
-        if (!ack.ok() || ack->rejected != 0) std::abort();
+        IngestPaced(**producer, batch);
         sent += n;
       }
       (void)(*producer)->Close(/*close_session=*/false);

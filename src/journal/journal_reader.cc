@@ -1,13 +1,6 @@
 #include "journal/journal_reader.h"
 
-#include <dirent.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "journal/wire.h"
@@ -18,30 +11,21 @@ namespace {
 /// Bytes read from the file per refill.
 constexpr std::size_t kReadBytes = 64u << 10;
 
-ssize_t ReadAt(int fd, char* buf, std::size_t n, std::uint64_t offset) {
-  ssize_t got;
-  do {
-    got = ::pread(fd, buf, n, static_cast<off_t>(offset));
-  } while (got < 0 && errno == EINTR);
-  return got;
-}
-
 }  // namespace
 
 Result<std::vector<SegmentInfo>> ListSegments(const std::string& dir) {
   std::vector<SegmentInfo> out;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (errno == ENOENT) return out;
-    return Status::Internal("opendir " + dir + ": " + std::strerror(errno));
+  auto names = fs::ListDir(dir);
+  if (!names.ok()) {
+    if (names.status().code() == StatusCode::kNotFound) return out;
+    return names.status();
   }
-  while (const dirent* entry = ::readdir(d)) {
+  for (const std::string& name : *names) {
     std::uint64_t index = 0;
-    if (ParseSegmentFileName(entry->d_name, &index)) {
-      out.push_back(SegmentInfo{index, dir + "/" + entry->d_name});
+    if (ParseSegmentFileName(name, &index)) {
+      out.push_back(SegmentInfo{index, dir + "/" + name});
     }
   }
-  ::closedir(d);
   std::sort(out.begin(), out.end(),
             [](const SegmentInfo& a, const SegmentInfo& b) {
               return a.index < b.index;
@@ -73,33 +57,25 @@ AnchoredSegment OpenNewestAnchoredSegment(
   return found;
 }
 
-CycleJournalReader::~CycleJournalReader() { ::close(fd_); }
-
 Result<std::unique_ptr<CycleJournalReader>> CycleJournalReader::Open(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::NotFound("cannot open journal segment " + path + ": " +
-                            std::strerror(errno));
-  }
-  std::unique_ptr<CycleJournalReader> reader(new CycleJournalReader(fd));
+  auto file = fs::Open(path, fs::OpenMode::kReadOnly);
+  if (!file.ok()) return file.status();
   char header[kSegmentHeaderBytes];
-  const ssize_t got = ReadAt(fd, header, sizeof(header), 0);
-  if (got < 0) {
-    return Status::Internal("read " + path + ": " + std::strerror(errno));
-  }
-  if (static_cast<std::size_t>(got) != sizeof(header)) {
+  const auto got = file->ReadAt(0, header, sizeof(header));
+  if (!got.ok()) return got.status();
+  if (*got != sizeof(header)) {
     return Status::InvalidArgument("journal segment " + path +
                                    " is shorter than its header");
   }
   TOPKMON_RETURN_IF_ERROR(DecodeSegmentHeader(header, sizeof(header)));
-  return reader;
+  return std::unique_ptr<CycleJournalReader>(
+      new CycleJournalReader(std::move(*file)));
 }
 
 std::uint64_t CycleJournalReader::file_size() const {
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) return 0;
-  return static_cast<std::uint64_t>(st.st_size);
+  const auto size = file_.Size();
+  return size.ok() ? *size : 0;
 }
 
 void CycleJournalReader::DropReadAhead() {
@@ -152,16 +128,12 @@ CycleJournalReader::Outcome CycleJournalReader::Next() {
     pos_ = 0;
     const std::size_t have = buffer_.size();
     buffer_.resize(have + kReadBytes);
-    const ssize_t got = ReadAt(fd_, &buffer_[have], kReadBytes,
-                               offset_ + have);
-    if (got < 0) {
-      const int err = errno;
-      return Fail(Kind::kIoError,
-                  std::string("read error: ") + std::strerror(err),
-                  std::move(out));
+    const auto got = file_.ReadAt(offset_ + have, &buffer_[have], kReadBytes);
+    if (!got.ok()) {
+      return Fail(Kind::kIoError, got.status().message(), std::move(out));
     }
-    buffer_.resize(have + static_cast<std::size_t>(got));
-    if (got == 0) {
+    buffer_.resize(have + *got);
+    if (*got == 0) {
       out.kind = have == 0 ? Kind::kEnd : Kind::kTorn;
       if (have != 0) {
         out.detail = "file ends " + std::to_string(have) +

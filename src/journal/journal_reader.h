@@ -21,9 +21,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "journal/format.h"
+#include "util/fs.h"
 
 namespace topkmon {
 
@@ -74,8 +76,6 @@ class CycleJournalReader {
   static Result<std::unique_ptr<CycleJournalReader>> Open(
       const std::string& path);
 
-  ~CycleJournalReader();
-
   CycleJournalReader(const CycleJournalReader&) = delete;
   CycleJournalReader& operator=(const CycleJournalReader&) = delete;
 
@@ -94,12 +94,12 @@ class CycleJournalReader {
   void DropReadAhead();
 
  private:
-  explicit CycleJournalReader(int fd) : fd_(fd) {}
+  explicit CycleJournalReader(fs::File file) : file_(std::move(file)) {}
 
   /// Latches the terminal `kind` and returns `out` carrying it.
   Outcome Fail(Kind kind, std::string detail, Outcome out);
 
-  int fd_;
+  fs::File file_;
   std::uint64_t offset_ = kSegmentHeaderBytes;
   /// buffer_[pos_..] holds the file bytes that follow offset_.
   std::string buffer_;

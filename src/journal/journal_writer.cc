@@ -1,25 +1,11 @@
 #include "journal/journal_writer.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <utility>
 
 #include "journal/journal_reader.h"
 #include "journal/wire.h"
-#include "util/fs.h"
 
 namespace topkmon {
-namespace {
-
-using fs::ErrnoStatus;
-using fs::MakeDirs;
-
-}  // namespace
 
 Result<SyncPolicy> ParseSyncPolicy(const std::string& name) {
   if (name == "none") return SyncPolicy::kNone;
@@ -60,7 +46,7 @@ Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::OpenAnchored(
   if (options.dir.empty()) {
     return Status::InvalidArgument("journal directory is empty");
   }
-  TOPKMON_RETURN_IF_ERROR(MakeDirs(options.dir));
+  TOPKMON_RETURN_IF_ERROR(fs::MakeDirs(options.dir));
   auto existing = ListSegments(options.dir);
   if (!existing.ok()) return existing.status();
   const std::uint64_t next_index =
@@ -87,37 +73,23 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
   // only once its anchor snapshot is durable; a failed rotation leaves
   // the current segment (and every member) exactly as it was, so
   // subsequent appends keep landing somewhere recovery can read.
-  const std::string path = options_.dir + "/" + SegmentFileName(index);
-  const int fd =
-      ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0666);
-  if (fd < 0) {
-    ++stats_.append_failures;
-    return ErrnoStatus("open " + path, errno);
-  }
   std::string bytes;
   EncodeSegmentHeader(&bytes);
   bytes.resize(kSegmentHeaderBytes + wire::kFrameHeaderBytes);  // prologue
   Status st = EncodeSnapshotBody(anchor, &bytes);
   if (st.ok()) {
     wire::SealFrame(kSegmentHeaderBytes, &bytes);
-    st = fs::WriteAll(fd, path, bytes);
-  }
-  if (st.ok()) {
     ++stats_.sync_calls;
     // The snapshot is the recovery anchor — it is always synced, and so
     // is its directory entry.
-    if (::fdatasync(fd) != 0) st = ErrnoStatus("fdatasync " + path, errno);
+    auto file = fs::CreateDurable(options_.dir, SegmentFileName(index), bytes);
+    if (file.ok()) file_ = std::move(*file);  // the old segment closes here
+    st = file.status();
   }
-  if (st.ok()) st = fs::SyncDir(options_.dir);
   if (!st.ok()) {
     ++stats_.append_failures;
-    ::close(fd);
-    ::unlink(path.c_str());
     return st;
   }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-  segment_path_ = path;
   segment_index_ = index;
   segment_bytes_ = bytes.size();
   cycles_in_segment_ = 0;
@@ -131,25 +103,18 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
   return Status::Ok();
 }
 
-Status CycleJournalWriter::WriteAll(const std::string& bytes) {
-  TOPKMON_RETURN_IF_ERROR(fs::WriteAll(fd_, segment_path_, bytes));
-  segment_bytes_ += bytes.size();
-  stats_.bytes_written += bytes.size();
-  return Status::Ok();
-}
-
 Status CycleJournalWriter::SyncFd() {
   ++stats_.sync_calls;
   const auto start = std::chrono::steady_clock::now();
-  const int rc = ::fdatasync(fd_);
+  const Status st = file_.DataSync();
   if (fsync_histogram_ != nullptr) {
     fsync_histogram_->Record(std::chrono::steady_clock::now() - start);
   }
-  if (rc != 0) {
+  if (!st.ok()) {
     // The tail is still only in page cache: leave the group-commit
     // counters armed so the next append / Sync / SyncIfDue retries
     // instead of reporting the unsynced tail durable.
-    return ErrnoStatus("fdatasync " + segment_path_, errno);
+    return st;
   }
   appends_since_sync_ = 0;
   cycles_since_sync_ = 0;
@@ -158,7 +123,7 @@ Status CycleJournalWriter::SyncFd() {
 }
 
 Status CycleJournalWriter::SyncIfDue() {
-  if (closed_ || fd_ < 0 || appends_since_sync_ == 0) return Status::Ok();
+  if (closed() || appends_since_sync_ == 0) return Status::Ok();
   if (options_.sync != SyncPolicy::kInterval ||
       options_.sync_interval_ms.count() <= 0 ||
       std::chrono::steady_clock::now() - last_sync_time_ <
@@ -171,7 +136,7 @@ Status CycleJournalWriter::SyncIfDue() {
 }
 
 Status CycleJournalWriter::Sync() {
-  if (closed_ || fd_ < 0) {
+  if (closed()) {
     return Status::FailedPrecondition("journal writer is closed");
   }
   if (appends_since_sync_ == 0) return Status::Ok();
@@ -192,18 +157,20 @@ void CycleJournalWriter::GarbageCollect() {
   if (!existing.ok()) return;  // best-effort
   for (const SegmentInfo& segment : *existing) {
     if (segment.index >= first_kept) continue;
-    if (::unlink(segment.path.c_str()) == 0) ++stats_.segments_deleted;
+    if (fs::Unlink(segment.path).ok()) ++stats_.segments_deleted;
   }
 }
 
 Status CycleJournalWriter::AppendScratchFrame(bool is_cycle) {
-  if (closed_ || fd_ < 0) {
+  if (closed()) {
     ++stats_.append_failures;
     return Status::FailedPrecondition("journal writer is closed");
   }
   wire::SealFrame(0, &frame_scratch_);
-  Status st = WriteAll(frame_scratch_);
+  Status st = file_.Write(frame_scratch_);
   if (st.ok()) {
+    segment_bytes_ += frame_scratch_.size();
+    stats_.bytes_written += frame_scratch_.size();
     ++appends_since_sync_;
     if (is_cycle) ++cycles_since_sync_;
     bool sync_now = options_.sync == SyncPolicy::kAlways;
@@ -254,7 +221,7 @@ Status CycleJournalWriter::AppendUnregister(QueryId id) {
 }
 
 bool CycleJournalWriter::SnapshotDue() const {
-  if (closed_) return false;
+  if (closed()) return false;
   if (segment_bytes_ >= options_.segment_bytes) return true;
   return options_.snapshot_every_cycles > 0 &&
          cycles_in_segment_ >= options_.snapshot_every_cycles;
@@ -262,29 +229,24 @@ bool CycleJournalWriter::SnapshotDue() const {
 
 Status CycleJournalWriter::RotateWithSnapshot(
     const JournalSnapshot& snapshot) {
-  if (closed_ || fd_ < 0) {
+  if (closed()) {
     return Status::FailedPrecondition("journal writer is closed");
   }
   return OpenSegment(snapshot, segment_index_ + 1);
 }
 
 Status CycleJournalWriter::RotateWithSnapshot(const SnapshotAnchor& anchor) {
-  if (closed_ || fd_ < 0) {
+  if (closed()) {
     return Status::FailedPrecondition("journal writer is closed");
   }
   return OpenSegment(anchor, segment_index_ + 1);
 }
 
 Status CycleJournalWriter::Close() {
-  if (closed_) return Status::Ok();
-  closed_ = true;
-  if (fd_ < 0) return Status::Ok();
-  Status st = SyncFd();
-  if (::close(fd_) != 0 && st.ok()) {
-    st = ErrnoStatus("close " + segment_path_, errno);
-  }
-  fd_ = -1;
-  return st;
+  if (closed()) return Status::Ok();
+  const Status synced = SyncFd();
+  const Status closed = file_.Close();
+  return synced.ok() ? closed : synced;
 }
 
 }  // namespace topkmon

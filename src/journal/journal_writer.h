@@ -41,6 +41,7 @@
 
 #include "journal/format.h"
 #include "obs/metrics.h"
+#include "util/fs.h"
 
 namespace topkmon {
 
@@ -160,9 +161,9 @@ class CycleJournalWriter {
     fsync_histogram_ = histogram;
   }
 
-  bool closed() const { return closed_; }
+  bool closed() const { return !file_.is_open(); }
   const JournalWriterStats& stats() const { return stats_; }
-  const std::string& current_segment_path() const { return segment_path_; }
+  const std::string& current_segment_path() const { return file_.path(); }
   std::uint64_t current_segment_index() const { return segment_index_; }
 
  private:
@@ -184,7 +185,6 @@ class CycleJournalWriter {
   /// placeholder prologue patched here (length + CRC over the body that
   /// follows) — the body is encoded in place, never copied.
   Status AppendScratchFrame(bool is_cycle);
-  Status WriteAll(const std::string& bytes);
   Status SyncFd();
   void GarbageCollect();
 
@@ -192,15 +192,13 @@ class CycleJournalWriter {
   /// Reused serialization buffer (capacity persists across appends so
   /// the per-cycle hot path does not allocate).
   std::string frame_scratch_;
-  int fd_ = -1;
-  std::string segment_path_;
+  fs::File file_;
   std::uint64_t segment_index_ = 0;
   std::size_t segment_bytes_ = 0;       ///< bytes written to current segment
   std::uint64_t cycles_in_segment_ = 0;
   std::uint64_t appends_since_sync_ = 0;
   std::uint64_t cycles_since_sync_ = 0;
   std::chrono::steady_clock::time_point last_sync_time_{};
-  bool closed_ = false;
   LatencyHistogram* fsync_histogram_ = nullptr;
   JournalWriterStats stats_;
 };

@@ -856,19 +856,7 @@ void TcpServer::HandleReplFetch(Connection& conn, const NetMessage& msg) {
   // no separate heartbeat message exists. Renewed on arrival, not on
   // answer: a parked empty fetch still proves the follower is alive.
   service_.NoteFollowerContact();
-  if (service_.IsFenced()) {
-    // A deposed leader must not keep feeding a follower whose pump
-    // would otherwise never stall: the refusal makes the follower's
-    // fetches fail, its election timer fires, and it finds the real
-    // leader. Serving stale journal here would pin the follower to a
-    // node whose epoch has already lost.
-    std::string body;
-    EncodeError(Status::Fenced("leader fenced by a higher epoch; "
-                               "re-resolve the leader"),
-                &body);
-    SendBody(conn, body);
-    return;
-  }
+  if (RefuseFencedFetch(conn)) return;
   if (shipper_ == nullptr) {
     std::string body;
     EncodeError(Status::FailedPrecondition(
@@ -883,14 +871,8 @@ void TcpServer::HandleReplFetch(Connection& conn, const NetMessage& msg) {
                                                  : msg.max_bytes,
                               kMaxReplChunkBytes);
   auto chunk = shipper_->Read(msg.segment, msg.offset, max_bytes);
-  if (!chunk.ok()) {
-    std::string body;
-    EncodeError(chunk.status(), &body);
-    SendBody(conn, body);
-    return;
-  }
-  if (chunk->data.empty() && !chunk->sealed && !chunk->restart &&
-      msg.timeout_ms > 0) {
+  if (chunk.ok() && chunk->data.empty() && !chunk->sealed &&
+      !chunk->restart && msg.timeout_ms > 0) {
     // Nothing new: park like a long-poll, wake on journal growth.
     const auto timeout = std::min<std::chrono::milliseconds>(
         std::chrono::milliseconds(msg.timeout_ms), options_.max_long_poll);
@@ -902,34 +884,36 @@ void TcpServer::HandleReplFetch(Connection& conn, const NetMessage& msg) {
     conn.fetch_deadline = std::chrono::steady_clock::now() + timeout;
     return;
   }
-  std::string body;
-  EncodeReplChunk(chunk->segment, chunk->offset, chunk->sealed,
-                  chunk->restart, chunk->next_segment,
-                  service_.replication().applied_cycle_ts, chunk->data,
-                  service_.fencing_epoch(), conn.wire_version, &body);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.repl_chunks_sent;
-    stats_.repl_bytes_shipped += chunk->data.size();
-  }
-  SendBody(conn, body);
+  SendFetchAnswer(conn, chunk);
 }
 
 void TcpServer::AnswerFetch(Connection& conn) {
   conn.fetch_parked = false;
+  // Fenced while this fetch was parked — same refusal as the immediate
+  // path in HandleReplFetch.
+  if (RefuseFencedFetch(conn)) return;
+  SendFetchAnswer(conn, shipper_->Read(conn.fetch_segment, conn.fetch_offset,
+                                       conn.fetch_max_bytes));
+}
+
+bool TcpServer::RefuseFencedFetch(Connection& conn) {
+  if (!service_.IsFenced()) return false;
+  // A deposed leader must not keep feeding a follower whose pump
+  // would otherwise never stall: the refusal makes the follower's
+  // fetches fail, its election timer fires, and it finds the real
+  // leader. Serving stale journal here would pin the follower to a
+  // node whose epoch has already lost.
   std::string body;
-  if (service_.IsFenced()) {
-    // Fenced while this fetch was parked — same refusal as the
-    // immediate path in HandleReplFetch.
-    EncodeError(Status::Fenced("leader fenced by a higher epoch; "
-                               "re-resolve the leader"),
-                &body);
-    SendBody(conn, body);
-    return;
-  }
-  auto chunk =
-      shipper_->Read(conn.fetch_segment, conn.fetch_offset,
-                     conn.fetch_max_bytes);
+  EncodeError(Status::Fenced("leader fenced by a higher epoch; "
+                             "re-resolve the leader"),
+              &body);
+  SendBody(conn, body);
+  return true;
+}
+
+void TcpServer::SendFetchAnswer(Connection& conn,
+                                const Result<ShipChunk>& chunk) {
+  std::string body;
   if (!chunk.ok()) {
     EncodeError(chunk.status(), &body);
   } else {

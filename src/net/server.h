@@ -287,6 +287,10 @@ class TcpServer {
   void EvictConnection(Connection& conn);
   /// Answers a parked replication fetch with whatever the journal holds.
   void AnswerFetch(Connection& conn);
+  /// Answers a fetch with FENCED when this leader is deposed; true if so.
+  bool RefuseFencedFetch(Connection& conn);
+  /// Answers a fetch with `chunk`, or with its read error.
+  void SendFetchAnswer(Connection& conn, const Result<ShipChunk>& chunk);
   /// Queues one response frame built from `body`.
   void SendBody(Connection& conn, const std::string& body);
   /// Queues an error frame and schedules the connection for close.

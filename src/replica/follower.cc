@@ -1,18 +1,11 @@
 #include "replica/follower.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <utility>
 
 #include "journal/format.h"
 #include "journal/journal_reader.h"
-#include "util/fs.h"
 
 namespace topkmon {
-
-using fs::ErrnoStatus;
 
 ReplicaFollower::ReplicaFollower(std::unique_ptr<MonitorService> service,
                                  ReplicaFollowerOptions options,
@@ -73,10 +66,7 @@ Status ReplicaFollower::Bootstrap() {
       // chunk lands right behind the last applied record.
       WipeLocalSegments(start.index);
       shipped_ = reader_->offset();
-      if (::truncate(start.path.c_str(), static_cast<off_t>(shipped_)) !=
-          0) {
-        return ErrnoStatus("truncate " + start.path, errno);
-      }
+      TOPKMON_RETURN_IF_ERROR(fs::Truncate(start.path, shipped_));
       reader_->DropReadAhead();
       // These bytes predate this process — they may include a deposed
       // leader's unshipped tail. The first connect verifies the leader's
@@ -106,40 +96,35 @@ void ReplicaFollower::WipeLocalSegments(std::uint64_t keep) {
   if (!segments.ok()) return;  // best-effort
   for (const SegmentInfo& info : *segments) {
     if (info.index == keep) continue;
-    ::unlink(info.path.c_str());
+    (void)fs::Unlink(info.path);
   }
 }
 
 Status ReplicaFollower::PersistChunk(const std::string& data) {
-  if (segment_fd_ < 0) {
-    const std::string path =
-        journal_dir_ + "/" + SegmentFileName(segment_);
+  if (!segment_file_.is_open()) {
     // Shipping a segment from offset 0 starts its local file fresh:
     // truncation (not append) makes resync immune to a same-index file
     // a best-effort wipe failed to unlink.
-    const int fresh = shipped_ == 0 ? O_TRUNC : O_APPEND;
-    segment_fd_ = ::open(path.c_str(),
-                         O_CREAT | O_WRONLY | fresh | O_CLOEXEC, 0666);
-    if (segment_fd_ < 0) return ErrnoStatus("open " + path, errno);
+    auto opened = fs::Open(
+        journal_dir_ + "/" + SegmentFileName(segment_),
+        shipped_ == 0 ? fs::OpenMode::kCreateTruncate : fs::OpenMode::kAppend);
+    if (!opened.ok()) return opened.status();
+    segment_file_ = std::move(*opened);
   }
-  const Status st = fs::WriteAll(segment_fd_, "shipped segment", data);
+  const Status st = segment_file_.Write(data);
   if (!st.ok()) {
     // Discard any partial bytes this chunk managed to land: the retry
     // re-appends the whole chunk at shipped_, and the local file must
     // stay a byte-identical leader prefix.
-    (void)::ftruncate(segment_fd_, static_cast<off_t>(shipped_));
+    (void)fs::Truncate(segment_file_.path(), shipped_);
   }
   return st;
 }
 
 Status ReplicaFollower::CloseSegmentFile(bool sync) {
-  if (segment_fd_ < 0) return Status::Ok();
-  Status st;
-  if (sync && ::fdatasync(segment_fd_) != 0) {
-    st = ErrnoStatus("fdatasync shipped segment", errno);
-  }
-  ::close(segment_fd_);
-  segment_fd_ = -1;
+  if (!segment_file_.is_open()) return Status::Ok();
+  const Status st = sync ? segment_file_.DataSync() : Status::Ok();
+  (void)segment_file_.Close();
   return st;
 }
 

@@ -59,6 +59,7 @@
 #include "journal/journal_reader.h"
 #include "net/client.h"
 #include "service/monitor_service.h"
+#include "util/fs.h"
 
 namespace topkmon {
 
@@ -237,7 +238,7 @@ class ReplicaFollower {
   /// byte-wise (the shipper cannot detect divergence at offsets that
   /// still fit inside its segment).
   bool resumed_from_disk_ = false;
-  int segment_fd_ = -1;
+  fs::File segment_file_;  ///< the local copy of segment_, while shipping
 
   mutable std::mutex mu_;
   std::condition_variable stop_cv_;

@@ -1,10 +1,5 @@
 #include "replica/shipper.h"
 
-#include <errno.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 
 #include "journal/format.h"
@@ -45,56 +40,37 @@ Result<ShipChunk> JournalShipper::Read(std::uint64_t segment,
   }
 
   const std::string path = dir_ + "/" + SegmentFileName(segment);
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
+  auto file = fs::Open(path, fs::OpenMode::kReadOnly);
+  if (!file.ok()) {
+    if (file.status().code() == StatusCode::kNotFound) {
       // Deleted between the listing and the open: same as not listed.
       chunk.restart = true;
       chunk.next_segment = have_newer ? next_after : segment;
       return chunk;
     }
-    return fs::ErrnoStatus("open " + path, errno);
+    return file.status();
   }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status err = fs::ErrnoStatus("fstat " + path, errno);
-    ::close(fd);
-    return err;
-  }
-  const std::uint64_t size = static_cast<std::uint64_t>(st.st_size);
-  if (offset > size) {
+  const auto size = file->Size();
+  if (!size.ok()) return size.status();
+  if (offset > *size) {
     // The follower believes it has more of this segment than exists —
     // the journal was replaced under the same index. Full restart.
-    ::close(fd);
     chunk.restart = true;
     chunk.next_segment = segments->front().index;
     return chunk;
   }
   const std::uint32_t want = std::min<std::uint32_t>(
       max_bytes, static_cast<std::uint32_t>(
-                     std::min<std::uint64_t>(size - offset, 1u << 30)));
-  if (want > 0) {
-    chunk.data.resize(want);
-    std::size_t got = 0;
-    while (got < want) {
-      const ssize_t n =
-          ::pread(fd, &chunk.data[got], want - got,
-                  static_cast<off_t>(offset + got));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        const Status err = fs::ErrnoStatus("pread " + path, errno);
-        ::close(fd);
-        return err;
-      }
-      if (n == 0) break;  // concurrently truncated? serve what we got
-      got += static_cast<std::size_t>(n);
-    }
-    chunk.data.resize(got);
-  }
-  ::close(fd);
+                     std::min<std::uint64_t>(*size - offset, 1u << 30)));
+  chunk.data.resize(want);
+  // A short read means the file was concurrently truncated; serve what
+  // was read.
+  const auto got = file->ReadAt(offset, chunk.data.data(), want);
+  if (!got.ok()) return got.status();
+  chunk.data.resize(*got);
   // A higher-indexed segment seals this one: no append will ever land
   // here again, so reaching `size` means the follower can move on.
-  if (have_newer && offset + chunk.data.size() == size) {
+  if (have_newer && offset + chunk.data.size() == *size) {
     chunk.sealed = true;
     chunk.next_segment = next_after;
   }
@@ -109,19 +85,16 @@ Status JournalShipper::End(std::uint64_t* segment,
   if (!segments.ok()) return segments.status();
   if (segments->empty()) return Status::Ok();
   const SegmentInfo& last = segments->back();
-  const std::string path = dir_ + "/" + SegmentFileName(last.index);
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    // Rotated away between the listing and the stat; report the new
-    // segment at zero — the caller only needs a monotone lower bound.
-    if (errno == ENOENT) {
-      *segment = last.index;
-      return Status::Ok();
-    }
-    return fs::ErrnoStatus("stat " + path, errno);
+  auto file = fs::Open(dir_ + "/" + SegmentFileName(last.index),
+                       fs::OpenMode::kReadOnly);
+  const auto size = file.ok() ? file->Size() : file.status();
+  if (!size.ok() && size.status().code() != StatusCode::kNotFound) {
+    return size.status();
   }
+  // Rotated away between the listing and the open (NotFound): report the
+  // new segment at zero — the caller only needs a monotone lower bound.
   *segment = last.index;
-  *offset = static_cast<std::uint64_t>(st.st_size);
+  *offset = size.ok() ? *size : 0;
   return Status::Ok();
 }
 

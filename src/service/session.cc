@@ -4,6 +4,18 @@
 #include <utility>
 
 namespace topkmon {
+namespace {
+
+Status NotOpen(SessionId session) {
+  return Status::NotFound("session " + std::to_string(session) + " not open");
+}
+
+Status NotOwned(QueryId query_id) {
+  return Status::NotFound("query id " + std::to_string(query_id) +
+                          " not owned by any session");
+}
+
+}  // namespace
 
 SessionManager::SessionManager(const SessionOptions& options)
     : options_(options) {}
@@ -24,10 +36,7 @@ Result<SessionId> SessionManager::Open(std::string label) {
 Result<std::vector<QueryId>> SessionManager::Close(SessionId session) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("session " + std::to_string(session) +
-                            " not open");
-  }
+  if (it == sessions_.end()) return NotOpen(session);
   std::vector<QueryId> owned(it->second.queries.begin(),
                              it->second.queries.end());
   for (QueryId q : owned) owner_.erase(q);
@@ -40,10 +49,7 @@ Result<std::vector<QueryId>> SessionManager::Close(SessionId session) {
 Status SessionManager::Admit(SessionId session, QueryId query_id, int k) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("session " + std::to_string(session) +
-                            " not open");
-  }
+  if (it == sessions_.end()) return NotOpen(session);
   if (k <= 0 || k > options_.max_k) {
     ++stats_.quota_rejections;
     return Status::InvalidArgument(
@@ -70,10 +76,7 @@ Status SessionManager::Admit(SessionId session, QueryId query_id, int k) {
 Status SessionManager::Release(QueryId query_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = owner_.find(query_id);
-  if (it == owner_.end()) {
-    return Status::NotFound("query id " + std::to_string(query_id) +
-                            " not owned by any session");
-  }
+  if (it == owner_.end()) return NotOwned(query_id);
   auto session = sessions_.find(it->second);
   if (session != sessions_.end()) session->second.queries.erase(query_id);
   owner_.erase(it);
@@ -84,20 +87,14 @@ Status SessionManager::Release(QueryId query_id) {
 Result<SessionId> SessionManager::Owner(QueryId query_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = owner_.find(query_id);
-  if (it == owner_.end()) {
-    return Status::NotFound("query id " + std::to_string(query_id) +
-                            " not owned by any session");
-  }
+  if (it == owner_.end()) return NotOwned(query_id);
   return it->second;
 }
 
 Result<std::string> SessionManager::Label(SessionId session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("session " + std::to_string(session) +
-                            " not open");
-  }
+  if (it == sessions_.end()) return NotOpen(session);
   return it->second.label;
 }
 
@@ -117,17 +114,11 @@ Result<SessionId> SessionManager::FindByLabel(const std::string& label) const {
   return best;
 }
 
-Status SessionManager::ConsumeIngestTokens(SessionId session, double n,
-                                           double now_seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("session " + std::to_string(session) +
-                            " not open");
-  }
-  if (options_.ingest_rate_per_sec <= 0.0) return Status::Ok();
-  SessionState& state = it->second;
-  const double burst = BurstCapacity();
+double SessionManager::RefillBucket(SessionState& state,
+                                   double now_seconds) const {
+  const double burst = options_.ingest_burst > 0.0
+                           ? options_.ingest_burst
+                           : options_.ingest_rate_per_sec;
   if (!state.bucket_primed) {
     state.tokens = burst;
     state.last_refill = now_seconds;
@@ -138,13 +129,28 @@ Status SessionManager::ConsumeIngestTokens(SessionId session, double n,
                                            options_.ingest_rate_per_sec);
     state.last_refill = now_seconds;
   }
+  return burst;
+}
+
+Status SessionManager::RateLimitError(SessionId session, double burst) const {
+  return Status::FailedPrecondition(
+      "session " + std::to_string(session) +
+      " exceeded its ingest rate limit (" +
+      std::to_string(options_.ingest_rate_per_sec) + " records/s, burst " +
+      std::to_string(burst) + ")");
+}
+
+Status SessionManager::ConsumeIngestTokens(SessionId session, double n,
+                                           double now_seconds) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(session);
+  if (it == sessions_.end()) return NotOpen(session);
+  if (options_.ingest_rate_per_sec <= 0.0) return Status::Ok();
+  SessionState& state = it->second;
+  const double burst = RefillBucket(state, now_seconds);
   if (state.tokens < n) {
     ++stats_.rate_limited;
-    return Status::FailedPrecondition(
-        "session " + std::to_string(session) +
-        " exceeded its ingest rate limit (" +
-        std::to_string(options_.ingest_rate_per_sec) + " records/s, burst " +
-        std::to_string(burst) + ")");
+    return RateLimitError(session, burst);
   }
   state.tokens -= n;
   return Status::Ok();
@@ -157,25 +163,12 @@ std::size_t SessionManager::ConsumeUpToIngestTokens(SessionId session,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) {
-    if (refusal != nullptr) {
-      *refusal = Status::NotFound("session " + std::to_string(session) +
-                                  " not open");
-    }
+    if (refusal != nullptr) *refusal = NotOpen(session);
     return 0;
   }
   if (options_.ingest_rate_per_sec <= 0.0 || n == 0) return n;
   SessionState& state = it->second;
-  const double burst = BurstCapacity();
-  if (!state.bucket_primed) {
-    state.tokens = burst;
-    state.last_refill = now_seconds;
-    state.bucket_primed = true;
-  } else if (now_seconds > state.last_refill) {
-    state.tokens =
-        std::min(burst, state.tokens + (now_seconds - state.last_refill) *
-                                           options_.ingest_rate_per_sec);
-    state.last_refill = now_seconds;
-  }
+  const double burst = RefillBucket(state, now_seconds);
   const std::size_t granted = std::min<std::size_t>(
       n, state.tokens >= 0.0 ? static_cast<std::size_t>(state.tokens) : 0);
   state.tokens -= static_cast<double>(granted);
@@ -183,13 +176,7 @@ std::size_t SessionManager::ConsumeUpToIngestTokens(SessionId session,
     // One refusal per record beyond the grant — the same accounting n
     // individual ConsumeIngestTokens refusals would produce.
     stats_.rate_limited += n - granted;
-    if (refusal != nullptr) {
-      *refusal = Status::FailedPrecondition(
-          "session " + std::to_string(session) +
-          " exceeded its ingest rate limit (" +
-          std::to_string(options_.ingest_rate_per_sec) +
-          " records/s, burst " + std::to_string(burst) + ")");
-    }
+    if (refusal != nullptr) *refusal = RateLimitError(session, burst);
   }
   return granted;
 }
@@ -197,10 +184,7 @@ std::size_t SessionManager::ConsumeUpToIngestTokens(SessionId session,
 Result<std::size_t> SessionManager::QueryCount(SessionId session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  if (it == sessions_.end()) {
-    return Status::NotFound("session " + std::to_string(session) +
-                            " not open");
-  }
+  if (it == sessions_.end()) return NotOpen(session);
   return it->second.queries.size();
 }
 

@@ -145,10 +145,12 @@ class SessionManager {
     bool bucket_primed = false;    ///< first consume starts a full bucket
   };
 
-  double BurstCapacity() const {
-    return options_.ingest_burst > 0.0 ? options_.ingest_burst
-                                       : options_.ingest_rate_per_sec;
-  }
+  /// Primes `state`'s bucket full on first use, else refills it for the
+  /// time since the last refill; returns the burst capacity. Caller
+  /// holds mu_.
+  double RefillBucket(SessionState& state, double now_seconds) const;
+  /// The FailedPrecondition an ingest beyond the bucket draws.
+  Status RateLimitError(SessionId session, double burst) const;
 
   const SessionOptions options_;
 

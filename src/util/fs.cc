@@ -6,38 +6,87 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
+#include <utility>
 
 namespace topkmon {
 namespace fs {
+namespace {
 
-Status ErrnoStatus(const std::string& what, int err) {
-  return Status::Internal(what + ": " + std::strerror(err));
+std::atomic<const Hook*> g_hook{nullptr};
+
+/// The hook's verdict on `op`; OK when no hook is installed.
+Status Allow(Op op, const std::string& path, std::uint64_t bytes = 0) {
+  const Hook* hook = g_hook.load(std::memory_order_acquire);
+  return hook == nullptr ? Status::Ok() : (*hook)(op, path, bytes);
 }
 
-Status MakeDirs(const std::string& dir) {
-  std::string prefix;
-  std::size_t pos = 0;
-  while (pos <= dir.size()) {
-    const std::size_t slash = dir.find('/', pos);
-    prefix = slash == std::string::npos ? dir : dir.substr(0, slash);
-    pos = slash == std::string::npos ? dir.size() + 1 : slash + 1;
-    if (prefix.empty()) continue;  // leading '/'
-    if (::mkdir(prefix.c_str(), 0777) != 0 && errno != EEXIST) {
-      return ErrnoStatus("mkdir " + prefix, errno);
-    }
-  }
-  return Status::Ok();
+/// "what path: strerror(err)", NotFound for ENOENT.
+Status ErrnoStatus(const char* what, const std::string& path, int err) {
+  std::string message = std::string(what) + " " + path + ": " +
+                        std::strerror(err);
+  return err == ENOENT ? Status::NotFound(std::move(message))
+                       : Status::Internal(std::move(message));
 }
 
-Status WriteAll(int fd, const std::string& path, const std::string& bytes) {
+/// OK when the call returned 0, else its errno as a Status.
+Status Check(int rc, const char* what, const std::string& path) {
+  return rc == 0 ? Status::Ok() : ErrnoStatus(what, path, errno);
+}
+
+/// Returns `st`, first unlinking `path` when `st` failed.
+Status UnlinkOnError(const std::string& path, Status st) {
+  if (!st.ok()) (void)Unlink(path);
+  return st;
+}
+
+}  // namespace
+
+void SetHookForTesting(Hook hook) {
+  const Hook* fresh = hook ? new Hook(std::move(hook)) : nullptr;
+  delete g_hook.exchange(fresh, std::memory_order_acq_rel);
+}
+
+Result<File> OpenFile(const std::string& path, int flags, int perms) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kOpen, path));
+  File file;
+  file.fd_ = ::open(path.c_str(), flags | O_CLOEXEC, perms);
+  if (file.fd_ < 0) return ErrnoStatus("open", path, errno);
+  file.path_ = path;
+  return file;
+}
+
+Result<File> Open(const std::string& path, OpenMode mode) {
+  static constexpr int kFlags[] = {O_CREAT | O_WRONLY | O_TRUNC,
+                                   O_CREAT | O_WRONLY | O_APPEND, O_RDONLY};
+  return OpenFile(path, kFlags[static_cast<int>(mode)], 0666);
+}
+
+File::File(File&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+
+File& File::operator=(File&& other) noexcept {
+  std::swap(fd_, other.fd_);
+  std::swap(path_, other.path_);
+  return *this;
+}
+
+File::~File() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status File::Write(const std::string& bytes) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kWrite, path_, bytes.size()));
   const char* p = bytes.data();
   std::size_t left = bytes.size();
   while (left > 0) {
-    const ssize_t n = ::write(fd, p, left);
+    const ssize_t n = ::write(fd_, p, left);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus("write " + path, errno);
+      return ErrnoStatus("write", path_, errno);
     }
     p += n;
     left -= static_cast<std::size_t>(n);
@@ -45,14 +94,114 @@ Status WriteAll(int fd, const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
+Result<std::size_t> File::ReadAt(std::uint64_t offset, char* buf,
+                                 std::size_t n) const {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kRead, path_, n));
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd_, buf + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("pread", path_, errno);
+    }
+    if (r == 0) break;  // end of file
+    got += static_cast<std::size_t>(r);
+  }
+  return got;
+}
+
+Status File::DataSync() {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kDataSync, path_));
+  return Check(::fdatasync(fd_), "fdatasync", path_);
+}
+
+Result<std::uint64_t> File::Size() const {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kSize, path_));
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return ErrnoStatus("fstat", path_, errno);
+  return static_cast<std::uint64_t>(st.st_size);
+}
+
+Status File::Close() {
+  const int fd = std::exchange(fd_, -1);
+  return fd < 0 ? Status::Ok() : Check(::close(fd), "close", path_);
+}
+
+Status Truncate(const std::string& path, std::uint64_t size) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kTruncate, path, size));
+  return Check(::truncate(path.c_str(), static_cast<off_t>(size)), "truncate",
+               path);
+}
+
+Status Unlink(const std::string& path) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kUnlink, path));
+  return Check(::unlink(path.c_str()), "unlink", path);
+}
+
+Result<std::vector<std::string>> ListDir(const std::string& dir) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kList, dir));
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    names.push_back(it->path().filename().string());
+  }
+  if (ec) return ErrnoStatus("opendir", dir, ec.value());
+  return names;
+}
+
+Status MakeDirs(const std::string& dir) {
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kMkdir, dir));
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  return ec ? ErrnoStatus("mkdir", dir, ec.value()) : Status::Ok();
+}
+
 Status SyncDir(const std::string& dir) {
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) return ErrnoStatus("open " + dir, errno);
-  const int rc = ::fsync(dfd);
-  const int err = errno;
+  TOPKMON_RETURN_IF_ERROR(Allow(Op::kSyncDir, dir));
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd < 0) return ErrnoStatus("open", dir, errno);
+  const Status st = Check(::fsync(dfd), "fsync", dir);
   ::close(dfd);
-  if (rc != 0) return ErrnoStatus("fsync " + dir, err);
-  return Status::Ok();
+  return st;
+}
+
+Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes) {
+  auto file = Open(path, OpenMode::kReadOnly);
+  if (!file.ok()) return file.status();
+  std::string bytes(max_bytes, '\0');
+  auto got = file->ReadAt(0, bytes.data(), max_bytes);
+  if (!got.ok()) return got.status();
+  bytes.resize(*got);
+  return bytes;
+}
+
+Result<File> CreateDurable(const std::string& dir, const std::string& name,
+                           const std::string& bytes) {
+  auto file = Open(dir + "/" + name, OpenMode::kCreateTruncate);
+  if (!file.ok()) return file.status();
+  Status st = file->Write(bytes);
+  if (st.ok()) st = file->DataSync();
+  if (st.ok()) st = SyncDir(dir);
+  TOPKMON_RETURN_IF_ERROR(UnlinkOnError(file->path(), std::move(st)));
+  return file;
+}
+
+Status ReplaceDurable(const std::string& dir, const std::string& name,
+                      const std::string& bytes) {
+  const std::string path = dir + "/" + name;
+  const std::string tmp = path + ".tmp";
+  auto file = OpenFile(tmp, O_CREAT | O_WRONLY | O_TRUNC, 0644);
+  if (!file.ok()) return file.status();
+  Status st = file->Write(bytes);
+  if (st.ok()) st = Allow(Op::kSync, tmp);
+  if (st.ok()) st = Check(::fsync(file->fd_), "fsync", tmp);
+  if (st.ok()) st = file->Close();
+  if (st.ok()) st = Allow(Op::kRename, path);
+  if (st.ok()) st = Check(::rename(tmp.c_str(), path.c_str()), "rename", tmp);
+  TOPKMON_RETURN_IF_ERROR(UnlinkOnError(tmp, std::move(st)));
+  return SyncDir(dir);
 }
 
 }  // namespace fs

@@ -1,34 +1,124 @@
-// Tiny filesystem helpers shared by the disk-touching layers (journal
-// writer, replication follower, fencing-epoch file): errno-to-Status
-// conversion, mkdir -p, a full write and a directory fsync. One home so
-// the two sides of journal shipping can never drift on how bytes and
-// directory entries reach the disk.
+// The one module that touches the disk: the journal writer and reader,
+// the replication shipper and follower and the fencing-epoch file make
+// every file-system call through it, so it owns every durability
+// decision. Segment bytes are made durable with fdatasync, the epoch
+// file with fsync. A created or renamed entry is durable only once its
+// directory is fsynced, which CreateDurable and ReplaceDurable do last,
+// and a durable create that fails part way unlinks what it made. Every
+// failure is a Status naming the call and the path: NotFound for ENOENT,
+// Internal otherwise.
+//
+// Each operation below reports one Op to the test hook; MakeDirs reports
+// one kMkdir for the whole path, and ReadFile, CreateDurable and
+// ReplaceDurable report the Ops of their steps in order. Closing is not
+// an operation. SetHookForTesting installs one function that sees each
+// operation in call order (kind, path, byte count) before it is made and
+// may return an error to fail it instead. It runs on the calling thread,
+// so it must be thread-safe. Install it before the threads under test
+// start and remove it after they stop; unset, the POSIX calls run as is.
 
 #ifndef TOPKMON_UTIL_FS_H_
 #define TOPKMON_UTIL_FS_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
 namespace topkmon {
 namespace fs {
 
-/// Internal-status wrapper of an errno: "what: strerror(err)".
-Status ErrnoStatus(const std::string& what, int err);
+/// An operation as the test hook sees it.
+enum class Op : std::uint8_t {
+  kOpen,
+  kWrite,     ///< bytes: the length written
+  kRead,      ///< bytes: the length asked for
+  kDataSync,  ///< fdatasync
+  kSync,      ///< fsync
+  kSyncDir,   ///< fsync of a directory
+  kSize,
+  kTruncate,  ///< bytes: the new length
+  kRename,    ///< path: the target
+  kUnlink,
+  kList,
+  kMkdir,
+};
 
+/// Sees `op` on `path` before it is made. A non-OK return fails the
+/// operation with that status and the call is not made.
+using Hook = std::function<Status(Op op, const std::string& path,
+                                  std::uint64_t bytes)>;
+
+/// Installs `hook`; an empty function removes it.
+void SetHookForTesting(Hook hook);
+
+/// How Open opens a file. The writable modes create it (0666 & ~umask).
+enum class OpenMode : std::uint8_t {
+  kCreateTruncate,  ///< write-only, emptied
+  kAppend,          ///< write-only, every write lands at the end
+  kReadOnly,
+};
+
+/// An open file; the destructor closes it.
+class File {
+ public:
+  File() = default;
+  File(File&& other) noexcept;
+  File& operator=(File&& other) noexcept;
+  ~File();
+
+  bool is_open() const { return fd_ >= 0; }
+  const std::string& path() const { return path_; }
+
+  /// Writes all of `bytes`, riding out EINTR and partial writes. On
+  /// failure some prefix may have landed; the caller decides what to do
+  /// with it.
+  Status Write(const std::string& bytes);
+  /// Reads `n` bytes at `offset` into `buf`, fewer only at end of file;
+  /// returns the count read.
+  Result<std::size_t> ReadAt(std::uint64_t offset, char* buf,
+                             std::size_t n) const;
+  Status DataSync();
+  Result<std::uint64_t> Size() const;
+  /// Closes now, reporting what close(2) reports.
+  Status Close();
+
+ private:
+  friend Result<File> OpenFile(const std::string&, int, int);
+  friend Status ReplaceDurable(const std::string&, const std::string&,
+                               const std::string&);
+
+  int fd_ = -1;
+  std::string path_;
+};
+
+Result<File> Open(const std::string& path, OpenMode mode);
+Status Truncate(const std::string& path, std::uint64_t size);
+Status Unlink(const std::string& path);
+/// The entry names of `dir`, except "." and "..", in directory order.
+Result<std::vector<std::string>> ListDir(const std::string& dir);
 /// mkdir -p: creates `dir` and any missing parents (0777 & ~umask).
-/// Existing directories are fine; any other failure is an error.
 Status MakeDirs(const std::string& dir);
-
-/// Writes all of `bytes` to `fd`, riding out EINTR and partial writes.
-/// `path` only names the file in the error. On failure some prefix of
-/// `bytes` may have landed; the caller decides what to do with it.
-Status WriteAll(int fd, const std::string& path, const std::string& bytes);
-
-/// fsyncs directory `dir`, making the entries created or renamed in it
-/// durable.
+/// fsyncs directory `dir`, making the entries created, renamed or
+/// removed in it durable.
 Status SyncDir(const std::string& dir);
+/// Reads up to `max_bytes` from the start of `path`.
+Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes);
+
+/// Creates `dir`/`name` holding `bytes` and makes it durable: write,
+/// fdatasync, then fsync `dir`. Returns the file, still open for writing
+/// at its end; on failure the file is closed and unlinked.
+Result<File> CreateDurable(const std::string& dir, const std::string& name,
+                           const std::string& bytes);
+
+/// Atomically and durably replaces `dir`/`name` with `bytes`: writes
+/// `name`.tmp (0644 & ~umask), fsyncs and closes it, renames it over
+/// `name`, then fsyncs `dir`. Until the rename `name` is untouched; a
+/// failure before it unlinks the temp file.
+Status ReplaceDurable(const std::string& dir, const std::string& name,
+                      const std::string& bytes);
 
 }  // namespace fs
 }  // namespace topkmon

@@ -2,7 +2,9 @@
 // with it — healthy ingest keeps flowing, scatter operations fail with
 // an Unavailable that NAMES the dead endpoint, and a journal-recovered
 // partition re-joins with a gap-free merged stream whose final state
-// matches single-node ground truth.
+// matches single-node ground truth. Also the registration contract of
+// docs/CLUSTER.md: batched registration and unregistration across every
+// partition.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "cluster/local_cluster.h"
@@ -259,6 +262,75 @@ TEST(ClusterFailureTest, RecoveredPartitionResumesGapFreeAndConverges) {
   EXPECT_EQ(Scores(*snapshot), Scores(*want));
   EXPECT_EQ(view_scores, Scores(*want))
       << "the re-baselined delta stream did not converge to truth";
+
+  (void)(*router)->Close();
+  (*cluster)->Stop();
+}
+
+TEST(ClusterRouterRegistrationTest, RegisterBatchThenUnregisterEverywhere) {
+  auto cluster = LocalCluster::Start(BaseOptions());
+  ASSERT_TRUE(cluster.ok()) << cluster.status();
+  const PartitionMap& map = (*cluster)->map();
+  auto router = ClusterRouter::Connect(map, "reg", /*resume=*/false);
+  ASSERT_TRUE(router.ok()) << router.status();
+
+  auto gen = MakeGenerator(Distribution::kIndependent, kDim, 905);
+  auto ingest = [&](Timestamp ts) {
+    const auto report = (*router)->Ingest(CoveringBatch(map, ts, *gen));
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->rejected, 0u) << report->first_error;
+    TOPKMON_ASSERT_OK((*cluster)->FlushAll());
+  };
+  std::map<QueryId, std::size_t> deltas;  // merged events per query
+  auto pump = [&] {
+    for (int i = 0; i < 3; ++i) {
+      const auto events =
+          (*router)->PollDeltas(256, std::chrono::milliseconds(20));
+      ASSERT_TRUE(events.ok()) << events.status();
+      for (const DeltaEvent& e : *events) ++deltas[e.delta.query];
+    }
+  };
+  // Records first, so every initial result is non-empty.
+  for (Timestamp ts = 1; ts <= 3; ++ts) ingest(ts);
+
+  const auto specs = MakeRandomQueries(kDim, 3, 2, 71);
+  const auto outcomes = (*router)->RegisterBatch(specs);
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status();
+  ASSERT_EQ(outcomes->size(), 3u);
+  std::set<QueryId> ids;
+  for (const RegisterOutcome& o : *outcomes) {
+    EXPECT_EQ(o.code, StatusCode::kOk) << o.message;
+    ids.insert(o.query);
+  }
+  EXPECT_EQ(ids.size(), 3u) << "global ids must be distinct";
+  ingest(4);  // moves every partition's frontier past the registrations
+  pump();
+  for (const QueryId id : ids) {
+    EXPECT_GT(deltas[id], 0u) << "no merged initial result for " << id;
+    const auto result = (*router)->CurrentResult(id);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->size(), 2u);
+  }
+
+  const QueryId gone = (*outcomes)[1].query;
+  TOPKMON_ASSERT_OK((*router)->Unregister(gone));
+  EXPECT_EQ((*router)->CurrentResult(gone).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*router)->Unregister(gone).code(), StatusCode::kNotFound);
+  deltas.clear();
+  for (Timestamp ts = 5; ts <= 8; ++ts) ingest(ts);
+  pump();
+  EXPECT_EQ(deltas.count(gone), 0u) << "a delta still carries its id";
+  for (const QueryId id : ids) {
+    if (id != gone) TOPKMON_EXPECT_OK((*router)->CurrentResult(id).status());
+  }
+
+  // A stopped partition fails the scatter with an error naming it.
+  TOPKMON_ASSERT_OK((*cluster)->StopPartition(1));
+  const Status unreg = (*router)->Unregister((*outcomes)[0].query);
+  EXPECT_EQ(unreg.code(), StatusCode::kUnavailable) << unreg;
+  EXPECT_NE(unreg.message().find(map.Describe(1)), std::string::npos)
+      << unreg;
 
   (void)(*router)->Close();
   (*cluster)->Stop();

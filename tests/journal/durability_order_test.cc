@@ -1,0 +1,218 @@
+// Durability order: the file-system operations the journal writer and
+// the fencing-epoch file make, in call order, recorded through the fs
+// test hook. The transcripts pin the order docs/JOURNAL_FORMAT.md
+// (rotation) and docs/REPLICATION.md (the EPOCH file) promise, and the
+// failure cases drive a failing fdatasync, fsync or rename through the
+// same hook.
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/brute_force_engine.h"
+#include "journal/format.h"
+#include "journal/journal_reader.h"
+#include "journal/journal_writer.h"
+#include "journal/recovery.h"
+#include "replica/lease.h"
+#include "tests/journal/journal_test_util.h"
+#include "tests/test_util.h"
+#include "util/fs.h"
+
+namespace topkmon {
+namespace {
+
+using ::topkmon::testing::FsTranscript;
+using ::topkmon::testing::ScopedTempDir;
+
+constexpr int kDim = 2;
+
+/// The operations that change what is on disk or make it durable, plus
+/// the listings garbage collection decides from.
+const std::set<fs::Op> kMutations = {
+    fs::Op::kOpen,     fs::Op::kWrite,  fs::Op::kDataSync, fs::Op::kSync,
+    fs::Op::kSyncDir,  fs::Op::kRename, fs::Op::kUnlink,   fs::Op::kTruncate,
+    fs::Op::kList,     fs::Op::kMkdir};
+
+using Transcript = std::vector<std::string>;
+
+std::string Seg(std::uint64_t index) { return SegmentFileName(index); }
+
+std::vector<Record> OneRecord(Timestamp ts) {
+  std::vector<Record> batch;
+  batch.emplace_back(static_cast<RecordId>(ts), Point{0.25, 0.75}, ts);
+  return batch;
+}
+
+JournalSnapshot AnchorAt(Timestamp ts) {
+  JournalSnapshot snapshot;
+  snapshot.last_cycle_ts = ts;
+  snapshot.next_record_id = static_cast<RecordId>(ts) + 1;
+  return snapshot;
+}
+
+TEST(DurabilityOrderTest, WriterRotationSyncsNewSegmentThenDeletesOld) {
+  for (const std::uint64_t retain : {1u, 2u}) {
+    ScopedTempDir dir;
+    JournalOptions options;
+    options.dir = dir.path();
+    options.retain_segment_count = retain;
+    FsTranscript transcript(dir.path(), kMutations);
+    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    // GarbageCollect lists the directory once a segment could be old
+    // enough to delete.
+    Transcript want = {"mkdir .", "list .", "open " + Seg(0),
+                       "write " + Seg(0), "datasync " + Seg(0), "syncdir ."};
+    if (retain == 1) want.push_back("list .");
+    EXPECT_EQ(transcript.entries(), want) << "retain " << retain;
+
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
+    TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(AnchorAt(1)));
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(2, OneRecord(2)));
+    transcript.Clear();
+    TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(AnchorAt(2)));
+    // The new segment and its directory entry are durable before any
+    // superseded segment is deleted.
+    want = {"open " + Seg(2), "write " + Seg(2), "datasync " + Seg(2),
+            "syncdir .", "list .", "unlink " + Seg(retain == 1 ? 1 : 0)};
+    EXPECT_EQ(transcript.entries(), want) << "retain " << retain;
+    const auto anchored = ListSegments(dir.path());
+    ASSERT_TRUE(anchored.ok());
+    EXPECT_EQ(transcript.BytesWritten(Seg(2)),
+              std::filesystem::file_size(anchored->back().path))
+        << "the anchor goes to disk in one write";
+    TOPKMON_ASSERT_OK((*writer)->Close());
+  }
+}
+
+TEST(DurabilityOrderTest, WriterCloseSyncsTheCurrentSegment) {
+  ScopedTempDir dir;
+  JournalOptions options;
+  options.dir = dir.path();
+  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  FsTranscript transcript(dir.path(), kMutations);
+  TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
+  TOPKMON_ASSERT_OK((*writer)->Close());
+  TOPKMON_ASSERT_OK((*writer)->Close());  // idempotent: no second sync
+  EXPECT_EQ(transcript.entries(),
+            (Transcript{"write " + Seg(0), "datasync " + Seg(0)}));
+}
+
+TEST(DurabilityOrderTest, FailedRotationKeepsAppendingToThePreviousSegment) {
+  for (const fs::Op failing : {fs::Op::kDataSync, fs::Op::kSyncDir}) {
+    ScopedTempDir dir;
+    JournalOptions options;
+    options.dir = dir.path();
+    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
+
+    FsTranscript transcript(dir.path(), kMutations);
+    const std::string fail =
+        failing == fs::Op::kDataSync ? "datasync " + Seg(1) : "syncdir .";
+    transcript.FailWhen([fail](const std::vector<std::string>&,
+                               const std::string& entry) {
+      return entry == fail;
+    });
+    const Status rotated = (*writer)->RotateWithSnapshot(AnchorAt(1));
+    EXPECT_FALSE(rotated.ok());
+    EXPECT_NE(rotated.message().find("injected failure"), std::string::npos)
+        << rotated;
+    EXPECT_EQ((*writer)->current_segment_index(), 0u);
+    // The half-made segment is gone and nothing old was deleted.
+    EXPECT_EQ(transcript.entries().back(), "unlink " + Seg(1));
+    auto segments = ListSegments(dir.path());
+    ASSERT_TRUE(segments.ok());
+    ASSERT_EQ(segments->size(), 1u);
+    EXPECT_EQ(segments->front().index, 0u);
+
+    transcript.FailWhen(nullptr);
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(2, OneRecord(2)));
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(3, OneRecord(3)));
+    TOPKMON_ASSERT_OK((*writer)->Close());
+
+    BruteForceEngine engine(kDim, WindowSpec::Count(100));
+    const auto report = RecoveryDriver::Replay(dir.path(), engine);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->recovered);
+    EXPECT_EQ(report->cycles_replayed, 3u);
+    EXPECT_EQ(report->last_cycle_ts, 3);
+    EXPECT_EQ(engine.WindowSize(), 3u);
+  }
+}
+
+TEST(DurabilityOrderTest, FencingEpochIsReplacedThroughASyncedTempFile) {
+  ScopedTempDir dir;
+  FsTranscript transcript(dir.path(), kMutations);
+  TOPKMON_ASSERT_OK(WriteFencingEpoch(dir.path(), 261));
+  EXPECT_EQ(transcript.entries(),
+            (Transcript{"mkdir .", "open EPOCH.tmp", "write EPOCH.tmp",
+                        "fsync EPOCH.tmp", "rename EPOCH", "syncdir ."}));
+  EXPECT_EQ(transcript.BytesWritten("EPOCH.tmp"), 4u) << "\"261\\n\"";
+  const auto epoch = ReadFencingEpoch(dir.path());
+  ASSERT_TRUE(epoch.ok()) << epoch.status();
+  EXPECT_EQ(*epoch, 261u);
+}
+
+TEST(DurabilityOrderTest, FailedFencingEpochWriteLeavesTheOldEpoch) {
+  for (const std::string fail : {"fsync EPOCH.tmp", "rename EPOCH"}) {
+    ScopedTempDir dir;
+    TOPKMON_ASSERT_OK(WriteFencingEpoch(dir.path(), 5));
+    FsTranscript transcript(dir.path(), kMutations);
+    transcript.FailWhen([fail](const std::vector<std::string>&,
+                               const std::string& entry) {
+      return entry == fail;
+    });
+    EXPECT_FALSE(WriteFencingEpoch(dir.path(), 9).ok()) << fail;
+    EXPECT_EQ(transcript.entries().back(), "unlink EPOCH.tmp") << fail;
+    const auto epoch = ReadFencingEpoch(dir.path());
+    ASSERT_TRUE(epoch.ok()) << epoch.status();
+    EXPECT_EQ(*epoch, 5u) << fail;
+    EXPECT_EQ(dir.Files(), std::vector<std::string>{"EPOCH"}) << fail;
+  }
+}
+
+TEST(DurabilityOrderTest, FsReportsMissingFilesAsNotFound) {
+  ScopedTempDir dir;
+  const std::string missing = dir.path() + "/missing";
+  EXPECT_EQ(fs::Open(missing, fs::OpenMode::kReadOnly).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(fs::ReadFile(missing, 8).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs::Unlink(missing).code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs::Truncate(missing, 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(fs::ListDir(missing).status().code(), StatusCode::kNotFound);
+  const auto epoch = ReadFencingEpoch(missing);
+  ASSERT_TRUE(epoch.ok()) << epoch.status();
+  EXPECT_EQ(*epoch, 0u) << "no EPOCH file is epoch 0";
+}
+
+TEST(DurabilityOrderTest, HookFailsAnOperationWithoutMakingTheCall) {
+  ScopedTempDir dir;
+  FsTranscript transcript(dir.path(), {fs::Op::kOpen, fs::Op::kWrite});
+  transcript.FailWhen([](const std::vector<std::string>&,
+                         const std::string& entry) {
+    return entry == "write f";
+  });
+  auto file = fs::Open(dir.path() + "/f", fs::OpenMode::kCreateTruncate);
+  ASSERT_TRUE(file.ok()) << file.status();
+  EXPECT_FALSE(file->Write("abc").ok());
+  const auto size = file->Size();
+  ASSERT_TRUE(size.ok()) << size.status();
+  EXPECT_EQ(*size, 0u) << "the failed write never reached the file";
+  transcript.FailWhen(nullptr);
+  TOPKMON_ASSERT_OK(file->Write("abc"));
+  TOPKMON_ASSERT_OK(file->Close());
+  const auto bytes = fs::ReadFile(dir.path() + "/f", 2);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  EXPECT_EQ(*bytes, "ab");
+  EXPECT_EQ(transcript.entries(),
+            (Transcript{"open f", "write f [failed]", "write f", "open f"}));
+}
+
+}  // namespace
+}  // namespace topkmon

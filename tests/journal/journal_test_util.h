@@ -8,13 +8,22 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include "util/fs.h"
 
 namespace topkmon {
 namespace testing {
 
-/// A mkdtemp-backed directory removed (with its files) on destruction.
+/// A mkdtemp-backed directory removed (with everything under it) on
+/// destruction.
 class ScopedTempDir {
  public:
   ScopedTempDir() {
@@ -25,17 +34,8 @@ class ScopedTempDir {
 
   ~ScopedTempDir() {
     if (path_.empty()) return;
-    if (DIR* d = ::opendir(path_.c_str())) {
-      while (const dirent* entry = ::readdir(d)) {
-        if (std::strcmp(entry->d_name, ".") == 0 ||
-            std::strcmp(entry->d_name, "..") == 0) {
-          continue;
-        }
-        ::unlink((path_ + "/" + entry->d_name).c_str());
-      }
-      ::closedir(d);
-    }
-    ::rmdir(path_.c_str());
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
   }
 
   ScopedTempDir(const ScopedTempDir&) = delete;
@@ -60,6 +60,97 @@ class ScopedTempDir {
 
  private:
   std::string path_;
+};
+
+/// Short name of an fs operation, as transcripts print it.
+inline const char* FsOpName(fs::Op op) {
+  switch (op) {
+    case fs::Op::kOpen: return "open";
+    case fs::Op::kWrite: return "write";
+    case fs::Op::kRead: return "read";
+    case fs::Op::kDataSync: return "datasync";
+    case fs::Op::kSync: return "fsync";
+    case fs::Op::kSyncDir: return "syncdir";
+    case fs::Op::kSize: return "size";
+    case fs::Op::kTruncate: return "truncate";
+    case fs::Op::kRename: return "rename";
+    case fs::Op::kUnlink: return "unlink";
+    case fs::Op::kList: return "list";
+    case fs::Op::kMkdir: return "mkdir";
+  }
+  return "?";
+}
+
+/// Installs the fs test hook for its lifetime and records, in call
+/// order, each operation of kind `ops` on a path under `dir` as
+/// "<op> <path relative to dir>" ("." for `dir` itself). A failure rule
+/// set by FailWhen makes matching operations fail instead of running.
+/// Create it before the threads under test start; destroy it after.
+class FsTranscript {
+ public:
+  /// Decides, from the transcript so far and the operation about to be
+  /// recorded, whether that operation fails.
+  using FailRule = std::function<bool(const std::vector<std::string>& so_far,
+                                      const std::string& entry)>;
+
+  FsTranscript(std::string dir, std::set<fs::Op> ops)
+      : dir_(std::move(dir)), ops_(std::move(ops)) {
+    fs::SetHookForTesting([this](fs::Op op, const std::string& path,
+                                 std::uint64_t bytes) {
+      return Record(op, path, bytes);
+    });
+  }
+  ~FsTranscript() { fs::SetHookForTesting(nullptr); }
+
+  FsTranscript(const FsTranscript&) = delete;
+  FsTranscript& operator=(const FsTranscript&) = delete;
+
+  void FailWhen(FailRule rule) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fail_ = std::move(rule);
+  }
+
+  std::vector<std::string> entries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entries_;
+  }
+  /// Bytes the recorded writes to `name` (relative to dir) carried.
+  std::uint64_t BytesWritten(const std::string& name) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = written_.find(name);
+    return it == written_.end() ? 0 : it->second;
+  }
+  void Clear() {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+    written_.clear();
+  }
+
+ private:
+  Status Record(fs::Op op, const std::string& path, std::uint64_t bytes) {
+    if (ops_.count(op) == 0 || path.compare(0, dir_.size(), dir_) != 0) {
+      return Status::Ok();
+    }
+    const std::string rest = path.substr(dir_.size());
+    if (!rest.empty() && rest[0] != '/') return Status::Ok();  // a sibling
+    const std::string name = rest.empty() ? "." : rest.substr(1);
+    const std::string entry = std::string(FsOpName(op)) + " " + name;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fail_ && fail_(entries_, entry)) {
+      entries_.push_back(entry + " [failed]");
+      return Status::Internal("injected failure: " + entry);
+    }
+    entries_.push_back(entry);
+    if (op == fs::Op::kWrite) written_[name] += bytes;
+    return Status::Ok();
+  }
+
+  const std::string dir_;
+  const std::set<fs::Op> ops_;
+  mutable std::mutex mu_;
+  FailRule fail_;
+  std::vector<std::string> entries_;
+  std::map<std::string, std::uint64_t> written_;
 };
 
 }  // namespace testing

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "replica/shipper.h"
 #include "service/monitor_service.h"
 #include "stream/generators.h"
+#include "util/fs.h"
 #include "tests/journal/journal_test_util.h"
 #include "tests/net/net_test_util.h"
 #include "tests/test_util.h"
@@ -34,6 +37,7 @@
 namespace topkmon {
 namespace {
 
+using ::topkmon::testing::FsTranscript;
 using ::topkmon::testing::MakeRandomQueries;
 using ::topkmon::testing::ScopedTempDir;
 
@@ -680,6 +684,158 @@ TEST(ReplicaFollowerTest, SlowFollowerNeverStallsLeaderIngest) {
       std::chrono::minutes(2)));
   ExpectSameTopK(*leader.service, (*follower)->service(), *query);
   (*follower)->Stop();
+}
+
+// ---- seal durability order (fs test hook) -------------------------------
+//
+// docs/REPLICATION.md step 3: a sealed segment is fdatasynced and the
+// directory fsynced before the older local segments are deleted; if
+// either sync fails the older segments stay as the restart point and a
+// fetch_error is counted. The fs hook records the follower's operations
+// on its own directory and fails the chosen sync. Each test installs it
+// before the leader and follower threads start and removes it after
+// they stopped (declaration order).
+
+/// The follower's durability-relevant operations on its directory.
+const std::set<fs::Op> kFollowerOps = {fs::Op::kWrite,   fs::Op::kDataSync,
+                                       fs::Op::kSyncDir, fs::Op::kList,
+                                       fs::Op::kUnlink,  fs::Op::kTruncate};
+
+/// Ingests until the leader's journal holds segments 0 and 1 sealed and
+/// segment 2 live.
+void GrowToThreeSegments(Leader& leader, Timestamp* clock) {
+  while (true) {
+    const auto segments = ListSegments(leader.service->journal_dir());
+    ASSERT_TRUE(segments.ok());
+    ASSERT_LE(segments->back().index, 2u);
+    if (segments->back().index == 2) break;
+    IngestRecords(leader, 20, clock);
+  }
+  IngestRecords(leader, 20, clock);  // some records past the last anchor
+}
+
+/// `entries` with each run of writes to one file (a segment shipped in
+/// several chunks) collapsed to one entry.
+std::vector<std::string> Collapse(const std::vector<std::string>& entries) {
+  std::vector<std::string> out;
+  for (const std::string& e : entries) {
+    if (out.empty() || out.back() != e || e.rfind("write ", 0) != 0) {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> LocalSegments(const std::string& dir) {
+  std::vector<std::uint64_t> out;
+  const auto segments = ListSegments(dir);
+  EXPECT_TRUE(segments.ok());
+  if (segments.ok()) {
+    for (const SegmentInfo& info : *segments) out.push_back(info.index);
+  }
+  return out;
+}
+
+TEST(ReplicaFollowerSealTest, SyncsSegmentAndDirectoryBeforeDeletingOlder) {
+  ScopedTempDir fdir;
+  const std::string repl_dir = fdir.path() + "/repl";
+  FsTranscript transcript(repl_dir, kFollowerOps);
+  Leader leader(/*window=*/400, /*segment_bytes=*/16u << 10,
+                /*retain_segments=*/64);
+  Timestamp clock = 0;
+  GrowToThreeSegments(leader, &clock);
+
+  auto follower = ReplicaFollower::Open(
+      BruteFactory(400), FollowerServiceOptions(repl_dir),
+      FollowerOptions(leader.server->port()));
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+      leader.service->replication().applied_cycle_ts,
+      std::chrono::seconds(30)));
+  (*follower)->Stop();
+  EXPECT_EQ((*follower)->stats().segments_completed, 2u);
+
+  const std::string seg0 = SegmentFileName(0);
+  const std::string seg1 = SegmentFileName(1);
+  const std::string seg2 = SegmentFileName(2);
+  EXPECT_EQ(Collapse(transcript.entries()),
+            (std::vector<std::string>{
+                "list .", "list .",  // bootstrap: nothing to resume
+                "write " + seg0, "datasync " + seg0, "syncdir .", "list .",
+                "write " + seg1, "datasync " + seg1, "syncdir .", "list .",
+                "unlink " + seg0,  // only after seg1 is durable
+                "write " + seg2, "datasync " + seg2}));  // Stop syncs
+  EXPECT_EQ(LocalSegments(repl_dir), (std::vector<std::uint64_t>{1, 2}));
+  // The sealed segment landed whole: as many bytes as the leader's.
+  EXPECT_EQ(transcript.BytesWritten(seg1),
+            std::filesystem::file_size(leader.service->journal_dir() + "/" +
+                                       seg1));
+}
+
+TEST(ReplicaFollowerSealTest, FailedSealSyncKeepsTheOlderAnchoredSegment) {
+  for (const bool fail_dir : {false, true}) {
+    SCOPED_TRACE(fail_dir ? "directory fsync fails" : "fdatasync fails");
+    ScopedTempDir fdir;
+    const std::string repl_dir = fdir.path() + "/repl";
+    FsTranscript transcript(repl_dir, kFollowerOps);
+    const std::string sync1 = "datasync " + SegmentFileName(1);
+    // The seal of segment 1 fails: its fdatasync, or the directory fsync
+    // right behind it.
+    transcript.FailWhen([fail_dir, sync1](
+                            const std::vector<std::string>& so_far,
+                            const std::string& entry) {
+      if (!fail_dir) return entry == sync1;
+      return entry == "syncdir ." && !so_far.empty() &&
+             so_far.back() == sync1;
+    });
+    Leader leader(/*window=*/400, /*segment_bytes=*/16u << 10,
+                  /*retain_segments=*/64);
+    const auto session = leader.service->OpenSession("dash");
+    ASSERT_TRUE(session.ok());
+    const auto query = leader.service->Register(
+        *session, MakeRandomQueries(kDim, 1, 5, 61)[0]);
+    ASSERT_TRUE(query.ok());
+    Timestamp clock = 0;
+    GrowToThreeSegments(leader, &clock);
+
+    {
+      auto follower = ReplicaFollower::Open(
+          BruteFactory(400), FollowerServiceOptions(repl_dir),
+          FollowerOptions(leader.server->port()));
+      ASSERT_TRUE(follower.ok()) << follower.status();
+      TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+          leader.service->replication().applied_cycle_ts,
+          std::chrono::seconds(30)));
+      (*follower)->Stop();
+      const ReplicaFollowerStats stats = (*follower)->stats();
+      EXPECT_EQ(stats.segments_completed, 2u);
+      EXPECT_EQ(stats.fetch_errors, 1u) << "the failed seal is counted";
+      EXPECT_EQ(stats.restarts, 0u);
+    }
+    // Segment 0 was the last durable anchor, so it is still on disk.
+    EXPECT_EQ(LocalSegments(repl_dir),
+              (std::vector<std::uint64_t>{0, 1, 2}));
+
+    // A machine crash loses what was never made durable: segment 1 (its
+    // seal failed) and segment 2 (its directory entry was never synced).
+    transcript.FailWhen(nullptr);
+    TOPKMON_ASSERT_OK(fs::Unlink(repl_dir + "/" + SegmentFileName(1)));
+    TOPKMON_ASSERT_OK(fs::Unlink(repl_dir + "/" + SegmentFileName(2)));
+    IngestRecords(leader, 50, &clock);
+    auto follower = ReplicaFollower::Open(
+        BruteFactory(400), FollowerServiceOptions(repl_dir),
+        FollowerOptions(leader.server->port()));
+    ASSERT_TRUE(follower.ok()) << follower.status();
+    EXPECT_GT((*follower)->stats().records_applied, 0u)
+        << "the restart replays the kept segment 0";
+    TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+        leader.service->replication().applied_cycle_ts,
+        std::chrono::seconds(30)));
+    (*follower)->Stop();
+    EXPECT_EQ((*follower)->stats().restarts, 0u)
+        << "resuming from the kept segment needs no resync";
+    ExpectSameTopK(*leader.service, (*follower)->service(), *query);
+  }
 }
 
 }  // namespace
