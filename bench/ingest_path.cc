@@ -29,7 +29,7 @@
 // Reported per row: rec_per_s (gated by tools/compare_bench_json.py);
 // the e2e rows also report queue_bytes_per_slot, the queue's record
 // storage per slot as measured by IngestQueue::MemoryBytes() / capacity
-// (36 + 8d bytes: a 32-byte ordering key, a free-slot stack entry and
+// (28 + 8d bytes: a 24-byte ordering key, a free-slot stack entry and
 // the d coordinates).
 
 #include <chrono>
@@ -259,7 +259,7 @@ int Main() {
       "allocation and one admission call per block instead of one per "
       "record. The decode-only rows bound each leg's raw parse cost; the "
       "block row carries the per-record validation the copying path pays "
-      "later. queue_bytes_per_slot is 36 + 8d = 52 at d=2.");
+      "later. queue_bytes_per_slot is 28 + 8d = 44 at d=2.");
   return 0;
 }
 

@@ -18,12 +18,20 @@ Status PutQuery(const JournaledQuery& q, std::string* out) {
   return Status::Ok();
 }
 
+/// Whether `out` holds a chunk for `drain` (checked once per record, so
+/// the encode pays a call only per chunk).
+bool ChunkDue(const SnapshotDrain* drain, const std::string& out) {
+  return drain != nullptr && out.size() >= kAnchorChunkBytes;
+}
+
 /// A snapshot body up to and including the window count; the window's
-/// record span (when `window_size` > 0) follows.
+/// record span (when `window_size` > 0) follows. Without a drain it
+/// reserves room for that span too.
 Status PutSnapshotHead(Timestamp last_cycle_ts, RecordId next_record_id,
                        std::uint64_t next_query_id,
                        const std::vector<JournaledQuery>& live_queries,
-                       std::uint64_t window_size, std::string* out) {
+                       std::uint64_t window_size, int dim, std::string* out,
+                       SnapshotDrain* drain) {
   wire::PutU8(static_cast<std::uint8_t>(JournalRecordType::kSnapshot), out);
   wire::PutI64(last_cycle_ts, out);
   wire::PutU64(next_record_id, out);
@@ -31,8 +39,12 @@ Status PutSnapshotHead(Timestamp last_cycle_ts, RecordId next_record_id,
   wire::PutU32(static_cast<std::uint32_t>(live_queries.size()), out);
   for (const JournaledQuery& q : live_queries) {
     TOPKMON_RETURN_IF_ERROR(PutQuery(q, out));
+    if (ChunkDue(drain, *out)) TOPKMON_RETURN_IF_ERROR(drain->Drain(out));
   }
   wire::PutU64(window_size, out);
+  if (drain == nullptr && window_size > 0) {
+    out->reserve(out->size() + wire::RecordSpanMaxBytes(window_size, dim));
+  }
   return Status::Ok();
 }
 
@@ -78,47 +90,45 @@ void EncodeUnregisterBody(QueryId id, std::string* out) {
   wire::PutU32(id, out);
 }
 
-Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out) {
+Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out,
+                          SnapshotDrain* drain) {
   const std::size_t mark = out->size();
-  const Status st =
-      PutSnapshotHead(snapshot.last_cycle_ts, snapshot.next_record_id,
-                      snapshot.next_query_id, snapshot.live_queries,
-                      snapshot.window.size(), out);
-  if (!st.ok()) {
-    out->resize(mark);
-    return st;
+  const std::vector<Record>& window = snapshot.window;
+  Status st = PutSnapshotHead(
+      snapshot.last_cycle_ts, snapshot.next_record_id, snapshot.next_query_id,
+      snapshot.live_queries, window.size(),
+      window.empty() ? 0 : window[0].position.dim(), out, drain);
+  wire::RecordSpanEncoder span(out);
+  for (std::size_t i = 0; st.ok() && i < window.size(); ++i) {
+    span.Add(window[i].id, window[i].position, window[i].arrival);
+    if (ChunkDue(drain, *out)) st = drain->Drain(out);
   }
-  if (!snapshot.window.empty()) {
-    out->reserve(out->size() +
-                 wire::RecordSpanMaxBytes(snapshot.window.size(),
-                                          snapshot.window[0].position.dim()));
-    wire::PutRecordSpan(snapshot.window.data(), snapshot.window.size(), out);
-  }
-  return Status::Ok();
+  if (!st.ok() && drain == nullptr) out->resize(mark);
+  return st;
 }
 
-Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out) {
+Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out,
+                          SnapshotDrain* drain) {
   // Writes the head when the walk announces its last cycle and size,
   // then one span entry per record as the engine yields it.
   class Encoder final : public WindowVisitor {
    public:
-    Encoder(const SnapshotAnchor& anchor, std::string* out)
-        : anchor_(anchor), out_(out), span_(out) {}
+    Encoder(const SnapshotAnchor& anchor, std::string* out,
+            SnapshotDrain* drain)
+        : anchor_(anchor), out_(out), drain_(drain), span_(out) {}
 
     void Begin(Timestamp last_cycle, std::size_t size) override {
       size_ = size;
       status_ = PutSnapshotHead(last_cycle, anchor_.next_record_id,
                                 anchor_.next_query_id, anchor_.live_queries,
-                                size, out_);
-      if (status_.ok() && size > 0) {
-        out_->reserve(out_->size() +
-                      wire::RecordSpanMaxBytes(size, anchor_.engine.dim()));
-      }
+                                size, anchor_.engine.dim(), out_, drain_);
     }
 
     void Visit(RecordId id, const Point& position,
                Timestamp arrival) override {
-      if (status_.ok()) span_.Add(id, position, arrival);
+      if (!status_.ok()) return;
+      span_.Add(id, position, arrival);
+      if (ChunkDue(drain_, *out_)) status_ = drain_->Drain(out_);
     }
 
     Status Finish() const {
@@ -135,16 +145,17 @@ Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out) {
    private:
     const SnapshotAnchor& anchor_;
     std::string* out_;
+    SnapshotDrain* drain_;
     wire::RecordSpanEncoder span_;
     std::size_t size_ = 0;
     Status status_ = Status::Internal("engine walk never began");
   };
 
   const std::size_t mark = out->size();
-  Encoder encoder(anchor, out);
+  Encoder encoder(anchor, out, drain);
   Status st = anchor.engine.VisitWindow(encoder);
   if (st.ok()) st = encoder.Finish();
-  if (!st.ok()) out->resize(mark);
+  if (!st.ok() && drain == nullptr) out->resize(mark);
   return st;
 }
 

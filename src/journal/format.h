@@ -117,11 +117,37 @@ void EncodeSegmentHeader(std::string* out);
 void EncodeCycleBody(Timestamp ts, RecordSpan batch, std::string* out);
 Status EncodeRegisterBody(const JournaledQuery& query, std::string* out);
 void EncodeUnregisterBody(QueryId id, std::string* out);
-Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out);
+
+/// Bytes of a snapshot body the encoder lets pile up before it hands
+/// them to a SnapshotDrain: the most of an anchor a rotation holds in
+/// memory, give or take the one record that crossed it.
+inline constexpr std::size_t kAnchorChunkBytes = 64u << 10;
+
+/// Takes a snapshot body off the encoder's hands while it is encoded, so
+/// a large body never sits whole in memory (the journal writer streams
+/// its anchors to disk this way). Whenever *out holds at least
+/// kAnchorChunkBytes after a live query or a window record,
+/// EncodeSnapshotBody calls Drain, which may consume any of *out (write
+/// it out and erase it); encoding carries on behind what is left. A
+/// non-OK return stops the encode with that status.
+class SnapshotDrain {
+ public:
+  virtual Status Drain(std::string* out) = 0;
+
+ protected:
+  ~SnapshotDrain() = default;  // never owned through this interface
+};
+
+/// Snapshot body builders. Without a drain the body is appended to *out
+/// whole, and a failure leaves *out as it was; with one, a failure leaves
+/// *out and what the drain took unspecified.
+Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out,
+                          SnapshotDrain* drain = nullptr);
 /// The snapshot body of `anchor`, its window encoded record by record as
 /// the engine walks it. Fails with the engine's status when it cannot
-/// walk its window (*out is then left as it was).
-Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out);
+/// walk its window.
+Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out,
+                          SnapshotDrain* drain = nullptr);
 
 // ---- decoding ---------------------------------------------------------
 

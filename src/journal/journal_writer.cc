@@ -66,37 +66,118 @@ Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::OpenAnchored(
 
 CycleJournalWriter::~CycleJournalWriter() { Close(); }
 
+namespace {
+
+/// Streams a segment's anchor frame to disk while it is encoded. The
+/// buffer starts with the segment header and a placeholder prologue, and
+/// the snapshot body is encoded behind them. Each time the buffer reaches
+/// kAnchorChunkBytes it is written out and emptied, and the body's length
+/// and CRC-32C are carried across chunks. Finish writes the rest and then
+/// the prologue at its place (pwrite), or, when the whole frame fitted in
+/// one chunk, seals it in place and writes it once. The file is created at
+/// the first write; fs::CommitCreate makes it durable or unlinks it.
+class AnchorStream final : public SnapshotDrain {
+ public:
+  AnchorStream(std::string dir, std::uint64_t index)
+      : dir_(std::move(dir)),
+        path_(dir_ + "/" + SegmentFileName(index)) {}
+
+  Status Drain(std::string* buf) override {
+    TOPKMON_RETURN_IF_ERROR(Create());
+    return WriteOut(buf);
+  }
+
+  /// Ends the stream whose encode returned `encoded`. On success the
+  /// segment is durable and returned open at its end.
+  Result<fs::File> Finish(Status encoded, std::string* buf) {
+    if (!encoded.ok() && !file_.is_open()) return encoded;  // nothing made
+    Status st = std::move(encoded);
+    if (st.ok() && !file_.is_open()) {
+      // The whole frame fitted in one chunk: seal it in place, write once.
+      wire::SealFrame(kSegmentHeaderBytes, buf);
+      TOPKMON_RETURN_IF_ERROR(Create());
+      st = file_.Write(*buf);
+      bytes_ = buf->size();
+    } else if (st.ok()) {
+      st = WriteOut(buf);
+      char prologue[wire::kFrameHeaderBytes];
+      wire::PutFramePrologue(static_cast<std::uint32_t>(body_bytes_), crc_,
+                             prologue);
+      if (st.ok()) {
+        st = file_.WriteAt(kSegmentHeaderBytes, prologue, sizeof(prologue));
+      }
+    }
+    TOPKMON_RETURN_IF_ERROR(fs::CommitCreate(dir_, &file_, std::move(st)));
+    return std::move(file_);
+  }
+
+  /// Bytes written to the segment.
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  Status Create() {
+    if (file_.is_open()) return Status::Ok();
+    auto file = fs::Open(path_, fs::OpenMode::kCreateTruncate);
+    if (!file.ok()) return file.status();
+    file_ = std::move(*file);
+    return Status::Ok();
+  }
+
+  /// Writes *buf out, folding its body bytes into the length and CRC,
+  /// and empties it.
+  Status WriteOut(std::string* buf) {
+    const std::size_t body = buf->size() - body_from_;
+    crc_ = wire::Crc32(buf->data() + body_from_, body, crc_);
+    body_bytes_ += body;
+    body_from_ = 0;
+    TOPKMON_RETURN_IF_ERROR(file_.Write(*buf));
+    bytes_ += buf->size();
+    buf->clear();
+    return Status::Ok();
+  }
+
+  const std::string dir_;
+  const std::string path_;
+  fs::File file_;
+  /// Where the body starts in the buffer: behind the header and the
+  /// prologue until the first chunk is out.
+  std::size_t body_from_ = kSegmentHeaderBytes + wire::kFrameHeaderBytes;
+  std::size_t body_bytes_ = 0;
+  std::uint32_t crc_ = 0;
+  std::size_t bytes_ = 0;
+};
+
+}  // namespace
+
 template <typename Anchor>
 Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
                                        std::uint64_t index) {
   // Build the new segment on local state and commit the writer to it
   // only once its anchor snapshot is durable; a failed rotation leaves
   // the current segment (and every member) exactly as it was, so
-  // subsequent appends keep landing somewhere recovery can read.
-  std::string bytes;
-  EncodeSegmentHeader(&bytes);
-  bytes.resize(kSegmentHeaderBytes + wire::kFrameHeaderBytes);  // prologue
-  Status st = EncodeSnapshotBody(anchor, &bytes);
-  if (st.ok()) {
-    wire::SealFrame(kSegmentHeaderBytes, &bytes);
-    ++stats_.sync_calls;
-    // The snapshot is the recovery anchor — it is always synced, and so
-    // is its directory entry.
-    auto file = fs::CreateDurable(options_.dir, SegmentFileName(index), bytes);
-    if (file.ok()) file_ = std::move(*file);  // the old segment closes here
-    st = file.status();
-  }
-  if (!st.ok()) {
+  // subsequent appends keep landing somewhere recovery can read. The
+  // snapshot is the recovery anchor: it is always synced, and so is its
+  // directory entry.
+  AnchorStream stream(options_.dir, index);
+  frame_scratch_.clear();
+  EncodeSegmentHeader(&frame_scratch_);
+  frame_scratch_.resize(kSegmentHeaderBytes + wire::kFrameHeaderBytes);
+  Status st = EncodeSnapshotBody(anchor, &frame_scratch_, &stream);
+  if (st.ok()) ++stats_.sync_calls;
+  auto file = stream.Finish(std::move(st), &frame_scratch_);
+  frame_scratch_.clear();
+  if (!file.ok()) {
     ++stats_.append_failures;
-    return st;
+    return file.status();
   }
+  file_ = std::move(*file);  // the old segment closes here
   segment_index_ = index;
-  segment_bytes_ = bytes.size();
+  segment_bytes_ = stream.bytes();
   cycles_in_segment_ = 0;
   appends_since_sync_ = 0;
   cycles_since_sync_ = 0;
   last_sync_time_ = std::chrono::steady_clock::now();
-  stats_.bytes_written += bytes.size();
+  stats_.bytes_written += stream.bytes();
   ++stats_.segments_created;
   ++stats_.snapshots_written;
   GarbageCollect();

@@ -176,9 +176,12 @@ class CycleJournalWriter {
 
   /// Creates and durably anchors segment `index`, committing the writer
   /// to it only on success (a failed rotation leaves the current segment
-  /// in place and appendable). The segment header, the anchor frame's
-  /// prologue and its body are encoded into one buffer, the body in
-  /// place behind its prologue, and written with one call.
+  /// in place and appendable). The segment header, a placeholder
+  /// prologue and the anchor's body are encoded into frame_scratch_ and
+  /// written out every 64 KiB as they are encoded; the prologue is
+  /// written last at its place, then the segment and the directory are
+  /// synced. An anchor that fits in one chunk is sealed in place and
+  /// written with one call.
   template <typename Anchor>
   Status OpenSegment(const Anchor& anchor, std::uint64_t index);
   /// Appends frame_scratch_, whose first wire::kFrameHeaderBytes are a
@@ -190,7 +193,8 @@ class CycleJournalWriter {
 
   const JournalOptions options_;
   /// Reused serialization buffer (capacity persists across appends so
-  /// the per-cycle hot path does not allocate).
+  /// the per-cycle hot path does not allocate); a rotation streams its
+  /// anchor through it one chunk at a time.
   std::string frame_scratch_;
   fs::File file_;
   std::uint64_t segment_index_ = 0;

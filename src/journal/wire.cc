@@ -473,16 +473,18 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
   return Crc32Software(p, n, c) ^ 0xFFFFFFFFu;
 }
 
+void PutFramePrologue(std::uint32_t body_len, std::uint32_t crc, char* at) {
+  for (int i = 0; i < 4; ++i) {
+    at[i] = static_cast<char>(body_len >> (8 * i));
+    at[4 + i] = static_cast<char>(crc >> (8 * i));
+  }
+}
+
 void SealFrame(std::size_t at, std::string* buf) {
   const std::size_t body_at = at + kFrameHeaderBytes;
   const std::size_t body_len = buf->size() - body_at;
-  const auto len32 = static_cast<std::uint32_t>(body_len);
-  const std::uint32_t crc = Crc32(buf->data() + body_at, body_len);
-  char* prologue = &(*buf)[at];
-  for (int i = 0; i < 4; ++i) {
-    prologue[i] = static_cast<char>(len32 >> (8 * i));
-    prologue[4 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  PutFramePrologue(static_cast<std::uint32_t>(body_len),
+                   Crc32(buf->data() + body_at, body_len), &(*buf)[at]);
 }
 
 void PutFrame(const std::string& body, std::string* out) {

@@ -251,6 +251,11 @@ std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 /// Bytes of a frame prologue (body_len + crc32c).
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
+/// Writes the prologue of a frame whose body is `body_len` bytes with
+/// CRC-32C `crc` to at[0, kFrameHeaderBytes). A body written in pieces
+/// chains its CRC through Crc32's seed.
+void PutFramePrologue(std::uint32_t body_len, std::uint32_t crc, char* at);
+
 /// Fills in the prologue of the frame that starts at (*buf)[at]: a
 /// kFrameHeaderBytes placeholder whose body is the rest of *buf. Lets a
 /// writer encode a body in place behind its prologue instead of copying

@@ -63,10 +63,18 @@ Status ReplicaFollower::Bootstrap() {
     anchor_ = Anchor::kDone;
     if (ApplyShipped().ok()) {
       // A torn tail is just an unfinished ship: cut it off, so the next
-      // chunk lands right behind the last applied record.
-      WipeLocalSegments(start.index);
+      // chunk lands right behind the last applied record. The kept
+      // segment and its directory entry are made durable before the
+      // others are deleted (REPLICATION.md §3's seal rule): a crash in
+      // between still finds an anchored segment.
       shipped_ = reader_->offset();
       TOPKMON_RETURN_IF_ERROR(fs::Truncate(start.path, shipped_));
+      auto kept = fs::Open(start.path, fs::OpenMode::kAppend);
+      if (!kept.ok()) return kept.status();
+      segment_file_ = std::move(*kept);
+      TOPKMON_RETURN_IF_ERROR(segment_file_.DataSync());
+      TOPKMON_RETURN_IF_ERROR(fs::SyncDir(journal_dir_));
+      WipeLocalSegments(start.index);
       reader_->DropReadAhead();
       // These bytes predate this process — they may include a deposed
       // leader's unshipped tail. The first connect verifies the leader's

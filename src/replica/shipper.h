@@ -23,9 +23,12 @@
 //
 // Reading races appends harmlessly: the size observed by fstat is a
 // consistent lower bound of an append-only file, and a chunk that ends
-// mid-frame simply completes in the next fetch. Nothing here blocks on
-// or synchronizes with the writer — a slow follower can never stall
-// leader ingest.
+// mid-frame simply completes in the next fetch. A rotation is not an
+// append: the writer streams a large anchor in chunks behind a zeroed
+// frame prologue and writes the prologue last, so the newest segment is
+// served, and seals its predecessor, only once that prologue has
+// landed. Nothing here blocks on or synchronizes with the writer — a
+// slow follower can never stall leader ingest.
 
 #ifndef TOPKMON_REPLICA_SHIPPER_H_
 #define TOPKMON_REPLICA_SHIPPER_H_

@@ -32,7 +32,7 @@ void IngestQueue::PushLocked(const double* coords, Timestamp arrival,
   }
   const std::uint32_t slot = free_[options_.capacity - 1 - size_];
   std::copy_n(coords, dim_, &lane_[slot * static_cast<std::size_t>(dim_)]);
-  buf_[SlotLocked(size_)] = Pending{arrival, push_seq_++, now, slot};
+  buf_[SlotLocked(size_)] = Pending{arrival, now, slot, 0};
   ++size_;
   max_seen_ = std::max(max_seen_, arrival);
   min_arrival_ = std::min(min_arrival_, arrival);
@@ -100,11 +100,15 @@ void IngestQueue::SortLocked() {
     head_ = 0;
   }
   const auto first = buf_.begin() + static_cast<std::ptrdiff_t>(head_);
-  std::sort(first, first + static_cast<std::ptrdiff_t>(size_),
-            [](const Pending& a, const Pending& b) {
-              if (a.arrival != b.arrival) return a.arrival < b.arrival;
-              return a.seq < b.seq;
-            });
+  const auto last = first + static_cast<std::ptrdiff_t>(size_);
+  std::uint32_t rank = 0;
+  for (auto it = first; it != last; ++it) it->rank = rank++;
+  // Ranking the keys makes ties explicit, so the sort runs in place
+  // (std::stable_sort would take a heap buffer while producers wait).
+  std::sort(first, last, [](const Pending& a, const Pending& b) {
+    if (a.arrival != b.arrival) return a.arrival < b.arrival;
+    return a.rank < b.rank;
+  });
   is_sorted_ = true;
   ++stats_.sorts;
 }

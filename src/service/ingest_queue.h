@@ -12,13 +12,14 @@
 //   * The queue is the one owner of buffered records, stored at the
 //     engine's dimensionality d: a payload lane of `capacity` × d
 //     doubles, a free-slot stack handing out lane slots, and a ring of
-//     `capacity` fixed 32-byte (arrival, seq, push instant, slot) keys
+//     `capacity` fixed 24-byte (arrival, push instant, slot, rank) keys
 //     holding a sorted run. Pushes append in O(1), and the run is
-//     re-sorted by (arrival, push sequence) only when a drain finds
-//     out-of-order arrivals — in-order streams never pay a sort, and a
-//     sort moves only the keys. All of it is taken at construction,
-//     capacity × (36 + 8d) bytes, so the queue's footprint is set by its
-//     options and d, not by how deep a backlog has run.
+//     sorted by arrival only when a drain finds out-of-order arrivals —
+//     in-order streams never pay a sort, a sort moves only the keys in
+//     place, and equal arrivals keep push order. All of it is taken
+//     at construction, capacity × (28 + 8d) bytes, so the queue's
+//     footprint is set by its options and d, not by how deep a backlog
+//     has run.
 //   * A tuple is released only once the highest timestamp seen has
 //     advanced past it by `slack` time units, so out-of-order arrivals
 //     within the slack are re-sorted rather than clamped. Stragglers
@@ -155,21 +156,23 @@ class IngestQueue {
   Status ResumeSequences(RecordId next_record_id, Timestamp min_timestamp);
 
   /// Bytes of record storage (key ring + payload lane + free-slot
-  /// stack): capacity × (36 + 8d), all taken at construction, so this
+  /// stack): capacity × (28 + 8d), all taken at construction, so this
   /// never changes (the topkmon_arena_bytes gauge).
   std::size_t MemoryBytes() const;
 
  private:
   /// One buffered record's ordering key; its coordinates sit in the
-  /// payload lane at `slot`, so a sort moves only these 32 bytes.
+  /// payload lane at `slot`, so a sort moves only these 24 bytes.
   struct Pending {
     Timestamp arrival;
-    std::uint64_t seq;  ///< push order; ties on arrival keep FIFO order
     /// Wall instant of the push (ingest→publish latency measurement).
     std::chrono::steady_clock::time_point pushed_at;
     std::uint32_t slot;  ///< payload lane slot (coordinates at slot × d)
+    /// Position in the live run, set by SortLocked just before it sorts
+    /// (it fills what would be padding).
+    std::uint32_t rank;
   };
-  static_assert(sizeof(Pending) == 32, "docs quote 36 + 8d bytes a record");
+  static_assert(sizeof(Pending) == 24, "docs quote 28 + 8d bytes a record");
 
   std::size_t SizeLocked() const { return size_; }
   /// Ring slot of the i-th oldest buffered record.
@@ -182,7 +185,10 @@ class IngestQueue {
   void PushLocked(const double* coords, Timestamp arrival,
                   std::chrono::steady_clock::time_point now);
   bool ReleasableLocked() const;
-  /// Restores (arrival, seq) order over the live run if a push broke it.
+  /// Restores arrival order over the live run if a push broke it. The
+  /// run is the part a previous sort left (ties in push order) followed
+  /// by the later pushes in push order, so sorting by (arrival, position
+  /// in the run) keeps every tie in push order.
   void SortLocked();
 
   const IngestOptions options_;
@@ -206,7 +212,6 @@ class IngestQueue {
   /// Smallest buffered arrival (the slack-gate probe); max() when empty.
   Timestamp min_arrival_ = std::numeric_limits<Timestamp>::max();
   bool closed_ = false;
-  std::uint64_t push_seq_ = 0;
   Timestamp max_seen_ = std::numeric_limits<Timestamp>::min();
   Timestamp frontier_ = std::numeric_limits<Timestamp>::min();
   RecordId next_id_ = 0;

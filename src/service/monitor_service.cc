@@ -1009,7 +1009,7 @@ void MonitorService::SampleServiceMetrics(MetricSink& sink) const {
   const double queue_bytes = static_cast<double>(ingest_.MemoryBytes());
   sink.AddGauge("topkmon_arena_bytes",
                 "Record storage bytes held by the ingest queue "
-                "(capacity x (36 + 8d), fixed at construction)",
+                "(capacity x (28 + 8d), fixed at construction)",
                 queue_bytes);
   sink.AddGauge("topkmon_arena_peak_bytes",
                 "High-water mark of topkmon_arena_bytes", queue_bytes);

@@ -18,10 +18,23 @@ namespace {
 
 std::atomic<const Hook*> g_hook{nullptr};
 
+const Hook* InstalledHook() { return g_hook.load(std::memory_order_acquire); }
+
 /// The hook's verdict on `op`; OK when no hook is installed.
 Status Allow(Op op, const std::string& path, std::uint64_t bytes = 0) {
-  const Hook* hook = g_hook.load(std::memory_order_acquire);
-  return hook == nullptr ? Status::Ok() : (*hook)(op, path, bytes);
+  const Hook* hook = InstalledHook();
+  return hook == nullptr ? Status::Ok() : (*hook)(Event{op, path, bytes});
+}
+
+/// Where a write(2) on `fd` lands: the end of the file when it was
+/// opened to append, else its position. Asked only for the hook.
+std::uint64_t WritePosition(int fd) {
+  if ((::fcntl(fd, F_GETFL) & O_APPEND) != 0) {
+    struct stat st;
+    return ::fstat(fd, &st) == 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
+  }
+  const off_t at = ::lseek(fd, 0, SEEK_CUR);
+  return at < 0 ? 0 : static_cast<std::uint64_t>(at);
 }
 
 /// "what path: strerror(err)", NotFound for ENOENT.
@@ -35,6 +48,25 @@ Status ErrnoStatus(const char* what, const std::string& path, int err) {
 /// OK when the call returned 0, else its errno as a Status.
 Status Check(int rc, const char* what, const std::string& path) {
   return rc == 0 ? Status::Ok() : ErrnoStatus(what, path, errno);
+}
+
+/// Writes all of data[0, n): with write(2) when `offset` is negative,
+/// else with pwrite(2) from `offset`. Rides out EINTR and partial writes.
+Status WriteAll(int fd, const char* data, std::size_t n, off_t offset,
+                const std::string& path) {
+  std::size_t done = 0;
+  while (done < n) {
+    const ssize_t w =
+        offset < 0 ? ::write(fd, data + done, n - done)
+                   : ::pwrite(fd, data + done, n - done,
+                              offset + static_cast<off_t>(done));
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus(offset < 0 ? "write" : "pwrite", path, errno);
+    }
+    done += static_cast<std::size_t>(w);
+  }
+  return Status::Ok();
 }
 
 /// Returns `st`, first unlinking `path` when `st` failed.
@@ -79,19 +111,19 @@ File::~File() {
 }
 
 Status File::Write(const std::string& bytes) {
-  TOPKMON_RETURN_IF_ERROR(Allow(Op::kWrite, path_, bytes.size()));
-  const char* p = bytes.data();
-  std::size_t left = bytes.size();
-  while (left > 0) {
-    const ssize_t n = ::write(fd_, p, left);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write", path_, errno);
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+  if (const Hook* hook = InstalledHook()) {
+    TOPKMON_RETURN_IF_ERROR((*hook)(Event{Op::kWrite, path_, bytes.size(),
+                                          WritePosition(fd_), bytes.data()}));
   }
-  return Status::Ok();
+  return WriteAll(fd_, bytes.data(), bytes.size(), -1, path_);
+}
+
+Status File::WriteAt(std::uint64_t offset, const char* data, std::size_t n) {
+  if (const Hook* hook = InstalledHook()) {
+    TOPKMON_RETURN_IF_ERROR(
+        (*hook)(Event{Op::kWriteAt, path_, n, offset, data}));
+  }
+  return WriteAll(fd_, data, n, static_cast<off_t>(offset), path_);
 }
 
 Result<std::size_t> File::ReadAt(std::uint64_t offset, char* buf,
@@ -177,15 +209,12 @@ Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes) {
   return bytes;
 }
 
-Result<File> CreateDurable(const std::string& dir, const std::string& name,
-                           const std::string& bytes) {
-  auto file = Open(dir + "/" + name, OpenMode::kCreateTruncate);
-  if (!file.ok()) return file.status();
-  Status st = file->Write(bytes);
+Status CommitCreate(const std::string& dir, File* file, Status written) {
+  Status st = std::move(written);
   if (st.ok()) st = file->DataSync();
   if (st.ok()) st = SyncDir(dir);
-  TOPKMON_RETURN_IF_ERROR(UnlinkOnError(file->path(), std::move(st)));
-  return file;
+  if (!st.ok()) (void)file->Close();
+  return UnlinkOnError(file->path(), std::move(st));
 }
 
 Status ReplaceDurable(const std::string& dir, const std::string& name,

@@ -3,19 +3,20 @@
 // every file-system call through it, so it owns every durability
 // decision. Segment bytes are made durable with fdatasync, the epoch
 // file with fsync. A created or renamed entry is durable only once its
-// directory is fsynced, which CreateDurable and ReplaceDurable do last,
+// directory is fsynced, which CommitCreate and ReplaceDurable do last,
 // and a durable create that fails part way unlinks what it made. Every
 // failure is a Status naming the call and the path: NotFound for ENOENT,
 // Internal otherwise.
 //
 // Each operation below reports one Op to the test hook; MakeDirs reports
-// one kMkdir for the whole path, and ReadFile, CreateDurable and
+// one kMkdir for the whole path, and ReadFile, CommitCreate and
 // ReplaceDurable report the Ops of their steps in order. Closing is not
 // an operation. SetHookForTesting installs one function that sees each
-// operation in call order (kind, path, byte count) before it is made and
-// may return an error to fail it instead. It runs on the calling thread,
-// so it must be thread-safe. Install it before the threads under test
-// start and remove it after they stop; unset, the POSIX calls run as is.
+// operation in call order (kind, path, byte count; for a write also its
+// file offset and bytes) before it is made and may return an error to
+// fail it instead. It runs on the calling thread, so it must be
+// thread-safe. Install it before the threads under test start and remove
+// it after they stop; unset, the POSIX calls run as is.
 
 #ifndef TOPKMON_UTIL_FS_H_
 #define TOPKMON_UTIL_FS_H_
@@ -33,7 +34,8 @@ namespace fs {
 /// An operation as the test hook sees it.
 enum class Op : std::uint8_t {
   kOpen,
-  kWrite,     ///< bytes: the length written
+  kWrite,     ///< at the file position (the end, when appending)
+  kWriteAt,   ///< pwrite at an explicit offset
   kRead,      ///< bytes: the length asked for
   kDataSync,  ///< fdatasync
   kSync,      ///< fsync
@@ -46,10 +48,19 @@ enum class Op : std::uint8_t {
   kMkdir,
 };
 
-/// Sees `op` on `path` before it is made. A non-OK return fails the
-/// operation with that status and the call is not made.
-using Hook = std::function<Status(Op op, const std::string& path,
-                                  std::uint64_t bytes)>;
+/// One operation as the test hook sees it, before it is made.
+struct Event {
+  Op op;
+  const std::string& path;  ///< kRename: the target
+  /// kWrite, kWriteAt, kRead: the length; kTruncate: the new length.
+  std::uint64_t bytes = 0;
+  std::uint64_t offset = 0;    ///< kWrite, kWriteAt: where the bytes land
+  const char* data = nullptr;  ///< kWrite, kWriteAt: the bytes
+};
+
+/// Sees `event` before it is made. A non-OK return fails the operation
+/// with that status and the call is not made.
+using Hook = std::function<Status(const Event& event)>;
 
 /// Installs `hook`; an empty function removes it.
 void SetHookForTesting(Hook hook);
@@ -76,6 +87,9 @@ class File {
   /// failure some prefix may have landed; the caller decides what to do
   /// with it.
   Status Write(const std::string& bytes);
+  /// Writes all of `n` bytes at `offset` (pwrite), leaving the file
+  /// position where it was. On failure some prefix may have landed.
+  Status WriteAt(std::uint64_t offset, const char* data, std::size_t n);
   /// Reads `n` bytes at `offset` into `buf`, fewer only at end of file;
   /// returns the count read.
   Result<std::size_t> ReadAt(std::uint64_t offset, char* buf,
@@ -107,11 +121,12 @@ Status SyncDir(const std::string& dir);
 /// Reads up to `max_bytes` from the start of `path`.
 Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes);
 
-/// Creates `dir`/`name` holding `bytes` and makes it durable: write,
-/// fdatasync, then fsync `dir`. Returns the file, still open for writing
-/// at its end; on failure the file is closed and unlinked.
-Result<File> CreateDurable(const std::string& dir, const std::string& name,
-                           const std::string& bytes);
+/// Ends the durable create of `file`, made in `dir` by Open with
+/// kCreateTruncate, whose writes returned `written`. When that is OK it
+/// fdatasyncs the file, then fsyncs `dir` so the new entry survives a
+/// crash; on any failure it closes and unlinks the file. Returns the
+/// first failure; on success the file stays open at its end.
+Status CommitCreate(const std::string& dir, File* file, Status written);
 
 /// Atomically and durably replaces `dir`/`name` with `bytes`: writes
 /// `name`.tmp (0644 & ~umask), fsyncs and closes it, renames it over

@@ -1,7 +1,7 @@
 // Ingest soak: sustained full-rate wire ingest through a LocalCluster
 // with the admin plane scraped throughout, pinning the ingest path's
 // memory contract. The ingest queue takes all its record storage when
-// it is built, capacity × (36 + 8d) bytes, and never more: frames are
+// it is built, capacity × (28 + 8d) bytes, and never more: frames are
 // decoded into each poll loop's bounded block, and the queue copies what
 // it admits into slots it already holds. So the `topkmon_arena_bytes`
 // gauge and its high-water mark `topkmon_arena_peak_bytes` must read
@@ -149,11 +149,11 @@ TEST(IngestSoakTest, ArenaStopsGrowingAfterWarmup) {
     ASSERT_NE((*cluster)->admin_port(p), 0) << "partition " << p;
   }
 
-  // The queue's storage (see IngestQueue): a 32-byte key, a 4-byte free
-  // slot and kDim coordinates per slot. 4096 × 52 = 212992 has six
+  // The queue's storage (see IngestQueue): a 24-byte key, a 4-byte free
+  // slot and kDim coordinates per slot. 4096 × 44 = 180224 has six
   // digits, so the scrape's %g rendering shows it exactly.
   const double storage_bytes = static_cast<double>(
-      options.service.ingest.capacity * (36 + 8 * kDim));
+      options.service.ingest.capacity * (28 + 8 * kDim));
   const auto expect_fixed = [&](const std::string& scrape, std::size_t p) {
     EXPECT_EQ(MetricValue(scrape, "topkmon_arena_bytes"), storage_bytes)
         << "partition " << p;

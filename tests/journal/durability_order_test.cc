@@ -7,17 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/brute_force_engine.h"
+#include "core/tma_engine.h"
 #include "journal/format.h"
 #include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
 #include "journal/recovery.h"
+#include "journal/wire.h"
 #include "replica/lease.h"
+#include "stream/generators.h"
 #include "tests/journal/journal_test_util.h"
 #include "tests/test_util.h"
 #include "util/fs.h"
@@ -26,6 +30,7 @@ namespace topkmon {
 namespace {
 
 using ::topkmon::testing::FsTranscript;
+using ::topkmon::testing::MakeRandomQueries;
 using ::topkmon::testing::ScopedTempDir;
 
 constexpr int kDim = 2;
@@ -33,9 +38,9 @@ constexpr int kDim = 2;
 /// The operations that change what is on disk or make it durable, plus
 /// the listings garbage collection decides from.
 const std::set<fs::Op> kMutations = {
-    fs::Op::kOpen,     fs::Op::kWrite,  fs::Op::kDataSync, fs::Op::kSync,
-    fs::Op::kSyncDir,  fs::Op::kRename, fs::Op::kUnlink,   fs::Op::kTruncate,
-    fs::Op::kList,     fs::Op::kMkdir};
+    fs::Op::kOpen,    fs::Op::kWrite,  fs::Op::kWriteAt,  fs::Op::kDataSync,
+    fs::Op::kSync,    fs::Op::kSyncDir, fs::Op::kRename,  fs::Op::kUnlink,
+    fs::Op::kTruncate, fs::Op::kList,  fs::Op::kMkdir};
 
 using Transcript = std::vector<std::string>;
 
@@ -87,6 +92,90 @@ TEST(DurabilityOrderTest, WriterRotationSyncsNewSegmentThenDeletesOld) {
         << "the anchor goes to disk in one write";
     TOPKMON_ASSERT_OK((*writer)->Close());
   }
+}
+
+TEST(DurabilityOrderTest, MultiChunkRotationWritesThePrologueLastThenSyncs) {
+  // An anchor of 20000 records at d = 2 encodes to about 360 KB, so the
+  // rotation streams it in several chunks of at most 64 KiB plus the
+  // record that crossed the mark, then fills in the prologue.
+  constexpr std::size_t kWindow = 20000;
+  constexpr std::uint64_t kChunk = 64u << 10;
+  constexpr std::uint64_t kRecordMax = 10 + 10 + 8 * kDim;
+  ScopedTempDir dir;
+  JournalOptions options;
+  options.dir = dir.path();
+  GridEngineOptions grid;
+  grid.dim = kDim;
+  grid.window = WindowSpec::Count(kWindow);
+  TmaEngine engine(grid);
+  const std::vector<QuerySpec> queries = MakeRandomQueries(kDim, 3, 5, 7);
+  std::vector<JournaledQuery> live;
+  for (const QuerySpec& q : queries) {
+    TOPKMON_ASSERT_OK(engine.RegisterQuery(q));
+    live.push_back(JournaledQuery{q, "owner"});
+  }
+  auto writer = CycleJournalWriter::Open(
+      options, SnapshotAnchor{engine, 0, 100, live});
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  RecordSource source(MakeGenerator(Distribution::kIndependent, kDim, 3));
+  for (Timestamp ts = 1; ts <= 20; ++ts) {
+    const std::vector<Record> batch = source.NextBatch(kWindow / 10, ts);
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(ts, batch));
+    TOPKMON_ASSERT_OK(engine.ProcessCycle(ts, batch));
+  }
+  ASSERT_EQ(engine.WindowSize(), kWindow);
+
+  FsTranscript transcript(dir.path(), kMutations);
+  const SnapshotAnchor anchor{engine, source.next_id(), 100, live};
+  // A chunk that fails to write takes the half-made segment with it.
+  transcript.FailWhen([](const std::vector<std::string>& so_far,
+                         const std::string& entry) {
+    return entry == "write " + Seg(1) &&
+           std::count(so_far.begin(), so_far.end(), entry) == 2;
+  });
+  EXPECT_FALSE((*writer)->RotateWithSnapshot(anchor).ok());
+  EXPECT_EQ(transcript.entries().back(), "unlink " + Seg(1));
+  EXPECT_EQ(dir.Files(), std::vector<std::string>{Seg(0)});
+  EXPECT_EQ((*writer)->current_segment_index(), 0u);
+  transcript.FailWhen(nullptr);
+  transcript.Clear();
+
+  TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(anchor));
+  const std::vector<std::uint64_t> writes = transcript.WriteSizes(Seg(1));
+  ASSERT_GE(writes.size(), 4u) << "the anchor spans at least 4 chunks";
+  Transcript want = {"open " + Seg(1)};
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    want.push_back("write " + Seg(1));
+    EXPECT_LE(writes[i], kChunk + kRecordMax) << "write " << i;
+    if (i + 1 < writes.size()) {
+      EXPECT_GE(writes[i], kChunk) << "write " << i;
+    }
+  }
+  want.insert(want.end(), {"pwrite " + Seg(1), "datasync " + Seg(1),
+                           "syncdir .", "list .", "unlink " + Seg(0)});
+  EXPECT_EQ(transcript.entries(), want);
+  const std::string path = dir.path() + "/" + Seg(1);
+  EXPECT_EQ(transcript.BytesWritten(Seg(1)),
+            std::filesystem::file_size(path));
+
+  // The segment holds the bytes of the anchor encoded whole.
+  JournalSnapshot image;
+  image.last_cycle_ts = 20;
+  image.next_record_id = source.next_id();
+  image.next_query_id = 100;
+  image.live_queries = live;
+  auto state = engine.SnapshotState();
+  ASSERT_TRUE(state.ok()) << state.status();
+  image.window = std::move(state->window);
+  std::string want_bytes;
+  EncodeSegmentHeader(&want_bytes);
+  std::string body;
+  TOPKMON_ASSERT_OK(EncodeSnapshotBody(image, &body));
+  wire::PutFrame(body, &want_bytes);
+  auto got = fs::ReadFile(path, want_bytes.size() + 1);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_TRUE(*got == want_bytes) << "segment differs from the whole anchor";
+  TOPKMON_ASSERT_OK((*writer)->Close());
 }
 
 TEST(DurabilityOrderTest, WriterCloseSyncsTheCurrentSegment) {

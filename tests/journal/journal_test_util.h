@@ -67,6 +67,7 @@ inline const char* FsOpName(fs::Op op) {
   switch (op) {
     case fs::Op::kOpen: return "open";
     case fs::Op::kWrite: return "write";
+    case fs::Op::kWriteAt: return "pwrite";
     case fs::Op::kRead: return "read";
     case fs::Op::kDataSync: return "datasync";
     case fs::Op::kSync: return "fsync";
@@ -95,10 +96,8 @@ class FsTranscript {
 
   FsTranscript(std::string dir, std::set<fs::Op> ops)
       : dir_(std::move(dir)), ops_(std::move(ops)) {
-    fs::SetHookForTesting([this](fs::Op op, const std::string& path,
-                                 std::uint64_t bytes) {
-      return Record(op, path, bytes);
-    });
+    fs::SetHookForTesting(
+        [this](const fs::Event& event) { return Record(event); });
   }
   ~FsTranscript() { fs::SetHookForTesting(nullptr); }
 
@@ -114,11 +113,18 @@ class FsTranscript {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_;
   }
-  /// Bytes the recorded writes to `name` (relative to dir) carried.
+  /// Bytes the recorded writes (not pwrites) to `name` (relative to
+  /// dir) carried.
   std::uint64_t BytesWritten(const std::string& name) const {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : WriteSizes(name)) total += n;
+    return total;
+  }
+  /// The length of each recorded write (not pwrite) to `name`, in order.
+  std::vector<std::uint64_t> WriteSizes(const std::string& name) const {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = written_.find(name);
-    return it == written_.end() ? 0 : it->second;
+    return it == written_.end() ? std::vector<std::uint64_t>{} : it->second;
   }
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -127,7 +133,9 @@ class FsTranscript {
   }
 
  private:
-  Status Record(fs::Op op, const std::string& path, std::uint64_t bytes) {
+  Status Record(const fs::Event& event) {
+    const fs::Op op = event.op;
+    const std::string& path = event.path;
     if (ops_.count(op) == 0 || path.compare(0, dir_.size(), dir_) != 0) {
       return Status::Ok();
     }
@@ -141,7 +149,7 @@ class FsTranscript {
       return Status::Internal("injected failure: " + entry);
     }
     entries_.push_back(entry);
-    if (op == fs::Op::kWrite) written_[name] += bytes;
+    if (op == fs::Op::kWrite) written_[name].push_back(event.bytes);
     return Status::Ok();
   }
 
@@ -150,7 +158,7 @@ class FsTranscript {
   mutable std::mutex mu_;
   FailRule fail_;
   std::vector<std::string> entries_;
-  std::map<std::string, std::uint64_t> written_;
+  std::map<std::string, std::vector<std::uint64_t>> written_;
 };
 
 }  // namespace testing

@@ -217,6 +217,77 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   TOPKMON_ASSERT_OK((*writer2)->Close());
 }
 
+TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsPrologueLands) {
+  // A 20000-record anchor streams to disk in several 64 KiB chunks
+  // behind a zeroed prologue. Until the prologue lands, the new segment
+  // serves nothing and does not seal its predecessor, so a tailing
+  // follower never copies a frame whose length still reads zero.
+  constexpr std::size_t kWindow = 20000;
+  ScopedTempDir dir;
+  JournalOptions opt;
+  opt.dir = dir.path();
+  opt.retain_segment_count = 2;
+  GridEngineOptions grid;
+  grid.dim = kDim;
+  grid.window = WindowSpec::Count(kWindow);
+  TmaEngine engine(grid);
+  auto writer = CycleJournalWriter::Open(opt, SnapshotAnchor{engine, 0, 1, {}});
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  RecordSource source(MakeGenerator(Distribution::kIndependent, kDim, 3));
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    const std::vector<Record> batch = source.NextBatch(kWindow / 10, ts);
+    TOPKMON_ASSERT_OK((*writer)->AppendCycle(ts, batch));
+    TOPKMON_ASSERT_OK(engine.ProcessCycle(ts, batch));
+  }
+  const std::uint64_t sealed_size =
+      ReadFile((*writer)->current_segment_path()).size();
+
+  JournalShipper shipper(dir.path());
+  const std::string next_path = dir.path() + "/" + SegmentFileName(1);
+  int chunks = 0;
+  int probes = 0;
+  // Probes at the second chunk and at the prologue's pwrite, the last
+  // moment before the anchor is whole.
+  fs::SetHookForTesting([&](const fs::Event& event) {
+    if (event.path != next_path) return Status::Ok();
+    if (event.op == fs::Op::kWrite && ++chunks != 2) return Status::Ok();
+    if (event.op != fs::Op::kWrite && event.op != fs::Op::kWriteAt) {
+      return Status::Ok();
+    }
+    ++probes;
+    auto tail = shipper.Read(0, sealed_size, 1 << 20);
+    EXPECT_TRUE(tail.ok()) << tail.status();
+    if (tail.ok()) {
+      EXPECT_TRUE(tail->data.empty());
+      EXPECT_FALSE(tail->sealed) << "sealed onto a half-written segment";
+      EXPECT_FALSE(tail->restart);
+    }
+    auto next = shipper.Read(1, 0, 1 << 20);
+    EXPECT_TRUE(next.ok()) << next.status();
+    if (next.ok()) {
+      EXPECT_TRUE(next->data.empty()) << "served a zeroed prologue";
+      EXPECT_FALSE(next->sealed);
+      EXPECT_FALSE(next->restart);
+    }
+    return Status::Ok();
+  });
+  const Status rotated = (*writer)->RotateWithSnapshot(
+      SnapshotAnchor{engine, source.next_id(), 1, {}});
+  fs::SetHookForTesting(nullptr);
+  TOPKMON_ASSERT_OK(rotated);
+  EXPECT_GE(chunks, 4) << "the anchor spans at least 4 chunks";
+  EXPECT_EQ(probes, 2);
+
+  auto tail = shipper.Read(0, sealed_size, 1 << 20);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  EXPECT_TRUE(tail->sealed);
+  EXPECT_EQ(tail->next_segment, 1u);
+  auto next = shipper.Read(1, 0, 1 << 30);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->data, ReadFile(next_path));
+  TOPKMON_ASSERT_OK((*writer)->Close());
+}
+
 // ---- follower-mode service ---------------------------------------------
 
 std::function<std::unique_ptr<MonitorEngine>()> BruteFactory(
@@ -562,6 +633,48 @@ TEST(ReplicaFollowerTest, LiveStateEqualsRecoveryOfItsOwnDirectory) {
   EXPECT_FALSE((*follower)->service().CurrentResult(gone).ok());
 }
 
+TEST(ReplicaFollowerTest, TailsAcrossAStreamedRotationWithoutResync) {
+  // Window 20000: every rotation streams its anchor in several chunks.
+  // The hook holds each rotation just before the prologue's pwrite, long
+  // enough for the tailing follower to fetch at the new segment.
+  struct HookGuard {
+    ~HookGuard() { fs::SetHookForTesting(nullptr); }
+  } guard;  // outlives the leader's and the follower's threads
+  std::atomic<int> streamed{0};
+  fs::SetHookForTesting([&streamed](const fs::Event& event) {
+    if (event.op == fs::Op::kWriteAt) {
+      ++streamed;
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+    return Status::Ok();
+  });
+  constexpr std::size_t kWindow = 20000;
+  Leader leader(kWindow, /*segment_bytes=*/512u << 10,
+                /*retain_segments=*/2);
+  const auto session = leader.service->OpenSession("dash");
+  ASSERT_TRUE(session.ok());
+  const auto query = leader.service->Register(
+      *session, MakeRandomQueries(kDim, 1, 5, 41)[0]);
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  ScopedTempDir fdir;
+  auto follower = ReplicaFollower::Open(
+      BruteFactory(kWindow), FollowerServiceOptions(fdir.path() + "/repl"),
+      FollowerOptions(leader.server->port()));
+  ASSERT_TRUE(follower.ok()) << follower.status();
+
+  Timestamp clock = 0;
+  for (int i = 0; i < 8; ++i) IngestRecords(leader, 5000, &clock);
+  TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+      leader.service->replication().applied_cycle_ts,
+      std::chrono::seconds(30)));
+  (*follower)->Stop();
+  ASSERT_GE(streamed.load(), 1) << "no rotation streamed its anchor";
+  EXPECT_GT((*follower)->stats().segments_completed, 0u);
+  EXPECT_EQ((*follower)->stats().restarts, 0u);
+  ExpectSameTopK(*leader.service, (*follower)->service(), *query);
+}
+
 TEST(ReplicaFollowerTest, RestartResumesFromLocalJournalEvenWithTornTail) {
   Leader leader;
   const auto session = leader.service->OpenSession("dash");
@@ -770,6 +883,54 @@ TEST(ReplicaFollowerSealTest, SyncsSegmentAndDirectoryBeforeDeletingOlder) {
   EXPECT_EQ(transcript.BytesWritten(seg1),
             std::filesystem::file_size(leader.service->journal_dir() + "/" +
                                        seg1));
+}
+
+TEST(ReplicaFollowerSealTest, RestartSyncsTheKeptSegmentBeforeDeletingOlder) {
+  // A restart resumes from the newest locally anchored segment: its torn
+  // tail is cut, and it and the directory are made durable before the
+  // older segments are deleted, so a crash part way through the wipe
+  // still finds an anchored segment.
+  ScopedTempDir fdir;
+  const std::string repl_dir = fdir.path() + "/repl";
+  Leader leader(/*window=*/400, /*segment_bytes=*/16u << 10,
+                /*retain_segments=*/64);
+  Timestamp clock = 0;
+  GrowToThreeSegments(leader, &clock);
+  TOPKMON_ASSERT_OK(fs::MakeDirs(repl_dir));
+  for (std::uint64_t index : {0u, 1u, 2u}) {
+    std::filesystem::copy_file(
+        leader.service->journal_dir() + "/" + SegmentFileName(index),
+        repl_dir + "/" + SegmentFileName(index));
+  }
+  const std::string seg2 = SegmentFileName(2);
+  {
+    // A torn tail: the first bytes of a frame prologue.
+    auto file = fs::Open(repl_dir + "/" + seg2, fs::OpenMode::kAppend);
+    ASSERT_TRUE(file.ok()) << file.status();
+    TOPKMON_ASSERT_OK(file->Write(std::string("\x10\x00\x00", 3)));
+  }
+
+  FsTranscript transcript(repl_dir, kFollowerOps);
+  auto follower = ReplicaFollower::Open(
+      BruteFactory(400), FollowerServiceOptions(repl_dir),
+      FollowerOptions(leader.server->port()));
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+      leader.service->replication().applied_cycle_ts,
+      std::chrono::seconds(30)));
+  (*follower)->Stop();
+  EXPECT_EQ((*follower)->stats().restarts, 0u);
+
+  const std::vector<std::string> entries = transcript.entries();
+  const std::vector<std::string> bootstrap = {
+      "list .",          "truncate " + seg2, "datasync " + seg2,
+      "syncdir .",       "list .",           "unlink " + SegmentFileName(0),
+      "unlink " + SegmentFileName(1)};
+  ASSERT_GE(entries.size(), bootstrap.size());
+  EXPECT_EQ(std::vector<std::string>(entries.begin(),
+                                     entries.begin() + bootstrap.size()),
+            bootstrap);
+  EXPECT_EQ(LocalSegments(repl_dir), (std::vector<std::uint64_t>{2}));
 }
 
 TEST(ReplicaFollowerSealTest, FailedSealSyncKeepsTheOlderAnchoredSegment) {

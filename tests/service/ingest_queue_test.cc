@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -229,8 +230,58 @@ TEST(IngestQueueTest, ReordersARunThatWrapsTheRing) {
   EXPECT_EQ(queue.depth(), 0u);
 }
 
+TEST(IngestQueueTest, EqualArrivalsKeepPushOrderAcrossASort) {
+  // Each record's x coordinate is its push number, and many records
+  // share each arrival. Two sorts run, over runs long enough that an
+  // unstable sort reorders ties: the second over a run that holds what
+  // the first sort left and later pushes tied with it, and that wraps
+  // the ring. Ties leave in push order both times.
+  IngestOptions opt;
+  opt.slack = 2;
+  opt.capacity = 64;
+  IngestQueue queue(opt, kDim);
+  using Keys = std::vector<std::pair<Timestamp, int>>;
+  Keys pushed;
+  const auto push = [&](Timestamp ts) {
+    const int n = static_cast<int>(pushed.size()) + 1;
+    pushed.emplace_back(ts, n);
+    TOPKMON_ASSERT_OK(queue.Push(P(n / 1000.0, 0.5), ts));
+  };
+  /// Drains what the slack gate releases, as (arrival, push number).
+  const auto drain = [&queue] {
+    std::vector<Record> out;
+    Timestamp cycle = 0;
+    queue.DrainBatch(&out, &cycle, std::chrono::milliseconds(0));
+    Keys got;
+    for (const Record& r : out) {
+      got.emplace_back(r.arrival,
+                       static_cast<int>(std::lround(r.position[0] * 1000)));
+    }
+    return got;
+  };
+  /// pushed[from, to) in arrival order, ties in push order.
+  const auto stable = [&pushed](std::size_t from, std::size_t to) {
+    Keys want(pushed.begin() + static_cast<std::ptrdiff_t>(from),
+              pushed.begin() + static_cast<std::ptrdiff_t>(to));
+    std::stable_sort(want.begin(), want.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    return want;
+  };
+
+  for (int i = 0; i < 40; ++i) push(10 + (i * 3) % 4);
+  push(20);  // releases arrivals up to 18: the 40 above
+  EXPECT_EQ(drain(), stable(0, 40));
+  for (int i = 0; i < 30; ++i) push(19 + i % 3);
+  push(30);  // releases up to 28: the leftover 20 and the 30 above
+  EXPECT_EQ(drain(), stable(40, 71));
+  EXPECT_EQ(queue.stats().sorts, 2u);
+  EXPECT_EQ(queue.depth(), 1u);
+}
+
 TEST(IngestQueueTest, StorageIsFixedAtCapacityTimesSlotBytes) {
-  // A slot costs a 32-byte key, a 4-byte free-stack entry and d
+  // A slot costs a 24-byte key, a 4-byte free-stack entry and d
   // coordinates, all taken at construction: a full queue and a drained
   // one hold exactly what a fresh one does.
   for (const int dim : {1, 2, 8}) {
@@ -240,7 +291,7 @@ TEST(IngestQueueTest, StorageIsFixedAtCapacityTimesSlotBytes) {
     opt.slack = 0;
     IngestQueue queue(opt, dim);
     const std::size_t want =
-        opt.capacity * (36 + 8 * static_cast<std::size_t>(dim));
+        opt.capacity * (28 + 8 * static_cast<std::size_t>(dim));
     EXPECT_EQ(queue.MemoryBytes(), want);
     const Point p(dim);
     Timestamp ts = 0;
