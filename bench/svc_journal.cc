@@ -108,10 +108,14 @@ struct PipelineRun {
 PipelineRun RunPipeline(const BenchConfig& config,
                         const JournalOptions* journal) {
   PipelineRun run;
+  auto engine = MakeTma(config);
+  const std::vector<QuerySpec> queries = BenchQueries(config);
+  std::vector<JournaledQuery> live;
   std::unique_ptr<CycleJournalWriter> writer;
   if (journal != nullptr) {
     run.dir = journal->dir;
-    auto opened = CycleJournalWriter::Open(*journal, JournalSnapshot{});
+    auto opened =
+        CycleJournalWriter::Open(*journal, SnapshotAnchor{*engine, 0, 1, live});
     if (!opened.ok()) {
       std::fprintf(stderr, "journal open failed: %s\n",
                    opened.status().ToString().c_str());
@@ -119,9 +123,6 @@ PipelineRun RunPipeline(const BenchConfig& config,
     }
     writer = std::move(*opened);
   }
-  auto engine = MakeTma(config);
-  const std::vector<QuerySpec> queries = BenchQueries(config);
-  std::vector<JournaledQuery> live;
   for (const QuerySpec& spec : queries) {
     live.push_back({spec, "bench"});
     if (writer != nullptr && !writer->AppendRegister(live.back()).ok()) {

@@ -90,21 +90,20 @@ void EncodeUnregisterBody(QueryId id, std::string* out) {
   wire::PutU32(id, out);
 }
 
-Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out,
-                          SnapshotDrain* drain) {
+Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out) {
   const std::size_t mark = out->size();
   const std::vector<Record>& window = snapshot.window;
-  Status st = PutSnapshotHead(
+  const Status st = PutSnapshotHead(
       snapshot.last_cycle_ts, snapshot.next_record_id, snapshot.next_query_id,
       snapshot.live_queries, window.size(),
-      window.empty() ? 0 : window[0].position.dim(), out, drain);
-  wire::RecordSpanEncoder span(out);
-  for (std::size_t i = 0; st.ok() && i < window.size(); ++i) {
-    span.Add(window[i].id, window[i].position, window[i].arrival);
-    if (ChunkDue(drain, *out)) st = drain->Drain(out);
+      window.empty() ? 0 : window[0].position.dim(), out, nullptr);
+  if (!st.ok()) {
+    out->resize(mark);
+    return st;
   }
-  if (!st.ok() && drain == nullptr) out->resize(mark);
-  return st;
+  wire::RecordSpanEncoder span(out);
+  for (const Record& r : window) span.Add(r.id, r.position, r.arrival);
+  return Status::Ok();
 }
 
 Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out,

@@ -138,16 +138,16 @@ class SnapshotDrain {
   ~SnapshotDrain() = default;  // never owned through this interface
 };
 
-/// Snapshot body builders. Without a drain the body is appended to *out
-/// whole, and a failure leaves *out as it was; with one, a failure leaves
-/// *out and what the drain took unspecified.
-Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out,
-                          SnapshotDrain* drain = nullptr);
 /// The snapshot body of `anchor`, its window encoded record by record as
 /// the engine walks it. Fails with the engine's status when it cannot
-/// walk its window.
+/// walk its window. Without a drain the body is appended to *out whole,
+/// and a failure leaves *out as it was; with one, a failure leaves *out
+/// and what the drain took unspecified.
 Status EncodeSnapshotBody(const SnapshotAnchor& anchor, std::string* out,
                           SnapshotDrain* drain = nullptr);
+/// The snapshot body of a decoded image, appended to *out whole: the
+/// reference the anchor's bytes are checked against.
+Status EncodeSnapshotBody(const JournalSnapshot& snapshot, std::string* out);
 
 // ---- decoding ---------------------------------------------------------
 

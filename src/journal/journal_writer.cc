@@ -29,20 +29,8 @@ CycleJournalWriter::CycleJournalWriter(const JournalOptions& options,
     : options_(options), segment_index_(next_index) {}
 
 Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
-    const JournalOptions& options, const JournalSnapshot& initial,
-    bool resuming) {
-  return OpenAnchored(options, initial, resuming);
-}
-
-Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
     const JournalOptions& options, const SnapshotAnchor& initial,
     bool resuming) {
-  return OpenAnchored(options, initial, resuming);
-}
-
-template <typename Anchor>
-Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::OpenAnchored(
-    const JournalOptions& options, const Anchor& initial, bool resuming) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("journal directory is empty");
   }
@@ -68,28 +56,30 @@ CycleJournalWriter::~CycleJournalWriter() { Close(); }
 
 namespace {
 
-/// Streams a segment's anchor frame to disk while it is encoded. The
-/// buffer starts with the segment header and a placeholder prologue, and
-/// the snapshot body is encoded behind them. Each time the buffer reaches
+/// Streams a segment's anchor frame to disk while it is encoded, under
+/// the segment's temp name, which ListSegments never lists. The buffer
+/// starts with the segment header and a placeholder prologue, and the
+/// snapshot body is encoded behind them. Each time the buffer reaches
 /// kAnchorChunkBytes it is written out and emptied, and the body's length
 /// and CRC-32C are carried across chunks. Finish writes the rest and then
 /// the prologue at its place (pwrite), or, when the whole frame fitted in
-/// one chunk, seals it in place and writes it once. The file is created at
-/// the first write; fs::CommitCreate makes it durable or unlinks it.
+/// one chunk, seals it in place and writes it once; fs::CommitCreate then
+/// syncs it and renames it to its segment name, or unlinks it. The file
+/// is created at the first write.
 class AnchorStream final : public SnapshotDrain {
  public:
   AnchorStream(std::string dir, std::uint64_t index)
-      : dir_(std::move(dir)),
-        path_(dir_ + "/" + SegmentFileName(index)) {}
+      : dir_(std::move(dir)), name_(SegmentFileName(index)) {}
 
   Status Drain(std::string* buf) override {
     TOPKMON_RETURN_IF_ERROR(Create());
     return WriteOut(buf);
   }
 
-  /// Ends the stream whose encode returned `encoded`. On success the
-  /// segment is durable and returned open at its end.
-  Result<fs::File> Finish(Status encoded, std::string* buf) {
+  /// Ends the stream whose encode returned `encoded` and commits the
+  /// segment. Returns the first failure; file() is open, under the
+  /// segment's name, once the rename was made.
+  Status Finish(Status encoded, std::string* buf) {
     if (!encoded.ok() && !file_.is_open()) return encoded;  // nothing made
     Status st = std::move(encoded);
     if (st.ok() && !file_.is_open()) {
@@ -107,17 +97,18 @@ class AnchorStream final : public SnapshotDrain {
         st = file_.WriteAt(kSegmentHeaderBytes, prologue, sizeof(prologue));
       }
     }
-    TOPKMON_RETURN_IF_ERROR(fs::CommitCreate(dir_, &file_, std::move(st)));
-    return std::move(file_);
+    return fs::CommitCreate(dir_, name_, &file_, std::move(st));
   }
 
+  fs::File& file() { return file_; }
   /// Bytes written to the segment.
   std::size_t bytes() const { return bytes_; }
 
  private:
   Status Create() {
     if (file_.is_open()) return Status::Ok();
-    auto file = fs::Open(path_, fs::OpenMode::kCreateTruncate);
+    auto file = fs::Open(dir_ + "/" + name_ + ".tmp",
+                         fs::OpenMode::kCreateTruncate);
     if (!file.ok()) return file.status();
     file_ = std::move(*file);
     return Status::Ok();
@@ -137,7 +128,7 @@ class AnchorStream final : public SnapshotDrain {
   }
 
   const std::string dir_;
-  const std::string path_;
+  const std::string name_;  ///< the segment's name; the temp name adds .tmp
   fs::File file_;
   /// Where the body starts in the buffer: behind the header and the
   /// prologue until the first chunk is out.
@@ -149,28 +140,28 @@ class AnchorStream final : public SnapshotDrain {
 
 }  // namespace
 
-template <typename Anchor>
-Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
+Status CycleJournalWriter::OpenSegment(const SnapshotAnchor& anchor,
                                        std::uint64_t index) {
-  // Build the new segment on local state and commit the writer to it
-  // only once its anchor snapshot is durable; a failed rotation leaves
-  // the current segment (and every member) exactly as it was, so
-  // subsequent appends keep landing somewhere recovery can read. The
-  // snapshot is the recovery anchor: it is always synced, and so is its
-  // directory entry.
+  // Build the new segment on local state under its temp name. The
+  // snapshot is the recovery anchor: it is always synced before the
+  // rename, and the rename's directory entry after it.
   AnchorStream stream(options_.dir, index);
   frame_scratch_.clear();
   EncodeSegmentHeader(&frame_scratch_);
   frame_scratch_.resize(kSegmentHeaderBytes + wire::kFrameHeaderBytes);
   Status st = EncodeSnapshotBody(anchor, &frame_scratch_, &stream);
   if (st.ok()) ++stats_.sync_calls;
-  auto file = stream.Finish(std::move(st), &frame_scratch_);
+  st = stream.Finish(std::move(st), &frame_scratch_);
   frame_scratch_.clear();
-  if (!file.ok()) {
-    ++stats_.append_failures;
-    return file.status();
-  }
-  file_ = std::move(*file);  // the old segment closes here
+  if (!st.ok()) ++stats_.append_failures;
+  // The rename is the commit point. Before it, a failure leaves the
+  // current segment (and every member) exactly as it was, so appends keep
+  // landing somewhere recovery can read. From it on the new segment is
+  // listed and may already be shipped, so the writer moves onto it and
+  // never unlinks it; a failed directory fsync is owed to the next sync
+  // barrier, and the superseded segments stay until it is paid.
+  if (!stream.file().is_open()) return st;
+  file_ = std::move(stream.file());  // the old segment closes here
   segment_index_ = index;
   segment_bytes_ = stream.bytes();
   cycles_in_segment_ = 0;
@@ -180,11 +171,17 @@ Status CycleJournalWriter::OpenSegment(const Anchor& anchor,
   stats_.bytes_written += stream.bytes();
   ++stats_.segments_created;
   ++stats_.snapshots_written;
-  GarbageCollect();
-  return Status::Ok();
+  dir_sync_owed_ = !st.ok();
+  if (st.ok()) GarbageCollect();
+  return st;
 }
 
 Status CycleJournalWriter::SyncFd() {
+  if (dir_sync_owed_) {
+    TOPKMON_RETURN_IF_ERROR(fs::SyncDir(options_.dir));
+    dir_sync_owed_ = false;
+    GarbageCollect();
+  }
   ++stats_.sync_calls;
   const auto start = std::chrono::steady_clock::now();
   const Status st = file_.DataSync();
@@ -220,7 +217,7 @@ Status CycleJournalWriter::Sync() {
   if (closed()) {
     return Status::FailedPrecondition("journal writer is closed");
   }
-  if (appends_since_sync_ == 0) return Status::Ok();
+  if (appends_since_sync_ == 0 && !dir_sync_owed_) return Status::Ok();
   Status st = SyncFd();
   if (!st.ok()) ++stats_.append_failures;
   return st;
@@ -306,14 +303,6 @@ bool CycleJournalWriter::SnapshotDue() const {
   if (segment_bytes_ >= options_.segment_bytes) return true;
   return options_.snapshot_every_cycles > 0 &&
          cycles_in_segment_ >= options_.snapshot_every_cycles;
-}
-
-Status CycleJournalWriter::RotateWithSnapshot(
-    const JournalSnapshot& snapshot) {
-  if (closed()) {
-    return Status::FailedPrecondition("journal writer is closed");
-  }
-  return OpenSegment(snapshot, segment_index_ + 1);
 }
 
 Status CycleJournalWriter::RotateWithSnapshot(const SnapshotAnchor& anchor) {

@@ -5,10 +5,15 @@
 // with a snapshot record (an engine-ready image of the window plus the
 // live query set), making each segment self-contained: recovery reads
 // exactly one segment. Rotation — triggered by segment size or by the
-// snapshot interval — writes the next snapshot as the first record of a
-// fresh segment, fdatasyncs it, and only then garbage-collects the older
-// segments, so a crash at any instant leaves at least one segment with an
-// intact leading snapshot on disk.
+// snapshot interval — streams the next snapshot into a fresh segment
+// under a temp name, fdatasyncs it, renames it to its segment name and
+// fsyncs the directory, and only then garbage-collects the older
+// segments. So a listed segment always opens with a whole, durable
+// anchor, and a crash at any instant leaves at least one such segment on
+// disk. The rename is the commit point: from it on the writer appends to
+// the new segment, and a directory fsync that failed after it is owed,
+// paid by the next sync barrier before it reports success; garbage
+// collection waits until it is paid.
 //
 // Durability knobs (JournalOptions::sync):
 //   kNone     every append reaches the kernel (write(2)); the OS decides
@@ -106,15 +111,11 @@ class CycleJournalWriter {
  public:
   /// Opens `options.dir` (creating it if absent) and starts a fresh
   /// segment anchored by `initial` — the state of the engine this journal
-  /// is about to describe. When `resuming` is false and the directory
-  /// already holds segments, fails with FailedPrecondition instead of
-  /// silently superseding the previous journal's state (recover first —
-  /// MonitorService::Open does).
-  static Result<std::unique_ptr<CycleJournalWriter>> Open(
-      const JournalOptions& options, const JournalSnapshot& initial,
-      bool resuming = false);
-  /// Same, anchored on live state: the anchor's window is encoded
-  /// straight from its engine (see SnapshotAnchor).
+  /// is about to describe, its window encoded straight from the engine.
+  /// When `resuming` is false and the directory already holds segments,
+  /// fails with FailedPrecondition instead of silently superseding the
+  /// previous journal's state (recover first — MonitorService::Open
+  /// does).
   static Result<std::unique_ptr<CycleJournalWriter>> Open(
       const JournalOptions& options, const SnapshotAnchor& initial,
       bool resuming = false);
@@ -134,9 +135,10 @@ class CycleJournalWriter {
   /// RotateWithSnapshot() at the next convenient point.
   bool SnapshotDue() const;
 
-  /// Starts a new segment anchored by `snapshot`, fdatasyncs it, and
-  /// garbage-collects superseded segments.
-  Status RotateWithSnapshot(const JournalSnapshot& snapshot);
+  /// Starts a new segment anchored by `anchor` and garbage-collects
+  /// superseded segments. A failure before the new segment's rename
+  /// leaves the writer on the current segment; a failed directory fsync
+  /// after it leaves the writer on the new one with the fsync owed.
   Status RotateWithSnapshot(const SnapshotAnchor& anchor);
 
   /// Group-commit time trigger: fdatasyncs iff there are unsynced
@@ -145,11 +147,13 @@ class CycleJournalWriter {
   /// idle loops so a stream that goes quiet still gets its tail synced.
   Status SyncIfDue();
 
-  /// Unconditional durability barrier: fdatasyncs any unsynced appends.
+  /// Unconditional durability barrier: fdatasyncs any unsynced appends,
+  /// after paying an owed directory fsync.
   Status Sync();
 
-  /// fdatasyncs and closes the current segment. Idempotent; appends after
-  /// Close fail with FailedPrecondition.
+  /// Pays an owed directory fsync, fdatasyncs and closes the current
+  /// segment. Idempotent; appends after Close fail with
+  /// FailedPrecondition.
   Status Close();
 
   /// Admin-plane instrumentation: every fdatasync this writer issues is
@@ -169,25 +173,20 @@ class CycleJournalWriter {
  private:
   CycleJournalWriter(const JournalOptions& options, std::uint64_t next_index);
 
-  /// Open() for either kind of anchor (JournalSnapshot, SnapshotAnchor).
-  template <typename Anchor>
-  static Result<std::unique_ptr<CycleJournalWriter>> OpenAnchored(
-      const JournalOptions& options, const Anchor& initial, bool resuming);
-
-  /// Creates and durably anchors segment `index`, committing the writer
-  /// to it only on success (a failed rotation leaves the current segment
-  /// in place and appendable). The segment header, a placeholder
-  /// prologue and the anchor's body are encoded into frame_scratch_ and
-  /// written out every 64 KiB as they are encoded; the prologue is
-  /// written last at its place, then the segment and the directory are
-  /// synced. An anchor that fits in one chunk is sealed in place and
-  /// written with one call.
-  template <typename Anchor>
-  Status OpenSegment(const Anchor& anchor, std::uint64_t index);
+  /// Creates and durably anchors segment `index` under a temp name,
+  /// committing the writer to it at its rename (a rotation that fails
+  /// before it leaves the current segment in place and appendable). The
+  /// segment header, a placeholder prologue and the anchor's body are
+  /// encoded into frame_scratch_ and written out every 64 KiB as they are
+  /// encoded; the prologue is written last at its place, then the
+  /// segment is synced, renamed and its directory synced. An anchor that
+  /// fits in one chunk is sealed in place and written with one call.
+  Status OpenSegment(const SnapshotAnchor& anchor, std::uint64_t index);
   /// Appends frame_scratch_, whose first wire::kFrameHeaderBytes are a
   /// placeholder prologue patched here (length + CRC over the body that
   /// follows) — the body is encoded in place, never copied.
   Status AppendScratchFrame(bool is_cycle);
+  /// The sync barrier: pays an owed directory fsync, then fdatasyncs.
   Status SyncFd();
   void GarbageCollect();
 
@@ -203,6 +202,9 @@ class CycleJournalWriter {
   std::uint64_t appends_since_sync_ = 0;
   std::uint64_t cycles_since_sync_ = 0;
   std::chrono::steady_clock::time_point last_sync_time_{};
+  /// The current segment's rename is not yet durable: its directory
+  /// fsync failed and no later one has succeeded.
+  bool dir_sync_owed_ = false;
   LatencyHistogram* fsync_histogram_ = nullptr;
   JournalWriterStats stats_;
 };

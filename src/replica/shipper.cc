@@ -4,24 +4,9 @@
 
 #include "journal/format.h"
 #include "journal/journal_reader.h"
-#include "journal/wire.h"
 #include "util/fs.h"
 
 namespace topkmon {
-namespace {
-
-/// Whether the anchor frame of the segment open as `file` is whole. A
-/// rotation streams a large anchor behind a zeroed prologue and writes
-/// the prologue last, so while the body length still reads zero the
-/// writer is creating the segment and its bytes do not parse yet.
-Result<bool> AnchorLanded(const fs::File& file) {
-  char len[4] = {};
-  const auto got = file.ReadAt(kSegmentHeaderBytes, len, sizeof(len));
-  if (!got.ok()) return got.status();
-  return *got == sizeof(len) && (len[0] | len[1] | len[2] | len[3]) != 0;
-}
-
-}  // namespace
 
 Result<ShipChunk> JournalShipper::Read(std::uint64_t segment,
                                        std::uint64_t offset,
@@ -74,12 +59,6 @@ Result<ShipChunk> JournalShipper::Read(std::uint64_t segment,
     chunk.next_segment = segments->front().index;
     return chunk;
   }
-  if (!have_newer && offset < kSegmentHeaderBytes + wire::kFrameHeaderBytes) {
-    // Only the newest segment can still be in creation.
-    const auto landed = AnchorLanded(*file);
-    if (!landed.ok()) return landed.status();
-    if (!*landed) return chunk;  // nothing to serve yet
-  }
   const std::uint32_t want = std::min<std::uint32_t>(
       max_bytes, static_cast<std::uint32_t>(
                      std::min<std::uint64_t>(*size - offset, 1u << 30)));
@@ -90,22 +69,8 @@ Result<ShipChunk> JournalShipper::Read(std::uint64_t segment,
   if (!got.ok()) return got.status();
   chunk.data.resize(*got);
   // A higher-indexed segment seals this one: no append will ever land
-  // here again, so reaching `size` means the follower can move on; but
-  // not onto a successor whose anchor has not landed yet.
+  // here again, so reaching `size` means the follower can move on.
   if (have_newer && offset + chunk.data.size() == *size) {
-    if (next_after == segments->back().index) {
-      auto next = fs::Open(dir_ + "/" + SegmentFileName(next_after),
-                           fs::OpenMode::kReadOnly);
-      // Unlinked since the listing: its rotation failed, so this
-      // segment is still the newest.
-      if (!next.ok() && next.status().code() == StatusCode::kNotFound) {
-        return chunk;
-      }
-      if (!next.ok()) return next.status();
-      const auto landed = AnchorLanded(*next);
-      if (!landed.ok()) return landed.status();
-      if (!*landed) return chunk;
-    }
     chunk.sealed = true;
     chunk.next_segment = next_after;
   }

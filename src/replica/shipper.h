@@ -10,9 +10,9 @@
 // the metadata the follower needs to keep its cursor straight:
 //
 //   * sealed       — the requested segment is complete (a higher-indexed
-//                    segment exists, so no byte will ever be appended to
-//                    it again) and this chunk reaches its end; continue
-//                    at (next_segment, 0).
+//                    segment is listed, so no byte will ever be appended
+//                    to it again) and this chunk reaches its end;
+//                    continue at (next_segment, 0).
 //   * restart      — the requested segment no longer exists (the leader
 //                    rotated and garbage-collected past a slow follower,
 //                    or the journal was replaced). The follower must
@@ -23,12 +23,12 @@
 //
 // Reading races appends harmlessly: the size observed by fstat is a
 // consistent lower bound of an append-only file, and a chunk that ends
-// mid-frame simply completes in the next fetch. A rotation is not an
-// append: the writer streams a large anchor in chunks behind a zeroed
-// frame prologue and writes the prologue last, so the newest segment is
-// served, and seals its predecessor, only once that prologue has
-// landed. Nothing here blocks on or synchronizes with the writer — a
-// slow follower can never stall leader ingest.
+// mid-frame simply completes in the next fetch. A rotation races nothing:
+// the writer lists a segment only once its anchor is whole and durable
+// (it streams the anchor under a temp name and renames it), and removes
+// a listed one only when garbage collection supersedes it. Nothing here
+// blocks on or synchronizes with the writer — a slow follower can never
+// stall leader ingest.
 
 #ifndef TOPKMON_REPLICA_SHIPPER_H_
 #define TOPKMON_REPLICA_SHIPPER_H_

@@ -75,6 +75,14 @@ Status UnlinkOnError(const std::string& path, Status st) {
   return st;
 }
 
+Status Rename(const std::string& from, const std::string& to) {
+  if (const Hook* hook = InstalledHook()) {
+    TOPKMON_RETURN_IF_ERROR(
+        (*hook)(Event{Op::kRename, to, 0, 0, nullptr, &from}));
+  }
+  return Check(::rename(from.c_str(), to.c_str()), "rename", from);
+}
+
 }  // namespace
 
 void SetHookForTesting(Hook hook) {
@@ -209,12 +217,18 @@ Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes) {
   return bytes;
 }
 
-Status CommitCreate(const std::string& dir, File* file, Status written) {
+Status CommitCreate(const std::string& dir, const std::string& name,
+                    File* file, Status written) {
+  const std::string path = dir + "/" + name;
   Status st = std::move(written);
   if (st.ok()) st = file->DataSync();
-  if (st.ok()) st = SyncDir(dir);
-  if (!st.ok()) (void)file->Close();
-  return UnlinkOnError(file->path(), std::move(st));
+  if (st.ok()) st = Rename(file->path(), path);
+  if (!st.ok()) {
+    (void)file->Close();
+    return UnlinkOnError(file->path(), std::move(st));
+  }
+  file->path_ = path;
+  return SyncDir(dir);
 }
 
 Status ReplaceDurable(const std::string& dir, const std::string& name,
@@ -227,8 +241,7 @@ Status ReplaceDurable(const std::string& dir, const std::string& name,
   if (st.ok()) st = Allow(Op::kSync, tmp);
   if (st.ok()) st = Check(::fsync(file->fd_), "fsync", tmp);
   if (st.ok()) st = file->Close();
-  if (st.ok()) st = Allow(Op::kRename, path);
-  if (st.ok()) st = Check(::rename(tmp.c_str(), path.c_str()), "rename", tmp);
+  if (st.ok()) st = Rename(tmp, path);
   TOPKMON_RETURN_IF_ERROR(UnlinkOnError(tmp, std::move(st)));
   return SyncDir(dir);
 }

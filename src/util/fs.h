@@ -2,21 +2,23 @@
 // the replication shipper and follower and the fencing-epoch file make
 // every file-system call through it, so it owns every durability
 // decision. Segment bytes are made durable with fdatasync, the epoch
-// file with fsync. A created or renamed entry is durable only once its
-// directory is fsynced, which CommitCreate and ReplaceDurable do last,
-// and a durable create that fails part way unlinks what it made. Every
-// failure is a Status naming the call and the path: NotFound for ENOENT,
-// Internal otherwise.
+// file with fsync. Both are created under a temp name and renamed to
+// their own once synced, so the name never shows a half-made file; the
+// rename is durable only once the directory is fsynced, which
+// CommitCreate and ReplaceDurable do last. A durable create that fails
+// before its rename unlinks the temp file. Every failure is a Status
+// naming the call and the path: NotFound for ENOENT, Internal otherwise.
 //
 // Each operation below reports one Op to the test hook; MakeDirs reports
 // one kMkdir for the whole path, and ReadFile, CommitCreate and
 // ReplaceDurable report the Ops of their steps in order. Closing is not
 // an operation. SetHookForTesting installs one function that sees each
 // operation in call order (kind, path, byte count; for a write also its
-// file offset and bytes) before it is made and may return an error to
-// fail it instead. It runs on the calling thread, so it must be
-// thread-safe. Install it before the threads under test start and remove
-// it after they stop; unset, the POSIX calls run as is.
+// file offset and bytes; for a rename also its source) before it is made
+// and may return an error to fail it instead. It runs on the calling
+// thread, so it must be thread-safe. Install it before the threads under
+// test start and remove it after they stop; unset, the POSIX calls run as
+// is.
 
 #ifndef TOPKMON_UTIL_FS_H_
 #define TOPKMON_UTIL_FS_H_
@@ -56,6 +58,7 @@ struct Event {
   std::uint64_t bytes = 0;
   std::uint64_t offset = 0;    ///< kWrite, kWriteAt: where the bytes land
   const char* data = nullptr;  ///< kWrite, kWriteAt: the bytes
+  const std::string* from = nullptr;  ///< kRename: the source
 };
 
 /// Sees `event` before it is made. A non-OK return fails the operation
@@ -101,6 +104,8 @@ class File {
 
  private:
   friend Result<File> OpenFile(const std::string&, int, int);
+  friend Status CommitCreate(const std::string&, const std::string&, File*,
+                             Status);
   friend Status ReplaceDurable(const std::string&, const std::string&,
                                const std::string&);
 
@@ -121,12 +126,16 @@ Status SyncDir(const std::string& dir);
 /// Reads up to `max_bytes` from the start of `path`.
 Result<std::string> ReadFile(const std::string& path, std::size_t max_bytes);
 
-/// Ends the durable create of `file`, made in `dir` by Open with
-/// kCreateTruncate, whose writes returned `written`. When that is OK it
-/// fdatasyncs the file, then fsyncs `dir` so the new entry survives a
-/// crash; on any failure it closes and unlinks the file. Returns the
-/// first failure; on success the file stays open at its end.
-Status CommitCreate(const std::string& dir, File* file, Status written);
+/// Ends the durable create of `file`, made in `dir` under a temp name by
+/// Open with kCreateTruncate, whose writes returned `written`. When that
+/// is OK it fdatasyncs the file, renames it to `dir`/`name` and fsyncs
+/// `dir` so the new name survives a crash. The rename is the commit
+/// point: a failure before it closes the file and unlinks the temp name;
+/// from it on the file stays open under `name` (path() names it), even
+/// when the directory fsync fails, so is_open() tells the caller which
+/// side of the rename a failure fell on. Returns the first failure.
+Status CommitCreate(const std::string& dir, const std::string& name,
+                    File* file, Status written);
 
 /// Atomically and durably replaces `dir`/`name` with `bytes`: writes
 /// `name`.tmp (0644 & ~umask), fsyncs and closes it, renames it over

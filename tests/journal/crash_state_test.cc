@@ -1,31 +1,46 @@
-// Crash states of the journal writer's directory. A recording backend
-// (the fs test hook) logs every operation a scripted writer run makes on
-// its directory, each write with its bytes and file offset. The checker
-// then builds the states a machine crash could leave after each prefix
-// of that log, under the persistence model of ALICE (Pillai et al., "All
-// File Systems Are Not Created Equal", OSDI 2014):
-//   * a file's bytes up to its last fdatasync survive; each later write
-//     lands, is dropped, or is torn (only a prefix of it lands), with the
-//     file's other later writes landing, or with the ones after it lost
-//     (writes reaching the disk in order);
-//   * a create or unlink survives once its directory is fsynced; those
-//     after the last directory fsync land in any subset (every subset up
-//     to kExhaustiveDirOps of them, else all, none and each one flipped).
-// Each state is written to a temp directory and opened with
-// MonitorService::Open, which must:
+// Crash states of the journal writer's directory and of the fencing
+// epoch file. A recording backend (the fs test hook) logs every operation
+// a scripted run makes on its directory, each write with its bytes and
+// file offset and each rename with its source; a call the hook fails is
+// not made and not logged. The checker then builds the states a machine
+// crash could leave after each prefix of that log, under the persistence
+// model of ALICE (Pillai et al., "All File Systems Are Not Created
+// Equal", OSDI 2014):
+//   * a file's bytes up to its last fdatasync or fsync survive; each
+//     later write lands, is dropped, or is torn (only a prefix of it
+//     lands), with the file's other later writes landing, or with the
+//     ones after it lost (writes reaching the disk in order);
+//   * a create, rename or unlink survives once its directory is fsynced;
+//     those after the last directory fsync land in any subset (every
+//     subset up to kExhaustiveDirOps of them, else all, none and each one
+//     flipped), a rename atomically: the source goes and the target names
+//     the file, or neither.
+// Each state of the writer's directory is written to a temp directory
+// and opened with MonitorService::Open, which must:
 //   1. succeed, with any damage it cut off classified in its report;
 //   2. hold the state BruteForce reaches over some prefix of the
 //      script's steps (cycles, registers, unregisters): last cycle, id
 //      resume points, window size, live queries and every top-k;
 //   3. with every step whose sync barrier (group commit, Sync, rotation)
-//      returned before the crash inside that prefix;
+//      returned OK before the crash inside that prefix;
 //   4. recover from an anchored segment once the first anchor was made
-//      durable: one exists at every instant.
+//      durable: one exists at every instant;
+//   5. find that every segment ListSegments lists opens with an intact
+//      anchor: a listed segment is whole, never in creation;
+//   6. leave no temp file at the index its writer opened: a stale one
+//      from a crashed rotation is truncated and renamed, not cleaned up.
 //
 // The script anchors on a TMA engine's window walk, so rotations stream
-// their anchors in several 64 KiB chunks. Distinct states beyond a cap
-// are sampled with a fixed seed. TOPKMON_CRASH_STATES overrides the cap
-// and TOPKMON_CRASH_SEED the seed (a wider budget runs under ASan in CI).
+// their anchors in several 64 KiB chunks. Two of its rotations fail
+// through the hook: one at its fdatasync, before the rename, and one at
+// its directory fsync, after it. Distinct states beyond a cap are
+// sampled with a fixed seed. TOPKMON_CRASH_STATES overrides the cap and
+// TOPKMON_CRASH_SEED the seed (a wider budget runs under ASan in CI).
+//
+// The fencing epoch file (fs::ReplaceDurable: temp file, fsync, rename,
+// directory fsync) is checked in every state of a run of three epoch
+// writes: once the first write returned, EPOCH is never absent and never
+// older than the last write that returned.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +48,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -44,7 +60,9 @@
 #include "core/brute_force_engine.h"
 #include "core/tma_engine.h"
 #include "journal/format.h"
+#include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
+#include "replica/lease.h"
 #include "service/monitor_service.h"
 #include "stream/generators.h"
 #include "tests/journal/journal_test_util.h"
@@ -90,6 +108,7 @@ struct LoggedOp {
   std::string name;  ///< relative to the directory; "." for itself
   std::uint64_t offset = 0;
   std::string data;  ///< kWrite, kWriteAt
+  std::string from;  ///< kRename: the source, relative to the directory
 };
 
 /// What recovery must rebuild after the first s steps of the script.
@@ -119,13 +138,19 @@ struct RunLog {
   }
 };
 
-/// Logs each operation on `dir` and below while it lives. The script is
-/// single-threaded, so the log needs no lock.
+/// Logs each operation on `dir` and below while it lives, except those a
+/// FailWhen rule fails: those are not made, so they are not logged. The
+/// scripts are single-threaded, so the log needs no lock.
 class Recorder {
  public:
+  using FailRule = std::function<bool(const fs::Event& event)>;
+
   Recorder(std::string dir, std::vector<LoggedOp>* ops)
       : dir_(std::move(dir)), ops_(ops) {
     fs::SetHookForTesting([this](const fs::Event& event) {
+      if (fail_ && fail_(event)) {
+        return Status::Internal("injected failure");
+      }
       Log(event);
       return Status::Ok();
     });
@@ -135,27 +160,36 @@ class Recorder {
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
+  void FailWhen(FailRule rule) { fail_ = std::move(rule); }
+
  private:
   void Log(const fs::Event& event) {
     const std::string& path = event.path;
     const bool self = path == dir_;
     if (!self && path.compare(0, dir_.size() + 1, dir_ + "/") != 0) return;
     LoggedOp op{event.op, self ? "." : path.substr(dir_.size() + 1),
-                event.offset, std::string()};
+                event.offset, std::string(), std::string()};
     if (event.data != nullptr) op.data.assign(event.data, event.bytes);
+    if (event.from != nullptr) op.from = event.from->substr(dir_.size() + 1);
     ops_->push_back(std::move(op));
   }
 
   const std::string dir_;
   std::vector<LoggedOp>* ops_;
+  FailRule fail_;
 };
+
+bool IsTemp(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".tmp") == 0;
+}
 
 /// The scripted writer run at `retain`: registers, cycles under group
 /// commit (a sync every 3 cycles), an explicit Sync, an unregister and
-/// two rotations once the window is full, ending on an unsynced tail.
-/// The writer journals each step before the engines apply it, as the
-/// service does; BruteForce records what each step count must recover
-/// to.
+/// two rotations once the window is full; then a rotation whose
+/// directory fsync fails and one whose fdatasync fails, each followed by
+/// cycles and a Sync; ending on an unsynced tail. The writer journals
+/// each step before the engines apply it, as the service does;
+/// BruteForce records what each step count must recover to.
 RunLog RecordRun(const std::string& dir, std::uint64_t retain) {
   RunLog log;
   JournalOptions options;
@@ -195,22 +229,26 @@ RunLog RecordRun(const std::string& dir, std::uint64_t retain) {
     if (!log.expected.empty()) log.step_ends.push_back(log.ops.size());
     log.expected.push_back(std::move(e));
   };
-  /// Runs `step`; a sync it issued makes every step so far durable.
+  /// Runs `step`, which returns the writer's verdict; a sync it issued
+  /// makes every step so far durable, but only if it returned OK.
   const auto run = [&](const auto& step) {
     const std::uint64_t syncs = writer.stats().sync_calls;
-    step();
-    if (writer.stats().sync_calls != syncs) {
+    const Status st = step();
+    if (st.ok() && writer.stats().sync_calls != syncs) {
       log.barriers.emplace_back(log.ops.size(), log.expected.size() - 1);
     }
+    return st;
   };
   const auto cycle = [&] {
     run([&] {
       ++now;
       const std::vector<Record> batch = records.NextBatch(kBatch, now);
-      TOPKMON_EXPECT_OK(writer.AppendCycle(now, batch));
+      const Status st = writer.AppendCycle(now, batch);
+      TOPKMON_EXPECT_OK(st);
       TOPKMON_EXPECT_OK(truth.ProcessCycle(now, batch));
       TOPKMON_EXPECT_OK(source.ProcessCycle(now, batch));
       expect();
+      return st;
     });
   };
   const auto add_query = [&](std::size_t i) {
@@ -218,16 +256,19 @@ RunLog RecordRun(const std::string& dir, std::uint64_t retain) {
       QuerySpec spec = specs[i];
       spec.id = static_cast<QueryId>(next_query_id++);
       const JournaledQuery query{spec, "crash"};
-      TOPKMON_EXPECT_OK(writer.AppendRegister(query));
+      const Status st = writer.AppendRegister(query);
+      TOPKMON_EXPECT_OK(st);
       TOPKMON_EXPECT_OK(truth.RegisterQuery(spec));
       TOPKMON_EXPECT_OK(source.RegisterQuery(spec));
       live.push_back(query);
       expect();
+      return st;
     });
   };
   const auto drop_query = [&](QueryId id) {
     run([&] {
-      TOPKMON_EXPECT_OK(writer.AppendUnregister(id));
+      const Status st = writer.AppendUnregister(id);
+      TOPKMON_EXPECT_OK(st);
       TOPKMON_EXPECT_OK(truth.UnregisterQuery(id));
       TOPKMON_EXPECT_OK(source.UnregisterQuery(id));
       live.erase(std::find_if(live.begin(), live.end(),
@@ -235,29 +276,62 @@ RunLog RecordRun(const std::string& dir, std::uint64_t retain) {
                                 return q.spec.id == id;
                               }));
       expect();
+      return st;
     });
   };
+  const auto sync = [&] {
+    TOPKMON_EXPECT_OK(run([&] { return writer.Sync(); }));
+  };
   const auto rotate = [&] {
-    run([&] {
-      TOPKMON_EXPECT_OK(writer.RotateWithSnapshot(
-          SnapshotAnchor{source, records.next_id(), next_query_id, live}));
+    return run([&] {
+      return writer.RotateWithSnapshot(
+          SnapshotAnchor{source, records.next_id(), next_query_id, live});
     });
+  };
+  /// A rotation whose first call of kind `failing` on the directory or
+  /// below fails through the hook.
+  const auto rotate_failing = [&](fs::Op failing) {
+    bool failed = false;
+    recorder.FailWhen([&](const fs::Event& event) {
+      if (failed || event.op != failing) return false;
+      failed = true;
+      return true;
+    });
+    const Status st = rotate();
+    recorder.FailWhen(nullptr);
+    EXPECT_TRUE(failed);
+    EXPECT_FALSE(st.ok());
   };
 
   expect();  // step 0: the empty anchor
   add_query(0);
   add_query(1);
   for (std::size_t i = 0; i < kWindow / kBatch; ++i) cycle();
-  rotate();
+  TOPKMON_EXPECT_OK(rotate());
   cycle();
   cycle();
   drop_query(1);
   add_query(2);
   cycle();
-  run([&] { TOPKMON_EXPECT_OK(writer.Sync()); });
+  sync();
   cycle();
-  rotate();
+  TOPKMON_EXPECT_OK(rotate());
   cycle();
+  cycle();
+  // Fails after the rename: the writer moves on and owes the fsync.
+  const std::uint64_t index = writer.current_segment_index();
+  rotate_failing(fs::Op::kSyncDir);
+  EXPECT_EQ(writer.current_segment_index(), index + 1);
+  cycle();
+  cycle();
+  sync();
+  // Fails before the rename: the writer stays on its segment.
+  const std::uint64_t kept = writer.current_segment_index();
+  rotate_failing(fs::Op::kDataSync);
+  EXPECT_EQ(writer.current_segment_index(), kept);
+  cycle();
+  cycle();
+  sync();
   cycle();
   return log;  // the writer's destructor syncs, but the log ends here
 }
@@ -266,9 +340,10 @@ RunLog RecordRun(const std::string& dir, std::uint64_t retain) {
 
 /// How one not-yet-synced write lands in a crash state.
 struct Perturbation {
-  std::string file;
-  std::size_t write = 0;  ///< index among the file's unsynced writes
-  std::size_t keep = 0;   ///< bytes of it that land (0: dropped)
+  int inode = 0;           ///< the file written
+  std::string file;        ///< the name it was created under
+  std::size_t write = 0;   ///< index among the file's unsynced writes
+  std::size_t keep = 0;    ///< bytes of it that land (0: dropped)
   bool lose_rest = false;  ///< the file's later unsynced writes are lost
 };
 
@@ -288,7 +363,9 @@ struct CrashState {
     os << "crash after op " << instant;
     if (instant > 0) {
       const LoggedOp& last = ops[instant - 1];
-      os << " (" << FsOpName(last.op) << " " << last.name << ")";
+      os << " (" << FsOpName(last.op) << " "
+         << (last.from.empty() ? "" : last.from + " -> ") << last.name
+         << ")";
     }
     os << ", directory ops landed:";
     for (const bool applied : dir_applied) os << (applied ? " y" : " n");
@@ -305,9 +382,11 @@ struct CrashState {
 };
 
 /// Replays a log op by op and holds what a crash at the current instant
-/// may leave: per file, the bytes its last fdatasync made durable and the
-/// writes since; per directory, the entries its last fsync made durable
-/// and the creates and unlinks since.
+/// may leave: per file, the bytes its last fdatasync or fsync made
+/// durable and the writes since; per directory, the names its last fsync
+/// made durable and the creates, renames and unlinks since. A name maps
+/// to a file (an inode), so a rename carries the file's bytes to its
+/// new name.
 class DiskModel {
  public:
   explicit DiskModel(const std::vector<LoggedOp>& ops) : ops_(ops) {}
@@ -316,41 +395,54 @@ class DiskModel {
   void Step() {
     const LoggedOp& op = ops_[instant_++];
     switch (op.op) {
-      case fs::Op::kOpen:
-        // The writer only ever opens a new segment (kCreateTruncate).
+      case fs::Op::kOpen: {
+        // Every open in the scripts creates a file (kCreateTruncate)
+        // under a name not in use.
         EXPECT_EQ(live_.count(op.name), 0u) << "reopen of " << op.name;
-        EXPECT_EQ(files_.count(op.name), 0u) << "recreate of " << op.name;
-        live_.insert(op.name);
-        files_[op.name];
-        pending_dir_.push_back(&op);
+        const int inode = next_inode_++;
+        inodes_[inode].label = op.name;
+        live_[op.name] = inode;
+        pending_dir_.push_back(DirOp{op.op, op.name, "", inode});
         break;
+      }
+      case fs::Op::kRename: {
+        const int inode = live_.at(op.from);
+        live_.erase(op.from);
+        live_[op.name] = inode;
+        pending_dir_.push_back(DirOp{op.op, op.name, op.from, inode});
+        break;
+      }
       case fs::Op::kUnlink:
         live_.erase(op.name);
-        pending_dir_.push_back(&op);
+        pending_dir_.push_back(DirOp{op.op, op.name, "", -1});
         break;
       case fs::Op::kWrite:
       case fs::Op::kWriteAt:
-        files_[op.name].pending.push_back(&op);
+        inodes_.at(live_.at(op.name)).pending.push_back(&op);
         break;
-      case fs::Op::kDataSync: {
-        File& file = files_[op.name];
+      case fs::Op::kDataSync:
+      case fs::Op::kSync: {
+        File& file = inodes_.at(live_.at(op.name));
         for (const LoggedOp* w : file.pending) Overlay(*w, &file.durable);
         file.synced_through = instant_;
         file.pending.clear();
         break;
       }
-      case fs::Op::kSyncDir:
-        for (const LoggedOp* d : pending_dir_) {
-          if (d->op == fs::Op::kOpen) {
-            durable_names_.insert(d->name);
-          } else {
-            durable_names_.erase(d->name);
-            files_.erase(d->name);
-          }
-        }
+      case fs::Op::kSyncDir: {
+        for (const DirOp& d : pending_dir_) Apply(d, &durable_);
         pending_dir_.clear();
-        if (!anchored_) anchored_ = !durable_names_.empty();
+        // No state can hold a file that no durable name reaches.
+        std::set<int> named;
+        for (const auto& [name, inode] : durable_) named.insert(inode);
+        for (auto it = inodes_.begin(); it != inodes_.end();) {
+          it = named.count(it->first) != 0 ? std::next(it) : inodes_.erase(it);
+        }
+        for (const auto& [name, inode] : durable_) {
+          std::uint64_t index = 0;
+          anchored_ = anchored_ || ParseSegmentFileName(name, &index);
+        }
         break;
+      }
       case fs::Op::kList:
       case fs::Op::kMkdir:
       case fs::Op::kRead:
@@ -388,17 +480,17 @@ class DiskModel {
     for (std::vector<bool>& applied : subsets) {
       out.push_back(MakeState(std::move(applied), nullptr));
     }
-    for (const auto& [name, file] : files_) {
+    for (const auto& [inode, file] : inodes_) {
       for (std::size_t i = 0; i < file.pending.size(); ++i) {
         const std::size_t len = file.pending[i]->data.size();
         for (const std::size_t keep : {std::size_t{0}, std::size_t{1},
                                        len / 2, len - 1}) {
           if (keep >= len) continue;
-          const Perturbation alone{name, i, keep, false};
+          const Perturbation alone{inode, file.label, i, keep, false};
           out.push_back(MakeState(all, &alone));
           // The in-order model: the writes land up to this one.
           if ((keep == 0 || keep == len / 2) && i + 1 < file.pending.size()) {
-            const Perturbation prefix{name, i, keep, true};
+            const Perturbation prefix{inode, file.label, i, keep, true};
             out.push_back(MakeState(all, &prefix));
           }
         }
@@ -411,12 +503,12 @@ class DiskModel {
   std::map<std::string, std::string> Materialize(
       const CrashState& state) const {
     std::map<std::string, std::string> out;
-    for (const std::string& name : Names(state)) {
-      const File& file = files_.at(name);
+    for (const auto& [name, inode] : Names(state)) {
+      const File& file = inodes_.at(inode);
       std::string bytes = file.durable;
       for (std::size_t i = 0; i < file.pending.size(); ++i) {
         const LoggedOp& write = *file.pending[i];
-        const std::size_t lands = Lands(state, name, i);
+        const std::size_t lands = Lands(state, inode, i);
         if (lands == write.data.size()) {
           Overlay(write, &bytes);
         } else if (lands > 0) {
@@ -432,31 +524,46 @@ class DiskModel {
 
  private:
   struct File {
-    std::string durable;  ///< bytes as of the last fdatasync
-    std::size_t synced_through = 0;  ///< instant of that fdatasync
+    std::string label;    ///< the name it was created under
+    std::string durable;  ///< bytes as of the last fdatasync or fsync
+    std::size_t synced_through = 0;  ///< instant of that sync
     std::vector<const LoggedOp*> pending;  ///< writes since
   };
 
-  /// Bytes of unsynced write `i` of file `name` that land in `state`.
-  std::size_t Lands(const CrashState& state, const std::string& name,
-                    std::size_t i) const {
-    const std::size_t len = files_.at(name).pending[i]->data.size();
+  /// A create, rename or unlink not yet made durable.
+  struct DirOp {
+    fs::Op op;
+    std::string name;  ///< kRename: the target
+    std::string from;  ///< kRename: the source
+    int inode = -1;    ///< kOpen, kRename: the file `name` then names
+  };
+
+  /// A directory as name → inode.
+  using Directory = std::map<std::string, int>;
+
+  static void Apply(const DirOp& d, Directory* names) {
+    if (d.op == fs::Op::kUnlink) {
+      names->erase(d.name);
+      return;
+    }
+    if (d.op == fs::Op::kRename) names->erase(d.from);
+    (*names)[d.name] = d.inode;
+  }
+
+  /// Bytes of unsynced write `i` of file `inode` that land in `state`.
+  std::size_t Lands(const CrashState& state, int inode, std::size_t i) const {
+    const std::size_t len = inodes_.at(inode).pending[i]->data.size();
     const Perturbation& p = state.perturbation;
-    if (!state.perturbed || p.file != name || i < p.write) return len;
+    if (!state.perturbed || p.inode != inode || i < p.write) return len;
     if (i == p.write) return p.keep;
     return p.lose_rest ? 0 : len;
   }
 
-  /// The file names `state` leaves in the directory.
-  std::set<std::string> Names(const CrashState& state) const {
-    std::set<std::string> names = durable_names_;
+  /// The names `state` leaves in the directory.
+  Directory Names(const CrashState& state) const {
+    Directory names = durable_;
     for (std::size_t i = 0; i < pending_dir_.size(); ++i) {
-      if (!state.dir_applied[i]) continue;
-      if (pending_dir_[i]->op == fs::Op::kOpen) {
-        names.insert(pending_dir_[i]->name);
-      } else {
-        names.erase(pending_dir_[i]->name);
-      }
+      if (state.dir_applied[i]) Apply(pending_dir_[i], &names);
     }
     return names;
   }
@@ -468,8 +575,9 @@ class DiskModel {
   }
 
   /// A state of this instant; its key names the bytes it leaves
-  /// symbolically (which writes land, how much of each), so states that
-  /// leave the same bytes the same way share a key.
+  /// symbolically (which file each name holds, which writes land, how
+  /// much of each), so states that leave the same bytes the same way
+  /// share a key.
   CrashState MakeState(std::vector<bool> applied,
                        const Perturbation* perturbation) const {
     CrashState state;
@@ -481,11 +589,11 @@ class DiskModel {
     }
     state.anchored = anchored_;
     std::ostringstream key;
-    for (const std::string& name : Names(state)) {
-      const File& file = files_.at(name);
-      key << name << '@' << file.synced_through;
+    for (const auto& [name, inode] : Names(state)) {
+      const File& file = inodes_.at(inode);
+      key << name << '=' << inode << '@' << file.synced_through;
       for (std::size_t i = 0; i < file.pending.size(); ++i) {
-        const std::size_t lands = Lands(state, name, i);
+        const std::size_t lands = Lands(state, inode, i);
         if (lands == 0) continue;
         key << ' ' << (file.pending[i] - ops_.data());
         if (lands < file.pending[i]->data.size()) key << ':' << lands;
@@ -498,10 +606,11 @@ class DiskModel {
 
   const std::vector<LoggedOp>& ops_;
   std::size_t instant_ = 0;
-  std::map<std::string, File> files_;     ///< every file a crash may keep
-  std::set<std::string> live_;            ///< the namespace as the run sees it
-  std::set<std::string> durable_names_;   ///< entries as of the last fsync
-  std::vector<const LoggedOp*> pending_dir_;  ///< creates and unlinks since
+  int next_inode_ = 0;
+  std::map<int, File> inodes_;      ///< every file a crash may keep
+  Directory live_;                     ///< the namespace as the run sees it
+  Directory durable_;                  ///< names as of the last fsync
+  std::vector<DirOp> pending_dir_;  ///< creates, renames, unlinks since
   bool anchored_ = false;
 };
 
@@ -513,11 +622,31 @@ struct CheckTally {
   std::size_t anchors_skipped = 0;  ///< a newer segment's anchor not intact
   std::size_t tails_cut = 0;        ///< torn tail or corrupt record
   std::size_t lost_unsynced = 0;    ///< fewer steps than were run by then
+  std::size_t stale_temps = 0;      ///< a temp file survived the crash
   std::size_t failures = 0;
 };
 
+/// Writes `files` into `dir`.
+void WriteFiles(const std::string& dir,
+                const std::map<std::string, std::string>& files) {
+  for (const auto& [name, bytes] : files) {
+    auto file = fs::Open(dir + "/" + name, fs::OpenMode::kCreateTruncate);
+    ASSERT_TRUE(file.ok()) << file.status();
+    TOPKMON_ASSERT_OK(file->Write(bytes));
+  }
+}
+
+/// Whether the segment at `path` opens with an intact anchor.
+bool OpensWithAnAnchor(const std::string& path) {
+  auto reader = CycleJournalReader::Open(path);
+  if (!reader.ok()) return false;
+  const CycleJournalReader::Outcome first = (*reader)->Next();
+  return first.kind == CycleJournalReader::Kind::kRecord &&
+         first.record.type == JournalRecordType::kSnapshot;
+}
+
 /// Opens `files` as a journal directory with MonitorService::Open and
-/// checks the four properties against `log`.
+/// checks the six properties against `log`.
 void CheckState(const RunLog& log, const CrashState& state,
                 const std::map<std::string, std::string>& files,
                 CheckTally* tally) {
@@ -525,11 +654,19 @@ void CheckState(const RunLog& log, const CrashState& state,
   const std::string what = state.Describe(log.ops);
   std::vector<std::string> broken;
   ScopedTempDir dir;
-  for (const auto& [name, bytes] : files) {
-    auto file = fs::Open(dir.path() + "/" + name,
-                         fs::OpenMode::kCreateTruncate);
-    ASSERT_TRUE(file.ok()) << file.status();
-    TOPKMON_ASSERT_OK(file->Write(bytes));
+  WriteFiles(dir.path(), files);
+  if (::testing::Test::HasFatalFailure()) return;
+  auto listed = ListSegments(dir.path());
+  ASSERT_TRUE(listed.ok()) << listed.status();
+  for (const SegmentInfo& segment : *listed) {
+    if (!OpensWithAnAnchor(segment.path)) {
+      broken.push_back("5. listed " + SegmentFileName(segment.index) +
+                       " does not open with an intact anchor");
+    }
+  }
+  if (std::any_of(files.begin(), files.end(),
+                  [](const auto& file) { return IsTemp(file.first); })) {
+    ++tally->stale_temps;
   }
   ServiceOptions options;
   options.journal.dir = dir.path();
@@ -576,6 +713,16 @@ void CheckState(const RunLog& log, const CrashState& state,
       if (same) {
         steps = s;
         break;
+      }
+    }
+    listed = ListSegments(dir.path());
+    ASSERT_TRUE(listed.ok()) << listed.status();
+    if (!listed->empty()) {
+      const std::string temp = listed->back().path + ".tmp";
+      for (const std::string& name : dir.Files()) {
+        if (dir.path() + "/" + name == temp) {
+          broken.push_back("6. " + name + " remains at the writer's index");
+        }
       }
     }
     if (steps == log.expected.size()) {
@@ -641,7 +788,7 @@ TEST_P(JournalCrashStateTest, EveryCrashStateRecoversADurablePrefix) {
       ++streamed;
     }
   }
-  EXPECT_EQ(streamed, 2u) << "both rotations stream their anchor";
+  EXPECT_EQ(streamed, 4u) << "all four rotations stream their anchor";
 
   // Enumerate, deduplicate, sample.
   std::vector<CrashState> states;
@@ -691,11 +838,11 @@ TEST_P(JournalCrashStateTest, EveryCrashStateRecoversADurablePrefix) {
   std::printf(
       "[ retain %llu ] ops=%zu states: enumerated=%zu distinct=%zu "
       "checked=%zu (seed %llu) | fresh=%zu anchor-skipped=%zu tail-cut=%zu "
-      "lost-unsynced=%zu failed=%zu\n",
+      "lost-unsynced=%zu stale-temp=%zu failed=%zu\n",
       static_cast<unsigned long long>(retain), log.ops.size(), enumerated,
       distinct, tally.states, static_cast<unsigned long long>(seed),
       tally.not_recovered, tally.anchors_skipped, tally.tails_cut,
-      tally.lost_unsynced, tally.failures);
+      tally.lost_unsynced, tally.stale_temps, tally.failures);
   EXPECT_EQ(tally.failures, 0u);
 }
 
@@ -704,6 +851,68 @@ INSTANTIATE_TEST_SUITE_P(Retain, JournalCrashStateTest,
                          [](const ::testing::TestParamInfo<std::uint64_t>& p) {
                            return "Retain" + std::to_string(p.param);
                          });
+
+// ---- the fencing epoch ---------------------------------------------------
+
+TEST(EpochCrashStateTest, EpochIsNeverAbsentNorOlderOnceWritten) {
+  const std::vector<std::uint64_t> epochs = {3, 7, 12};
+  ScopedTempDir run_dir;
+  std::vector<LoggedOp> ops;
+  /// (ops logged when a write returned, the epoch it wrote), in order.
+  std::vector<std::pair<std::size_t, std::uint64_t>> returned;
+  {
+    Recorder recorder(run_dir.path(), &ops);
+    for (const std::uint64_t epoch : epochs) {
+      TOPKMON_ASSERT_OK(WriteFencingEpoch(run_dir.path(), epoch));
+      returned.emplace_back(ops.size(), epoch);
+    }
+  }
+
+  DiskModel model(ops);
+  std::set<std::string> seen;
+  std::size_t checked = 0;
+  std::size_t failures = 0;
+  std::size_t next = 0;
+  bool written = false;
+  std::uint64_t floor = 0;  ///< the last epoch whose write returned
+  while (true) {
+    while (next < returned.size() && returned[next].first <= model.instant()) {
+      written = true;
+      floor = returned[next++].second;
+    }
+    for (const CrashState& state : model.States()) {
+      if (!seen.insert(state.key + "|" + std::to_string(floor)).second) {
+        continue;
+      }
+      ++checked;
+      const auto files = model.Materialize(state);
+      ScopedTempDir dir;
+      WriteFiles(dir.path(), files);
+      const auto epoch = ReadFencingEpoch(dir.path());
+      std::string broken;
+      if (!epoch.ok()) {
+        broken = "unreadable: " + epoch.status().ToString();
+      } else if (written && files.count("EPOCH") == 0) {
+        broken = "EPOCH is absent";
+      } else if (*epoch < floor) {
+        broken = "EPOCH went back to " + std::to_string(*epoch) + " from " +
+                 std::to_string(floor);
+      } else if (*epoch != 0 &&
+                 std::find(epochs.begin(), epochs.end(), *epoch) ==
+                     epochs.end()) {
+        broken = "EPOCH holds " + std::to_string(*epoch) + ", never written";
+      }
+      if (!broken.empty() && ++failures <= 5) {
+        ADD_FAILURE() << state.Describe(ops) << ": " << broken;
+      }
+    }
+    if (model.instant() == ops.size()) break;
+    model.Step();
+  }
+  std::printf("[ epoch ] ops=%zu states checked=%zu failed=%zu\n", ops.size(),
+              checked, failures);
+  EXPECT_EQ(failures, 0u);
+}
 
 }  // namespace
 }  // namespace topkmon

@@ -30,6 +30,7 @@ namespace topkmon {
 namespace {
 
 using ::topkmon::testing::FsTranscript;
+using ::topkmon::testing::ImageAnchor;
 using ::topkmon::testing::MakeRandomQueries;
 using ::topkmon::testing::ScopedTempDir;
 
@@ -45,6 +46,12 @@ const std::set<fs::Op> kMutations = {
 using Transcript = std::vector<std::string>;
 
 std::string Seg(std::uint64_t index) { return SegmentFileName(index); }
+/// The name a segment is created under, until its rename.
+std::string Tmp(std::uint64_t index) { return Seg(index) + ".tmp"; }
+/// The rename that lists segment `index`.
+std::string Listed(std::uint64_t index) {
+  return "rename " + Tmp(index) + " -> " + Seg(index);
+}
 
 std::vector<Record> OneRecord(Timestamp ts) {
   std::vector<Record> batch;
@@ -66,28 +73,34 @@ TEST(DurabilityOrderTest, WriterRotationSyncsNewSegmentThenDeletesOld) {
     options.dir = dir.path();
     options.retain_segment_count = retain;
     FsTranscript transcript(dir.path(), kMutations);
-    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor());
     ASSERT_TRUE(writer.ok()) << writer.status();
     // GarbageCollect lists the directory once a segment could be old
     // enough to delete.
-    Transcript want = {"mkdir .", "list .", "open " + Seg(0),
-                       "write " + Seg(0), "datasync " + Seg(0), "syncdir ."};
+    Transcript want = {"mkdir .",          "list .",
+                       "open " + Tmp(0),   "write " + Tmp(0),
+                       "datasync " + Tmp(0), Listed(0),
+                       "syncdir ."};
     if (retain == 1) want.push_back("list .");
     EXPECT_EQ(transcript.entries(), want) << "retain " << retain;
 
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
-    TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(AnchorAt(1)));
+    TOPKMON_ASSERT_OK(
+        (*writer)->RotateWithSnapshot(ImageAnchor(AnchorAt(1))));
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(2, OneRecord(2)));
     transcript.Clear();
-    TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(AnchorAt(2)));
-    // The new segment and its directory entry are durable before any
-    // superseded segment is deleted.
-    want = {"open " + Seg(2), "write " + Seg(2), "datasync " + Seg(2),
-            "syncdir .", "list .", "unlink " + Seg(retain == 1 ? 1 : 0)};
+    TOPKMON_ASSERT_OK(
+        (*writer)->RotateWithSnapshot(ImageAnchor(AnchorAt(2))));
+    // The new segment is synced under its temp name, renamed, and its
+    // directory entry made durable before any superseded segment is
+    // deleted.
+    want = {"open " + Tmp(2), "write " + Tmp(2), "datasync " + Tmp(2),
+            Listed(2),        "syncdir .",       "list .",
+            "unlink " + Seg(retain == 1 ? 1 : 0)};
     EXPECT_EQ(transcript.entries(), want) << "retain " << retain;
     const auto anchored = ListSegments(dir.path());
     ASSERT_TRUE(anchored.ok());
-    EXPECT_EQ(transcript.BytesWritten(Seg(2)),
+    EXPECT_EQ(transcript.BytesWritten(Tmp(2)),
               std::filesystem::file_size(anchored->back().path))
         << "the anchor goes to disk in one write";
     TOPKMON_ASSERT_OK((*writer)->Close());
@@ -130,32 +143,34 @@ TEST(DurabilityOrderTest, MultiChunkRotationWritesThePrologueLastThenSyncs) {
   // A chunk that fails to write takes the half-made segment with it.
   transcript.FailWhen([](const std::vector<std::string>& so_far,
                          const std::string& entry) {
-    return entry == "write " + Seg(1) &&
+    return entry == "write " + Tmp(1) &&
            std::count(so_far.begin(), so_far.end(), entry) == 2;
   });
   EXPECT_FALSE((*writer)->RotateWithSnapshot(anchor).ok());
-  EXPECT_EQ(transcript.entries().back(), "unlink " + Seg(1));
+  EXPECT_EQ(transcript.entries().back(), "unlink " + Tmp(1));
   EXPECT_EQ(dir.Files(), std::vector<std::string>{Seg(0)});
   EXPECT_EQ((*writer)->current_segment_index(), 0u);
   transcript.FailWhen(nullptr);
   transcript.Clear();
 
   TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(anchor));
-  const std::vector<std::uint64_t> writes = transcript.WriteSizes(Seg(1));
+  const std::vector<std::uint64_t> writes = transcript.WriteSizes(Tmp(1));
   ASSERT_GE(writes.size(), 4u) << "the anchor spans at least 4 chunks";
-  Transcript want = {"open " + Seg(1)};
+  Transcript want = {"open " + Tmp(1)};
   for (std::size_t i = 0; i < writes.size(); ++i) {
-    want.push_back("write " + Seg(1));
+    want.push_back("write " + Tmp(1));
     EXPECT_LE(writes[i], kChunk + kRecordMax) << "write " << i;
     if (i + 1 < writes.size()) {
       EXPECT_GE(writes[i], kChunk) << "write " << i;
     }
   }
-  want.insert(want.end(), {"pwrite " + Seg(1), "datasync " + Seg(1),
-                           "syncdir .", "list .", "unlink " + Seg(0)});
+  want.insert(want.end(), {"pwrite " + Tmp(1), "datasync " + Tmp(1),
+                           Listed(1), "syncdir .", "list .",
+                           "unlink " + Seg(0)});
   EXPECT_EQ(transcript.entries(), want);
   const std::string path = dir.path() + "/" + Seg(1);
-  EXPECT_EQ(transcript.BytesWritten(Seg(1)),
+  EXPECT_EQ((*writer)->current_segment_path(), path);
+  EXPECT_EQ(transcript.BytesWritten(Tmp(1)),
             std::filesystem::file_size(path));
 
   // The segment holds the bytes of the anchor encoded whole.
@@ -182,7 +197,7 @@ TEST(DurabilityOrderTest, WriterCloseSyncsTheCurrentSegment) {
   ScopedTempDir dir;
   JournalOptions options;
   options.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
   FsTranscript transcript(dir.path(), kMutations);
   TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
@@ -193,46 +208,94 @@ TEST(DurabilityOrderTest, WriterCloseSyncsTheCurrentSegment) {
 }
 
 TEST(DurabilityOrderTest, FailedRotationKeepsAppendingToThePreviousSegment) {
+  // The rename is the rotation's commit point. A failed fdatasync comes
+  // before it: the temp file goes and the writer stays on segment 0. A
+  // failed directory fsync comes after it: segment 1 is listed, so the
+  // writer moves onto it, owes the fsync to the next Sync, and keeps
+  // segment 0 until that is paid.
   for (const fs::Op failing : {fs::Op::kDataSync, fs::Op::kSyncDir}) {
+    const bool renamed = failing == fs::Op::kSyncDir;
     ScopedTempDir dir;
     JournalOptions options;
     options.dir = dir.path();
-    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor());
     ASSERT_TRUE(writer.ok()) << writer.status();
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, OneRecord(1)));
 
     FsTranscript transcript(dir.path(), kMutations);
-    const std::string fail =
-        failing == fs::Op::kDataSync ? "datasync " + Seg(1) : "syncdir .";
+    const std::string fail = renamed ? "syncdir ." : "datasync " + Tmp(1);
     transcript.FailWhen([fail](const std::vector<std::string>&,
                                const std::string& entry) {
       return entry == fail;
     });
-    const Status rotated = (*writer)->RotateWithSnapshot(AnchorAt(1));
+    JournalSnapshot image = AnchorAt(1);
+    image.window = OneRecord(1);
+    const Status rotated =
+        (*writer)->RotateWithSnapshot(ImageAnchor(std::move(image)));
     EXPECT_FALSE(rotated.ok());
     EXPECT_NE(rotated.message().find("injected failure"), std::string::npos)
         << rotated;
-    EXPECT_EQ((*writer)->current_segment_index(), 0u);
-    // The half-made segment is gone and nothing old was deleted.
-    EXPECT_EQ(transcript.entries().back(), "unlink " + Seg(1));
+    EXPECT_EQ((*writer)->current_segment_index(), renamed ? 1u : 0u);
+    // Nothing old was deleted; the half-made segment is gone, or the
+    // renamed one stays.
+    EXPECT_EQ(transcript.entries().back(),
+              renamed ? "syncdir . [failed]" : "unlink " + Tmp(1));
     auto segments = ListSegments(dir.path());
     ASSERT_TRUE(segments.ok());
-    ASSERT_EQ(segments->size(), 1u);
+    ASSERT_EQ(segments->size(), renamed ? 2u : 1u);
     EXPECT_EQ(segments->front().index, 0u);
 
     transcript.FailWhen(nullptr);
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(2, OneRecord(2)));
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(3, OneRecord(3)));
+    transcript.Clear();
+    TOPKMON_ASSERT_OK((*writer)->Sync());
+    const Transcript paid = {"syncdir .", "list .", "unlink " + Seg(0),
+                             "datasync " + Seg(1)};
+    const Transcript synced = {"datasync " + Seg(0)};
+    EXPECT_EQ(transcript.entries(), renamed ? paid : synced);
     TOPKMON_ASSERT_OK((*writer)->Close());
 
     BruteForceEngine engine(kDim, WindowSpec::Count(100));
     const auto report = RecoveryDriver::Replay(dir.path(), engine);
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_TRUE(report->recovered);
-    EXPECT_EQ(report->cycles_replayed, 3u);
+    EXPECT_EQ(report->cycles_replayed, renamed ? 2u : 3u);
     EXPECT_EQ(report->last_cycle_ts, 3);
     EXPECT_EQ(engine.WindowSize(), 3u);
   }
+}
+
+TEST(DurabilityOrderTest, OwedDirectoryFsyncIsPaidBeforeTheOldSegmentGoes) {
+  // A Sync whose payment of the owed fsync fails again reports it and
+  // deletes nothing; the next Sync pays, then deletes segment 0, then
+  // fdatasyncs. With nothing owed and nothing appended, Sync does nothing.
+  ScopedTempDir dir;
+  JournalOptions options;
+  options.dir = dir.path();
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  FsTranscript transcript(dir.path(), kMutations);
+  transcript.FailWhen([](const std::vector<std::string>&,
+                         const std::string& entry) {
+    return entry == "syncdir .";
+  });
+  EXPECT_FALSE((*writer)->RotateWithSnapshot(ImageAnchor()).ok());
+  EXPECT_FALSE((*writer)->Sync().ok()) << "only the fsync is owed";
+  EXPECT_EQ(transcript.entries().back(), "syncdir . [failed]");
+  std::vector<std::string> files = dir.Files();
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{Seg(0), Seg(1)}));
+
+  transcript.FailWhen(nullptr);
+  transcript.Clear();
+  TOPKMON_ASSERT_OK((*writer)->Sync());
+  TOPKMON_ASSERT_OK((*writer)->Sync());
+  EXPECT_EQ(transcript.entries(),
+            (Transcript{"syncdir .", "list .", "unlink " + Seg(0),
+                        "datasync " + Seg(1)}));
+  EXPECT_EQ(dir.Files(), std::vector<std::string>{Seg(1)});
+  TOPKMON_ASSERT_OK((*writer)->Close());
 }
 
 TEST(DurabilityOrderTest, FencingEpochIsReplacedThroughASyncedTempFile) {
@@ -241,7 +304,8 @@ TEST(DurabilityOrderTest, FencingEpochIsReplacedThroughASyncedTempFile) {
   TOPKMON_ASSERT_OK(WriteFencingEpoch(dir.path(), 261));
   EXPECT_EQ(transcript.entries(),
             (Transcript{"mkdir .", "open EPOCH.tmp", "write EPOCH.tmp",
-                        "fsync EPOCH.tmp", "rename EPOCH", "syncdir ."}));
+                        "fsync EPOCH.tmp", "rename EPOCH.tmp -> EPOCH",
+                        "syncdir ."}));
   EXPECT_EQ(transcript.BytesWritten("EPOCH.tmp"), 4u) << "\"261\\n\"";
   const auto epoch = ReadFencingEpoch(dir.path());
   ASSERT_TRUE(epoch.ok()) << epoch.status();
@@ -249,7 +313,8 @@ TEST(DurabilityOrderTest, FencingEpochIsReplacedThroughASyncedTempFile) {
 }
 
 TEST(DurabilityOrderTest, FailedFencingEpochWriteLeavesTheOldEpoch) {
-  for (const std::string fail : {"fsync EPOCH.tmp", "rename EPOCH"}) {
+  for (const std::string fail :
+       {"fsync EPOCH.tmp", "rename EPOCH.tmp -> EPOCH"}) {
     ScopedTempDir dir;
     TOPKMON_ASSERT_OK(WriteFencingEpoch(dir.path(), 5));
     FsTranscript transcript(dir.path(), kMutations);

@@ -12,6 +12,7 @@
 namespace topkmon {
 namespace {
 
+using ::topkmon::testing::ImageAnchor;
 using ::topkmon::testing::ScopedTempDir;
 
 std::vector<Record> OneRecordBatch(RecordId id, Timestamp ts) {
@@ -34,7 +35,7 @@ TEST(JournalIoTest, WritesReadBackInOrder) {
   ScopedTempDir dir;
   JournalOptions options;
   options.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
 
   ASSERT_TRUE((*writer)->AppendRegister(LinearQuery(1, "alice")).ok());
@@ -80,7 +81,7 @@ TEST(JournalIoTest, RotationAnchorsNewSegmentsAndCollectsOldOnes) {
   JournalOptions options;
   options.dir = dir.path();
   options.snapshot_every_cycles = 2;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
 
   EXPECT_FALSE((*writer)->SnapshotDue());
@@ -93,7 +94,7 @@ TEST(JournalIoTest, RotationAnchorsNewSegmentsAndCollectsOldOnes) {
   snap.last_cycle_ts = 2;
   snap.next_record_id = 2;
   snap.window = OneRecordBatch(1, 2);
-  ASSERT_TRUE((*writer)->RotateWithSnapshot(snap).ok());
+  ASSERT_TRUE((*writer)->RotateWithSnapshot(ImageAnchor(snap)).ok());
   EXPECT_EQ((*writer)->current_segment_index(), 1u);
   EXPECT_FALSE((*writer)->SnapshotDue());
 
@@ -119,7 +120,7 @@ TEST(JournalIoTest, GroupCommitSyncsOnCycleCountAndOnTheTimeTrigger) {
   options.sync = SyncPolicy::kInterval;
   options.sync_every_records = 1000;  // never trips in this test
   options.sync_interval_cycles = 4;   // the group-commit batch size
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
   const std::uint64_t base = (*writer)->stats().sync_calls;  // anchor sync
 
@@ -152,7 +153,7 @@ TEST(JournalIoTest, GroupCommitSyncsOnCycleCountAndOnTheTimeTrigger) {
   timed.sync_interval_ms = std::chrono::milliseconds(1);
   ScopedTempDir dir2;
   timed.dir = dir2.path();
-  auto writer2 = CycleJournalWriter::Open(timed, JournalSnapshot{});
+  auto writer2 = CycleJournalWriter::Open(timed, ImageAnchor());
   ASSERT_TRUE(writer2.ok()) << writer2.status();
   const std::uint64_t base2 = (*writer2)->stats().sync_calls;
   ASSERT_TRUE((*writer2)->AppendRegister(LinearQuery(1, "bob")).ok());
@@ -168,14 +169,14 @@ TEST(JournalIoTest, RetainSegmentCountKeepsAReplicationHorizon) {
   JournalOptions options;
   options.dir = dir.path();
   options.retain_segment_count = 2;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->AppendCycle(1, OneRecordBatch(0, 1)).ok());
-  ASSERT_TRUE((*writer)->RotateWithSnapshot(JournalSnapshot{}).ok());
+  ASSERT_TRUE((*writer)->RotateWithSnapshot(ImageAnchor()).ok());
   auto segments = ListSegments(dir.path());
   ASSERT_TRUE(segments.ok());
   EXPECT_EQ(segments->size(), 2u) << "previous segment survives";
-  ASSERT_TRUE((*writer)->RotateWithSnapshot(JournalSnapshot{}).ok());
+  ASSERT_TRUE((*writer)->RotateWithSnapshot(ImageAnchor()).ok());
   segments = ListSegments(dir.path());
   ASSERT_TRUE(segments.ok());
   ASSERT_EQ(segments->size(), 2u);
@@ -188,10 +189,10 @@ TEST(JournalIoTest, RetainOldSegmentsKeepsHistory) {
   JournalOptions options;
   options.dir = dir.path();
   options.retain_old_segments = true;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->AppendCycle(1, OneRecordBatch(0, 1)).ok());
-  ASSERT_TRUE((*writer)->RotateWithSnapshot(JournalSnapshot{}).ok());
+  ASSERT_TRUE((*writer)->RotateWithSnapshot(ImageAnchor()).ok());
   auto segments = ListSegments(dir.path());
   ASSERT_TRUE(segments.ok());
   EXPECT_EQ(segments->size(), 2u);
@@ -202,16 +203,16 @@ TEST(JournalIoTest, FreshOpenRefusesADirectoryWithHistory) {
   JournalOptions options;
   options.dir = dir.path();
   {
-    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor());
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }
-  auto second = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto second = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
   // Resuming (the recovery path) appends a new segment instead.
   auto resumed =
-      CycleJournalWriter::Open(options, JournalSnapshot{}, /*resuming=*/true);
+      CycleJournalWriter::Open(options, ImageAnchor(), /*resuming=*/true);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ((*resumed)->current_segment_index(), 1u);
 }
@@ -220,13 +221,13 @@ TEST(JournalIoTest, AppendsAfterCloseFail) {
   ScopedTempDir dir;
   JournalOptions options;
   options.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->Close().ok());
   EXPECT_TRUE((*writer)->closed());
   EXPECT_EQ((*writer)->AppendCycle(1, OneRecordBatch(0, 1)).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ((*writer)->RotateWithSnapshot(JournalSnapshot{}).code(),
+  EXPECT_EQ((*writer)->RotateWithSnapshot(ImageAnchor()).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE((*writer)->Close().ok()) << "Close is idempotent";
 }
@@ -241,7 +242,7 @@ TEST(JournalIoTest, SyncPoliciesParseAndCount) {
   JournalOptions options;
   options.dir = dir.path();
   options.sync = SyncPolicy::kAlways;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   ASSERT_TRUE(writer.ok());
   const std::uint64_t baseline = (*writer)->stats().sync_calls;
   ASSERT_TRUE((*writer)->AppendCycle(1, OneRecordBatch(0, 1)).ok());

@@ -4,9 +4,11 @@
 #define TOPKMON_TESTS_JOURNAL_JOURNAL_TEST_UTIL_H_
 
 #include <dirent.h>
+#include <gtest/gtest.h>
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -15,8 +17,11 @@
 #include <set>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
+#include "core/brute_force_engine.h"
+#include "journal/format.h"
 #include "util/fs.h"
 
 namespace topkmon {
@@ -62,6 +67,35 @@ class ScopedTempDir {
   std::string path_;
 };
 
+/// A decoded snapshot image offered as the journal writer's one anchor
+/// type: a BruteForce engine restored from the image's window and last
+/// cycle, plus the image's id allocators and queries. It converts to a
+/// SnapshotAnchor that refers to it, so a temporary passes straight to
+/// CycleJournalWriter::Open or RotateWithSnapshot, and the segment holds
+/// the bytes EncodeSnapshotBody(image) encodes.
+class ImageAnchor {
+ public:
+  explicit ImageAnchor(JournalSnapshot image = {})
+      : image_(std::move(image)),
+        engine_(image_.window.empty() ? 2 : image_.window[0].position.dim(),
+                WindowSpec::Count(
+                    std::max<std::size_t>(1, image_.window.size()))) {
+    const Status st =
+        engine_.RestoreState(EngineSnapshot{image_.last_cycle_ts,
+                                            image_.window});
+    EXPECT_TRUE(st.ok()) << "restoring the anchor image: " << st;
+  }
+
+  operator SnapshotAnchor() const {  // NOLINT: converts by design
+    return SnapshotAnchor{engine_, image_.next_record_id,
+                          image_.next_query_id, image_.live_queries};
+  }
+
+ private:
+  const JournalSnapshot image_;
+  BruteForceEngine engine_;
+};
+
 /// Short name of an fs operation, as transcripts print it.
 inline const char* FsOpName(fs::Op op) {
   switch (op) {
@@ -84,7 +118,8 @@ inline const char* FsOpName(fs::Op op) {
 
 /// Installs the fs test hook for its lifetime and records, in call
 /// order, each operation of kind `ops` on a path under `dir` as
-/// "<op> <path relative to dir>" ("." for `dir` itself). A failure rule
+/// "<op> <path relative to dir>" ("." for `dir` itself; a rename as
+/// "rename <source> -> <target>"). A failure rule
 /// set by FailWhen makes matching operations fail instead of running.
 /// Create it before the threads under test start; destroy it after.
 class FsTranscript {
@@ -142,7 +177,12 @@ class FsTranscript {
     const std::string rest = path.substr(dir_.size());
     if (!rest.empty() && rest[0] != '/') return Status::Ok();  // a sibling
     const std::string name = rest.empty() ? "." : rest.substr(1);
-    const std::string entry = std::string(FsOpName(op)) + " " + name;
+    std::string entry = std::string(FsOpName(op)) + " ";
+    if (event.from != nullptr) {
+      // A rename stays in its directory: the source is a sibling.
+      entry += event.from->substr(path.size() - name.size()) + " -> ";
+    }
+    entry += name;
     std::lock_guard<std::mutex> lock(mu_);
     if (fail_ && fail_(entries_, entry)) {
       entries_.push_back(entry + " [failed]");

@@ -22,6 +22,7 @@
 namespace topkmon {
 namespace {
 
+using ::topkmon::testing::ImageAnchor;
 using ::topkmon::testing::MakeRandomQueries;
 using ::topkmon::testing::ScopedTempDir;
 using ::topkmon::testing::Scores;
@@ -60,7 +61,8 @@ void DriveCycles(MonitorEngine& engine, CycleJournalWriter* writer,
           snap.window.empty() ? 0 : snap.window.back().id + 1;
       snap.next_query_id = 100;
       snap.live_queries = live;
-      TOPKMON_ASSERT_OK(writer->RotateWithSnapshot(snap));
+      TOPKMON_ASSERT_OK(
+          writer->RotateWithSnapshot(ImageAnchor(std::move(snap))));
     }
   }
 }
@@ -100,7 +102,7 @@ void RunCrashRecoveryScenario(std::uint64_t snapshot_every_cycles) {
     JournalOptions options;
     options.dir = dir.path();
     options.snapshot_every_cycles = snapshot_every_cycles;
-    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor());
     ASSERT_TRUE(writer.ok()) << writer.status();
     TmaEngine live_engine(TmaOptions());
     for (const JournaledQuery& q : live) {
@@ -217,7 +219,7 @@ std::string WriteSmallJournal(const std::string& dir, int cycles) {
   JournalOptions options;
   options.dir = dir;
   options.snapshot_every_cycles = 0;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   EXPECT_TRUE(writer.ok());
   for (Timestamp ts = 1; ts <= cycles; ++ts) {
     std::vector<Record> batch;
@@ -303,7 +305,7 @@ TEST(RecoveryTest, QueryLifecycleEventsReplay) {
   {
     JournalOptions options;
     options.dir = dir.path();
-    auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor());
     ASSERT_TRUE(writer.ok());
     // Register all three, run a cycle, unregister the second.
     for (const QuerySpec& spec : specs) {
@@ -382,7 +384,7 @@ FaultTruth WriteFaultJournal(const std::string& dir, int cycles) {
   JournalOptions options;
   options.dir = dir;
   options.snapshot_every_cycles = 0;
-  auto writer = CycleJournalWriter::Open(options, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(options, ImageAnchor());
   EXPECT_TRUE(writer.ok());
   const auto specs = MakeRandomQueries(kDim, 1, 3, 55);
   EXPECT_TRUE((*writer)->AppendRegister({specs[0], "alice"}).ok());
@@ -541,7 +543,7 @@ TEST(RecoveryTest, DimensionMismatchIsRefusedBeforeAnythingIsApplied) {
     anchor.last_cycle_ts = 1;
     anchor.next_record_id = 1;
     anchor.window.emplace_back(0, Point{0.5, 0.5}, 1);
-    auto writer = CycleJournalWriter::Open(options, anchor);
+    auto writer = CycleJournalWriter::Open(options, ImageAnchor(anchor));
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE((*writer)->Close().ok());
   }

@@ -37,7 +37,9 @@
 namespace topkmon {
 namespace {
 
+using ::topkmon::testing::FsOpName;
 using ::topkmon::testing::FsTranscript;
+using ::topkmon::testing::ImageAnchor;
 using ::topkmon::testing::MakeRandomQueries;
 using ::topkmon::testing::ScopedTempDir;
 
@@ -107,7 +109,7 @@ TEST(ReplicaShipperTest, ChunkedReadsReassembleTheExactFileBytes) {
   ScopedTempDir dir;
   JournalOptions opt;
   opt.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(opt, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(opt, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
   for (Timestamp ts = 1; ts <= 20; ++ts) {
     TOPKMON_ASSERT_OK((*writer)->AppendCycle(
@@ -138,7 +140,7 @@ TEST(ReplicaShipperTest, TornLeaderTailShipsAndCompletesLater) {
   ScopedTempDir dir;
   JournalOptions opt;
   opt.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(opt, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(opt, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
   TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, MakeBatch(0, 4, 1)));
   const std::string path = (*writer)->current_segment_path();
@@ -171,7 +173,7 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   ScopedTempDir dir;
   JournalOptions opt;
   opt.dir = dir.path();
-  auto writer = CycleJournalWriter::Open(opt, JournalSnapshot{});
+  auto writer = CycleJournalWriter::Open(opt, ImageAnchor());
   ASSERT_TRUE(writer.ok()) << writer.status();
   TOPKMON_ASSERT_OK((*writer)->AppendCycle(1, MakeBatch(0, 4, 1)));
 
@@ -181,7 +183,7 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   JournalSnapshot snap;
   snap.last_cycle_ts = 1;
   snap.next_record_id = 4;
-  TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(snap));
+  TOPKMON_ASSERT_OK((*writer)->RotateWithSnapshot(ImageAnchor(snap)));
   JournalShipper shipper(dir.path());
   auto gone = shipper.Read(0, 0, 1 << 20);
   ASSERT_TRUE(gone.ok()) << gone.status();
@@ -195,12 +197,12 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   JournalOptions opt2;
   opt2.dir = dir2.path();
   opt2.retain_segment_count = 2;
-  auto writer2 = CycleJournalWriter::Open(opt2, JournalSnapshot{});
+  auto writer2 = CycleJournalWriter::Open(opt2, ImageAnchor());
   ASSERT_TRUE(writer2.ok()) << writer2.status();
   TOPKMON_ASSERT_OK((*writer2)->AppendCycle(1, MakeBatch(0, 4, 1)));
   const std::uint64_t sealed_size =
       ReadFile((*writer2)->current_segment_path()).size();
-  TOPKMON_ASSERT_OK((*writer2)->RotateWithSnapshot(snap));
+  TOPKMON_ASSERT_OK((*writer2)->RotateWithSnapshot(ImageAnchor(snap)));
   JournalShipper shipper2(dir2.path());
   auto sealed = shipper2.Read(0, 0, 1 << 20);
   ASSERT_TRUE(sealed.ok()) << sealed.status();
@@ -209,7 +211,7 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   EXPECT_EQ(sealed->next_segment, 1u);
   EXPECT_EQ(sealed->data.size(), sealed_size);
   // A second rotation pushes segment 0 past the horizon: restart.
-  TOPKMON_ASSERT_OK((*writer2)->RotateWithSnapshot(snap));
+  TOPKMON_ASSERT_OK((*writer2)->RotateWithSnapshot(ImageAnchor(snap)));
   auto late = shipper2.Read(0, 0, 1 << 20);
   ASSERT_TRUE(late.ok()) << late.status();
   EXPECT_TRUE(late->restart);
@@ -217,11 +219,12 @@ TEST(ReplicaShipperTest, RotationSealsAndGcDrawsRestart) {
   TOPKMON_ASSERT_OK((*writer2)->Close());
 }
 
-TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsPrologueLands) {
-  // A 20000-record anchor streams to disk in several 64 KiB chunks
-  // behind a zeroed prologue. Until the prologue lands, the new segment
-  // serves nothing and does not seal its predecessor, so a tailing
-  // follower never copies a frame whose length still reads zero.
+TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsRename) {
+  // A 20000-record anchor streams to disk in several 64 KiB chunks under
+  // the segment's temp name, which is renamed to the segment's name only
+  // once the anchor is whole and synced. Until then the new segment is
+  // not listed: it serves nothing and does not seal its predecessor, so
+  // a tailing follower never copies a half-made segment.
   constexpr std::size_t kWindow = 20000;
   ScopedTempDir dir;
   JournalOptions opt;
@@ -244,14 +247,18 @@ TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsPrologueLands) {
 
   JournalShipper shipper(dir.path());
   const std::string next_path = dir.path() + "/" + SegmentFileName(1);
+  const std::string temp_path = next_path + ".tmp";
   int chunks = 0;
   int probes = 0;
-  // Probes at the second chunk and at the prologue's pwrite, the last
-  // moment before the anchor is whole.
+  // Probes at the second chunk, at the prologue's pwrite and just before
+  // the rename, the last moment before the segment is listed.
   fs::SetHookForTesting([&](const fs::Event& event) {
-    if (event.path != next_path) return Status::Ok();
+    const bool renaming = event.op == fs::Op::kRename &&
+                          event.from != nullptr && *event.from == temp_path;
+    if (!renaming && event.path != temp_path) return Status::Ok();
     if (event.op == fs::Op::kWrite && ++chunks != 2) return Status::Ok();
-    if (event.op != fs::Op::kWrite && event.op != fs::Op::kWriteAt) {
+    if (!renaming && event.op != fs::Op::kWrite &&
+        event.op != fs::Op::kWriteAt) {
       return Status::Ok();
     }
     ++probes;
@@ -262,12 +269,15 @@ TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsPrologueLands) {
       EXPECT_FALSE(tail->sealed) << "sealed onto a half-written segment";
       EXPECT_FALSE(tail->restart);
     }
+    // Segment 1 is not listed yet: asking for it is asking for a segment
+    // the leader does not have, which restarts at the oldest one.
     auto next = shipper.Read(1, 0, 1 << 20);
     EXPECT_TRUE(next.ok()) << next.status();
     if (next.ok()) {
-      EXPECT_TRUE(next->data.empty()) << "served a zeroed prologue";
+      EXPECT_TRUE(next->data.empty()) << "served a half-made segment";
       EXPECT_FALSE(next->sealed);
-      EXPECT_FALSE(next->restart);
+      EXPECT_TRUE(next->restart);
+      EXPECT_EQ(next->next_segment, 0u);
     }
     return Status::Ok();
   });
@@ -276,7 +286,7 @@ TEST(ReplicaShipperTest, StreamedAnchorIsHiddenUntilItsPrologueLands) {
   fs::SetHookForTesting(nullptr);
   TOPKMON_ASSERT_OK(rotated);
   EXPECT_GE(chunks, 4) << "the anchor spans at least 4 chunks";
-  EXPECT_EQ(probes, 2);
+  EXPECT_EQ(probes, 3);
 
   auto tail = shipper.Read(0, sealed_size, 1 << 20);
   ASSERT_TRUE(tail.ok()) << tail.status();
@@ -673,6 +683,83 @@ TEST(ReplicaFollowerTest, TailsAcrossAStreamedRotationWithoutResync) {
   EXPECT_GT((*follower)->stats().segments_completed, 0u);
   EXPECT_EQ((*follower)->stats().restarts, 0u);
   ExpectSameTopK(*leader.service, (*follower)->service(), *query);
+}
+
+TEST(ReplicaFollowerTest, FailedRotationSyncsCostACaughtUpFollowerNoResync) {
+  // Window 20000: the follower is caught up at the tail when a rotation
+  // fails, first at its fdatasync (before the rename: the leader stays on
+  // its segment and never lists the new one), then at its directory
+  // fsync (after the rename: the leader moves onto the new segment,
+  // which the follower may already be shipping, and owes the fsync).
+  // Neither may cost the follower a resync. The hook holds the failing
+  // call long enough for the follower to fetch at the tail.
+  struct HookGuard {
+    ~HookGuard() { fs::SetHookForTesting(nullptr); }
+  } guard;  // outlives the leaders' and the followers' threads
+  std::atomic<int> failing{-1};  ///< the fs::Op to fail once; -1: none
+  std::atomic<bool> renamed{false};
+  std::atomic<int> failed{0};
+  const auto ends_with = [](const std::string& s, const std::string& end) {
+    return s.size() >= end.size() &&
+           s.compare(s.size() - end.size(), end.size(), end) == 0;
+  };
+  fs::SetHookForTesting([&](const fs::Event& event) {
+    const int op = static_cast<int>(event.op);
+    if (op != failing.load()) {
+      // A leader segment's rename arms the directory fsync after it.
+      if (event.op == fs::Op::kRename && event.from != nullptr &&
+          ends_with(*event.from, ".wal.tmp")) {
+        renamed.store(true);
+      }
+      return Status::Ok();
+    }
+    const bool fail =
+        event.op == fs::Op::kDataSync
+            ? ends_with(event.path, ".wal.tmp")
+            : ends_with(event.path, "/leader") && renamed.exchange(false);
+    if (!fail) return Status::Ok();
+    failing.store(-1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ++failed;
+    return Status::Internal("injected failure");
+  });
+  constexpr std::size_t kWindow = 20000;
+  for (const fs::Op op : {fs::Op::kDataSync, fs::Op::kSyncDir}) {
+    SCOPED_TRACE(FsOpName(op));
+    failed.store(0);
+    Leader leader(kWindow, /*segment_bytes=*/512u << 10,
+                  /*retain_segments=*/2);
+    const auto session = leader.service->OpenSession("dash");
+    ASSERT_TRUE(session.ok());
+    const auto query = leader.service->Register(
+        *session, MakeRandomQueries(kDim, 1, 5, 43)[0]);
+    ASSERT_TRUE(query.ok()) << query.status();
+
+    ScopedTempDir fdir;
+    auto follower = ReplicaFollower::Open(
+        BruteFactory(kWindow), FollowerServiceOptions(fdir.path() + "/repl"),
+        FollowerOptions(leader.server->port()));
+    ASSERT_TRUE(follower.ok()) << follower.status();
+
+    Timestamp clock = 0;
+    IngestRecords(leader, kWindow, &clock);
+    TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+        leader.service->replication().applied_cycle_ts,
+        std::chrono::seconds(30)));
+    renamed.store(false);
+    failing.store(static_cast<int>(op));
+    for (int i = 0; i < 12 && failed.load() == 0; ++i) {
+      IngestRecords(leader, 5000, &clock);
+    }
+    ASSERT_EQ(failed.load(), 1) << "no rotation failed";
+    IngestRecords(leader, 10000, &clock);
+    TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+        leader.service->replication().applied_cycle_ts,
+        std::chrono::seconds(30)));
+    (*follower)->Stop();
+    EXPECT_EQ((*follower)->stats().restarts, 0u);
+    ExpectSameTopK(*leader.service, (*follower)->service(), *query);
+  }
 }
 
 TEST(ReplicaFollowerTest, RestartResumesFromLocalJournalEvenWithTornTail) {
