@@ -1,81 +1,20 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
 #include <thread>
 
 #include "journal/wire.h"
 
 namespace topkmon {
-namespace {
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-void SetRecvTimeout(int fd, std::chrono::milliseconds timeout) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
-void SetSendTimeout(int fd, std::chrono::milliseconds timeout) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
 
 Result<std::unique_ptr<MonitorClient>> MonitorClient::Connect(
     const std::string& host, std::uint16_t port, const std::string& label,
     bool resume, const NetClientOptions& options) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    // Not a dotted quad: resolve it (e.g. "localhost").
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* found = nullptr;
-    if (::getaddrinfo(host.c_str(), nullptr, &hints, &found) != 0 ||
-        found == nullptr) {
-      return Status::InvalidArgument("cannot resolve host '" + host + "'");
-    }
-    addr.sin_addr =
-        reinterpret_cast<sockaddr_in*>(found->ai_addr)->sin_addr;
-    ::freeaddrinfo(found);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    const Status st = Errno("connect to " + host + ":" +
-                            std::to_string(port));
-    ::close(fd);
-    return st;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  SetRecvTimeout(fd, options.io_timeout);
-  // Sends time out too: a wedged server with a full socket buffer must
-  // surface as an error (the send path then poisons the connection),
-  // never as an indefinite hang inside a batched Ingest.
-  SetSendTimeout(fd, options.io_timeout);
-
-  std::unique_ptr<MonitorClient> client(new MonitorClient(fd, options));
+  auto connected = socket::Connect(host, port, options.io_timeout);
+  if (!connected.ok()) return connected.status();
+  std::unique_ptr<MonitorClient> client(
+      new MonitorClient(std::move(*connected), options));
   std::string body;
   EncodeHello(resume, label, &body);
   auto welcome = client->RoundTrip(body, NetMessageType::kWelcome);
@@ -88,42 +27,31 @@ Result<std::unique_ptr<MonitorClient>> MonitorClient::Connect(
   return client;
 }
 
-MonitorClient::~MonitorClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
 Status MonitorClient::SendFrame(const std::string& body) {
-  if (fd_ < 0) return Status::FailedPrecondition("client is closed");
+  if (!socket_.is_open()) {
+    return Status::FailedPrecondition("client is closed");
+  }
   std::string frame;
   frame.reserve(wire::kFrameHeaderBytes + body.size());
   wire::PutFrame(body, &frame);
-  std::size_t sent = 0;
-  while (sent < frame.size()) {
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    // A failed (possibly partial) send poisons the connection, same as
-    // a failed read: retrying another request would splice its frame
-    // into the middle of this one and desync the stream.
-    const Status st = Errno("send");
-    ::close(fd_);
-    fd_ = -1;
-    inbuf_.clear();
-    return st;
-  }
-  return Status::Ok();
+  const socket::IoResult sent = socket::Flush(socket_, &frame);
+  if (frame.empty()) return Status::Ok();
+  // A failed (possibly partial) send poisons the connection, same as a
+  // failed read: retrying another request would splice its frame into
+  // the middle of this one and desync the stream.
+  socket_.Close();
+  inbuf_.clear();
+  return Status::Internal(sent.error == 0
+                              ? std::string("send timed out")
+                              : std::string("send: ") +
+                                    std::strerror(sent.error));
 }
 
 Result<NetMessage> MonitorClient::RecvMessage(
     std::chrono::milliseconds extra_wait) {
   if (extra_wait.count() > 0) {
-    SetRecvTimeout(fd_, options_.io_timeout + extra_wait);
+    socket::SetReadTimeout(socket_, options_.io_timeout + extra_wait);
   }
-  char buf[65536];
   while (true) {
     const char* body = nullptr;
     std::size_t body_len = 0;
@@ -134,8 +62,7 @@ Result<NetMessage> MonitorClient::RecvMessage(
                             &body, &body_len, &consumed, &error);
     if (parse == wire::FrameParse::kBad) {
       // After a framing error the stream cannot be re-synchronized.
-      ::close(fd_);
-      fd_ = -1;
+      socket_.Close();
       inbuf_.clear();
       return Status(error.code(), "server frame rejected: " +
                                       error.message());
@@ -144,28 +71,25 @@ Result<NetMessage> MonitorClient::RecvMessage(
       NetMessage msg;
       const Status st = DecodeNetBody(body, body_len, &msg);
       inbuf_.erase(0, consumed);
-      if (extra_wait.count() > 0) SetRecvTimeout(fd_, options_.io_timeout);
+      if (extra_wait.count() > 0) {
+        socket::SetReadTimeout(socket_, options_.io_timeout);
+      }
       if (!st.ok()) return st;
       return msg;
     }
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      inbuf_.append(buf, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
+    const socket::IoResult read =
+        socket::ReadSome(socket_, &inbuf_, socket::kReadChunkBytes);
+    if (read.bytes > 0) continue;
     // Any failed read poisons the connection: with a request already on
     // the wire, a later retry would otherwise consume *this* request's
     // late response as its own and desync the dialog permanently.
-    const Status st = n == 0
-                          ? Status::FailedPrecondition(
-                                "server closed the connection")
-                          : (errno == EAGAIN || errno == EWOULDBLOCK)
-                                ? Status::FailedPrecondition(
-                                      "timed out waiting for the server")
-                                : Errno("recv");
-    ::close(fd_);
-    fd_ = -1;
+    const Status st =
+        read.eof ? Status::FailedPrecondition("server closed the connection")
+        : read.error == 0
+            ? Status::FailedPrecondition("timed out waiting for the server")
+            : Status::Internal(std::string("recv: ") +
+                               std::strerror(read.error));
+    socket_.Close();
     inbuf_.clear();
     return st;
   }
@@ -340,12 +264,11 @@ Status MonitorClient::WaitForAsOf(QueryId query, Timestamp target,
 }
 
 Status MonitorClient::Close(bool close_session) {
-  if (fd_ < 0) return Status::Ok();
+  if (!socket_.is_open()) return Status::Ok();
   std::string body;
   EncodeClose(close_session, &body);
   const Status st = RoundTrip(body, NetMessageType::kCloseAck).status();
-  ::close(fd_);
-  fd_ = -1;
+  socket_.Close();
   return st;
 }
 

@@ -33,6 +33,7 @@
 #include "net/protocol.h"
 #include "replica/shipper.h"
 #include "service/subscription_hub.h"
+#include "util/socket.h"
 
 namespace topkmon {
 
@@ -56,7 +57,7 @@ class MonitorClient {
 
   /// Closes the socket. The session stays open server-side (resume
   /// depends on it); call Close(true) first to release it explicitly.
-  ~MonitorClient();
+  ~MonitorClient() = default;
 
   MonitorClient(const MonitorClient&) = delete;
   MonitorClient& operator=(const MonitorClient&) = delete;
@@ -84,7 +85,7 @@ class MonitorClient {
   /// the caller re-Connects. Lets the cluster router tell a dead
   /// partition apart from an ordinary service refusal, which leaves the
   /// connection healthy.
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return socket_.is_open(); }
 
   /// Per-batch ingest outcome. A batch is not transactional: tuples are
   /// admitted individually, so some may be accepted and others refused
@@ -204,8 +205,8 @@ class MonitorClient {
   Status Close(bool close_session = false);
 
  private:
-  MonitorClient(int fd, const NetClientOptions& options)
-      : fd_(fd), options_(options) {}
+  MonitorClient(socket::Socket socket, const NetClientOptions& options)
+      : socket_(std::move(socket)), options_(options) {}
 
   Status SendFrame(const std::string& body);
   /// Reads exactly one frame and decodes it. `extra_wait` widens the
@@ -217,7 +218,7 @@ class MonitorClient {
                                std::chrono::milliseconds extra_wait =
                                    std::chrono::milliseconds(0));
 
-  int fd_ = -1;
+  socket::Socket socket_;
   const NetClientOptions options_;
   SessionId session_ = 0;
   bool resumed_ = false;

@@ -1,16 +1,6 @@
 #include "net/server.h"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -19,14 +9,10 @@
 namespace topkmon {
 namespace {
 
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+// Read budget per connection per tick: a peer that fills its socket
+// faster than we parse cannot pin its loop or grow its buffer without
+// bound; poll() re-reports the rest next tick, round-robin.
+constexpr std::size_t kReadBudget = std::size_t(1) << 20;
 
 }  // namespace
 
@@ -67,40 +53,9 @@ Status TcpServer::Start() {
   if (started_) {
     return Status::FailedPrecondition("server already started");
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    return Status::InvalidArgument("bad bind address '" +
-                                   options_.bind_address + "'");
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const Status st = errno == EADDRINUSE
-                          ? Status::FailedPrecondition(
-                                "port " + std::to_string(options_.port) +
-                                " is already in use")
-                          : Errno("bind");
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, options_.listen_backlog) != 0 || !SetNonBlocking(fd)) {
-    const Status st = Errno("listen");
-    ::close(fd);
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-    const Status st = Errno("getsockname");
-    ::close(fd);
-    return st;
-  }
+  auto listener = socket::Listen(options_.bind_address, options_.port,
+                                 options_.listen_backlog, &port_);
+  if (!listener.ok()) return listener.status();
 
   // Resolve the loop topology: N independent poll loops, and — when
   // there is a journal to ship and at least two loops — the last loop
@@ -112,33 +67,16 @@ Status TcpServer::Start() {
   }
   loops_.clear();
   for (std::size_t i = 0; i < threads; ++i) {
-    auto loop = std::make_unique<PollLoop>();
-    loop->index = i;
-    int pipe_fds[2] = {-1, -1};
-    if (::pipe(pipe_fds) != 0 || !SetNonBlocking(pipe_fds[0]) ||
-        !SetNonBlocking(pipe_fds[1])) {
-      const Status st = Errno("wakeup pipe");
-      if (pipe_fds[0] >= 0) ::close(pipe_fds[0]);
-      if (pipe_fds[1] >= 0) ::close(pipe_fds[1]);
-      for (auto& l : loops_) {
-        ::close(l->wake_rd);
-        ::close(l->wake_wr);
-      }
-      loops_.clear();
-      ::close(fd);
-      return st;
-    }
-    loop->wake_rd = pipe_fds[0];
-    loop->wake_wr = pipe_fds[1];
-    loops_.push_back(std::move(loop));
+    loops_.push_back(std::make_unique<PollLoop>());
+    loops_.back()->index = i;
+    TOPKMON_RETURN_IF_ERROR(loops_.back()->wake.Open());
   }
   const bool dedicate = shipper_ != nullptr && threads >= 2;
   client_loops_ = dedicate ? threads - 1 : threads;
   repl_loop_ = dedicate ? threads - 1 : threads;
   next_loop_ = 0;
 
-  port_ = ntohs(bound.sin_port);
-  listen_fd_ = fd;
+  listener_ = std::move(*listener);
   started_ = true;
   stop_.store(false);
   // Parked-wakeup path: the service pokes every loop's pipe whenever
@@ -175,30 +113,17 @@ void TcpServer::Stop() {
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  // Handoffs that raced shutdown (acceptor -> loop, or a migration into
-  // a loop that had already exited) are drained here, after every
-  // thread is parked, so no fd can leak.
+  // Every connection a loop still owns, or was handed (the acceptor or
+  // a migration racing shutdown), closes with its loop once every
+  // thread is parked.
   for (auto& loop : loops_) {
-    std::vector<Connection> leftover;
-    {
-      std::lock_guard<std::mutex> lock(loop->handoff_mu);
-      leftover.swap(loop->handoff);
-    }
-    for (Connection& conn : leftover) {
-      ::close(conn.fd);
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.connections_closed;
-      --stats_.open_connections;
-    }
-    if (loop->wake_rd >= 0) ::close(loop->wake_rd);
-    if (loop->wake_wr >= 0) ::close(loop->wake_wr);
-    loop->wake_rd = loop->wake_wr = -1;
+    const std::size_t left = loop->connections.size() + loop->handoff.size();
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.connections_closed += left;
+    stats_.open_connections -= left;
   }
   loops_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.Close();
   started_ = false;
 }
 
@@ -271,17 +196,8 @@ void TcpServer::SampleNetMetrics(MetricSink& sink) const {
   }
 }
 
-void TcpServer::Wake(PollLoop& loop) {
-  bool expected = false;
-  if (!loop.wake_pending.compare_exchange_strong(expected, true)) return;
-  const char byte = 1;
-  // A full pipe means a wake is already deliverable; the poll tick
-  // bounds the delay of the (theoretical) lost-wake race either way.
-  (void)!::write(loop.wake_wr, &byte, 1);
-}
-
 void TcpServer::WakeAll() {
-  for (auto& loop : loops_) Wake(*loop);
+  for (auto& loop : loops_) loop->wake.Notify();
 }
 
 void TcpServer::HandOff(PollLoop& target, Connection&& conn) {
@@ -290,50 +206,33 @@ void TcpServer::HandOff(PollLoop& target, Connection&& conn) {
     std::lock_guard<std::mutex> lock(target.handoff_mu);
     target.handoff.push_back(std::move(conn));
   }
-  Wake(target);
+  target.wake.Notify();
 }
 
 void TcpServer::AcceptorLoop() {
-  pollfd pfd{listen_fd_, POLLIN, 0};
-  const int tick =
-      static_cast<int>(std::max<std::int64_t>(1, options_.poll_tick.count()));
-  while (!stop_.load()) {
-    const int ready = ::poll(&pfd, 1, tick);
-    if (stop_.load()) break;
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    while (true) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) break;  // EAGAIN (or transient error): next round
-      std::size_t open = 0;
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        open = stats_.open_connections;
-      }
+  pollfd pfd{listener_.fd(), POLLIN, 0};
+  const auto take = [this](socket::Socket accepted) {
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
       // Peers beyond the cap get an immediate accept-and-close (a clean
       // refusal) instead of hanging in the kernel backlog.
-      if (open >= options_.max_connections || !SetNonBlocking(fd)) {
-        ::close(fd);
-        std::lock_guard<std::mutex> lock(stats_mu_);
+      if (stats_.open_connections >= options_.max_connections) {
         ++stats_.connections_refused;
-        continue;
+        return;
       }
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      Connection conn;
-      conn.fd = fd;
-      conn.last_activity = std::chrono::steady_clock::now();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.connections_accepted;
-        ++stats_.open_connections;
-      }
-      // Fresh connections round-robin over the client-facing loops; the
-      // dedicated replication loop (if any) only receives migrations.
-      PollLoop& target = *loops_[next_loop_ % client_loops_];
-      ++next_loop_;
-      HandOff(target, std::move(conn));
+      ++stats_.connections_accepted;
+      ++stats_.open_connections;
     }
+    Connection conn;
+    conn.socket = std::move(accepted);
+    conn.last_activity = std::chrono::steady_clock::now();
+    // Fresh connections round-robin over the client-facing loops; the
+    // dedicated replication loop (if any) only receives migrations.
+    HandOff(*loops_[next_loop_++ % client_loops_], std::move(conn));
+  };
+  while (!stop_.load()) {
+    if (!socket::Poll(&pfd, 1, options_.poll_tick) || stop_.load()) break;
+    if ((pfd.revents & POLLIN) != 0) socket::AcceptPending(listener_, take);
   }
 }
 
@@ -366,13 +265,11 @@ void TcpServer::AdoptHandoffs(PollLoop& loop) {
 void TcpServer::LoopRun(PollLoop& loop) {
   std::vector<pollfd> fds;
   std::vector<std::list<Connection>::iterator> conn_of_fd;
-  const int tick =
-      static_cast<int>(std::max<std::int64_t>(1, options_.poll_tick.count()));
   while (!stop_.load()) {
     AdoptHandoffs(loop);
     fds.clear();
     conn_of_fd.clear();
-    fds.push_back({loop.wake_rd, POLLIN, 0});
+    fds.push_back({loop.wake.fd(), POLLIN, 0});
     std::size_t parked_polls = 0;
     std::size_t parked_fetches = 0;
     for (auto it = loop.connections.begin(); it != loop.connections.end();
@@ -380,7 +277,7 @@ void TcpServer::LoopRun(PollLoop& loop) {
       short events = 0;
       if (!it->closing) events |= POLLIN;
       if (!it->out.empty()) events |= POLLOUT;
-      fds.push_back({it->fd, events, 0});
+      fds.push_back({it->socket.fd(), events, 0});
       conn_of_fd.push_back(it);
       if (it->poll_parked) ++parked_polls;
       if (it->fetch_parked) ++parked_fetches;
@@ -391,21 +288,13 @@ void TcpServer::LoopRun(PollLoop& loop) {
     loop.gauge_parked_polls.store(parked_polls, std::memory_order_relaxed);
     loop.gauge_parked_fetches.store(parked_fetches,
                                     std::memory_order_relaxed);
-    const int ready = ::poll(fds.data(), fds.size(), tick);
-    if (stop_.load()) break;
-    if (ready < 0 && errno != EINTR) break;
-    if (fds[0].revents & POLLIN) {
-      // Drain first, clear the flag after. A Wake racing the drain may
-      // have its byte consumed here while its CAS left the flag set —
-      // clearing afterwards guarantees the flag can never be left true
-      // with an empty pipe (which would suppress every future wakeup);
-      // the racer's work is picked up this very iteration (handoffs at
-      // the top of the next one), so the race costs at most one tick.
-      char buf[256];
-      while (::read(loop.wake_rd, buf, sizeof(buf)) > 0) {
-      }
-      loop.wake_pending.store(false);
+    if (!socket::Poll(fds.data(), fds.size(), options_.poll_tick) ||
+        stop_.load()) {
+      break;
     }
+    // A Notify racing the drain costs at most one tick: its work is
+    // picked up this very iteration (handoffs at the top of the next).
+    if (fds[0].revents & POLLIN) loop.wake.Drain();
 
     std::vector<std::list<Connection>::iterator> doomed;
     std::vector<std::list<Connection>::iterator> migrants;
@@ -473,7 +362,12 @@ void TcpServer::LoopRun(PollLoop& loop) {
         ++stats_.protocol_errors;
         alive = false;
       }
-      if (alive && !conn.out.empty()) alive = WriteReady(conn);
+      if (alive && !conn.out.empty()) {
+        const socket::IoResult sent = socket::Flush(conn.socket, &conn.out);
+        std::lock_guard<std::mutex> lock(stats_mu_);
+        stats_.bytes_sent += sent.bytes;
+        alive = sent.error == 0;
+      }
       if (!alive || (conn.closing && conn.out.empty())) doomed.push_back(it);
     }
     for (auto it : doomed) CloseConnection(loop, it);
@@ -486,48 +380,23 @@ void TcpServer::LoopRun(PollLoop& loop) {
       loop.connections.erase(it);
     }
   }
-  for (auto it = loop.connections.begin(); it != loop.connections.end();) {
-    auto next = std::next(it);
-    CloseConnection(loop, it);
-    it = next;
-  }
 }
 
 bool TcpServer::ReadReady(PollLoop& loop, Connection& conn) {
-  // Per-connection read budget per tick: a peer that can fill the
-  // socket faster than we parse must not pin its poll loop in this
-  // inner loop (starving the loop's other connections) or grow conn.in
-  // without bound — poll() re-reports readiness next tick, which
-  // round-robins the remainder fairly.
-  std::size_t budget = std::size_t(1) << 20;
-  char buf[65536];
-  bool peer_eof = false;
-  while (budget > 0) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.in.append(buf, static_cast<std::size_t>(n));
-      conn.last_activity = std::chrono::steady_clock::now();
-      budget -= std::min<std::size_t>(budget,
-                                      static_cast<std::size_t>(n));
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.bytes_received += static_cast<std::uint64_t>(n);
-      if (n < static_cast<ssize_t>(sizeof(buf))) break;
-      continue;
-    }
-    if (n == 0) {
-      // Half-close: the peer is done sending but may still be reading.
-      // Its final buffered requests are processed below and the
-      // responses flushed via the closing path — a client that sends
-      // Close and shutdown(SHUT_WR) still gets its CloseAck.
-      peer_eof = true;
-      break;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
+  const socket::IoResult read =
+      socket::ReadSome(conn.socket, &conn.in, kReadBudget);
+  if (read.bytes > 0) {
+    conn.last_activity = std::chrono::steady_clock::now();
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_.bytes_received += read.bytes;
   }
+  if (read.error != 0) return false;
   DrainFrames(loop, conn);
-  if (peer_eof) {
+  // Half-close: the peer is done sending but may still be reading. Its
+  // final buffered requests were processed above and the responses are
+  // flushed via the closing path — a client that sends Close and
+  // shutdown(SHUT_WR) still gets its CloseAck.
+  if (read.eof) {
     // A half-close racing a pending migration must not drop the carried
     // frame: the close is deferred until the target loop served it.
     if (conn.migrate) {
@@ -587,14 +456,13 @@ void TcpServer::DrainFrames(PollLoop& loop, Connection& conn) {
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.frames_received;
     }
-    HandleMessage(loop, conn, msg);
+    HandleMessage(conn, msg);
   }
   conn.in.erase(0, off);
   if (conn.closing) conn.in.clear();
 }
 
-void TcpServer::HandleMessage(PollLoop& loop, Connection& conn,
-                              const NetMessage& msg) {
+void TcpServer::HandleMessage(Connection& conn, const NetMessage& msg) {
   // A pipelined request while a long-poll is parked would interleave its
   // response with the eventual Deltas frame; answering the poll first
   // (with whatever is pending, possibly nothing) keeps the dialog a
@@ -615,7 +483,7 @@ void TcpServer::HandleMessage(PollLoop& loop, Connection& conn,
   }
   switch (msg.type) {
     case NetMessageType::kHello:
-      HandleHello(loop, conn, msg);
+      HandleHello(conn, msg);
       return;
     case NetMessageType::kRegister: {
       const Result<QueryId> id = service_.Register(conn.session, msg.spec);
@@ -760,9 +628,7 @@ void TcpServer::HandleMessage(PollLoop& loop, Connection& conn,
                      " is not a request"));
 }
 
-void TcpServer::HandleHello(PollLoop& loop, Connection& conn,
-                            const NetMessage& msg) {
-  (void)loop;
+void TcpServer::HandleHello(Connection& conn, const NetMessage& msg) {
   if (conn.hello_done) {
     FailConnection(conn, Status::FailedPrecondition("duplicate Hello"));
     return;
@@ -1086,28 +952,8 @@ void TcpServer::FailConnection(Connection& conn, const Status& status) {
   conn.closing = true;
 }
 
-bool TcpServer::WriteReady(Connection& conn) {
-  while (!conn.out.empty()) {
-    const ssize_t n = ::send(conn.fd, conn.out.data(), conn.out.size(),
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.bytes_sent += static_cast<std::uint64_t>(n);
-      }
-      conn.out.erase(0, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    if (errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 void TcpServer::CloseConnection(PollLoop& loop,
                                 std::list<Connection>::iterator it) {
-  ::close(it->fd);
   loop.connections.erase(it);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.connections_closed;

@@ -10,29 +10,29 @@
 // control-plane only: the stats mutex, the handoff queues, and the
 // resume-epoch map below).
 //
-// Each loop multiplexes its connections with poll(2): non-blocking
-// reads into per-connection buffers, frame extraction
+// Each loop multiplexes its connections: budgeted reads into
+// per-connection buffers (src/util/socket.h), frame extraction
 // (src/net/protocol.h), request dispatch into the service, and buffered
-// non-blocking writes. Nothing a client sends can wedge its loop — and
-// nothing it does can touch any *other* loop:
+// writes. Nothing a client sends can wedge its loop — and nothing it
+// does can touch any *other* loop:
 //   * a malformed frame (oversized length, CRC mismatch) or an
 //     undecodable body fails only that connection — a best-effort error
 //     frame is queued, the connection drains its output and closes, and
 //     the violation is counted in stats().protocol_errors;
 //   * a slow-loris peer that trickles bytes simply leaves a partial
-//     frame in its buffer; no loop ever blocks on any single fd;
+//     frame in its buffer; no loop ever blocks on any single socket;
 //   * long-polls never block a loop either — a Poll request with no
 //     pending deltas is *parked* (connection remembers max + deadline)
 //     and answered from its loop as soon as the session's subscription
 //     buffer reports pending events (MonitorService::PendingDeltas) or
 //     the deadline passes, whichever is first.
 //
-// Cross-loop wakeups: every loop owns a self-pipe that is part of its
-// poll set. The acceptor writes it to deliver handoffs, and the server
-// registers a MonitorService progress listener that writes it whenever
-// the driver publishes deltas or the journal grows — so a parked
-// long-poll or replication fetch is answered promptly even with a long
-// poll_tick, from whichever loop owns the connection.
+// Cross-loop wakeups: every loop owns a wake pipe in its poll set. The
+// acceptor notifies it to deliver handoffs, and the server registers a
+// MonitorService progress listener that notifies it whenever the driver
+// publishes deltas or the journal grows — so a parked long-poll or
+// replication fetch is answered promptly even with a long poll_tick,
+// from whichever loop owns the connection.
 //
 // Ingest backpressure (protocol v3): ingest is admitted with the
 // non-blocking TryIngest — a full ingest queue can never stall a poll
@@ -83,6 +83,7 @@
 #include "net/protocol.h"
 #include "replica/shipper.h"
 #include "service/monitor_service.h"
+#include "util/socket.h"
 
 namespace topkmon {
 
@@ -164,7 +165,8 @@ class TcpServer {
 
   /// Binds, listens and starts the acceptor + poll-loop threads.
   /// InvalidArgument for a bad bind address, FailedPrecondition if
-  /// already started or the port is taken.
+  /// already started or the port is in use, Internal for any other
+  /// socket failure.
   Status Start();
 
   /// Closes the listener and every connection, then joins every thread.
@@ -186,7 +188,7 @@ class TcpServer {
 
  private:
   struct Connection {
-    int fd = -1;
+    socket::Socket socket;
     std::string in;       ///< bytes received, not yet framed
     std::string out;      ///< bytes encoded, not yet sent
     SessionId session = 0;
@@ -223,13 +225,10 @@ class TcpServer {
   };
 
   /// One poll loop: a thread, the connections it owns, a handoff queue
-  /// fed by the acceptor (and by migrations), and a self-pipe wakeup.
+  /// fed by the acceptor (and by migrations), and a wake pipe.
   struct PollLoop {
     std::size_t index = 0;
-    int wake_rd = -1;  ///< self-pipe read end, part of the poll set
-    int wake_wr = -1;
-    /// Collapses redundant pipe writes (cleared when the pipe drains).
-    std::atomic<bool> wake_pending{false};
+    socket::WakePipe wake;  ///< part of the poll set
     std::mutex handoff_mu;
     std::vector<Connection> handoff;  ///< accepted / migrated, not yet owned
     std::list<Connection> connections;  ///< loop-thread private
@@ -250,8 +249,6 @@ class TcpServer {
   /// Moves handed-off connections into the loop and processes any bytes
   /// a migration carried along.
   void AdoptHandoffs(PollLoop& loop);
-  /// Writes the loop's wake pipe unless a wake is already pending.
-  void Wake(PollLoop& loop);
   void WakeAll();
   /// Hands `conn` to `target`'s handoff queue and wakes it.
   void HandOff(PollLoop& target, Connection&& conn);
@@ -262,9 +259,8 @@ class TcpServer {
   /// early (leaving the frame unconsumed) when the message must be
   /// served from the replication loop instead (conn.migrate).
   void DrainFrames(PollLoop& loop, Connection& conn);
-  void HandleMessage(PollLoop& loop, Connection& conn,
-                     const NetMessage& msg);
-  void HandleHello(PollLoop& loop, Connection& conn, const NetMessage& msg);
+  void HandleMessage(Connection& conn, const NetMessage& msg);
+  void HandleHello(Connection& conn, const NetMessage& msg);
   /// The ingest hot path: DrainFrames routes kIngest frame bodies here
   /// directly (no DecodeNetBody, no NetMessage), decoding them block by
   /// block into the loop's ingest_block and admitting maximal valid runs
@@ -295,8 +291,6 @@ class TcpServer {
   void SendBody(Connection& conn, const std::string& body);
   /// Queues an error frame and schedules the connection for close.
   void FailConnection(Connection& conn, const Status& status);
-  /// Flushes conn.out as far as the socket allows; false when broken.
-  bool WriteReady(Connection& conn);
   void CloseConnection(PollLoop& loop, std::list<Connection>::iterator it);
 
   /// Bridges the aggregate NetServerStats counters and the per-loop
@@ -316,7 +310,7 @@ class TcpServer {
   /// Serves ReplFetch when the service journals (null otherwise).
   std::unique_ptr<JournalShipper> shipper_;
 
-  int listen_fd_ = -1;
+  socket::Socket listener_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   bool started_ = false;

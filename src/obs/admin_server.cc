@@ -1,33 +1,9 @@
 #include "obs/admin_server.h"
 
-#include <arpa/inet.h>
-#include <errno.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <vector>
 
 namespace topkmon {
 namespace {
-
-Status Errno(const std::string& what) {
-  return Status::Internal(what + ": " + std::strerror(errno));
-}
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return Errno("fcntl(F_GETFL)");
-  if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    return Errno("fcntl(F_SETFL)");
-  }
-  return Status::Ok();
-}
 
 const char* StatusText(int status) {
   switch (status) {
@@ -48,6 +24,13 @@ const char* StatusText(int status) {
   }
 }
 
+AdminResponse PlainResponse(int status, const char* body) {
+  AdminResponse response;
+  response.status = status;
+  response.body = body;
+  return response;
+}
+
 }  // namespace
 
 AdminHttpServer::AdminHttpServer(const AdminServerOptions& options)
@@ -61,52 +44,10 @@ void AdminHttpServer::Handle(std::string path, Handler handler) {
 
 Status AdminHttpServer::Start() {
   if (started_) return Status::FailedPrecondition("admin server started");
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Errno("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad admin bind address: " +
-                                   options_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const Status status = Errno("bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::FailedPrecondition(status.message());
-  }
-  if (::listen(listen_fd_, options_.listen_backlog) < 0) {
-    const Status status = Errno("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) < 0) {
-    const Status status = Errno("getsockname");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  port_ = ntohs(bound.sin_port);
-  const Status nb = SetNonBlocking(listen_fd_);
-  if (!nb.ok()) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return nb;
-  }
-
+  auto listener = socket::Listen(options_.bind_address, options_.port,
+                                 options_.listen_backlog, &port_);
+  if (!listener.ok()) return listener.status();
+  listener_ = std::move(*listener);
   stop_.store(false, std::memory_order_release);
   started_ = true;
   thread_ = std::thread([this] { Loop(); });
@@ -117,37 +58,35 @@ void AdminHttpServer::Stop() {
   if (!started_) return;
   stop_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  for (Connection& conn : connections_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
+  listener_.Close();
   connections_.clear();
   started_ = false;
 }
 
 void AdminHttpServer::Loop() {
   std::vector<pollfd> fds;
+  const auto take = [this](socket::Socket accepted) {
+    // Beyond the cap the connection closes at once.
+    if (connections_.size() >= options_.max_connections) return;
+    Connection conn;
+    conn.socket = std::move(accepted);
+    conn.last_activity = std::chrono::steady_clock::now();
+    connections_.push_back(std::move(conn));
+  };
   while (!stop_.load(std::memory_order_acquire)) {
     fds.clear();
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
     for (const Connection& conn : connections_) {
       short events = POLLIN;
       if (!conn.out.empty()) events |= POLLOUT;
-      fds.push_back(pollfd{conn.fd, events, 0});
+      fds.push_back(pollfd{conn.socket.fd(), events, 0});
     }
 
-    const int timeout_ms =
-        static_cast<int>(options_.poll_tick.count() > 0
-                             ? options_.poll_tick.count()
-                             : 1);
-    const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (ready < 0 && errno != EINTR) break;
-
-    if (fds[0].revents & POLLIN) AcceptReady();
+    if (!socket::Poll(fds.data(), fds.size(), options_.poll_tick) ||
+        stop_.load(std::memory_order_acquire)) {
+      break;
+    }
+    if (fds[0].revents & POLLIN) socket::AcceptPending(listener_, take);
 
     const auto now = std::chrono::steady_clock::now();
     std::size_t i = 1;
@@ -167,75 +106,43 @@ void AdminHttpServer::Loop() {
           now - conn.last_activity > options_.idle_timeout) {
         alive = false;
       }
-      if (alive) {
-        ++it;
-      } else {
-        ::close(conn.fd);
-        it = connections_.erase(it);
-      }
+      it = alive ? std::next(it) : connections_.erase(it);
     }
-  }
-}
-
-void AdminHttpServer::AcceptReady() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: nothing pending
-    if (connections_.size() >= options_.max_connections ||
-        !SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
-    }
-    Connection conn;
-    conn.fd = fd;
-    conn.last_activity = std::chrono::steady_clock::now();
-    connections_.push_back(std::move(conn));
   }
 }
 
 bool AdminHttpServer::ReadReady(Connection& conn) {
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.last_activity = std::chrono::steady_clock::now();
-      if (conn.responding) continue;  // pipelined extra bytes: ignore
-      conn.in.append(buf, static_cast<std::size_t>(n));
-      if (conn.in.find("\r\n\r\n") != std::string::npos ||
-          conn.in.find("\n\n") != std::string::npos) {
-        AnswerRequest(conn);
-      } else if (conn.in.size() > options_.max_request_bytes) {
-        AdminResponse response;
-        response.status = 431;
-        response.body = "request too large\n";
-        QueueResponse(conn, response);
-      }
-      continue;
-    }
-    if (n == 0) {
-      // Peer half-closed. If a response is queued let it flush; an
-      // abrupt disconnect mid-request just ends the connection.
-      return conn.responding && !conn.out.empty();
-    }
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  // At most one request's worth per tick: a peer that never stops
+  // sending cannot hold the admin thread from other scrapes, and its
+  // buffer stays bounded.
+  const socket::IoResult read =
+      socket::ReadSome(conn.socket, &conn.in, options_.max_request_bytes + 1);
+  if (read.bytes > 0) conn.last_activity = std::chrono::steady_clock::now();
+  if (conn.responding) {
+    conn.in.clear();  // pipelined extra bytes: ignore
+  } else if (conn.in.find("\r\n\r\n") != std::string::npos ||
+             conn.in.find("\n\n") != std::string::npos) {
+    QueueResponse(conn, Answer(conn.in));
+  } else if (conn.in.size() > options_.max_request_bytes) {
+    QueueResponse(conn, PlainResponse(431, "request too large\n"));
   }
+  // Peer half-closed. If a response is queued let it flush; an abrupt
+  // disconnect mid-request just ends the connection.
+  if (read.eof) return conn.responding && !conn.out.empty();
+  return read.error == 0;
 }
 
-void AdminHttpServer::AnswerRequest(Connection& conn) {
-  const std::size_t line_end = conn.in.find('\n');
+AdminResponse AdminHttpServer::Answer(const std::string& request) const {
+  const std::size_t line_end = request.find('\n');
   std::string line =
-      line_end == std::string::npos ? conn.in : conn.in.substr(0, line_end);
+      line_end == std::string::npos ? request : request.substr(0, line_end);
   if (!line.empty() && line.back() == '\r') line.pop_back();
 
   const std::size_t sp1 = line.find(' ');
   const std::size_t sp2 =
       sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
-  AdminResponse response;
   if (sp1 == std::string::npos || sp1 == 0) {
-    response.status = 400;
-    response.body = "malformed request line\n";
-    QueueResponse(conn, response);
-    return;
+    return PlainResponse(400, "malformed request line\n");
   }
   const std::string method = line.substr(0, sp1);
   std::string target = sp2 == std::string::npos
@@ -245,26 +152,16 @@ void AdminHttpServer::AnswerRequest(Connection& conn) {
   if (query != std::string::npos) target.resize(query);
 
   if (method != "GET") {
-    response.status = 405;
-    response.body = "read-only admin plane: GET only\n";
-    QueueResponse(conn, response);
-    return;
+    return PlainResponse(405, "read-only admin plane: GET only\n");
   }
   if (target.empty() || target[0] != '/') {
-    response.status = 400;
-    response.body = "malformed request target\n";
-    QueueResponse(conn, response);
-    return;
+    return PlainResponse(400, "malformed request target\n");
   }
-
   const auto it = handlers_.find(target);
   if (it == handlers_.end()) {
-    response.status = 404;
-    response.body = "unknown path; try /metrics /statusz /healthz\n";
-    QueueResponse(conn, response);
-    return;
+    return PlainResponse(404, "unknown path; try /metrics /statusz /healthz\n");
   }
-  QueueResponse(conn, it->second());
+  return it->second();
 }
 
 void AdminHttpServer::QueueResponse(Connection& conn,
@@ -283,17 +180,9 @@ void AdminHttpServer::QueueResponse(Connection& conn,
 }
 
 bool AdminHttpServer::WriteReady(Connection& conn) {
-  while (!conn.out.empty()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out.erase(0, static_cast<std::size_t>(n));
-      conn.last_activity = std::chrono::steady_clock::now();
-      continue;
-    }
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
-  }
-  return true;
+  const socket::IoResult sent = socket::Flush(conn.socket, &conn.out);
+  if (sent.bytes > 0) conn.last_activity = std::chrono::steady_clock::now();
+  return sent.error == 0;
 }
 
 }  // namespace topkmon

@@ -25,6 +25,9 @@
 //     oversized headers cannot balloon server memory;
 //   * a slow-loris peer that never finishes its request line is reaped
 //     by idle_timeout;
+//   * a peer that never stops sending is read at most max_request_bytes
+//     + 1 bytes per poll tick, so it cannot hold the thread from other
+//     scrapes;
 //   * an abrupt disconnect at any point just closes that connection;
 //   * connections beyond max_connections are accepted and immediately
 //     closed (the listener backlog can never fill with zombies).
@@ -42,6 +45,7 @@
 #include <unordered_map>
 
 #include "common/status.h"
+#include "util/socket.h"
 
 namespace topkmon {
 
@@ -90,7 +94,7 @@ class AdminHttpServer {
 
   /// Binds, listens and starts the serving thread. InvalidArgument for
   /// a bad bind address; FailedPrecondition if already started or the
-  /// port is taken.
+  /// port is in use; Internal for any other socket failure.
   Status Start();
 
   /// Closes the listener and every connection, then joins the thread.
@@ -102,7 +106,7 @@ class AdminHttpServer {
 
  private:
   struct Connection {
-    int fd = -1;
+    socket::Socket socket;
     std::string in;   ///< request bytes, not yet terminated
     std::string out;  ///< response bytes, not yet sent
     bool responding = false;  ///< request answered; flush out, then close
@@ -110,13 +114,11 @@ class AdminHttpServer {
   };
 
   void Loop();
-  /// Accepts whatever is pending on the listener.
-  void AcceptReady();
   /// Reads request bytes; answers once the header terminator arrives.
   /// Returns false when the connection should close now.
   bool ReadReady(Connection& conn);
-  /// Parses the buffered request and queues the response.
-  void AnswerRequest(Connection& conn);
+  /// The response to `request` (its request line and headers).
+  AdminResponse Answer(const std::string& request) const;
   void QueueResponse(Connection& conn, const AdminResponse& response);
   /// Flushes conn.out; false when the peer is gone.
   bool WriteReady(Connection& conn);
@@ -124,7 +126,7 @@ class AdminHttpServer {
   const AdminServerOptions options_;
   std::unordered_map<std::string, Handler> handlers_;
 
-  int listen_fd_ = -1;
+  socket::Socket listener_;
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   bool started_ = false;

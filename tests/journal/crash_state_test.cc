@@ -12,9 +12,9 @@
 //     ones after it lost (writes reaching the disk in order);
 //   * a create, rename or unlink survives once its directory is fsynced;
 //     those after the last directory fsync land in any subset (every
-//     subset up to kExhaustiveDirOps of them, else all, none and each one
-//     flipped), a rename atomically: the source goes and the target names
-//     the file, or neither.
+//     subset up to kExhaustiveDirOps of them, else all, none, each one
+//     alone, and all but one or two), a rename atomically: the source
+//     goes and the target names the file, or neither.
 // Each state of the writer's directory is written to a temp directory
 // and opened with MonitorService::Open, which must:
 //   1. succeed, with any damage it cut off classified in its report;
@@ -472,9 +472,15 @@ class DiskModel {
       subsets.push_back(all);
       subsets.emplace_back(n, false);
       for (std::size_t i = 0; i < n; ++i) {
-        std::vector<bool> flipped = all;
-        flipped[i] = false;
-        subsets.push_back(std::move(flipped));
+        std::vector<bool> alone(n, false);
+        alone[i] = true;
+        subsets.push_back(std::move(alone));
+        // All but op i (j == i), or all but ops i and j.
+        for (std::size_t j = i; j < n; ++j) {
+          std::vector<bool> flipped = all;
+          flipped[i] = flipped[j] = false;
+          subsets.push_back(std::move(flipped));
+        }
       }
     }
     for (std::vector<bool>& applied : subsets) {
@@ -851,6 +857,31 @@ INSTANTIATE_TEST_SUITE_P(Retain, JournalCrashStateTest,
                          [](const ::testing::TestParamInfo<std::uint64_t>& p) {
                            return "Retain" + std::to_string(p.param);
                          });
+
+// The scripts above never have more than three directory operations
+// pending at once, so they build every subset; a longer script (six
+// creates before any directory fsync) gets all, none, each one alone, and
+// all but one or two.
+TEST(CrashStateModelTest, ManyPendingDirectoryOpsLandAloneOrAllButTwo) {
+  std::vector<LoggedOp> ops;
+  for (int i = 0; i < 6; ++i) {
+    LoggedOp create;
+    create.op = fs::Op::kOpen;
+    create.name = "f" + std::to_string(i);
+    ops.push_back(create);
+  }
+  DiskModel model(ops);
+  while (model.instant() < ops.size()) model.Step();
+  std::set<std::set<std::string>> listings;
+  for (const CrashState& state : model.States()) {
+    std::set<std::string> names;
+    for (const auto& [name, bytes] : model.Materialize(state)) {
+      names.insert(name);
+    }
+    listings.insert(std::move(names));
+  }
+  EXPECT_EQ(listings.size(), 1u + 1u + 6u + 6u + 15u);
+}
 
 // ---- the fencing epoch ---------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -314,6 +315,91 @@ TEST_F(AdminTortureTest, ManyConcurrentPeersAllServed) {
   }
   for (std::thread& t : peers) t.join();
   EXPECT_EQ(ok.load(), 16);
+}
+
+TEST_F(AdminTortureTest, EndlessSenderDoesNotStarveOtherScrapes) {
+  // The hook holds one connection's reads to a byte each, so while its
+  // peer keeps sending every read finds more, and keeps its 431 from
+  // leaving, so the connection stays open and keeps being read.
+  std::atomic<std::uint16_t> endless{0};
+  std::atomic<std::uint64_t> endless_reads{0};
+  testing::ScopedSocketHook hook(
+      [&](socket::Op op, int fd, std::size_t* bytes) {
+        const std::uint16_t port = endless.load();
+        if (port == 0 || testing::SocketPort(fd, /*peer=*/true) != port) {
+          return 0;
+        }
+        if (op == socket::Op::kWrite) return EAGAIN;
+        if (op == socket::Op::kRead) {
+          *bytes = 1;
+          ++endless_reads;
+        }
+        return 0;
+      });
+  auto sender = socket::Connect("127.0.0.1", server_->port(),
+                                std::chrono::milliseconds(100));
+  ASSERT_TRUE(sender.ok()) << sender.status();
+  endless.store(testing::SocketPort(sender->fd(), /*peer=*/false));
+  std::atomic<bool> stop{false};
+  std::thread flood([&] {
+    const std::string chunk(4096, 'x');  // never ends a request line
+    while (!stop.load()) {
+      std::string out = chunk;
+      if (socket::Flush(*sender, &out).error != 0) break;
+    }
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (endless_reads.load() < 1000 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(endless_reads.load(), 1000u);
+
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse r = Get(server_->port(), "/ok");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  // The endless connection was still being read after the scrape.
+  const std::uint64_t reads = endless_reads.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_GT(endless_reads.load(), reads);
+
+  stop.store(true);
+  flood.join();
+  server_->Stop();  // no thread may call the hook once it is removed
+}
+
+// ---- transport cut short by the socket test hook ----------------------
+
+TEST(AdminSocketHookTest, OneByteSendsDeliverAWholeResponse) {
+  std::atomic<std::uint16_t> admin_port{0};
+  std::atomic<std::uint64_t> sends{0};
+  testing::ScopedSocketHook hook(
+      [&](socket::Op op, int fd, std::size_t* bytes) {
+        if (op == socket::Op::kWrite &&
+            testing::SocketPort(fd, /*peer=*/false) == admin_port.load()) {
+          *bytes = 1;
+          ++sends;
+        }
+        return 0;
+      });
+  AdminHttpServer server(TortureOptions());
+  std::string big;
+  for (int i = 0; big.size() < 20000; ++i) big += std::to_string(i) + ",";
+  server.Handle("/big", [&big] {
+    AdminResponse r;
+    r.body = big;
+    return r;
+  });
+  TOPKMON_ASSERT_OK(server.Start());
+  admin_port.store(server.port());
+  const HttpResponse r = Get(server.port(), "/big");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(std::stoul(r.headers.at("Content-Length")), big.size());
+  EXPECT_EQ(r.body, big);
+  EXPECT_GT(sends.load(), big.size());
+  server.Stop();
 }
 
 // ---- /healthz across role transitions ---------------------------------
