@@ -6,6 +6,12 @@
 #include "journal/wire.h"
 
 namespace topkmon {
+namespace {
+
+/// The clock of a writer whose owner has no node clock: never frozen.
+const Clock kRunningClock;
+
+}  // namespace
 
 Result<SyncPolicy> ParseSyncPolicy(const std::string& name) {
   if (name == "none") return SyncPolicy::kNone;
@@ -25,12 +31,13 @@ const char* SyncPolicyName(SyncPolicy policy) {
 }
 
 CycleJournalWriter::CycleJournalWriter(const JournalOptions& options,
-                                       std::uint64_t next_index)
-    : options_(options), segment_index_(next_index) {}
+                                       std::uint64_t next_index,
+                                       const Clock& clock)
+    : options_(options), clock_(clock), segment_index_(next_index) {}
 
 Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
     const JournalOptions& options, const SnapshotAnchor& initial,
-    bool resuming) {
+    bool resuming, const Clock* clock) {
   if (options.dir.empty()) {
     return Status::InvalidArgument("journal directory is empty");
   }
@@ -47,7 +54,8 @@ Result<std::unique_ptr<CycleJournalWriter>> CycleJournalWriter::Open(
         "writer at an empty directory");
   }
   std::unique_ptr<CycleJournalWriter> writer(
-      new CycleJournalWriter(options, next_index));
+      new CycleJournalWriter(options, next_index,
+                             clock != nullptr ? *clock : kRunningClock));
   TOPKMON_RETURN_IF_ERROR(writer->OpenSegment(initial, next_index));
   return writer;
 }
@@ -167,7 +175,7 @@ Status CycleJournalWriter::OpenSegment(const SnapshotAnchor& anchor,
   cycles_in_segment_ = 0;
   appends_since_sync_ = 0;
   cycles_since_sync_ = 0;
-  last_sync_time_ = std::chrono::steady_clock::now();
+  last_sync_time_ = clock_.Now();
   stats_.bytes_written += stream.bytes();
   ++stats_.segments_created;
   ++stats_.snapshots_written;
@@ -183,10 +191,10 @@ Status CycleJournalWriter::SyncFd() {
     GarbageCollect();
   }
   ++stats_.sync_calls;
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::RealNow();
   const Status st = file_.DataSync();
   if (fsync_histogram_ != nullptr) {
-    fsync_histogram_->Record(std::chrono::steady_clock::now() - start);
+    fsync_histogram_->Record(Clock::RealNow() - start);
   }
   if (!st.ok()) {
     // The tail is still only in page cache: leave the group-commit
@@ -196,7 +204,7 @@ Status CycleJournalWriter::SyncFd() {
   }
   appends_since_sync_ = 0;
   cycles_since_sync_ = 0;
-  last_sync_time_ = std::chrono::steady_clock::now();
+  last_sync_time_ = clock_.Now();
   return Status::Ok();
 }
 
@@ -204,8 +212,7 @@ Status CycleJournalWriter::SyncIfDue() {
   if (closed() || appends_since_sync_ == 0) return Status::Ok();
   if (options_.sync != SyncPolicy::kInterval ||
       options_.sync_interval_ms.count() <= 0 ||
-      std::chrono::steady_clock::now() - last_sync_time_ <
-          options_.sync_interval_ms) {
+      clock_.Now() - last_sync_time_ < options_.sync_interval_ms) {
     return Status::Ok();
   }
   Status st = SyncFd();
@@ -260,8 +267,7 @@ Status CycleJournalWriter::AppendScratchFrame(bool is_cycle) {
           (options_.sync_interval_cycles > 0 &&
            cycles_since_sync_ >= options_.sync_interval_cycles) ||
           (options_.sync_interval_ms.count() > 0 &&
-           std::chrono::steady_clock::now() - last_sync_time_ >=
-               options_.sync_interval_ms);
+           clock_.Now() - last_sync_time_ >= options_.sync_interval_ms);
     }
     if (sync_now) st = SyncFd();
   }

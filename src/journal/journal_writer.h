@@ -22,11 +22,11 @@
 //   kInterval group commit: fdatasync once several appends have batched
 //             up — every `sync_every_records` appends, every
 //             `sync_interval_cycles` cycle records, or once
-//             `sync_interval_ms` has elapsed since the last sync,
-//             whichever trips first (zero disables that trigger). The
-//             time trigger is checked on appends and by SyncIfDue(),
-//             which the service driver calls on idle loops so a quiet
-//             stream still bounds the unsynced window.
+//             `sync_interval_ms` has elapsed since the last sync on the
+//             owning node's clock, whichever trips first (zero disables
+//             that trigger). The time trigger is checked on appends and
+//             by SyncIfDue(), which the service driver calls on idle
+//             loops so a quiet stream still bounds the unsynced window.
 //   kAlways   fdatasync after every append (group-commit-free, slowest).
 // Snapshot records are always fdatasync'd regardless of policy — they are
 // the recovery anchors.
@@ -46,6 +46,7 @@
 
 #include "journal/format.h"
 #include "obs/metrics.h"
+#include "util/clock.h"
 #include "util/fs.h"
 
 namespace topkmon {
@@ -74,7 +75,8 @@ struct JournalOptions {
   std::uint64_t sync_every_records = 256;
   /// Group-commit triggers under SyncPolicy::kInterval: also sync after
   /// this many *cycle* records batched since the last sync, or once this
-  /// much wall time elapsed since it (0 disables either trigger). Acks
+  /// much time elapsed since it on the node clock (0 disables either
+  /// trigger). Acks
   /// ride behind the batch: a producer that needs an explicit durability
   /// point calls MonitorService::SyncJournal() (the Sync() barrier
   /// below), not a sync per record.
@@ -115,10 +117,12 @@ class CycleJournalWriter {
   /// When `resuming` is false and the directory already holds segments,
   /// fails with FailedPrecondition instead of silently superseding the
   /// previous journal's state (recover first — MonitorService::Open
-  /// does).
+  /// does). The group-commit interval is read on `clock`, the owning
+  /// node's clock, which must outlive the writer; nullptr is a clock
+  /// nothing freezes.
   static Result<std::unique_ptr<CycleJournalWriter>> Open(
       const JournalOptions& options, const SnapshotAnchor& initial,
-      bool resuming = false);
+      bool resuming = false, const Clock* clock = nullptr);
 
   ~CycleJournalWriter();
 
@@ -171,7 +175,8 @@ class CycleJournalWriter {
   std::uint64_t current_segment_index() const { return segment_index_; }
 
  private:
-  CycleJournalWriter(const JournalOptions& options, std::uint64_t next_index);
+  CycleJournalWriter(const JournalOptions& options, std::uint64_t next_index,
+                     const Clock& clock);
 
   /// Creates and durably anchors segment `index` under a temp name,
   /// committing the writer to it at its rename (a rotation that fails
@@ -191,6 +196,7 @@ class CycleJournalWriter {
   void GarbageCollect();
 
   const JournalOptions options_;
+  const Clock& clock_;
   /// Reused serialization buffer (capacity persists across appends so
   /// the per-cycle hot path does not allocate); a rotation streams its
   /// anchor through it one chunk at a time.
@@ -201,7 +207,7 @@ class CycleJournalWriter {
   std::uint64_t cycles_in_segment_ = 0;
   std::uint64_t appends_since_sync_ = 0;
   std::uint64_t cycles_since_sync_ = 0;
-  std::chrono::steady_clock::time_point last_sync_time_{};
+  Clock::time_point last_sync_time_{};  ///< on clock_
   /// The current segment's rename is not yet durable: its directory
   /// fsync failed and no later one has succeeded.
   bool dir_sync_owed_ = false;

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "journal/wire.h"
+#include "util/clock.h"
 
 namespace topkmon {
 
@@ -246,12 +247,12 @@ Result<MonitorClient::ServerStatus> MonitorClient::GetStatus() {
 
 Status MonitorClient::WaitForAsOf(QueryId query, Timestamp target,
                                   std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = Clock::RealNow() + timeout;
   while (true) {
     auto result = CurrentResult(query);
     if (!result.ok()) return result.status();
     if (snapshot_as_of_ >= target) return Status::Ok();
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (Clock::RealNow() >= deadline) {
       return Status::Unavailable(
           "server as-of frontier " + std::to_string(snapshot_as_of_) +
           " did not reach " + std::to_string(target) + " within " +

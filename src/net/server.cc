@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "journal/wire.h"
+#include "util/clock.h"
 
 namespace topkmon {
 namespace {
@@ -225,14 +226,20 @@ void TcpServer::AcceptorLoop() {
     }
     Connection conn;
     conn.socket = std::move(accepted);
-    conn.last_activity = std::chrono::steady_clock::now();
+    conn.last_activity = Clock::RealNow();
     // Fresh connections round-robin over the client-facing loops; the
     // dedicated replication loop (if any) only receives migrations.
     HandOff(*loops_[next_loop_++ % client_loops_], std::move(conn));
   };
+  // After a failed accept the listener sits out one tick.
+  Clock::time_point accept_after{};
   while (!stop_.load()) {
+    pfd.events = Clock::RealNow() >= accept_after ? POLLIN : 0;
     if (!socket::Poll(&pfd, 1, options_.poll_tick) || stop_.load()) break;
-    if ((pfd.revents & POLLIN) != 0) socket::AcceptPending(listener_, take);
+    if ((pfd.revents & POLLIN) != 0 &&
+        !socket::AcceptPending(listener_, take)) {
+      accept_after = Clock::RealNow() + options_.poll_tick;
+    }
   }
 }
 
@@ -298,7 +305,7 @@ void TcpServer::LoopRun(PollLoop& loop) {
 
     std::vector<std::list<Connection>::iterator> doomed;
     std::vector<std::list<Connection>::iterator> migrants;
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::RealNow();
     for (std::size_t i = 0; i < conn_of_fd.size(); ++i) {
       auto it = conn_of_fd[i];
       Connection& conn = *it;
@@ -386,7 +393,7 @@ bool TcpServer::ReadReady(PollLoop& loop, Connection& conn) {
   const socket::IoResult read =
       socket::ReadSome(conn.socket, &conn.in, kReadBudget);
   if (read.bytes > 0) {
-    conn.last_activity = std::chrono::steady_clock::now();
+    conn.last_activity = Clock::RealNow();
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.bytes_received += read.bytes;
   }
@@ -565,7 +572,7 @@ void TcpServer::HandleMessage(Connection& conn, const NetMessage& msg) {
           std::chrono::milliseconds(msg.timeout_ms), options_.max_long_poll);
       conn.poll_parked = true;
       conn.poll_max = max;
-      conn.poll_deadline = std::chrono::steady_clock::now() + timeout;
+      conn.poll_deadline = Clock::RealNow() + timeout;
       conn.poll_epoch = ResumeEpoch(conn.session);
       return;
     }
@@ -747,7 +754,7 @@ void TcpServer::HandleReplFetch(Connection& conn, const NetMessage& msg) {
     conn.fetch_offset = msg.offset;
     conn.fetch_max_bytes = max_bytes;
     conn.fetch_progress = progress;
-    conn.fetch_deadline = std::chrono::steady_clock::now() + timeout;
+    conn.fetch_deadline = Clock::RealNow() + timeout;
     return;
   }
   SendFetchAnswer(conn, chunk);

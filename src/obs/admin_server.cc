@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "util/clock.h"
+
 namespace topkmon {
 namespace {
 
@@ -70,12 +72,17 @@ void AdminHttpServer::Loop() {
     if (connections_.size() >= options_.max_connections) return;
     Connection conn;
     conn.socket = std::move(accepted);
-    conn.last_activity = std::chrono::steady_clock::now();
+    conn.last_activity = Clock::RealNow();
     connections_.push_back(std::move(conn));
   };
+  // After a failed accept the listener sits out one tick.
+  Clock::time_point accept_after{};
   while (!stop_.load(std::memory_order_acquire)) {
     fds.clear();
-    fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+    fds.push_back(pollfd{
+        listener_.fd(),
+        static_cast<short>(Clock::RealNow() >= accept_after ? POLLIN : 0),
+        0});
     for (const Connection& conn : connections_) {
       short events = POLLIN;
       if (!conn.out.empty()) events |= POLLOUT;
@@ -86,9 +93,12 @@ void AdminHttpServer::Loop() {
         stop_.load(std::memory_order_acquire)) {
       break;
     }
-    if (fds[0].revents & POLLIN) socket::AcceptPending(listener_, take);
+    const auto now = Clock::RealNow();
+    if ((fds[0].revents & POLLIN) != 0 &&
+        !socket::AcceptPending(listener_, take)) {
+      accept_after = now + options_.poll_tick;
+    }
 
-    const auto now = std::chrono::steady_clock::now();
     std::size_t i = 1;
     for (auto it = connections_.begin(); it != connections_.end(); ++i) {
       Connection& conn = *it;
@@ -117,7 +127,7 @@ bool AdminHttpServer::ReadReady(Connection& conn) {
   // buffer stays bounded.
   const socket::IoResult read =
       socket::ReadSome(conn.socket, &conn.in, options_.max_request_bytes + 1);
-  if (read.bytes > 0) conn.last_activity = std::chrono::steady_clock::now();
+  if (read.bytes > 0) conn.last_activity = Clock::RealNow();
   if (conn.responding) {
     conn.in.clear();  // pipelined extra bytes: ignore
   } else if (conn.in.find("\r\n\r\n") != std::string::npos ||
@@ -181,7 +191,7 @@ void AdminHttpServer::QueueResponse(Connection& conn,
 
 bool AdminHttpServer::WriteReady(Connection& conn) {
   const socket::IoResult sent = socket::Flush(conn.socket, &conn.out);
-  if (sent.bytes > 0) conn.last_activity = std::chrono::steady_clock::now();
+  if (sent.bytes > 0) conn.last_activity = Clock::RealNow();
   return sent.error == 0;
 }
 

@@ -37,7 +37,11 @@ FailoverAgent::FailoverAgent(ReplicaFollower* follower,
   // registry (so /metrics and /statusz) until Stop deregisters them.
   sampler_id_ = follower_->service().metrics().AddSampler(
       [this](MetricSink& sink) { SampleFailoverMetrics(sink); });
-  thread_ = std::thread([this] { Loop(); });
+  // Silence is measured from construction, not from whenever the thread
+  // first runs, so node-clock time that passes after construction
+  // always counts as silence.
+  thread_ = std::thread(
+      [this, since = follower_->service().clock().Now()] { Loop(since); });
 }
 
 FailoverAgent::~FailoverAgent() { Stop(); }
@@ -136,11 +140,12 @@ bool FailoverAgent::Outranks(const Candidate& a, const Candidate& b) {
   return a.endpoint < b.endpoint;
 }
 
-void FailoverAgent::Loop() {
-  // The silence clock starts now: a follower booted against an already
-  // dead leader should still wait a full election_timeout before its
-  // first election, not fire instantly off a zero last_fetch_ok.
-  auto baseline = std::chrono::steady_clock::now();
+void FailoverAgent::Loop(Clock::time_point baseline) {
+  // Silence is read on the node's clock, the one last_fetch_ok is
+  // stamped on. A follower booted against an already dead leader still
+  // waits a full election_timeout from `baseline` before its first
+  // election, rather than firing at once off a zero last_fetch_ok.
+  const Clock& clock = follower_->service().clock();
   while (SleepFor(options_.poll_interval)) {
     if (follower_->service().role() == ServiceRole::kLeader) {
       // Promoted out from under us (operator Promote, or our own win
@@ -149,8 +154,7 @@ void FailoverAgent::Loop() {
     }
     const ReplicaFollowerStats st = follower_->stats();
     const auto last = std::max(st.last_fetch_ok, baseline);
-    if (std::chrono::steady_clock::now() - last <
-        options_.election_timeout) {
+    if (clock.Now() - last < options_.election_timeout) {
       continue;
     }
     {
@@ -161,7 +165,7 @@ void FailoverAgent::Loop() {
     if (promoted()) return;
     // A sibling won and the pump was re-targeted; give the new leader a
     // fresh silence window before judging it.
-    baseline = std::chrono::steady_clock::now();
+    baseline = clock.Now();
   }
 }
 

@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "replica/follower.h"
+#include "util/clock.h"
 
 namespace topkmon {
 
@@ -121,7 +122,7 @@ class FailoverAgent {
     std::uint64_t journal_offset = 0;
   };
 
-  void Loop();
+  void Loop(Clock::time_point baseline);
   /// Runs probe rounds until a leader exists (self or adopted) or the
   /// agent is stopped. Returns true when a leader was established.
   bool RunElection();

@@ -288,7 +288,7 @@ void ReplicaFollower::PumpLoop() {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.chunks_received;
       stats_.bytes_shipped += chunk->data.size();
-      stats_.last_fetch_ok = std::chrono::steady_clock::now();
+      stats_.last_fetch_ok = service_->clock().Now();
     }
     if (chunk->restart) {
       // The leader garbage-collected past us (or the journal was
@@ -411,9 +411,9 @@ void ReplicaFollower::SampleReplicaMetrics(MetricSink& sink) const {
 
 Status ReplicaFollower::WaitForCycleTs(Timestamp ts,
                                        std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  const auto deadline = Clock::RealNow() + timeout;
   while (service_->replication().applied_cycle_ts < ts) {
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (Clock::RealNow() >= deadline) {
       return Status::FailedPrecondition(
           "follower did not reach cycle ts " + std::to_string(ts) +
           " within the timeout (applied ts " +

@@ -59,6 +59,7 @@
 #include "journal/journal_reader.h"
 #include "net/client.h"
 #include "service/monitor_service.h"
+#include "util/clock.h"
 #include "util/fs.h"
 
 namespace topkmon {
@@ -99,12 +100,12 @@ struct ReplicaFollowerStats {
   Timestamp applied_cycle_ts = 0;
   Timestamp leader_cycle_ts = 0;
   bool connected = false;
-  /// Steady-clock instant of the last *successful* fetch (including
-  /// empty long-poll answers — they still prove the leader is alive).
-  /// Zero (epoch of the steady clock) until the first success. The
-  /// failover agent's liveness probe: a leader is presumed dead once
+  /// The node's clock (service().clock()) at the last *successful*
+  /// fetch (including empty long-poll answers — they still prove the
+  /// leader is alive). Zero (the clock's epoch) until the first success.
+  /// The failover agent's liveness probe: a leader is presumed dead once
   /// this stalls past the election timeout.
-  std::chrono::steady_clock::time_point last_fetch_ok{};
+  Clock::time_point last_fetch_ok{};
 
   /// Cycle-timestamp apply lag (leader progress minus ours) — the same
   /// staleness formula follower reads carry on the wire.

@@ -17,17 +17,20 @@
 //     moment its lease lapses or it observes a higher epoch, whichever
 //     comes first. Observation is sticky: once deposed, always deposed.
 //
-// Timing uses the same injectable clock as MonitorService
-// (SetClockForTesting), so lease-expiry tests are deterministic.
+// The lease is timed on the leader's node clock (MonitorService::
+// clock(), util/clock.h), which a test can freeze and advance, so
+// lease-expiry tests are deterministic.
 
 #ifndef TOPKMON_REPLICA_LEASE_H_
 #define TOPKMON_REPLICA_LEASE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 
 #include "common/status.h"
+#include "util/clock.h"
 
 namespace topkmon {
 
@@ -41,46 +44,51 @@ struct LeaseOptions {
   bool enabled = false;
   /// Seconds of follower silence after which the leader self-fences.
   /// An electing follower must wait strictly longer than this before
-  /// self-promoting (FailoverOptions::election_timeout_seconds), so the
-  /// old leader is provably fenced before the new one accepts a write.
+  /// self-promoting (FailoverOptions::election_timeout, in
+  /// milliseconds), so the old leader is provably fenced before the new
+  /// one accepts a write.
   double duration_seconds = 2.0;
 };
 
-/// Thread-safe renewal clock for a leader's lease. The server's poll
+/// Thread-safe renewal record for a leader's lease. The server's poll
 /// loops renew it on every follower fetch; the write path checks
-/// Expired() against the service clock. No internal locking beyond the
-/// atomics — callers never need a consistent multi-field view.
+/// Expired() against the node clock. No internal locking beyond the
+/// atomic — callers never need a consistent multi-field view.
 class FencingLease {
  public:
   explicit FencingLease(double duration_seconds)
-      : duration_seconds_(duration_seconds) {}
+      : duration_(std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double>(duration_seconds))) {}
 
   /// Arms the lease: the grace period starts at `now`, so a freshly
   /// promoted or restarted leader is not instantly expired while its
   /// followers re-target.
-  void Start(double now) {
-    last_renewal_.store(now, std::memory_order_relaxed);
+  void Start(Clock::time_point now) {
+    last_renewal_.store(Ticks(now), std::memory_order_relaxed);
   }
 
   /// Records follower contact (a ReplFetch served). Monotone: a stale
-  /// renewal never moves the clock backwards.
-  void Renew(double now) {
-    double prev = last_renewal_.load(std::memory_order_relaxed);
-    while (prev < now && !last_renewal_.compare_exchange_weak(
-                             prev, now, std::memory_order_relaxed)) {
+  /// renewal never moves the record backwards.
+  void Renew(Clock::time_point now) {
+    const Clock::duration::rep ticks = Ticks(now);
+    Clock::duration::rep prev = last_renewal_.load(std::memory_order_relaxed);
+    while (prev < ticks && !last_renewal_.compare_exchange_weak(
+                               prev, ticks, std::memory_order_relaxed)) {
     }
   }
 
-  bool Expired(double now) const {
-    return now - last_renewal_.load(std::memory_order_relaxed) >
-           duration_seconds_;
+  bool Expired(Clock::time_point now) const {
+    return Ticks(now) - last_renewal_.load(std::memory_order_relaxed) >
+           duration_.count();
   }
 
-  double duration_seconds() const { return duration_seconds_; }
-
  private:
-  const double duration_seconds_;
-  std::atomic<double> last_renewal_{0.0};
+  static Clock::duration::rep Ticks(Clock::time_point t) {
+    return t.time_since_epoch().count();
+  }
+
+  const Clock::duration duration_;
+  std::atomic<Clock::duration::rep> last_renewal_{0};
 };
 
 // ---- epoch minting ----------------------------------------------------

@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "util/clock.h"
+
 namespace topkmon {
 
 IngestQueue::IngestQueue(const IngestOptions& options, int dim)
@@ -49,14 +51,14 @@ Status IngestQueue::Push(const Point& position, Timestamp arrival) {
   if (closed_) {
     return Status::FailedPrecondition("ingest queue is closed");
   }
-  PushLocked(position.data(), arrival, std::chrono::steady_clock::now());
+  PushLocked(position.data(), arrival, Clock::RealNow());
   drain_cv_.notify_one();
   return Status::Ok();
 }
 
 bool IngestQueue::TryPush(const Point& position, Timestamp arrival) {
   assert(position.dim() == dim_);
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::RealNow();
   std::unique_lock<std::mutex> lock(mu_);
   if (closed_ || SizeLocked() >= options_.capacity) {
     if (!closed_) ++stats_.shed;
@@ -69,7 +71,7 @@ bool IngestQueue::TryPush(const Point& position, Timestamp arrival) {
 
 std::size_t IngestQueue::PushBatch(RecordSpan records) {
   if (records.empty()) return 0;
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::RealNow();
   std::size_t accepted = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);

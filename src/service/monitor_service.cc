@@ -9,6 +9,14 @@
 #include "common/geometry.h"
 
 namespace topkmon {
+namespace {
+
+/// The session token buckets count seconds on the node clock.
+double BucketSeconds(Clock::time_point now) {
+  return std::chrono::duration<double>(now.time_since_epoch()).count();
+}
+
+}  // namespace
 
 std::string ServiceStats::ToString() const {
   std::ostringstream os;
@@ -46,7 +54,6 @@ MonitorService::MonitorService(std::unique_ptr<MonitorEngine> engine,
       dim_(engine_->dim()),
       engine_name_(engine_->name()),
       recovery_(std::move(recovery)),
-      epoch_(std::chrono::steady_clock::now()),
       ingest_(options.ingest, dim_),
       sessions_(options.session),
       hub_(options.hub) {
@@ -164,7 +171,7 @@ Status MonitorService::StartLeaderLocked(LeaderStart from) {
   journaled_queries_ = std::move(from.live_queries);
   if (!options_.journal.dir.empty()) {
     auto writer = CycleJournalWriter::Open(options_.journal, AnchorLocked(),
-                                           from.resume_journal);
+                                           from.resume_journal, &clock_);
     if (writer.ok()) {
       journal_ = std::move(*writer);
       journal_->set_fsync_histogram(journal_fsync_hist_);
@@ -178,7 +185,7 @@ Status MonitorService::StartLeaderLocked(LeaderStart from) {
   }
   // Armed at the start of the term, so a leader with no follower
   // attached yet has the full lease duration to acquire one.
-  if (lease_ != nullptr) lease_->Start(NowSeconds());
+  if (lease_ != nullptr) lease_->Start(clock_.Now());
   role_.store(ServiceRole::kLeader, std::memory_order_release);
   driver_ = std::thread([this] { DriverLoop(); });
   return Status::Ok();
@@ -220,29 +227,6 @@ Status MonitorService::DropQueryLocked(QueryId query) {
           [query](const JournaledQuery& q) { return q.spec.id == query; }),
       journaled_queries_.end());
   return st;
-}
-
-double MonitorService::NowSeconds() const {
-  if (clock_overridden_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    if (clock_override_) return clock_override_();
-  }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
-
-void MonitorService::SetClockForTesting(std::function<double()> clock) {
-  {
-    std::lock_guard<std::mutex> lock(clock_mu_);
-    clock_override_ = std::move(clock);
-    clock_overridden_.store(static_cast<bool>(clock_override_),
-                            std::memory_order_release);
-  }
-  // Re-arm the lease on the new time base: its last renewal was recorded
-  // on the old clock and mixing bases would make expiry arithmetic
-  // meaningless mid-test.
-  if (lease_ != nullptr) lease_->Start(NowSeconds());
 }
 
 template <typename AppendFn>
@@ -294,7 +278,7 @@ Status MonitorService::RefuseWrite() {
   // operator opted out of self-fencing) honors the fenced_ latch: once a
   // higher epoch was observed, a newer leader exists somewhere.
   if (!fenced_.load(std::memory_order_acquire)) {
-    if (lease_ == nullptr || !lease_->Expired(NowSeconds())) {
+    if (lease_ == nullptr || !lease_->Expired(clock_.Now())) {
       return Status::Ok();
     }
     // Latch: a late follower fetch renewing the lease after this point
@@ -313,7 +297,7 @@ void MonitorService::NoteFollowerContact() {
       fenced_.load(std::memory_order_acquire)) {
     return;
   }
-  lease_->Renew(NowSeconds());
+  lease_->Renew(clock_.Now());
 }
 
 Status MonitorService::ObserveFencingEpoch(std::uint64_t epoch) {
@@ -370,7 +354,8 @@ Status MonitorService::IngestOne(const SessionId* session, Point position,
   TOPKMON_RETURN_IF_ERROR(RefuseWrite());
   if (session != nullptr) {
     TOPKMON_RETURN_IF_ERROR(
-        sessions_.ConsumeIngestTokens(*session, 1.0, NowSeconds()));
+        sessions_.ConsumeIngestTokens(*session, 1.0,
+                                      BucketSeconds(clock_.Now())));
   }
   TOPKMON_RETURN_IF_ERROR(ValidatePoint(position, dim_));
   if (block) return ingest_.Push(std::move(position), arrival);
@@ -402,7 +387,7 @@ std::size_t MonitorService::TryIngestBatch(SessionId session,
 #endif
   Status rate_refusal;
   const std::size_t granted = sessions_.ConsumeUpToIngestTokens(
-      session, n, NowSeconds(), &rate_refusal);
+      session, n, BucketSeconds(clock_.Now()), &rate_refusal);
   const std::size_t pushed =
       granted == 0 ? 0 : ingest_.PushBatch(records.subspan(0, granted));
   if (pushed < granted) {
@@ -803,8 +788,7 @@ void MonitorService::DriverLoop() {
     // completed the ingest->publish span. One sample per cycle, the
     // per-batch worst case.
     if (st.ok() && ingest_publish_hist_ != nullptr) {
-      ingest_publish_hist_->Record(std::chrono::steady_clock::now() -
-                                   oldest_push);
+      ingest_publish_hist_->Record(Clock::RealNow() - oldest_push);
     }
     {
       std::lock_guard<std::mutex> lock(state_mu_);
@@ -1086,7 +1070,7 @@ AdminResponse MonitorService::ServeHealthz() const {
   // A lapsed lease degrades health even before a refused write latches
   // fenced_ — the probe must not depend on write traffic to notice.
   const bool degraded =
-      IsFenced() || (lease_ != nullptr && lease_->Expired(NowSeconds()));
+      IsFenced() || (lease_ != nullptr && lease_->Expired(clock_.Now()));
   if (degraded) {
     r.status = 503;
     r.body = "fenced-degraded (fencing epoch " +

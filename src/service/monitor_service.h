@@ -84,6 +84,7 @@
 #include "service/ingest_queue.h"
 #include "service/session.h"
 #include "service/subscription_hub.h"
+#include "util/clock.h"
 
 namespace topkmon {
 
@@ -310,6 +311,13 @@ class MonitorService {
     return role_.load(std::memory_order_acquire);
   }
 
+  /// This node's clock (util/clock.h): lease start, renewal and expiry,
+  /// the session token buckets, the journal's group-commit interval and
+  /// a follower's fetch silence are read on it. Tests freeze and advance
+  /// it; sockets and latency histograms never read it.
+  Clock& clock() { return clock_; }
+  const Clock& clock() const { return clock_; }
+
   // ---- leader lease / fencing (v5; see src/replica/lease.h) -----------
   /// The highest fencing epoch this service has adopted or observed.
   std::uint64_t fencing_epoch() const {
@@ -446,12 +454,6 @@ class MonitorService {
   using CycleObserver = std::function<void(Timestamp, RecordSpan)>;
   void SetCycleObserver(CycleObserver observer);
 
-  /// Replaces the monotonic clock behind the session token buckets with a
-  /// caller-controlled one (seconds, monotone non-decreasing). Lets tests
-  /// drive rate limiting deterministically instead of sleeping; pass
-  /// nullptr to restore the steady clock.
-  void SetClockForTesting(std::function<double()> clock);
-
  private:
   /// Where a leader term picks up: fresh defaults, or the replay
   /// bookkeeping of a recovered (Open) or replicated (Promote) journal.
@@ -511,9 +513,6 @@ class MonitorService {
   /// status. Caller holds control_mu_ and engine_mu_.
   Status DropQueryLocked(QueryId query);
 
-  /// Seconds on the service's monotonic clock (token-bucket time base).
-  double NowSeconds() const;
-
   /// The journal anchor of the current state: the engine's window, the
   /// live queries and the id allocators, read in place while encoded.
   /// Caller must hold engine_mu_ for as long as the anchor is used.
@@ -552,7 +551,8 @@ class MonitorService {
   const int dim_;
   const std::string engine_name_;
   const RecoveryReport recovery_;
-  const std::chrono::steady_clock::time_point epoch_;
+  /// Declared before journal_, whose writer reads it until it closes.
+  Clock clock_;
 
   /// Admin-plane metric store. Declared before every component that
   /// records into its instruments (hub_, journal_) so it is destroyed
@@ -626,14 +626,6 @@ class MonitorService {
   mutable std::mutex journal_status_mu_;
   Status journal_status_;
   std::atomic<std::uint64_t> journal_failures_{0};
-
-  /// Test clock override for NowSeconds. The flag is the hot-path
-  /// guard: session-scoped ingest calls NowSeconds per record, so the
-  /// production path must stay a single relaxed atomic load — the mutex
-  /// is only taken when an override is actually installed.
-  std::atomic<bool> clock_overridden_{false};
-  mutable std::mutex clock_mu_;
-  std::function<double()> clock_override_;
 
   // Driver / flush coordination.
   mutable std::mutex state_mu_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/clock.h"
 #include "util/memory_tracker.h"
 
 namespace topkmon {
@@ -71,7 +72,7 @@ void SubscriptionHub::Publish(const ResultDelta& delta) {
       ++stats_.dropped;
     }
     b.events.push_back(BufferedEvent{DeltaEvent{b.next_seq++, delta},
-                                     std::chrono::steady_clock::now()});
+                                     Clock::RealNow()});
   }
   event_cv_.notify_all();
 }
@@ -81,7 +82,7 @@ std::size_t SubscriptionHub::PollLocked(Buffer& buffer, std::size_t max,
   const std::size_t n = std::min(max, buffer.events.size());
   const auto now =
       n > 0 && delivery_histogram_ != nullptr
-          ? std::chrono::steady_clock::now()
+          ? Clock::RealNow()
           : std::chrono::steady_clock::time_point{};
   for (std::size_t i = 0; i < n; ++i) {
     BufferedEvent& buffered = buffer.events.front();

@@ -85,13 +85,19 @@ Result<Socket> Listen(const std::string& address, std::uint16_t port,
   return listener;
 }
 
-void AcceptPending(const Socket& listener,
+bool AcceptPending(const Socket& listener,
                    const std::function<void(Socket)>& take) {
-  std::size_t none = 0;
-  while (Allow(Op::kAccept, listener.fd(), &none) == 0) {
-    Socket accepted(::accept4(listener.fd(), nullptr, nullptr,
-                              SOCK_NONBLOCK | SOCK_CLOEXEC));
-    if (!accepted.is_open()) return;  // EAGAIN (or transient): next round
+  while (true) {
+    std::size_t none = 0;
+    int err = Allow(Op::kAccept, listener.fd(), &none);
+    const int fd = err != 0 ? -1
+                            : ::accept4(listener.fd(), nullptr, nullptr,
+                                        SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (err == 0) err = errno;
+      return err == EAGAIN || err == EWOULDBLOCK;
+    }
+    Socket accepted(fd);
     SetFlag(accepted.fd(), IPPROTO_TCP, TCP_NODELAY);
     take(std::move(accepted));
   }

@@ -70,8 +70,10 @@ Result<Socket> Listen(const std::string& address, std::uint16_t port,
                       int backlog, std::uint16_t* bound_port);
 
 /// Hands every connection pending on `listener` to `take`, non-blocking
-/// with TCP_NODELAY set.
-void AcceptPending(const Socket& listener,
+/// with TCP_NODELAY set. False when an accept failed with the backlog
+/// not drained (EMFILE, say): the listener then stays readable, so the
+/// caller leaves it out of its poll set for a tick instead of spinning.
+bool AcceptPending(const Socket& listener,
                    const std::function<void(Socket)>& take);
 
 /// Connects to `host`:`port` (a dotted quad or a name to resolve) with a

@@ -11,6 +11,8 @@
 #include <limits>
 #include <string>
 
+#include "util/clock.h"
+
 namespace topkmon {
 
 /// Monotonic stopwatch measuring elapsed seconds.
@@ -19,15 +21,14 @@ class Stopwatch {
   Stopwatch() { Restart(); }
 
   /// Resets the epoch to now.
-  void Restart() { start_ = Clock::now(); }
+  void Restart() { start_ = Clock::RealNow(); }
 
   /// Seconds elapsed since construction or the last Restart().
   double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    return std::chrono::duration<double>(Clock::RealNow() - start_).count();
   }
 
  private:
-  using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
 

@@ -33,9 +33,8 @@
 // The script anchors on a TMA engine's window walk, so rotations stream
 // their anchors in several 64 KiB chunks. Two of its rotations fail
 // through the hook: one at its fdatasync, before the rename, and one at
-// its directory fsync, after it. Distinct states beyond a cap are
-// sampled with a fixed seed. TOPKMON_CRASH_STATES overrides the cap and
-// TOPKMON_CRASH_SEED the seed (a wider budget runs under ASan in CI).
+// its directory fsync, after it. Every distinct state is checked: a
+// sample of a few hundred missed states that a sabotaged writer breaks.
 //
 // The fencing epoch file (fs::ReplaceDurable: temp file, fsync, rename,
 // directory fsync) is checked in every state of a run of three epoch
@@ -47,7 +46,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -68,7 +66,6 @@
 #include "tests/journal/journal_test_util.h"
 #include "tests/test_util.h"
 #include "util/fs.h"
-#include "util/rng.h"
 
 namespace topkmon {
 namespace {
@@ -83,15 +80,6 @@ constexpr std::size_t kWindow = 18000;
 constexpr std::size_t kBatch = 1500;
 constexpr int kK = 5;
 constexpr std::size_t kExhaustiveDirOps = 4;
-constexpr std::size_t kDefaultStateCap = 200;
-
-std::size_t EnvOr(const char* name, std::size_t fallback) {
-  if (const char* value = std::getenv(name)) {
-    const std::size_t n = std::strtoull(value, nullptr, 10);
-    if (n > 0) return n;
-  }
-  return fallback;
-}
 
 GridEngineOptions TmaOptions() {
   GridEngineOptions options;
@@ -796,59 +784,38 @@ TEST_P(JournalCrashStateTest, EveryCrashStateRecoversADurablePrefix) {
   }
   EXPECT_EQ(streamed, 4u) << "all four rotations stream their anchor";
 
-  // Enumerate, deduplicate, sample.
-  std::vector<CrashState> states;
+  // Enumerate, deduplicate and check every distinct state.
+  CheckTally tally;
   std::set<std::string> seen;
   std::size_t enumerated = 0;
-  {
-    DiskModel model(log.ops);
-    std::size_t barrier = 0;
-    std::size_t required = 0;
-    while (true) {
-      while (barrier < log.barriers.size() &&
-             log.barriers[barrier].first <= model.instant()) {
-        required = log.barriers[barrier++].second;
-      }
-      for (CrashState& state : model.States()) {
-        ++enumerated;
-        state.required = required;
-        state.key += "|" + std::to_string(required) +
-                     (state.anchored ? "a" : "");
-        if (seen.insert(state.key).second) states.push_back(std::move(state));
-      }
-      if (model.instant() == log.ops.size()) break;
-      model.Step();
-    }
-  }
-  const std::size_t cap = EnvOr("TOPKMON_CRASH_STATES", kDefaultStateCap);
-  const std::uint64_t seed = EnvOr("TOPKMON_CRASH_SEED", 1);
-  const std::size_t distinct = states.size();
-  if (states.size() > cap) {
-    Rng rng(seed + retain);
-    for (std::size_t i = 0; i < cap; ++i) {
-      std::swap(states[i], states[i + rng.UniformInt(states.size() - i)]);
-    }
-    states.resize(cap);
-  }
-  std::sort(states.begin(), states.end(),
-            [](const CrashState& a, const CrashState& b) {
-              return a.instant < b.instant;
-            });
-
-  CheckTally tally;
   DiskModel model(log.ops);
-  for (const CrashState& state : states) {
-    while (model.instant() < state.instant) model.Step();
-    CheckState(log, state, model.Materialize(state), &tally);
+  std::size_t barrier = 0;
+  std::size_t required = 0;
+  while (true) {
+    while (barrier < log.barriers.size() &&
+           log.barriers[barrier].first <= model.instant()) {
+      required = log.barriers[barrier++].second;
+    }
+    for (CrashState& state : model.States()) {
+      ++enumerated;
+      state.required = required;
+      state.key +=
+          "|" + std::to_string(required) + (state.anchored ? "a" : "");
+      if (seen.insert(state.key).second) {
+        CheckState(log, state, model.Materialize(state), &tally);
+      }
+    }
+    if (model.instant() == log.ops.size()) break;
+    model.Step();
   }
   std::printf(
-      "[ retain %llu ] ops=%zu states: enumerated=%zu distinct=%zu "
-      "checked=%zu (seed %llu) | fresh=%zu anchor-skipped=%zu tail-cut=%zu "
-      "lost-unsynced=%zu stale-temp=%zu failed=%zu\n",
+      "[ retain %llu ] ops=%zu states: enumerated=%zu distinct=%zu | "
+      "fresh=%zu anchor-skipped=%zu tail-cut=%zu lost-unsynced=%zu "
+      "stale-temp=%zu failed=%zu\n",
       static_cast<unsigned long long>(retain), log.ops.size(), enumerated,
-      distinct, tally.states, static_cast<unsigned long long>(seed),
-      tally.not_recovered, tally.anchors_skipped, tally.tails_cut,
-      tally.lost_unsynced, tally.stale_temps, tally.failures);
+      tally.states, tally.not_recovered, tally.anchors_skipped,
+      tally.tails_cut, tally.lost_unsynced, tally.stale_temps,
+      tally.failures);
   EXPECT_EQ(tally.failures, 0u);
 }
 

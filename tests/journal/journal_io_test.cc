@@ -2,12 +2,12 @@
 
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "journal/journal_reader.h"
 #include "journal/journal_writer.h"
 #include "tests/journal/journal_test_util.h"
+#include "util/clock.h"
 
 namespace topkmon {
 namespace {
@@ -144,8 +144,9 @@ TEST(JournalIoTest, GroupCommitSyncsOnCycleCountAndOnTheTimeTrigger) {
   ASSERT_TRUE((*writer)->Sync().ok());
   EXPECT_EQ((*writer)->stats().sync_calls, base + 3);
 
-  // Time trigger: with an elapsed interval, the idle-path SyncIfDue
-  // syncs pending appends — and only pending ones.
+  // Time trigger, on the writer's clock frozen and advanced by hand: the
+  // idle-path SyncIfDue syncs pending appends — and only pending ones —
+  // once the interval has elapsed, and not a tick before.
   ASSERT_TRUE((*writer)->SyncIfDue().ok());
   EXPECT_EQ((*writer)->stats().sync_calls, base + 3) << "nothing pending";
   auto timed = options;
@@ -153,11 +154,17 @@ TEST(JournalIoTest, GroupCommitSyncsOnCycleCountAndOnTheTimeTrigger) {
   timed.sync_interval_ms = std::chrono::milliseconds(1);
   ScopedTempDir dir2;
   timed.dir = dir2.path();
-  auto writer2 = CycleJournalWriter::Open(timed, ImageAnchor());
+  Clock clock;
+  clock.Freeze();
+  auto writer2 = CycleJournalWriter::Open(timed, ImageAnchor(),
+                                          /*resuming=*/false, &clock);
   ASSERT_TRUE(writer2.ok()) << writer2.status();
   const std::uint64_t base2 = (*writer2)->stats().sync_calls;
   ASSERT_TRUE((*writer2)->AppendRegister(LinearQuery(1, "bob")).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  clock.Advance(std::chrono::microseconds(999));
+  ASSERT_TRUE((*writer2)->SyncIfDue().ok());
+  EXPECT_EQ((*writer2)->stats().sync_calls, base2) << "interval not elapsed";
+  clock.Advance(std::chrono::microseconds(1));
   ASSERT_TRUE((*writer2)->SyncIfDue().ok());
   EXPECT_EQ((*writer2)->stats().sync_calls, base2 + 1);
   ASSERT_TRUE((*writer2)->Close().ok());

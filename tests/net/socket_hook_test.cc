@@ -28,6 +28,7 @@
 #include "obs/admin_server.h"
 #include "tests/net/net_test_util.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
 
 namespace topkmon {
 namespace {
@@ -271,6 +272,38 @@ TEST(ServerSocketHookTest, AcceptorOutlastsFailingAccepts) {
   EXPECT_GE(refused.load(), 3);
   EXPECT_EQ(server.stats().connections_accepted, 1u);
   TOPKMON_ASSERT_OK((*client)->Close(/*close_session=*/true));
+  server.Stop();
+  service->Shutdown();
+}
+
+TEST(ServerSocketHookTest, FailingAcceptsWaitAPollTick) {
+  std::atomic<bool> refuse{true};
+  std::atomic<int> refused{0};
+  ScopedSocketHook hook([&](socket::Op op, int, std::size_t*) {
+    if (op != socket::Op::kAccept || !refuse.load()) return 0;
+    ++refused;
+    return EMFILE;
+  });
+  auto service = MakeService();
+  const NetServerOptions options = testing::TestServerOptions();
+  TcpServer server(*service, options);
+  TOPKMON_ASSERT_OK(server.Start());
+  // The kernel completes the handshake, so the listener stays readable
+  // for as long as the accepts fail.
+  const auto start = Clock::RealNow();
+  auto pending = socket::Connect("127.0.0.1", server.port(),
+                                 std::chrono::seconds(5));
+  ASSERT_TRUE(pending.ok()) << pending.status();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  refuse.store(false);
+  // At most one failed accept per poll tick, plus slack: an acceptor
+  // that spins on the readable listener fails tens of thousands.
+  const auto ticks = (Clock::RealNow() - start) / options.poll_tick;
+  EXPECT_GE(refused.load(), 1);
+  EXPECT_LE(refused.load(), ticks + 5);
+  EXPECT_TRUE(
+      WaitFor([&] { return server.stats().connections_accepted == 1; }));
+  pending->Close();
   server.Stop();
   service->Shutdown();
 }

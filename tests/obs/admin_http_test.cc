@@ -30,6 +30,7 @@
 #include "tests/journal/journal_test_util.h"
 #include "tests/net/net_test_util.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
 
 namespace topkmon {
 namespace {
@@ -399,6 +400,34 @@ TEST(AdminSocketHookTest, OneByteSendsDeliverAWholeResponse) {
   EXPECT_EQ(std::stoul(r.headers.at("Content-Length")), big.size());
   EXPECT_EQ(r.body, big);
   EXPECT_GT(sends.load(), big.size());
+  server.Stop();
+}
+
+TEST(AdminSocketHookTest, FailingAcceptsWaitAPollTick) {
+  std::atomic<bool> refuse{true};
+  std::atomic<int> refused{0};
+  testing::ScopedSocketHook hook([&](socket::Op op, int, std::size_t*) {
+    if (op != socket::Op::kAccept || !refuse.load()) return 0;
+    ++refused;
+    return EMFILE;
+  });
+  const AdminServerOptions options = TortureOptions();
+  AdminHttpServer server(options);
+  server.Handle("/ok", [] { return AdminResponse{}; });
+  TOPKMON_ASSERT_OK(server.Start());
+  // The kernel completes the handshake, so the listener stays readable
+  // for as long as the accepts fail.
+  const auto start = Clock::RealNow();
+  RawHttpPeer pending(server.port());
+  ASSERT_TRUE(pending.connected());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  refuse.store(false);
+  // At most one failed accept per poll tick, plus slack: a loop that
+  // spins on the readable listener fails tens of thousands.
+  const auto ticks = (Clock::RealNow() - start) / options.poll_tick;
+  EXPECT_GE(refused.load(), 1);
+  EXPECT_LE(refused.load(), ticks + 5);
+  ExpectAdminHealthy(server.port(), "/ok");
   server.Stop();
 }
 

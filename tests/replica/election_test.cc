@@ -13,6 +13,10 @@
 //      an election never leaves the group leaderless while any
 //      candidate survives.
 //
+// A fourth scenario elects on the node clock alone: a follower whose
+// agent waits a minute of leader silence promotes within seconds of real
+// time once its clock is frozen and advanced past the timeout.
+//
 // The "short" follower is frozen deterministically by re-targeting its
 // pump at a dead port (a bound-then-closed ephemeral port nothing
 // listens on) before the extra records are ingested — no sleeps, no
@@ -42,6 +46,7 @@
 #include "tests/journal/journal_test_util.h"
 #include "tests/net/net_test_util.h"
 #include "tests/test_util.h"
+#include "util/clock.h"
 
 namespace topkmon {
 namespace {
@@ -452,6 +457,76 @@ TEST(ReplicaElectionTest, DeadWinnerMidElectionSecondCandidateTakesOver) {
   TOPKMON_ASSERT_OK((*g.b)->service().Flush());
   agent_b.Stop();
   g.Shutdown();
+}
+
+TEST(ReplicaElectionTest, ClockAdvanceElectsWithoutWaiting) {
+  ScopedTempDir dir;
+  ServiceOptions leader_opt;
+  leader_opt.drain_wait = std::chrono::milliseconds(2);
+  leader_opt.journal.dir = dir.path() + "/leader";
+  auto leader = MonitorService::Open(MakeEngine, leader_opt);
+  ASSERT_TRUE(leader.ok()) << leader.status();
+  const NetServerOptions net = testing::TestServerOptions();
+  TcpServer leader_server(**leader, net);
+  TOPKMON_ASSERT_OK(leader_server.Start());
+
+  ServiceOptions fsvc;
+  fsvc.drain_wait = std::chrono::milliseconds(2);
+  fsvc.journal.dir = dir.path() + "/standby";
+  ReplicaFollowerOptions fopt;
+  fopt.leader_port = leader_server.port();
+  fopt.fetch_wait = std::chrono::milliseconds(20);
+  fopt.reconnect_backoff = std::chrono::milliseconds(20);
+  auto follower = ReplicaFollower::Open(MakeEngine, fsvc, fopt);
+  ASSERT_TRUE(follower.ok()) << follower.status();
+  TcpServer follower_server((*follower)->service(), net);
+  TOPKMON_ASSERT_OK(follower_server.Start());
+
+  auto gen = MakeGenerator(Distribution::kIndependent, kDim, 7);
+  Timestamp ts = 1;
+  for (; ts <= 50; ++ts) {
+    TOPKMON_ASSERT_OK((*leader)->Ingest(gen->NextPoint(), ts));
+  }
+  TOPKMON_ASSERT_OK((*leader)->Flush());
+  TOPKMON_ASSERT_OK((*follower)->WaitForCycleTs(
+      (*leader)->replication().applied_cycle_ts, std::chrono::seconds(30)));
+
+  // The leader dies. Once the pump has seen a fetch fail, no fetch can
+  // succeed again, so nothing stamps last_fetch_ok after the advance.
+  FailoverOptions agent_opt;
+  agent_opt.self_endpoint =
+      "127.0.0.1:" + std::to_string(follower_server.port());
+  agent_opt.election_timeout = std::chrono::seconds(60);
+  agent_opt.poll_interval = std::chrono::milliseconds(20);
+  const std::uint64_t fetch_errors = (*follower)->stats().fetch_errors;
+  leader_server.Stop();
+  (*leader)->Shutdown();
+  const auto real_start = Clock::RealNow();
+  const auto in_time = [&] {
+    return Clock::RealNow() - real_start < std::chrono::seconds(5);
+  };
+  while ((*follower)->stats().fetch_errors == fetch_errors && in_time()) {
+    std::this_thread::sleep_for(agent_opt.poll_interval);
+  }
+  ASSERT_GT((*follower)->stats().fetch_errors, fetch_errors);
+
+  // A minute of silence on the follower's clock, none in real time.
+  FailoverAgent agent(follower->get(), agent_opt);
+  (*follower)->service().clock().Advance(std::chrono::seconds(61));
+  while (!agent.promoted() && in_time()) {
+    std::this_thread::sleep_for(agent_opt.poll_interval);
+  }
+  ASSERT_TRUE(agent.promoted())
+      << "no promotion within 5 s of real time after a 61 s clock advance";
+  EXPECT_EQ(agent.stats().elections_started, 1u);
+  EXPECT_EQ((*follower)->service().role(), ServiceRole::kLeader);
+  TOPKMON_ASSERT_OK((*follower)->service().Ingest(gen->NextPoint(), ts));
+  TOPKMON_ASSERT_OK((*follower)->service().Flush());
+
+  agent.Stop();
+  follower_server.Stop();
+  (*follower)->Stop();
+  (*follower)->service().Shutdown();
 }
 
 }  // namespace

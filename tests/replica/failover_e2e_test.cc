@@ -102,8 +102,7 @@ TEST(ReplicaFailoverE2eTest, UnattendedFailoverMatchesBruteForceMidKill) {
   // the test says so. The agent's election timing stays real-time (it
   // watches fetch silence), so fencing and election are decoupled and
   // both deterministic.
-  std::atomic<double> leader_now{1000.0};
-  (*leader)->SetClockForTesting([&leader_now] { return leader_now.load(); });
+  (*leader)->clock().Freeze();
   const NetServerOptions net = testing::TestServerOptions();
   auto leader_server = std::make_unique<TcpServer>(**leader, net);
   TOPKMON_ASSERT_OK(leader_server->Start());
@@ -220,7 +219,7 @@ TEST(ReplicaFailoverE2eTest, UnattendedFailoverMatchesBruteForceMidKill) {
   ASSERT_EQ((*follower)->stats().restarts, 0u)
       << "a full resync would void the cycle-for-cycle comparison";
   // Lapse the old leader's lease — in fake time, so it is exact.
-  leader_now.store(1000.0 + 60.0);
+  (*leader)->clock().Advance(std::chrono::seconds(60));
 
   // ---- wait: the agent must elect and promote on its own --------------
   const auto promote_deadline =

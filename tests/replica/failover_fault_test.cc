@@ -13,9 +13,10 @@
 //     restart cannot resurrect the old term) and converges to the new
 //     leader's state byte-for-byte downstream of the same journal.
 //
-// The leader's lease runs on an injected clock, so "past lease expiry"
-// is an exact instant rather than a sleep: the partition (its TcpServer
-// stops) and the lease lapse are two separately controlled faults.
+// The leader's lease runs on its frozen node clock, advanced by hand,
+// so "past lease expiry" is an exact instant rather than a sleep: the
+// partition (its TcpServer stops) and the lease lapse are two
+// separately controlled faults.
 
 #include <gtest/gtest.h>
 
@@ -66,8 +67,7 @@ TEST(ReplicaFailoverFaultTest, SplitBrainFencesDeposedLeaderAndRejoins) {
   leader_opt.lease.duration_seconds = 5.0;
   auto leader = MonitorService::Open(MakeEngine, leader_opt);
   ASSERT_TRUE(leader.ok()) << leader.status();
-  std::atomic<double> leader_now{1000.0};
-  (*leader)->SetClockForTesting([&leader_now] { return leader_now.load(); });
+  (*leader)->clock().Freeze();
   const NetServerOptions net = testing::TestServerOptions();
   auto leader_server = std::make_unique<TcpServer>(**leader, net);
   TOPKMON_ASSERT_OK(leader_server->Start());
@@ -131,7 +131,8 @@ TEST(ReplicaFailoverFaultTest, SplitBrainFencesDeposedLeaderAndRejoins) {
 
   // ---- fault: partition the leader, lapse its lease -------------------
   leader_server->Stop();
-  leader_now.store(1000.0 + 60.0);  // well past duration_seconds
+  // Well past duration_seconds.
+  (*leader)->clock().Advance(std::chrono::seconds(60));
 
   // The deposed leader refuses every write from the instant the lease
   // lapsed — ingest AND registration — with FENCED, not some generic

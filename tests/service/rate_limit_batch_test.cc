@@ -1,8 +1,8 @@
 // The session token bucket on the batch admission path
 // (MonitorService::TryIngestBatch, which the wire ingest frame uses): a
 // batch larger than the bucket admits exactly what the bucket covers and
-// counts each record beyond it as rate limited. Runs on the injected
-// virtual clock, like rate_limit_test.cc.
+// counts each record beyond it as rate limited. Runs on the service's
+// frozen clock, advanced by hand, like rate_limit_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -32,8 +32,7 @@ TEST(RateLimitBatchTest, BatchBeyondTheBurstAdmitsOnlyWhatTheBucketCovers) {
   opt.session.ingest_burst = 4.0;
   MonitorService service(
       std::make_unique<BruteForceEngine>(2, WindowSpec::Count(100)), opt);
-  double virtual_now = 0.0;
-  service.SetClockForTesting([&virtual_now] { return virtual_now; });
+  service.clock().Freeze();
   const SessionId session = *service.OpenSession("batcher");
 
   // One batch of 10 against a full bucket of 4: the burst is admitted,
@@ -47,7 +46,7 @@ TEST(RateLimitBatchTest, BatchBeyondTheBurstAdmitsOnlyWhatTheBucketCovers) {
   EXPECT_EQ(service.stats().records_rate_limited, 6u);
 
   // 250 virtual ms refill 2.5 tokens: whole tokens only, so 2 of 5.
-  virtual_now = 0.25;
+  service.clock().Advance(std::chrono::milliseconds(250));
   error = Status::Ok();
   EXPECT_EQ(service.TryIngestBatch(session, Batch(11, 5), &error), 2u);
   EXPECT_EQ(error.code(), StatusCode::kFailedPrecondition) << error;
@@ -55,7 +54,7 @@ TEST(RateLimitBatchTest, BatchBeyondTheBurstAdmitsOnlyWhatTheBucketCovers) {
 
   // A long idle refills to the burst cap, never beyond: a batch the
   // bucket covers is admitted whole.
-  virtual_now = 100.0;
+  service.clock().Advance(std::chrono::seconds(100));
   error = Status::Ok();
   EXPECT_EQ(service.TryIngestBatch(session, Batch(16, 4), &error), 4u);
   TOPKMON_EXPECT_OK(error);

@@ -91,10 +91,10 @@ TEST(RateLimitTest, FindByLabelReturnsTheOldestMatch) {
             StatusCode::kNotFound);
 }
 
-// The service-level bucket tests run on an injected virtual clock
-// (MonitorService::SetClockForTesting), so no wall-clock instant — not
-// even a sanitizer-slowed one — can drip tokens mid-assertion: the
-// suite is deterministic by construction, with no sleeps.
+// The service-level bucket tests run on the service's frozen clock
+// (MonitorService::clock()), advanced by hand, so no wall-clock instant
+// — not even a sanitizer-slowed one — can drip tokens mid-assertion:
+// the suite is deterministic by construction, with no sleeps.
 
 TEST(RateLimitTest, ServiceIngestEnforcesTheSessionBucket) {
   ServiceOptions opt;
@@ -104,8 +104,7 @@ TEST(RateLimitTest, ServiceIngestEnforcesTheSessionBucket) {
   opt.session.ingest_burst = 3.0;
   MonitorService service(
       std::make_unique<BruteForceEngine>(2, WindowSpec::Count(100)), opt);
-  double virtual_now = 0.0;  // frozen unless the test advances it
-  service.SetClockForTesting([&virtual_now] { return virtual_now; });
+  service.clock().Freeze();  // frozen unless the test advances it
   const SessionId session = *service.OpenSession("meter");
 
   for (Timestamp ts = 1; ts <= 3; ++ts) {
@@ -134,8 +133,7 @@ TEST(RateLimitTest, ServiceBucketRefillsOnTheInjectedClock) {
   opt.session.ingest_burst = 2.0;
   MonitorService service(
       std::make_unique<BruteForceEngine>(2, WindowSpec::Count(100)), opt);
-  double virtual_now = 0.0;
-  service.SetClockForTesting([&virtual_now] { return virtual_now; });
+  service.clock().Freeze();
   const SessionId session = *service.OpenSession("meter");
 
   // Drain the initial burst at a frozen instant.
@@ -146,13 +144,13 @@ TEST(RateLimitTest, ServiceBucketRefillsOnTheInjectedClock) {
 
   // 150 virtual ms later exactly 1.5 tokens dripped in: one ingest
   // passes, the next still fails.
-  virtual_now = 0.15;
+  service.clock().Advance(std::chrono::milliseconds(150));
   TOPKMON_ASSERT_OK(service.Ingest(session, Point{0.1, 0.1}, 4));
   EXPECT_EQ(service.Ingest(session, Point{0.1, 0.1}, 5).code(),
             StatusCode::kFailedPrecondition);
 
   // A long virtual idle refills to the burst cap, never beyond.
-  virtual_now = 100.0;
+  service.clock().Advance(std::chrono::seconds(100));
   TOPKMON_ASSERT_OK(service.Ingest(session, Point{0.1, 0.1}, 6));
   TOPKMON_ASSERT_OK(service.Ingest(session, Point{0.1, 0.1}, 7));
   EXPECT_EQ(service.Ingest(session, Point{0.1, 0.1}, 8).code(),
