@@ -14,12 +14,13 @@
 
 #include "core/topk_compute.h"
 #include "stream/generators.h"
+#include "stream/record_pool.h"
 
 namespace topkmon {
 namespace {
 
 struct Fixture {
-  std::vector<Record> records;
+  RecordPool pool;
   std::unique_ptr<Grid> grid;
   LinearFunction f{{0.6, 0.8, 0.3, 0.9}};
 
@@ -29,9 +30,8 @@ struct Fixture {
     RecordSource source(
         MakeGenerator(Distribution::kIndependent, dim, 42));
     for (std::size_t i = 0; i < n; ++i) {
-      records.push_back(source.Next(0));
-      grid->InsertPoint(grid->LocateCell(records.back().position),
-                        records.back().id, records.back().position);
+      const Record r = source.Next(0);
+      grid->InsertPoint(grid->LocateCell(r.position), *pool.Insert(r));
     }
   }
 };
@@ -42,7 +42,7 @@ void BM_HeapTraversal(benchmark::State& state) {
   TraversalScratch scratch;
   for (auto _ : state) {
     TopKComputation out =
-        ComputeTopK(*fixture.grid, fixture.f, k, &scratch);
+        ComputeTopK(*fixture.grid, fixture.pool, fixture.f, k, &scratch);
     benchmark::DoNotOptimize(out.result.data());
   }
   state.counters["cells"] = static_cast<double>(
@@ -55,7 +55,8 @@ void BM_NaiveSortAllCells(benchmark::State& state) {
   TraversalScratch scratch;
   for (auto _ : state) {
     TopKComputation out =
-        ComputeTopKNaive(*fixture.grid, fixture.f, k, &scratch);
+        ComputeTopKNaive(*fixture.grid, fixture.pool, fixture.f, k,
+                         &scratch);
     benchmark::DoNotOptimize(out.result.data());
   }
   state.counters["cells"] = static_cast<double>(

@@ -9,10 +9,12 @@
 // Two long runs follow: 50 window turnovers of IND d=2 under TMA and ANT
 // d=4 under SMA. Per-cell counts fluctuate, so a point list sized by its
 // cell's all-time peak would keep growing with the turnovers; one sized
-// by its live count stays within a constant factor of the 8 + 8d bytes a
-// live entry needs. They report the point lists' bytes per valid record
-// and how often a list's block was reallocated, per 1k records over the
-// whole run.
+// by its live count stays within a constant factor of the 4-byte handle
+// a live entry needs. The window keeps each record's arrival, cell and
+// coordinates once, 12 + 8d bytes. They report the point lists' and the
+// window's bytes per valid record, and how often a list's block was
+// reallocated, per 1k records over the whole run. Bytes per record are
+// counts, fixed by the binary and the seed.
 
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +40,8 @@ void RunLongRuns(const WorkloadSpec& base, BenchResultWriter* json) {
     int dim;
   };
   std::printf("--- long run: %d window turnovers ---\n", kTurnovers);
-  TablePrinter table({"run", "point lists [B/rec]", "live entry [B]",
+  TablePrinter table({"run", "point lists [B/rec]", "window [B/rec]",
+                      "lists+window [B/rec]", "live record [B]",
                       "resizes [per 1k rec]", "engine [MiB]"});
   for (const LongRun& run :
        {LongRun{EngineKind::kTma, Distribution::kIndependent, 2},
@@ -64,13 +67,19 @@ void RunLongRuns(const WorkloadSpec& base, BenchResultWriter* json) {
     const double bytes_per_record =
         static_cast<double>(report->memory.Bytes("point_lists")) /
         static_cast<double>(spec.window_size);
+    const double window_bytes_per_record =
+        static_cast<double>(report->memory.Bytes("window")) /
+        static_cast<double>(spec.window_size);
     const double resizes_per_krec =
         1000.0 * static_cast<double>(grid.point_list_resizes()) / records;
     const std::string label = std::string("long/") + EngineName(run.engine) +
                               "/" + DistributionName(run.dist) + "/d" +
                               std::to_string(run.dim);
     table.AddRow({label, TablePrinter::Num(bytes_per_record, 4),
-                  TablePrinter::Int(8 + 8 * run.dim),
+                  TablePrinter::Num(window_bytes_per_record, 4),
+                  TablePrinter::Num(bytes_per_record + window_bytes_per_record,
+                                    4),
+                  TablePrinter::Int(4 + 12 + 8 * run.dim),
                   TablePrinter::Num(resizes_per_krec, 4),
                   TablePrinter::Num(report->memory.TotalMiB(), 4)});
     BenchResultWriter::Row& row = json->AddRow(label);
@@ -79,6 +88,7 @@ void RunLongRuns(const WorkloadSpec& base, BenchResultWriter* json) {
     row.metrics["dim"] = static_cast<double>(run.dim);
     row.metrics["turnovers"] = kTurnovers;
     row.metrics["point_list_bytes_per_record"] = bytes_per_record;
+    row.metrics["window_bytes_per_record"] = window_bytes_per_record;
     row.metrics["point_list_resizes_per_krec"] = resizes_per_krec;
     row.metrics["engine_mib"] = report->memory.TotalMiB();
   }
@@ -111,7 +121,7 @@ int Main() {
     std::printf("--- %s ---\n", DistributionName(dist));
     TablePrinter table({"k", "TSL [MiB]", "TMA [MiB]", "SMA [MiB]",
                         "TSL sorted lists [MiB]", "TMA+SMA grid [MiB]",
-                        "point lists [B/rec]"});
+                        "point lists [B/rec]", "window [B/rec]"});
     for (int k : ks) {
       WorkloadSpec spec = base;
       spec.distribution = dist;
@@ -124,9 +134,13 @@ int Main() {
                               tma.memory.Bytes("point_lists") +
                               tma.memory.Bytes("influence_lists")) /
           (1024.0 * 1024.0);
-      // Index bytes per valid record: 8 + 8d at best (id plus SoA lanes).
+      // Bytes per valid record: 4 at best in the point lists (a handle),
+      // 12 + 8d in the window (arrival, cell, coordinates).
       const double point_list_bytes_per_record =
           static_cast<double>(tma.memory.Bytes("point_lists")) /
+          static_cast<double>(spec.window_size);
+      const double window_bytes_per_record =
+          static_cast<double>(tma.memory.Bytes("window")) /
           static_cast<double>(spec.window_size);
       table.AddRow(
           {TablePrinter::Int(k),
@@ -138,7 +152,8 @@ int Main() {
                                  (1024.0 * 1024.0),
                              4),
            TablePrinter::Num(grid_mib, 4),
-           TablePrinter::Num(point_list_bytes_per_record, 4)});
+           TablePrinter::Num(point_list_bytes_per_record, 4),
+           TablePrinter::Num(window_bytes_per_record, 4)});
       const std::string label =
           std::string(DistributionName(dist)) + "/k" + std::to_string(k);
       const bool holds = tsl.memory.TotalMiB() > tma.memory.TotalMiB() &&
@@ -155,6 +170,7 @@ int Main() {
           (1024.0 * 1024.0);
       row.metrics["grid_mib"] = grid_mib;
       row.metrics["point_list_bytes_per_record"] = point_list_bytes_per_record;
+      row.metrics["window_bytes_per_record"] = window_bytes_per_record;
       row.metrics["paper_shape_holds"] = holds ? 1.0 : 0.0;
     }
     table.Print(std::cout);

@@ -13,6 +13,8 @@
 #include "core/topk_compute.h"
 #include "grid/grid.h"
 #include "stream/generators.h"
+#include "stream/record_pool.h"
+#include "stream/sliding_window.h"
 #include "tsl/sorted_lists.h"
 #include "tsl/threshold_algorithm.h"
 #include "util/os_treap.h"
@@ -30,7 +32,7 @@ void BM_GridLocateAndInsert(benchmark::State& state) {
   for (auto _ : state) {
     const Record& r = batch[i & 4095];
     const CellIndex cell = grid.LocateCell(r.position);
-    grid.InsertPoint(cell, r.id, r.position);
+    grid.InsertPoint(cell, WindowHandle(r.id));
     benchmark::DoNotOptimize(cell);
     ++i;
   }
@@ -45,15 +47,12 @@ BENCHMARK(BM_GridLocateAndInsert)->Arg(2)->Arg(4)->Arg(6);
 void BM_PointListFifoChurn(benchmark::State& state) {
   const std::size_t live = static_cast<std::size_t>(state.range(0));
   Grid grid(2, 1);
-  RecordSource source(MakeGenerator(Distribution::kIndependent, 2, 19));
-  const std::vector<Record> batch = source.NextBatch(4096, 0);
-  RecordId next = 0;
-  RecordId oldest = 0;
-  for (; next < live; ++next) grid.InsertPoint(0, next, batch[next].position);
+  PointHandle next = 0;
+  PointHandle oldest = 0;
+  for (; next < live; ++next) grid.InsertPoint(0, next);
   const std::uint64_t resizes_before = grid.point_list_resizes();
   for (auto _ : state) {
-    grid.InsertPoint(0, next, batch[next & 4095].position);
-    ++next;
+    grid.InsertPoint(0, next++);
     grid.ErasePointFifo(0, oldest++);
   }
   const PointList& points = grid.PointsIn(0);
@@ -138,17 +137,16 @@ void BM_TopKComputeModule(benchmark::State& state) {
   const int dim = 4;
   const int k = static_cast<int>(state.range(0));
   Grid grid(dim, 12);
-  std::vector<Record> records;
+  RecordPool pool;
   RecordSource source(MakeGenerator(Distribution::kIndependent, dim, 17));
   for (std::size_t i = 0; i < 100000; ++i) {
-    records.push_back(source.Next(0));
-    grid.InsertPoint(grid.LocateCell(records.back().position),
-                     records.back().id, records.back().position);
+    const Record r = source.Next(0);
+    grid.InsertPoint(grid.LocateCell(r.position), *pool.Insert(r));
   }
   LinearFunction f({0.7, 0.3, 0.9, 0.5});
   TraversalScratch scratch;
   for (auto _ : state) {
-    TopKComputation out = ComputeTopK(grid, f, k, &scratch);
+    TopKComputation out = ComputeTopK(grid, pool, f, k, &scratch);
     benchmark::DoNotOptimize(out.result.data());
   }
 }

@@ -79,6 +79,27 @@ class RecordSpan {
   std::size_t size_ = 0;
 };
 
+/// A grid cell's 4-byte reference to one of its records. What it means
+/// is up to the store that holds the record: in a sliding window it is
+/// the low 32 bits of the record's id (window ids are consecutive, so
+/// the window recovers the whole id from its oldest one), in a
+/// RecordPool the record's slot.
+using PointHandle = std::uint32_t;
+
+/// Where the records a grid indexes keep their ids and coordinates. The
+/// grid's cells list only handles (grid/grid.h); a top-k scan gathers a
+/// cell's records from the store.
+class PointStore {
+ public:
+  /// For each i < n: ids[i] is the id of the live record with handle
+  /// handles[i], and lanes[j][i] its coordinate j, for every axis j.
+  virtual void Gather(const PointHandle* handles, std::size_t n,
+                      RecordId* ids, double* const* lanes) const = 0;
+
+ protected:
+  ~PointStore() = default;
+};
+
 }  // namespace topkmon
 
 #endif  // TOPKMON_COMMON_RECORD_H_

@@ -34,13 +34,14 @@ void RemoveAllInfluence(Grid& grid, const QuerySpec& spec,
   });
 }
 
-TopKComputation RecomputeFromScratch(Grid& grid, const QuerySpec& spec,
-                                     bool fresh, TraversalScratch* scratch,
+TopKComputation RecomputeFromScratch(Grid& grid, const PointStore& store,
+                                     const QuerySpec& spec, bool fresh,
+                                     TraversalScratch* scratch,
                                      EngineStats* stats) {
   const Rect* constraint =
       spec.constraint.has_value() ? &*spec.constraint : nullptr;
   TopKComputation computation =
-      ComputeTopK(grid, *spec.function, spec.k, scratch, constraint);
+      ComputeTopK(grid, store, *spec.function, spec.k, scratch, constraint);
   stats->cells_visited += computation.processed_cells.size();
   stats->points_scored += computation.points_scored;
   if (fresh) {

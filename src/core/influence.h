@@ -56,15 +56,17 @@ void CleanupStaleInfluence(Grid& grid, const ScoringFunction& f,
 void RemoveAllInfluence(Grid& grid, const QuerySpec& spec,
                         TraversalScratch* scratch);
 
-/// One from-scratch computation of `spec` over `grid` (Figure 9, lines
-/// 12-21): runs the computation module, adds its cells visited and points
-/// scored to *stats, and reconciles the query's influence lists. `fresh`
+/// One from-scratch computation of `spec` over `grid`, whose handles
+/// `store` resolves (Figure 9, lines 12-21): runs the computation module,
+/// adds its cells visited and points scored to *stats, and reconciles the
+/// query's influence lists. `fresh`
 /// marks a newly registered query, which no cell carries yet: its
 /// processed cells get the id appended and the cleanup walk is skipped.
 /// Otherwise the processed cells are added idempotently and stale entries
 /// are cleaned from the frontier. The caller installs the returned result.
-TopKComputation RecomputeFromScratch(Grid& grid, const QuerySpec& spec,
-                                     bool fresh, TraversalScratch* scratch,
+TopKComputation RecomputeFromScratch(Grid& grid, const PointStore& store,
+                                     const QuerySpec& spec, bool fresh,
+                                     TraversalScratch* scratch,
                                      EngineStats* stats);
 
 }  // namespace topkmon

@@ -6,7 +6,7 @@ namespace topkmon {
 
 SmaEngine::SmaEngine(const GridEngineOptions& options)
     : grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(options.window),
+      window_(options.window, options.dim),
       table_(name(), options.dim, this) {}
 
 void SmaEngine::AddEntry(const QuerySpec& spec) {
@@ -45,8 +45,8 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   for (const Record& p : arrivals) {
     TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
     const CellIndex cell = grid_.LocateCell(p.position);
-    TOPKMON_RETURN_IF_ERROR(window_.Push(p.id, {p.arrival, cell}));
-    grid_.InsertPoint(cell, p.id, p.position);
+    TOPKMON_RETURN_IF_ERROR(window_.Push(p.id, p.arrival, cell, p.position));
+    grid_.InsertPoint(cell, WindowHandle(p.id));
     ++stats_.arrivals;
     for (QueryId qid : grid_.InfluenceList(cell)) {
       QueryState& state = queries_.at(qid);
@@ -64,10 +64,10 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
     }
   }
   // -- Pdel (lines 12-16) ----------------------------------------------------
-  window_.PopExpired(now, [this](RecordId id, const GridWindowEntry& e) {
-    grid_.ErasePointFifo(e.cell, id);
+  window_.PopExpired(now, [this](RecordId id, CellIndex cell) {
+    grid_.ErasePointFifo(cell, WindowHandle(id));
     ++stats_.expirations;
-    for (QueryId qid : grid_.InfluenceList(e.cell)) {
+    for (QueryId qid : grid_.InfluenceList(cell)) {
       QueryState& state = queries_.at(qid);
       // An expiring record found in the skyband is necessarily its
       // earliest-arrival entry and a member of the current top-k
@@ -94,7 +94,8 @@ Status SmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
 
 void SmaEngine::Recompute(QueryState& state, bool fresh) {
   const TopKComputation computation =
-      RecomputeFromScratch(grid_, state.spec, fresh, &scratch_, &stats_);
+      RecomputeFromScratch(grid_, window_, state.spec, fresh, &scratch_,
+                           &stats_);
   state.skyband.Rebuild(computation.result);
   state.top_score = computation.KthScore(state.spec.k);
 }

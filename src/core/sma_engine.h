@@ -52,7 +52,7 @@ class SmaEngine final : public MonitorEngine, private QueryTable::Entries {
     return SnapshotFromWalk(*this);
   }
   Status VisitWindow(WindowVisitor& visitor) const override {
-    VisitGridWindow(grid_, window_, last_cycle_, visitor);
+    VisitGridWindow(window_, last_cycle_, visitor);
     return Status::Ok();
   }
   const EngineStats& stats() const override { return stats_; }

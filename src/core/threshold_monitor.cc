@@ -45,8 +45,9 @@ Status ThresholdMonitor::RegisterQuery(const ThresholdQuerySpec& spec) {
         ++stats_.cells_visited;
         grid_.AddInfluence(cell, spec.id);
         state.influence_cells.push_back(cell);
-        for (RecordId id : grid_.PointsIn(cell)) {
+        for (PointHandle handle : grid_.PointsIn(cell)) {
           ++stats_.points_scored;
+          const RecordId id = window_.IdOf(handle);
           const double score = spec.function->Score(window_.Get(id).position);
           if (score > spec.threshold) state.result.emplace(score, id);
         }
@@ -76,7 +77,7 @@ Status ThresholdMonitor::ProcessCycle(Timestamp now,
     TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
     TOPKMON_RETURN_IF_ERROR(window_.Append(p));
     const CellIndex cell = grid_.LocateCell(p.position);
-    grid_.InsertPoint(cell, p.id, p.position);
+    grid_.InsertPoint(cell, WindowHandle(p.id));
     ++stats_.arrivals;
     for (QueryId qid : grid_.InfluenceList(cell)) {
       QueryState& state = queries_.at(qid);
@@ -90,7 +91,7 @@ Status ThresholdMonitor::ProcessCycle(Timestamp now,
   }
   for (const Record& p : window_.EvictExpired(now)) {
     const CellIndex cell = grid_.LocateCell(p.position);
-    grid_.ErasePointFifo(cell, p.id);
+    grid_.ErasePointFifo(cell, WindowHandle(p.id));
     ++stats_.expirations;
     for (QueryId qid : grid_.InfluenceList(cell)) {
       QueryState& state = queries_.at(qid);

@@ -1,5 +1,6 @@
 #include "core/tma_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -12,24 +13,59 @@ int GridEngineOptions::ResolvedCellsPerAxis() const {
   return Grid::CellsPerAxisForBudget(dim, cell_budget);
 }
 
-void VisitGridWindow(const Grid& grid, const GridWindow& window,
-                     Timestamp last_cycle, WindowVisitor& visitor) {
-  visitor.Begin(last_cycle, window.size());
-  // Entries of each cell already visited = index of its next one.
-  std::vector<std::uint32_t> visited(grid.num_cells(), 0);
-  RecordId id = window.front_id();
-  for (const GridWindowEntry& e : window) {
-    const PointList& points = grid.PointsIn(e.cell);
-    const std::uint32_t i = visited[e.cell]++;
-    assert(points.IdAt(i) == id);
-    visitor.Visit(id++, points.PointAt(i), e.arrival);
+Status GridWindow::Push(RecordId id, Timestamp arrival, CellIndex cell,
+                        const Point& position) {
+  assert(position.dim() == dim_);
+  TOPKMON_RETURN_IF_ERROR(Admit(id, arrival));
+  const std::size_t at = head_ + size() - 1;
+  if (at == chunks_.size() * kChunkRecords) {
+    chunks_.emplace_back(new unsigned char[ChunkBytes()]);
   }
+  const std::size_t chunk = at / kChunkRecords;
+  const std::size_t slot = at % kChunkRecords;
+  Arrivals(chunk)[slot] = arrival;
+  std::copy_n(position.data(), dim_,
+              Coords(chunk) + slot * static_cast<std::size_t>(dim_));
+  Cells(chunk)[slot] = cell;
+  return Status::Ok();
+}
+
+void GridWindow::PopFront() {
+  Retire();
+  if (++head_ == kChunkRecords) {
+    chunks_.pop_front();
+    head_ = 0;
+  }
+}
+
+void GridWindow::Gather(const PointHandle* handles, std::size_t n,
+                        RecordId* ids, double* const* lanes) const {
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = IdOf(handles[i]);
+    assert(Contains(ids[i]));
+    const std::size_t at = head_ + static_cast<std::size_t>(ids[i] - front_id());
+    const double* coords =
+        Coords(at / kChunkRecords) +
+        (at % kChunkRecords) * static_cast<std::size_t>(dim_);
+    for (int d = 0; d < dim_; ++d) lanes[d][i] = coords[d];
+  }
+}
+
+void VisitGridWindow(const GridWindow& window, Timestamp last_cycle,
+                     WindowVisitor& visitor) {
+  visitor.Begin(last_cycle, window.size());
+  Point p(window.dim());
+  window.ForEach([&visitor, &p](RecordId id, Timestamp arrival,
+                                const double* coords) {
+    for (int d = 0; d < p.dim(); ++d) p[d] = coords[d];
+    visitor.Visit(id, p, arrival);
+  });
 }
 
 TmaEngine::TmaEngine(const GridEngineOptions& options)
     : arrivals_first_(options.arrivals_before_expirations),
       grid_(options.dim, options.ResolvedCellsPerAxis()),
-      window_(options.window),
+      window_(options.window, options.dim),
       table_(name(), options.dim, this) {}
 
 void TmaEngine::AddEntry(const QuerySpec& spec) {
@@ -68,11 +104,11 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   // Pdel) are known; their *processing* order is configurable.
   for (const Record& p : arrivals) {
     TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
-    TOPKMON_RETURN_IF_ERROR(
-        window_.Push(p.id, {p.arrival, grid_.LocateCell(p.position)}));
+    TOPKMON_RETURN_IF_ERROR(window_.Push(
+        p.id, p.arrival, grid_.LocateCell(p.position), p.position));
   }
-  const auto expire = [this](RecordId id, const GridWindowEntry& e) {
-    HandleExpiry(id, e.cell);
+  const auto expire = [this](RecordId id, CellIndex cell) {
+    HandleExpiry(id, cell);
   };
   if (!arrivals_first_) {
     // Ablation order: expirations first mark queries affected even when an
@@ -85,7 +121,7 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
   // Pins before Pdel (Figure 9): an arrival that beats the expiring kth
   // record replaces it before the expiration is seen, avoiding a needless
   // recomputation (Section 4.3).
-  for (const Record& p : arrivals) HandleArrival(p, window_.Get(p.id).cell);
+  for (const Record& p : arrivals) HandleArrival(p, window_.CellOf(p.id));
   window_.PopExpired(now, expire);
   // -- Recompute affected queries from scratch (lines 12-21) ---------------
   for (auto& [qid, state] : queries_) {
@@ -102,7 +138,7 @@ Status TmaEngine::ProcessCycle(Timestamp now, RecordSpan arrivals) {
 }
 
 void TmaEngine::HandleArrival(const Record& p, CellIndex cell) {
-  grid_.InsertPoint(cell, p.id, p.position);
+  grid_.InsertPoint(cell, WindowHandle(p.id));
   ++stats_.arrivals;
   for (QueryId qid : grid_.InfluenceList(cell)) {
     QueryState& state = queries_.at(qid);
@@ -119,7 +155,7 @@ void TmaEngine::HandleArrival(const Record& p, CellIndex cell) {
 }
 
 void TmaEngine::HandleExpiry(RecordId id, CellIndex cell) {
-  grid_.ErasePointFifo(cell, id);
+  grid_.ErasePointFifo(cell, WindowHandle(id));
   ++stats_.expirations;
   for (QueryId qid : grid_.InfluenceList(cell)) {
     QueryState& state = queries_.at(qid);
@@ -129,7 +165,8 @@ void TmaEngine::HandleExpiry(RecordId id, CellIndex cell) {
 
 void TmaEngine::Recompute(QueryState& state, bool fresh) {
   const TopKComputation computation =
-      RecomputeFromScratch(grid_, state.spec, fresh, &scratch_, &stats_);
+      RecomputeFromScratch(grid_, window_, state.spec, fresh, &scratch_,
+                           &stats_);
   state.top_list.Clear();
   for (const ResultEntry& e : computation.result) {
     state.top_list.Consider(e.id, e.score);

@@ -10,10 +10,19 @@
 //     influence-list reconciliation walk.
 // Arrivals are processed before expirations so that a replacement arriving
 // in the same cycle avoids a needless recomputation (Section 4.3).
+//
+// TMA and SMA keep each valid record once, in a GridWindow: an
+// arrival-ordered store of each record's arrival, cell and d coordinates
+// in fixed-size chunks, 12 + 8d bytes a record. The grid's cells list
+// 4-byte handles into it, and a top-k scan gathers a cell's coordinates
+// from it; a snapshot walks it in order.
 
 #ifndef TOPKMON_CORE_TMA_ENGINE_H_
 #define TOPKMON_CORE_TMA_ENGINE_H_
 
+#include <cassert>
+#include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -47,21 +56,98 @@ struct GridEngineOptions {
   int ResolvedCellsPerAxis() const;
 };
 
-/// A valid record in a grid engine's window. The grid's point lists hold
-/// its id and coordinates; the window keeps only the cell to find them in.
-struct GridWindowEntry {
-  Timestamp arrival;
-  CellIndex cell;
+/// The valid records of a TMA or SMA engine, oldest first: each one's
+/// arrival, cell and coordinates, the only copy of them the engine keeps
+/// (its PointStore). The grid's cells list the records by WindowHandle,
+/// the low 32 bits of the id: ids in a window are consecutive, so the
+/// oldest id fixes the rest. No id is stored. Records sit in chunks of
+/// kChunkRecords, one lane per field: arrivals, coordinates (a record's d
+/// values side by side, so a gather reads one cache line) and cells, which
+/// is 12 + 8d bytes a record. A chunk is allocated when the newest one is
+/// full and freed when its last record expires, so the chunks hold the
+/// live records plus less than one chunk of slack at each end.
+class GridWindow final : public WindowRules, public PointStore {
+ public:
+  static constexpr std::size_t kChunkRecords = 512;
+
+  GridWindow(const WindowSpec& spec, int dim)
+      : WindowRules(spec), dim_(dim) {}
+
+  /// Admits record `id`, which arrived at `arrival` at `position`, in
+  /// grid cell `cell` (see WindowRules::Admit).
+  Status Push(RecordId id, Timestamp arrival, CellIndex cell,
+              const Point& position);
+
+  /// Pops every record that has expired at `now` and is older than record
+  /// `end_id`, oldest first, calling fn(id, cell) before each pop.
+  template <typename Fn>
+  void PopExpired(Timestamp now, Fn&& fn,
+                  RecordId end_id = kInvalidRecordId) {
+    while (!empty() && FrontExpired(Arrivals(0)[head_], now, end_id)) {
+      fn(front_id(), Cells(0)[head_]);
+      PopFront();
+    }
+  }
+
+  /// The grid cell of a valid record. Requires Contains(id).
+  CellIndex CellOf(RecordId id) const {
+    assert(Contains(id));
+    const std::size_t at = head_ + static_cast<std::size_t>(id - front_id());
+    return Cells(at / kChunkRecords)[at % kChunkRecords];
+  }
+
+  int dim() const { return dim_; }
+
+  /// Calls fn(id, arrival, coords) for every valid record, oldest first;
+  /// coords points at the record's d coordinates.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    RecordId id = front_id();
+    for (std::size_t at = head_; at < head_ + size(); ++at, ++id) {
+      const std::size_t chunk = at / kChunkRecords;
+      const std::size_t slot = at % kChunkRecords;
+      fn(id, Arrivals(chunk)[slot],
+         Coords(chunk) + slot * static_cast<std::size_t>(dim_));
+    }
+  }
+
+  void Gather(const PointHandle* handles, std::size_t n, RecordId* ids,
+              double* const* lanes) const override;
+
+  /// Bytes of the allocated chunks.
+  std::size_t MemoryBytes() const { return chunks_.size() * ChunkBytes(); }
+
+ private:
+  std::size_t ChunkBytes() const {
+    return kChunkRecords * (sizeof(Timestamp) +
+                            static_cast<std::size_t>(dim_) * sizeof(double) +
+                            sizeof(CellIndex));
+  }
+  Timestamp* Arrivals(std::size_t chunk) const {
+    return reinterpret_cast<Timestamp*>(chunks_[chunk].get());
+  }
+  double* Coords(std::size_t chunk) const {
+    return reinterpret_cast<double*>(chunks_[chunk].get() +
+                                     kChunkRecords * sizeof(Timestamp));
+  }
+  CellIndex* Cells(std::size_t chunk) const {
+    return reinterpret_cast<CellIndex*>(
+        chunks_[chunk].get() +
+        kChunkRecords * (sizeof(Timestamp) +
+                         static_cast<std::size_t>(dim_) * sizeof(double)));
+  }
+  /// Drops the oldest record, and its chunk once that is empty.
+  void PopFront();
+
+  /// Oldest chunk first; slot head_ of the first holds the oldest record.
+  std::deque<std::unique_ptr<unsigned char[]>> chunks_;
+  std::size_t head_ = 0;
+  int dim_;
 };
-static_assert(sizeof(GridWindowEntry) <= 16, "one window entry per record");
 
-using GridWindow = WindowFifo<GridWindowEntry>;
-
-/// Walks the valid records oldest first, reading each from the grid: the
-/// k-th entry of `window` in a cell is the k-th oldest entry of that
-/// cell's point list, because both keep arrival order.
-void VisitGridWindow(const Grid& grid, const GridWindow& window,
-                     Timestamp last_cycle, WindowVisitor& visitor);
+/// Walks the valid records oldest first, straight from the window.
+void VisitGridWindow(const GridWindow& window, Timestamp last_cycle,
+                     WindowVisitor& visitor);
 
 /// The Top-k Monitoring Algorithm.
 class TmaEngine final : public MonitorEngine, private QueryTable::Entries {
@@ -88,7 +174,7 @@ class TmaEngine final : public MonitorEngine, private QueryTable::Entries {
     return SnapshotFromWalk(*this);
   }
   Status VisitWindow(WindowVisitor& visitor) const override {
-    VisitGridWindow(grid_, window_, last_cycle_, visitor);
+    VisitGridWindow(window_, last_cycle_, visitor);
     return Status::Ok();
   }
   const EngineStats& stats() const override { return stats_; }

@@ -49,23 +49,26 @@ struct TopKComputation {
 };
 
 /// Runs the computation module for preference function `f` and result size
-/// `k` over the points indexed in `grid`; point coordinates come straight
-/// from the grid's lane-major point lists, so whole cells are batch-scored
-/// without touching the window. When `constraint` is non-null, only points
-/// inside it are considered and only cells intersecting it are visited
-/// (constrained top-k, Section 7). `scratch` provides the visited marks,
-/// the heap, the score buffer and the cell lists; it must not be shared
-/// with a concurrently live traversal.
-TopKComputation ComputeTopK(const Grid& grid, const ScoringFunction& f,
-                            int k, TraversalScratch* scratch,
+/// `k` over the points indexed in `grid`, whose handles `store` resolves:
+/// each scanned cell's ids and coordinates are gathered from the store
+/// into the scratch's lanes, so a whole cell is batch-scored at once. When
+/// `constraint` is non-null, only points inside it are considered and only
+/// cells intersecting it are visited (constrained top-k, Section 7).
+/// `scratch` provides the visited marks, the heap, the gather and score
+/// buffers and the cell lists; it must not be shared with a concurrently
+/// live traversal.
+TopKComputation ComputeTopK(const Grid& grid, const PointStore& store,
+                            const ScoringFunction& f, int k,
+                            TraversalScratch* scratch,
                             const Rect* constraint = nullptr);
 
 /// The naive strawman: maxscore of every cell + full sort, identical
 /// result and processed-cell semantics (no frontier; all unprocessed cells
 /// with maxscore above the threshold would be the frontier equivalent).
 /// Maxscores come from Grid::CellBounds, one Rect per cell.
-TopKComputation ComputeTopKNaive(const Grid& grid, const ScoringFunction& f,
-                                 int k, TraversalScratch* scratch,
+TopKComputation ComputeTopKNaive(const Grid& grid, const PointStore& store,
+                                 const ScoringFunction& f, int k,
+                                 TraversalScratch* scratch,
                                  const Rect* constraint = nullptr);
 
 }  // namespace topkmon

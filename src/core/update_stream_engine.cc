@@ -35,9 +35,10 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
     if (op.kind == UpdateOp::Kind::kInsert) {
       const Record& p = op.record;
       TOPKMON_RETURN_IF_ERROR(ValidatePoint(p.position, dim()));
-      TOPKMON_RETURN_IF_ERROR(pool_.Insert(p));
+      const Result<PointHandle> slot = pool_.Insert(p);
+      if (!slot.ok()) return slot.status();
       const CellIndex cell = grid_.LocateCell(p.position);
-      grid_.InsertPoint(cell, p.id, p.position);
+      grid_.InsertPoint(cell, *slot);
       ++stats_.arrivals;
       for (QueryId qid : grid_.InfluenceList(cell)) {
         QueryState& state = queries_.at(qid);
@@ -52,12 +53,12 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
         }
       }
     } else {
-      const Result<Record> found = pool_.Find(op.record.id);
-      if (!found.ok()) return found.status();
-      const Record p = *found;
-      TOPKMON_RETURN_IF_ERROR(pool_.Erase(p.id));
-      const CellIndex cell = grid_.LocateCell(p.position);
-      TOPKMON_RETURN_IF_ERROR(grid_.ErasePoint(cell, p.id));
+      const RecordId id = op.record.id;
+      const Result<PointHandle> slot = pool_.Find(id);
+      if (!slot.ok()) return slot.status();
+      const CellIndex cell = grid_.LocateCell(pool_.At(*slot).position);
+      TOPKMON_RETURN_IF_ERROR(grid_.ErasePoint(cell, *slot));
+      TOPKMON_RETURN_IF_ERROR(pool_.Erase(id));
       ++stats_.expirations;
       for (QueryId qid : grid_.InfluenceList(cell)) {
         QueryState& state = queries_.at(qid);
@@ -65,7 +66,7 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
         // replacement may lie anywhere below the kth score, so the query
         // must be recomputed (Section 7). The stale list keeps serving
         // membership checks until the end-of-batch repair.
-        if (state.top_list.Contains(p.id)) state.affected = true;
+        if (state.top_list.Contains(id)) state.affected = true;
       }
     }
   }
@@ -82,7 +83,8 @@ Status UpdateStreamTmaEngine::ProcessBatch(const std::vector<UpdateOp>& ops) {
 
 void UpdateStreamTmaEngine::Recompute(QueryState& state, bool fresh) {
   const TopKComputation computation =
-      RecomputeFromScratch(grid_, state.spec, fresh, &scratch_, &stats_);
+      RecomputeFromScratch(grid_, pool_, state.spec, fresh, &scratch_,
+                           &stats_);
   state.top_list.Clear();
   for (const ResultEntry& e : computation.result) {
     state.top_list.Consider(e.id, e.score);

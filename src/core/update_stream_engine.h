@@ -1,13 +1,14 @@
 // TMA over update streams with explicit deletions (Section 7).
 //
 // When the stream issues explicit deletions, records no longer expire in
-// FIFO order: the valid-record list is replaced by a RecordPool, cell
-// point lists support positional removal, and SMA's skyband reduction is
-// inapplicable (the expiry order is unknown in advance). TMA carries over
-// directly (Section 7): insertions inside a query's influence region that
-// beat its current kth score enter the top-k list; the deletion of a
-// current result record marks the query as affected, and affected queries
-// are recomputed from scratch at the end of the batch.
+// FIFO order: the valid-record list is replaced by a RecordPool, whose
+// slots are the handles the grid's cells keep, cell point lists support
+// positional removal, and SMA's skyband reduction is inapplicable (the
+// expiry order is unknown in advance). TMA carries over directly
+// (Section 7): insertions inside a query's influence region that beat its
+// current kth score enter the top-k list; the deletion of a current result
+// record marks the query as affected, and affected queries are recomputed
+// from scratch at the end of the batch.
 
 #ifndef TOPKMON_CORE_UPDATE_STREAM_ENGINE_H_
 #define TOPKMON_CORE_UPDATE_STREAM_ENGINE_H_

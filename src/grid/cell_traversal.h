@@ -66,7 +66,11 @@ class TraversalScratch {
     return marks_[cell] == epoch_;
   }
 
-  /// Batch-scoring buffer for the per-cell point scan (core/topk_compute.cc).
+  /// The per-cell point scan's buffers (core/topk_compute.cc): the ids
+  /// and coordinate lanes of the cell's records, gathered from the point
+  /// store, and their batch scores.
+  std::vector<RecordId>& ids() { return ids_; }
+  std::vector<double>& coords() { return coords_; }
   std::vector<double>& scores() { return scores_; }
   /// MaxScoreTraversal's max-heap.
   std::vector<CellKey>& heap() { return heap_; }
@@ -82,13 +86,16 @@ class TraversalScratch {
   std::vector<CellIndex>& frontier() { return frontier_; }
 
   std::size_t MemoryBytes() const {
-    return VectorBytes(marks_) + VectorBytes(scores_) + VectorBytes(heap_) +
+    return VectorBytes(marks_) + VectorBytes(ids_) + VectorBytes(coords_) +
+           VectorBytes(scores_) + VectorBytes(heap_) +
            VectorBytes(corners_) + VectorBytes(meets_) + VectorBytes(walk_) +
            VectorBytes(processed_) + VectorBytes(frontier_);
   }
 
  private:
   std::vector<std::uint32_t> marks_;
+  std::vector<RecordId> ids_;
+  std::vector<double> coords_;
   std::vector<double> scores_;
   std::vector<CellKey> heap_;
   std::vector<double> corners_;

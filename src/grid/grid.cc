@@ -6,63 +6,32 @@
 
 namespace topkmon {
 
-void PointList::PushBack(RecordId id, const Point& p) {
-  assert(p.dim() >= 1);
-  assert(dim_ == 0 || p.dim() == dim_);
-  if (dim_ == 0) dim_ = p.dim();
-  if (size_ == capacity_) {
-    Resize(capacity_ == 0 ? kInitialCapacity : 2 * capacity_);
-  }
-  const std::uint32_t slot = (head_ + size_) & (capacity_ - 1);
-  ids()[slot] = id;
-  for (int d = 0; d < dim_; ++d) Lane(d)[slot] = p[d];
-  ++size_;
-}
-
-Point PointList::PointAt(std::size_t i) const {
-  assert(i < size_);
-  const std::uint32_t slot = Slot(i);
-  Point p(dim_);
-  for (int d = 0; d < dim_; ++d) p[d] = Lane(d)[slot];
-  return p;
-}
-
 void PointList::Resize(std::uint32_t capacity) {
-  assert(size_ <= capacity);
-  std::unique_ptr<unsigned char[]> block(new unsigned char[
-      static_cast<std::size_t>(capacity) *
-      (sizeof(RecordId) + static_cast<std::size_t>(dim_) * sizeof(double))]);
+  assert(size_ <= capacity && capacity > kInlineCapacity);
+  PointHandle* block = new PointHandle[capacity];
+  const PointHandle* from = slots();
   const std::uint32_t first = std::min(size_, capacity_ - head_);
-  const std::uint32_t second = size_ - first;
-  RecordId* to_ids = reinterpret_cast<RecordId*>(block.get());
-  double* to_lanes = reinterpret_cast<double*>(to_ids + capacity);
-  std::copy_n(ids() + head_, first, to_ids);
-  std::copy_n(ids(), second, to_ids + first);
-  for (int d = 0; d < dim_; ++d) {
-    double* to = to_lanes + static_cast<std::size_t>(d) * capacity;
-    std::copy_n(Lane(d) + head_, first, to);
-    std::copy_n(Lane(d), second, to + first);
-  }
-  block_ = std::move(block);
+  std::copy_n(from + head_, first, block);
+  std::copy_n(from, size_ - first, block + first);
+  FreeBlock();
+  ring_.block = block;
   capacity_ = capacity;
   head_ = 0;
 }
 
-bool PointList::Erase(RecordId id) {
+bool PointList::Erase(PointHandle handle) {
   const std::uint32_t mask = capacity_ - 1;
   std::uint32_t i = 0;
-  RecordId* const slots = ids();
-  while (i < size_ && slots[(head_ + i) & mask] != id) ++i;
+  PointHandle* const ring = slots();
+  while (i < size_ && ring[(head_ + i) & mask] != handle) ++i;
   if (i == size_) return false;
   // Close the gap by moving every younger entry one slot toward the head.
   for (; i + 1 < size_; ++i) {
     const std::uint32_t to = (head_ + i) & mask;
-    const std::uint32_t from = (to + 1) & mask;
-    slots[to] = slots[from];
-    for (int d = 0; d < dim_; ++d) Lane(d)[to] = Lane(d)[from];
+    ring[to] = ring[(to + 1) & mask];
   }
   --size_;
-  if (ShouldShrink()) Resize(capacity_ / 2);
+  AfterRemoval();
   return true;
 }
 
@@ -140,14 +109,14 @@ Rect Grid::CellBounds(CellIndex cell) const {
   return Rect(lo, hi);
 }
 
-Status Grid::ErasePoint(CellIndex cell, RecordId id) {
+Status Grid::ErasePoint(CellIndex cell, PointHandle handle) {
   PointList& points = cells_[cell].points;
   const std::size_t capacity = points.capacity();
-  if (!points.Erase(id)) {
-    return Status::NotFound("record " + std::to_string(id) +
+  if (!points.Erase(handle)) {
+    return Status::NotFound("handle " + std::to_string(handle) +
                             " not in cell " + std::to_string(cell));
   }
-  point_list_resizes_ += points.capacity() != capacity;
+  CountResize(points, capacity);
   --num_points_;
   return Status::Ok();
 }

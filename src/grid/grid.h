@@ -3,13 +3,17 @@
 // The valid records are indexed by a regular grid over the unit workspace.
 // Cell c_{i1,...,id} spans [i_j*delta, (i_j+1)*delta) per axis, so the cell
 // covering a point is found in O(1). Each cell maintains:
-//   * a point list — the valid records inside the cell, in arrival order.
-//     In the append-only model insertions and deletions are FIFO, so the
-//     list is a ring in one power-of-two block (ids, then one coordinate
-//     lane per axis): O(1) amortized at both ends. The block doubles when
-//     full and halves when a removal leaves it a quarter full, so its
-//     capacity follows the cell's current live count, as the paper's
-//     space model (each valid record once) asks, rather than its
+//   * a point list — the valid records inside the cell, in arrival order,
+//     as 4-byte handles into the engine's one store of records (a
+//     PointStore: the arrival-ordered window of TMA and SMA, the record
+//     pool of the update-stream engine), so each record's coordinates are
+//     kept once, as the paper's space model (Section 6) counts them. In
+//     the append-only model insertions and deletions are FIFO, so the
+//     list is a ring of handles: O(1) amortized at both ends. Up to two
+//     handles sit inline in the cell; a third moves them to a
+//     power-of-two block, which doubles when full, halves when a removal
+//     leaves it a quarter full, and is freed when the cell empties, so
+//     its capacity follows the cell's current live count rather than its
 //     all-time peak. The update-stream model (Section 7) deletes from
 //     arbitrary positions; cells are small (N * delta^d points on
 //     average), so a bounded linear scan replaces the paper's per-cell
@@ -32,7 +36,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
 #include <vector>
 
 #include "common/geometry.h"
@@ -52,158 +55,172 @@ using CellIndex = std::uint32_t;
 using CellCoords = std::array<std::int32_t, kMaxDims>;
 
 /// FIFO point list: PushBack to insert, PopFront to expire, bounded-scan
-/// Erase for update streams. The entries live in a ring inside one block
-/// of capacity() slots, a power of two: capacity() ids followed by one
-/// lane of capacity() coordinates per axis. PushBack doubles the block
-/// when it is full. A removal that leaves at most a quarter of the block
-/// live halves it, down to kShrinkFloor slots, so capacity() never
-/// exceeds max(kShrinkFloor, 4 * size()). A resize leaves the list half
-/// full, so at least capacity()/4 removals or capacity()/2 insertions
-/// pass before the next one: both ends stay amortized O(1). A resize
-/// moves the entries to a new block; pointers from ForEachRun do not
-/// survive a PushBack, PopFront or Erase.
-///
-/// The structure-of-arrays lanes let the top-k scan batch-score a cell
-/// with auto-vectorizable per-lane loops instead of chasing each record
-/// through the window (grid entries grow from 8 to 8 + 8d bytes per point;
-/// the paper's space numbers count only the ids). A wrapped ring holds
-/// its entries in two contiguous runs; ForEachRun visits them in order.
+/// Erase for update streams. The entries are the handles of the cell's
+/// records (PointHandle), in a ring of capacity() slots, a power of two:
+/// kInlineCapacity slots inside the list itself, or one heap block. A
+/// PushBack into a full ring moves it to a block of twice the slots. A
+/// removal that leaves at most a quarter of a block live halves it, down
+/// to kShrinkFloor slots, and one that empties the list frees it, so
+/// capacity() never exceeds max(kShrinkFloor, 4 * size()) and an empty
+/// list holds no block. A resize leaves the ring half full, so at least
+/// capacity()/4 removals or capacity()/2 insertions pass before the next
+/// one: both ends stay amortized O(1). A cell whose count moves between 0
+/// and kInlineCapacity allocates nothing; one drained from a block must
+/// refill past kInlineCapacity before it allocates again. A resize moves
+/// the entries; pointers from ForEachRun do not survive a PushBack,
+/// PopFront or Erase. A wrapped ring holds its entries in two contiguous
+/// runs; ForEachRun visits them in order.
 class PointList {
  public:
-  static constexpr std::uint32_t kInitialCapacity = 4;
+  /// Handles held without a block, in the bytes of the block pointer.
+  static constexpr std::uint32_t kInlineCapacity = 2;
+  /// Slots of the first block, which the first handle past the inline
+  /// ones allocates.
+  static constexpr std::uint32_t kInitialCapacity = 2 * kInlineCapacity;
   /// A removal never halves a block below this many slots. Sparse cells
   /// hold a few live entries each; with a floor of 4, bench_fig20_space's
   /// IND d=2 long run resized 2.6 times as often (164 against 62 per 1k
-  /// records) to save 5.5 of 46.5 bytes per record.
+  /// records), and a floor of 4 handles saves at most 16 bytes a cell.
   static constexpr std::uint32_t kShrinkFloor = 8;
-  static_assert((kInitialCapacity & (kInitialCapacity - 1)) == 0 &&
+  static_assert((kInlineCapacity & (kInlineCapacity - 1)) == 0 &&
                     (kShrinkFloor & (kShrinkFloor - 1)) == 0,
                 "the ring indexes slots with a power-of-two mask");
+  static_assert(kInlineCapacity * sizeof(PointHandle) <= sizeof(PointHandle*),
+                "the inline slots share the block pointer's bytes");
 
-  /// Forward iterator over the ids, oldest first.
+  /// Forward iterator over the handles, oldest first.
   class const_iterator {
    public:
     using iterator_category = std::forward_iterator_tag;
-    using value_type = RecordId;
+    using value_type = PointHandle;
     using difference_type = std::ptrdiff_t;
-    using pointer = const RecordId*;
-    using reference = const RecordId&;
+    using pointer = const PointHandle*;
+    using reference = const PointHandle&;
 
     const_iterator() = default;
-    reference operator*() const { return ids_[pos_ & mask_]; }
+    reference operator*() const { return slots_[pos_ & mask_]; }
     const_iterator& operator++() {
       ++pos_;
       return *this;
     }
     const_iterator operator++(int) {
-      const_iterator old = *this;
+      const_iterator prev = *this;
       ++pos_;
-      return old;
+      return prev;
     }
     bool operator==(const const_iterator& o) const { return pos_ == o.pos_; }
     bool operator!=(const const_iterator& o) const { return pos_ != o.pos_; }
 
    private:
     friend class PointList;
-    const_iterator(const RecordId* ids, std::uint32_t mask, std::uint32_t pos)
-        : ids_(ids), mask_(mask), pos_(pos) {}
+    const_iterator(const PointHandle* slots, std::uint32_t mask,
+                   std::uint32_t pos)
+        : slots_(slots), mask_(mask), pos_(pos) {}
 
-    const RecordId* ids_ = nullptr;
+    const PointHandle* slots_ = nullptr;
     std::uint32_t mask_ = 0;
     std::uint32_t pos_ = 0;  // head + offset, reduced modulo capacity on use
   };
 
-  void PushBack(RecordId id, const Point& p);
+  PointList() = default;
+  PointList(PointList&& other) noexcept
+      : ring_(other.ring_),
+        capacity_(other.capacity_),
+        head_(other.head_),
+        size_(other.size_) {
+    other.capacity_ = kInlineCapacity;
+    other.head_ = 0;
+    other.size_ = 0;
+  }
+  PointList& operator=(PointList&&) = delete;
+  ~PointList() { FreeBlock(); }
 
-  /// Removes the oldest entry, which must equal `id` (append-only model
-  /// expires strictly FIFO within each cell).
-  void PopFront(RecordId id) {
-    assert(size_ > 0 && ids()[head_] == id);
-    (void)id;
-    head_ = (head_ + 1) & (capacity_ - 1);
-    --size_;
-    if (ShouldShrink()) Resize(capacity_ / 2);
+  void PushBack(PointHandle handle) {
+    if (size_ == capacity_) Resize(2 * capacity_);
+    slots()[(head_ + size_) & (capacity_ - 1)] = handle;
+    ++size_;
   }
 
-  /// Removes `id` wherever it is (update-stream model); returns false if
-  /// absent.
-  bool Erase(RecordId id);
+  /// Removes the oldest entry, which must equal `handle` (append-only
+  /// model expires strictly FIFO within each cell).
+  void PopFront(PointHandle handle) {
+    assert(size_ > 0 && slots()[head_] == handle);
+    (void)handle;
+    head_ = (head_ + 1) & (capacity_ - 1);
+    --size_;
+    AfterRemoval();
+  }
+
+  /// Removes `handle` wherever it is (update-stream model); returns false
+  /// if absent.
+  bool Erase(PointHandle handle);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Id of the i-th oldest entry. Requires i < size().
-  RecordId IdAt(std::size_t i) const {
-    assert(i < size_);
-    return ids()[Slot(i)];
-  }
-
-  /// Coordinates of the i-th oldest entry. Requires i < size().
-  Point PointAt(std::size_t i) const;
-
   const_iterator begin() const {
-    return const_iterator(ids(), capacity_ - 1, head_);
+    return const_iterator(slots(), capacity_ - 1, head_);
   }
   const_iterator end() const {
-    return const_iterator(ids(), capacity_ - 1, head_ + size_);
+    return const_iterator(slots(), capacity_ - 1, head_ + size_);
   }
 
-  /// Calls fn(ids, lanes, n) for each contiguous run of entries, oldest
-  /// first: one run, or two once the ring wraps. lanes[d][i] is coordinate
-  /// d of ids[i], for d below the dimensionality of the inserted points.
+  /// Calls fn(handles, n) for each contiguous run of entries, oldest
+  /// first: one run, or two once the ring wraps.
   template <typename Fn>
   void ForEachRun(Fn&& fn) const {
     if (size_ == 0) return;
     const std::uint32_t first = std::min(size_, capacity_ - head_);
-    const double* lanes[kMaxDims];
-    for (int d = 0; d < dim_; ++d) lanes[d] = Lane(d) + head_;
-    fn(ids() + head_, lanes, std::size_t{first});
+    fn(slots() + head_, std::size_t{first});
     if (first == size_) return;
-    for (int d = 0; d < dim_; ++d) lanes[d] = Lane(d);
-    fn(ids(), lanes, std::size_t{size_ - first});
+    fn(slots(), std::size_t{size_ - first});
   }
 
+  /// Bytes of the heap block; the inline slots are part of the list.
   std::size_t MemoryBytes() const {
-    return static_cast<std::size_t>(capacity_) *
-           (sizeof(RecordId) + static_cast<std::size_t>(dim_) * sizeof(double));
+    return has_block() ? std::size_t{capacity_} * sizeof(PointHandle) : 0;
   }
 
  private:
-  RecordId* ids() const { return reinterpret_cast<RecordId*>(block_.get()); }
-  /// Ring slot of the i-th oldest entry.
-  std::uint32_t Slot(std::size_t i) const {
-    return (head_ + static_cast<std::uint32_t>(i)) & (capacity_ - 1);
+  bool has_block() const { return capacity_ > kInlineCapacity; }
+  PointHandle* slots() { return has_block() ? ring_.block : ring_.inline_slots; }
+  const PointHandle* slots() const {
+    return has_block() ? ring_.block : ring_.inline_slots;
   }
-  /// Slot 0 of coordinate lane d; the lanes follow the ids in the block.
-  double* Lane(int d) const {
-    return reinterpret_cast<double*>(block_.get() +
-                                     capacity_ * sizeof(RecordId)) +
-           static_cast<std::size_t>(d) * capacity_;
+  void FreeBlock() {
+    if (has_block()) delete[] ring_.block;
   }
-  bool ShouldShrink() const {
-    return capacity_ > kShrinkFloor && size_ <= capacity_ / 4;
+  /// Frees the block of an emptied list, or halves one that a removal
+  /// left at most a quarter full.
+  void AfterRemoval() {
+    if (size_ == 0) {
+      FreeBlock();
+      capacity_ = kInlineCapacity;
+      head_ = 0;
+    } else if (capacity_ > kShrinkFloor && size_ <= capacity_ / 4) {
+      Resize(capacity_ / 2);
+    }
   }
   /// Moves the entries into a new block of `capacity` slots, unwrapped:
   /// the oldest entry lands in slot 0.
   void Resize(std::uint32_t capacity);
 
-  /// capacity_ ids, then dim_ lanes of capacity_ coordinates; null until
-  /// the first PushBack.
-  std::unique_ptr<unsigned char[]> block_;
-  std::uint32_t capacity_ = 0;
+  union Ring {
+    PointHandle* block;                          ///< iff has_block()
+    PointHandle inline_slots[kInlineCapacity];  ///< otherwise
+  };
+  Ring ring_ = {};
+  std::uint32_t capacity_ = kInlineCapacity;
   std::uint32_t head_ = 0;
   std::uint32_t size_ = 0;
-  int dim_ = 0;
 };
 
-/// The grid index. Owns per-cell point lists (each valid record's id and
-/// coordinates, 8 + 8d bytes per point) and influence lists. For TMA and
-/// SMA the grid is the only store of ids and coordinates: their window
-/// keeps just each record's cell and arrival, and their snapshot reads the
-/// rest back from the point lists. The threshold monitor and the
-/// update-stream engine keep whole records elsewhere (SlidingWindow,
-/// RecordPool).
+/// The grid index. Owns per-cell point lists (each valid record's handle,
+/// 4 bytes per point) and influence lists. The records themselves, with
+/// their ids and coordinates, live once in the engine's PointStore: the
+/// window of TMA and SMA (core/tma_engine.h), the RecordPool of the
+/// update-stream engine, the SlidingWindow of the threshold monitor.
 class Grid {
  public:
   /// Grid with `cells_per_axis` cells on each of `dim` axes.
@@ -234,29 +251,29 @@ class Grid {
 
   // -- Point lists ---------------------------------------------------------
 
-  /// Appends `id` with its coordinates to the point list of `cell`
-  /// (arrival). `p` must be the point that LocateCell mapped to `cell`.
-  void InsertPoint(CellIndex cell, RecordId id, const Point& p) {
+  /// Appends the record with `handle`, whose point LocateCell maps to
+  /// `cell`, to the point list of `cell` (arrival).
+  void InsertPoint(CellIndex cell, PointHandle handle) {
     PointList& points = cells_[cell].points;
     const std::size_t capacity = points.capacity();
-    points.PushBack(id, p);
-    point_list_resizes_ += points.capacity() != capacity;
+    points.PushBack(handle);
+    CountResize(points, capacity);
     ++num_points_;
   }
 
-  /// FIFO removal on expiration (append-only model). `id` must be the
+  /// FIFO removal on expiration (append-only model). `handle` must be the
   /// oldest entry of the cell.
-  void ErasePointFifo(CellIndex cell, RecordId id) {
+  void ErasePointFifo(CellIndex cell, PointHandle handle) {
     PointList& points = cells_[cell].points;
     const std::size_t capacity = points.capacity();
-    points.PopFront(id);
-    point_list_resizes_ += points.capacity() != capacity;
+    points.PopFront(handle);
+    CountResize(points, capacity);
     --num_points_;
   }
 
-  /// Positional removal (update-stream model). Returns NotFound if the id
-  /// is not in the cell.
-  Status ErasePoint(CellIndex cell, RecordId id);
+  /// Positional removal (update-stream model). Returns NotFound if the
+  /// handle is not in the cell.
+  Status ErasePoint(CellIndex cell, PointHandle handle);
 
   /// The point list of a cell (oldest first).
   const PointList& PointsIn(CellIndex cell) const {
@@ -267,7 +284,8 @@ class Grid {
   std::size_t num_points() const { return num_points_; }
 
   /// Point-list blocks allocated so far: every grow, a cell's first block
-  /// included, and every shrink.
+  /// included, and every shrink. Freeing an emptied list's block
+  /// allocates nothing and is not counted.
   std::uint64_t point_list_resizes() const { return point_list_resizes_; }
 
   // -- Influence lists -----------------------------------------------------
@@ -307,6 +325,12 @@ class Grid {
   MemoryBreakdown Memory() const;
 
  private:
+  /// Counts the block an insertion or removal allocated, if any.
+  void CountResize(const PointList& points, std::size_t old_capacity) {
+    point_list_resizes_ +=
+        points.capacity() != old_capacity && points.MemoryBytes() > 0;
+  }
+
   struct Cell {
     PointList points;
     std::vector<QueryId> influence;

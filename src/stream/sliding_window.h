@@ -7,9 +7,10 @@
 // In both versions eviction is strictly first-in-first-out (Section 4.1),
 // so the valid records always form a contiguous range of arrival ids. A
 // window is a FIFO of one entry per valid record that locates any record
-// by id in O(1) without storing the id. SlidingWindow keeps whole records;
-// the grid engines keep only each record's cell and arrival, because their
-// grid already holds the ids and coordinates (Section 4.1).
+// by id in O(1) without storing the id, and the grid's cells refer to its
+// records by the low 32 bits of their ids (WindowHandle). SlidingWindow
+// keeps whole records; TMA and SMA keep each record's arrival, cell and
+// coordinates in their own window (core/tma_engine.h).
 
 #ifndef TOPKMON_STREAM_SLIDING_WINDOW_H_
 #define TOPKMON_STREAM_SLIDING_WINDOW_H_
@@ -17,6 +18,7 @@
 #include <cassert>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "common/record.h"
@@ -44,36 +46,86 @@ struct WindowSpec {
   }
 };
 
-/// The rules of a window, whatever it stores per record: which records
-/// may join it and when its oldest record expires.
+/// The handle a grid cell keeps for window record `id` (a PointHandle):
+/// the low 32 bits of the id.
+inline PointHandle WindowHandle(RecordId id) {
+  return static_cast<PointHandle>(id);
+}
+
+/// The id of the record with handle `handle` in a window whose oldest
+/// record is `front_id`. Exact while the window holds fewer than 2^32
+/// records, even where the low 32 bits of the ids wrap inside it.
+inline RecordId WindowRecordId(RecordId front_id, PointHandle handle) {
+  return front_id +
+         static_cast<PointHandle>(handle - static_cast<PointHandle>(front_id));
+}
+
+/// The rules and ids of a window, whatever it stores per record: which
+/// records may join it, which ids it holds and when its oldest record
+/// expires. A container built on it stores one entry per valid record,
+/// oldest first, and supplies the oldest one's arrival.
 class WindowRules {
  public:
-  /// Requires capacity > 0 (count-based) or span > 0 (time-based).
+  /// Most records a window holds at once: a WindowHandle resolves to its
+  /// id only while the window holds fewer than 2^32.
+  static constexpr std::size_t kMaxRecords =
+      std::numeric_limits<PointHandle>::max();
+
+  /// Requires 0 < capacity <= kMaxRecords (count-based) or span > 0
+  /// (time-based).
   explicit WindowRules(const WindowSpec& spec);
 
- protected:
-  /// Admits the record `id` arriving at `arrival` into a window that is
-  /// `empty` or not. Ids must be contiguous and increasing across all
-  /// admissions (they encode arrival order); arrival timestamps must be
-  /// non-decreasing. Violations return FailedPrecondition, the invalid id
-  /// InvalidArgument.
-  Status Admit(RecordId id, Timestamp arrival, bool empty);
+  /// True iff the record with this id is currently valid.
+  bool Contains(RecordId id) const {
+    return size_ > 0 && id >= front_id_ && id - front_id_ < size_;
+  }
 
-  /// True iff the oldest of `size` valid records, which arrived at
-  /// `oldest_arrival`, has expired at `now`:
+  /// Number of valid records.
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// Id of the oldest valid record. Meaningful iff !empty().
+  RecordId front_id() const { return front_id_; }
+
+  /// The id of the valid record with this handle (see WindowHandle).
+  RecordId IdOf(PointHandle handle) const {
+    return WindowRecordId(front_id_, handle);
+  }
+
+ protected:
+  /// Admits the record `id` arriving at `arrival` as the newest; on
+  /// success the container stores it. Ids must be contiguous and
+  /// increasing across all admissions (they encode arrival order);
+  /// arrival timestamps must be non-decreasing. Violations return
+  /// FailedPrecondition, the invalid id InvalidArgument, and a window
+  /// that already holds kMaxRecords ResourceExhausted.
+  Status Admit(RecordId id, Timestamp arrival);
+
+  /// True iff the oldest valid record, which arrived at `oldest_arrival`,
+  /// is older than record `end_id` and has expired at `now`:
   ///   count-based: more than `capacity` records are valid;
   ///   time-based: oldest_arrival <= now - span.
-  bool Expired(std::size_t size, Timestamp oldest_arrival,
-               Timestamp now) const {
-    return spec_.kind == WindowKind::kCountBased
-               ? size > spec_.capacity
-               : oldest_arrival <= now - spec_.span;
+  /// Requires !empty().
+  bool FrontExpired(Timestamp oldest_arrival, Timestamp now,
+                    RecordId end_id) const {
+    return front_id_ < end_id &&
+           (spec_.kind == WindowKind::kCountBased
+                ? size_ > spec_.capacity
+                : oldest_arrival <= now - spec_.span);
+  }
+
+  /// Drops the oldest record, once the container has dropped its entry.
+  void Retire() {
+    ++front_id_;
+    --size_;
   }
 
  private:
   WindowSpec spec_;
   RecordId next_id_ = 0;  ///< smallest id not yet seen
   Timestamp last_arrival_ = -1;
+  RecordId front_id_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// FIFO window of one `Entry` per valid record, oldest first. The i-th
@@ -86,8 +138,7 @@ class WindowFifo : public WindowRules {
 
   /// Admits `entry` as record `id` (see WindowRules::Admit).
   Status Push(RecordId id, const Entry& entry) {
-    TOPKMON_RETURN_IF_ERROR(Admit(id, entry.arrival, entries_.empty()));
-    if (entries_.empty()) front_id_ = id;
+    TOPKMON_RETURN_IF_ERROR(Admit(id, entry.arrival));
     entries_.push_back(entry);
     return Status::Ok();
   }
@@ -97,32 +148,18 @@ class WindowFifo : public WindowRules {
   template <typename Fn>
   void PopExpired(Timestamp now, Fn&& fn,
                   RecordId end_id = kInvalidRecordId) {
-    while (!entries_.empty() && front_id_ < end_id &&
-           Expired(entries_.size(), entries_.front().arrival, now)) {
-      fn(front_id_, entries_.front());
+    while (!empty() && FrontExpired(entries_.front().arrival, now, end_id)) {
+      fn(front_id(), entries_.front());
       entries_.pop_front();
-      ++front_id_;
+      Retire();
     }
-  }
-
-  /// True iff the record with this id is currently valid.
-  bool Contains(RecordId id) const {
-    return !entries_.empty() && id >= front_id_ &&
-           id < front_id_ + entries_.size();
   }
 
   /// O(1) access to a valid record's entry. Requires Contains(id).
   const Entry& Get(RecordId id) const {
     assert(Contains(id));
-    return entries_[static_cast<std::size_t>(id - front_id_)];
+    return entries_[static_cast<std::size_t>(id - front_id())];
   }
-
-  /// Number of valid records.
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  /// Id of the oldest valid record. Meaningful iff !empty().
-  RecordId front_id() const { return front_id_; }
 
   /// Iteration over the entries in arrival order.
   typename std::deque<Entry>::const_iterator begin() const {
@@ -137,7 +174,6 @@ class WindowFifo : public WindowRules {
 
  private:
   std::deque<Entry> entries_;
-  RecordId front_id_ = 0;  ///< id of entries_.front()
 };
 
 /// FIFO sliding window storing the valid records of the stream, for the

@@ -6,14 +6,17 @@
 #include <vector>
 
 #include "stream/generators.h"
+#include "stream/record_pool.h"
 #include "util/rng.h"
 
 namespace topkmon {
 namespace {
 
-/// Small indexed dataset: records in a vector, ids are indices.
+/// Small indexed dataset: records in a vector, ids are indices. The pool
+/// is the grid's point store.
 struct Dataset {
   std::vector<Record> records;
+  RecordPool pool;
   Grid grid;
 
   Dataset(int dim, int cells_per_axis, std::size_t n, Distribution dist,
@@ -23,7 +26,7 @@ struct Dataset {
     for (std::size_t i = 0; i < n; ++i) {
       records.push_back(source.Next(0));
       grid.InsertPoint(grid.LocateCell(records.back().position),
-                       records.back().id, records.back().position);
+                       *pool.Insert(records.back()));
     }
   }
 
@@ -45,7 +48,7 @@ TEST(ComputeTopKTest, MatchesBruteForceOnSmallDataset) {
   LinearFunction f({1.0, 2.0});
   TraversalScratch scratch;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, 10, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 10, &scratch);
   EXPECT_EQ(out.result, data.BruteTopK(f, 10, nullptr));
 }
 
@@ -54,7 +57,7 @@ TEST(ComputeTopKTest, EmptyGridReturnsNothing) {
   LinearFunction f({1.0, 1.0});
   TraversalScratch scratch;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, 5, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 5, &scratch);
   EXPECT_TRUE(out.result.empty());
   // All cells were processed looking for points.
   EXPECT_EQ(out.processed_cells.size(), data.grid.num_cells());
@@ -66,7 +69,7 @@ TEST(ComputeTopKTest, KLargerThanDatasetReturnsEverything) {
   LinearFunction f({1.0, 1.0});
   TraversalScratch scratch;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, 50, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 50, &scratch);
   EXPECT_EQ(out.result.size(), 7u);
   EXPECT_EQ(out.KthScore(50), -std::numeric_limits<double>::infinity());
 }
@@ -79,7 +82,7 @@ TEST(ComputeTopKTest, ProcessedCellsAreMinimal) {
   TraversalScratch scratch;
   const int k = 5;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, k, &scratch);
+      ComputeTopK(data.grid, data.pool, f, k, &scratch);
   const double kth = out.KthScore(k);
   for (CellIndex cell : out.processed_cells) {
     EXPECT_GE(f.MaxScore(data.grid.CellBounds(cell)), kth);
@@ -100,7 +103,7 @@ TEST(ComputeTopKTest, FrontierCellsHaveMaxScoreBelowKth) {
   LinearFunction f({1.0, 2.0});
   TraversalScratch scratch;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, 5, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 5, &scratch);
   const double kth = out.KthScore(5);
   for (CellIndex cell : out.frontier_cells) {
     EXPECT_LE(f.MaxScore(data.grid.CellBounds(cell)), kth + 1e-12);
@@ -112,7 +115,8 @@ TEST(ComputeTopKTest, ConstrainedQueryFiltersPoints) {
   LinearFunction f({1.0, 2.0});
   const Rect constraint(Point{0.2, 0.3}, Point{0.6, 0.7});
   TraversalScratch scratch;
-  const TopKComputation out = ComputeTopK(data.grid, f, 8, &scratch, &constraint);
+  const TopKComputation out =
+      ComputeTopK(data.grid, data.pool, f, 8, &scratch, &constraint);
   EXPECT_EQ(out.result, data.BruteTopK(f, 8, &constraint));
   for (const ResultEntry& e : out.result) {
     EXPECT_TRUE(constraint.Contains(
@@ -125,10 +129,10 @@ TEST(ComputeTopKTest, NaiveMatchesHeapTraversal) {
   ProductFunction f({0.2, 0.5, 0.8});
   TraversalScratch scratch;
   const TopKComputation heap =
-      ComputeTopK(data.grid, f, 12, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 12, &scratch);
   TraversalScratch naive_scratch;
   const TopKComputation naive =
-      ComputeTopKNaive(data.grid, f, 12, &naive_scratch);
+      ComputeTopKNaive(data.grid, data.pool, f, 12, &naive_scratch);
   EXPECT_EQ(heap.result, naive.result);
 }
 
@@ -148,7 +152,7 @@ TEST_P(ComputeTopKProperty, MatchesBruteForce) {
   for (int trial = 0; trial < 5; ++trial) {
     auto f = MakeRandomFunction(family, dim, uniform);
     const TopKComputation out =
-        ComputeTopK(data.grid, *f, k, &scratch);
+        ComputeTopK(data.grid, data.pool, *f, k, &scratch);
     EXPECT_EQ(out.result, data.BruteTopK(*f, k, nullptr));
   }
 }
@@ -169,7 +173,7 @@ TEST(ComputeTopKTest, MixedMonotonicityFunctionsWork) {
   LinearFunction f({1.0, -1.0});
   TraversalScratch scratch;
   const TopKComputation out =
-      ComputeTopK(data.grid, f, 4, &scratch);
+      ComputeTopK(data.grid, data.pool, f, 4, &scratch);
   EXPECT_EQ(out.result, data.BruteTopK(f, 4, nullptr));
 }
 
@@ -205,12 +209,13 @@ TEST_P(ConstrainedComputeProperty, MatchesBruteForceUnderConstraints) {
     }
     const Rect constraint(lo, hi);
     const TopKComputation heap = ComputeTopK(
-        data.grid, *f, k, &scratch, &constraint);
+        data.grid, data.pool, *f, k, &scratch, &constraint);
     EXPECT_EQ(heap.result, data.BruteTopK(*f, k, &constraint))
         << "constraint " << constraint.ToString();
     TraversalScratch naive_scratch;
     const TopKComputation naive =
-        ComputeTopKNaive(data.grid, *f, k, &naive_scratch, &constraint);
+        ComputeTopKNaive(data.grid, data.pool, *f, k, &naive_scratch,
+                         &constraint);
     EXPECT_EQ(heap.result, naive.result);
   }
 }
@@ -221,15 +226,14 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ConstrainedComputeProperty,
 
 TEST(ComputeTopKTest, DuplicatePositionsTieCorrectly) {
   Grid grid(2, 4);
-  std::vector<Record> records;
+  RecordPool pool;
   for (RecordId i = 0; i < 6; ++i) {
-    records.push_back(Record(i, Point{0.9, 0.9}, 0));
-    grid.InsertPoint(grid.LocateCell(records.back().position), i,
-                     records.back().position);
+    const Record r(i, Point{0.9, 0.9}, 0);
+    grid.InsertPoint(grid.LocateCell(r.position), *pool.Insert(r));
   }
   LinearFunction f({1.0, 1.0});
   TraversalScratch scratch;
-  const TopKComputation out = ComputeTopK(grid, f, 3, &scratch);
+  const TopKComputation out = ComputeTopK(grid, pool, f, 3, &scratch);
   ASSERT_EQ(out.result.size(), 3u);
   // All scores equal; newest ids win under ResultOrder.
   EXPECT_EQ(out.result[0].id, 5u);

@@ -125,6 +125,57 @@ TEST(UpdateStreamEngineTest, MatchesOracleOnRandomChurn) {
   }
 }
 
+// The grid's cells keep RecordPool slots, and a slot freed by a deletion
+// goes to the next insertion. Deleting half the live records and
+// inserting as many again, batch after batch, reuses every freed slot;
+// the results must name exactly the oracle's records, ids included, so a
+// stale handle that resolved to the slot's new record would show.
+TEST(UpdateStreamEngineTest, ReusedSlotsResolveToTheirNewRecords) {
+  const int dim = 2;
+  UpdateStreamTmaEngine engine(SmallOptions(dim));
+  const auto queries = testing::MakeRandomQueries(dim, 6, 5, 78);
+  for (const QuerySpec& q : queries) {
+    TOPKMON_ASSERT_OK(engine.RegisterQuery(q));
+  }
+  Rng rng(12);
+  std::vector<RecordId> live;
+  RecordPool oracle;
+  RecordId next = 0;
+  for (int batch = 0; batch < 30; ++batch) {
+    std::vector<UpdateOp> ops;
+    for (std::size_t i = live.size(); i > 1; --i) {
+      std::swap(live[i - 1], live[rng.UniformInt(i)]);
+    }
+    const std::size_t deletions = live.size() / 2;
+    for (std::size_t i = 0; i < deletions; ++i) {
+      ops.push_back(Delete(live.back()));
+      live.pop_back();
+    }
+    for (std::size_t i = 0; i < 40; ++i) {
+      ops.push_back(Insert(next, Point{rng.Uniform(), rng.Uniform()}));
+      live.push_back(next++);
+    }
+    TOPKMON_ASSERT_OK(engine.ProcessBatch(ops));
+    for (const UpdateOp& op : ops) {
+      if (op.kind == UpdateOp::Kind::kInsert) {
+        ASSERT_TRUE(oracle.Insert(op.record).ok());
+      } else {
+        ASSERT_TRUE(oracle.Erase(op.record.id).ok());
+      }
+    }
+    ASSERT_EQ(engine.LiveCount(), live.size());
+    for (const QuerySpec& q : queries) {
+      TopKList want(q.k);
+      oracle.ForEach([&](const Record& r) {
+        want.Consider(r.id, q.function->Score(r.position));
+      });
+      const auto got = engine.CurrentResult(q.id);
+      ASSERT_TRUE(got.ok());
+      ASSERT_EQ(*got, want.entries()) << "query " << q.id << " batch " << batch;
+    }
+  }
+}
+
 // Explicit deletions drain a dense cell in no particular order: the
 // cell's point list gives its block back as it empties (positional Erase
 // shrinks like FIFO expiry), and every batch still matches a brute-force
@@ -194,8 +245,8 @@ TEST(UpdateStreamEngineTest, DrainingADenseCellShrinksItsPointList) {
     }
   }
   EXPECT_LT(engine.grid().PointsIn(dense).capacity(), full_capacity);
-  EXPECT_EQ(engine.grid().PointsIn(dense).capacity(),
-            std::size_t{PointList::kShrinkFloor});
+  // The last deletion emptied the cell, which frees its block.
+  EXPECT_EQ(engine.grid().PointsIn(dense).MemoryBytes(), 0u);
   // Each halving of the dense cell's block counts as one resize.
   std::uint64_t halvings = 0;
   for (std::size_t c = full_capacity; c > PointList::kShrinkFloor; c /= 2) {

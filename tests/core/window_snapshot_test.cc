@@ -1,9 +1,10 @@
-// TMA and SMA keep only each valid record's cell and arrival in their
-// window; SnapshotState() rebuilds ids and coordinates from the grid's
-// point lists. These tests pin that image, record for record and bit for
-// bit, against BruteForceEngine's window of whole records, including cells
-// whose ring has wrapped and cells that grew while wrapped, and check that
-// a fresh engine restored from it answers exactly as the original does.
+// TMA and SMA keep each valid record's arrival, cell and coordinates in
+// their window, without its id, and their grid's cells keep 4-byte
+// handles into it; SnapshotState() walks the window. These tests pin that
+// image, record for record and bit for bit, against BruteForceEngine's
+// window of whole records, including cells whose ring of handles has
+// wrapped and cells that grew while wrapped, and check that a fresh engine
+// restored from it answers exactly as the original does.
 
 #include <gtest/gtest.h>
 
@@ -61,8 +62,7 @@ const Grid& GridOf(const MonitorEngine& engine) {
 
 bool Wrapped(const PointList& points) {
   int runs = 0;
-  points.ForEachRun([&runs](const RecordId*, const double* const*,
-                            std::size_t) { ++runs; });
+  points.ForEachRun([&runs](const PointHandle*, std::size_t) { ++runs; });
   return runs == 2;
 }
 

@@ -11,6 +11,7 @@
 
 #include "core/topk_compute.h"
 #include "stream/generators.h"
+#include "stream/record_pool.h"
 #include "util/rng.h"
 
 namespace topkmon {
@@ -228,10 +229,11 @@ TEST(ComputeTopKPinningTest, CountersAndOrderMatchRecordedValues) {
   };
   for (const PinnedCase& c : cases) {
     Grid g(c.dim, c.cells_per_axis);
+    RecordPool pool;
     RecordSource source(MakeGenerator(c.dist, c.dim, 31 + c.dim));
     for (std::size_t i = 0; i < c.records; ++i) {
       const Record r = source.Next(0);
-      g.InsertPoint(g.LocateCell(r.position), r.id, r.position);
+      g.InsertPoint(g.LocateCell(r.position), *pool.Insert(r));
     }
     Rng rng(5100 + c.dim * 10 + c.cells_per_axis);
     auto uniform = [&rng]() { return rng.Uniform(); };
@@ -276,7 +278,7 @@ TEST(ComputeTopKPinningTest, CountersAndOrderMatchRecordedValues) {
       }
       const int k = trial % 2 == 0 ? 20 : 1 + trial;
       const TopKComputation out =
-          ComputeTopK(g, *f, k, &scratch, constraint.get());
+          ComputeTopK(g, pool, *f, k, &scratch, constraint.get());
       cells += out.processed_cells.size();
       frontier += out.frontier_cells.size();
       points += out.points_scored;

@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "stream/record_pool.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace topkmon {
@@ -18,42 +20,64 @@ double Coord(RecordId id, int d) {
          1000.0;
 }
 
-Point PointFor(RecordId id, int dim) {
-  Point p(dim);
-  for (int d = 0; d < dim; ++d) p[d] = Coord(id, d);
-  return p;
-}
+/// A store in which the record with handle h has id h and coordinates
+/// Coord(h, d), so a gather shows whether a list's handles stay aligned
+/// with their records.
+class CoordStore final : public PointStore {
+ public:
+  explicit CoordStore(int dim) : dim_(dim) {}
+  void Gather(const PointHandle* handles, std::size_t n, RecordId* ids,
+              double* const* lanes) const override {
+    for (std::size_t i = 0; i < n; ++i) {
+      ids[i] = handles[i];
+      for (int d = 0; d < dim_; ++d) lanes[d][i] = Coord(handles[i], d);
+    }
+  }
+
+ private:
+  int dim_;
+};
 
 struct Entry {
   RecordId id;
   std::vector<double> coords;
 };
 
-/// The list's entries as ForEachRun presents them, oldest first.
-std::vector<Entry> Entries(const PointList& list, int dim) {
+/// The records of the list's handles as `store` gathers them, run by run
+/// as ForEachRun presents them, oldest first.
+std::vector<Entry> Entries(const PointList& list, const PointStore& store,
+                           int dim) {
   std::vector<Entry> out;
-  list.ForEachRun(
-      [&out, dim](const RecordId* ids, const double* const* lanes,
-                  std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          Entry e{ids[i], {}};
-          for (int d = 0; d < dim; ++d) e.coords.push_back(lanes[d][i]);
-          out.push_back(std::move(e));
-        }
-      });
+  list.ForEachRun([&out, &store, dim](const PointHandle* handles,
+                                      std::size_t n) {
+    std::vector<RecordId> ids(n);
+    std::vector<std::vector<double>> coords(dim, std::vector<double>(n));
+    double* lanes[kMaxDims];
+    for (int d = 0; d < dim; ++d) lanes[d] = coords[d].data();
+    store.Gather(handles, n, ids.data(), lanes);
+    for (std::size_t i = 0; i < n; ++i) {
+      Entry e{ids[i], {}};
+      for (int d = 0; d < dim; ++d) e.coords.push_back(coords[d][i]);
+      out.push_back(std::move(e));
+    }
+  });
   return out;
+}
+
+std::vector<Entry> Entries(const PointList& list, int dim) {
+  return Entries(list, CoordStore(dim), dim);
 }
 
 /// The lengths of the contiguous runs ForEachRun visits.
 std::vector<std::size_t> Runs(const PointList& list) {
   std::vector<std::size_t> runs;
-  list.ForEachRun([&runs](const RecordId*, const double* const*,
-                          std::size_t n) { runs.push_back(n); });
+  list.ForEachRun(
+      [&runs](const PointHandle*, std::size_t n) { runs.push_back(n); });
   return runs;
 }
 
 /// Expects `list` to hold exactly `ids` oldest first, through both the
-/// iterator and ForEachRun, with every coordinate lane aligned.
+/// iterator and ForEachRun, with every gathered coordinate aligned.
 void ExpectHolds(const PointList& list, const std::vector<RecordId>& ids) {
   EXPECT_EQ(list.size(), ids.size());
   EXPECT_EQ(std::vector<RecordId>(list.begin(), list.end()), ids);
@@ -70,11 +94,11 @@ void ExpectHolds(const PointList& list, const std::vector<RecordId>& ids) {
 /// Fills an empty list to the initial capacity with 2, 3, 4, 5 (d=3) and
 /// the ring wrapped: slots [4, 5, 2, 3], head at slot 2.
 void FillWrapped(PointList* list) {
-  for (RecordId id = 0; id < 4; ++id) list->PushBack(id, PointFor(id, 3));
+  for (RecordId id = 0; id < 4; ++id) list->PushBack(id);
   list->PopFront(0);
   list->PopFront(1);
-  list->PushBack(4, PointFor(4, 3));
-  list->PushBack(5, PointFor(5, 3));
+  list->PushBack(4);
+  list->PushBack(5);
 }
 
 TEST(GridTest, CellsPerAxisForBudgetMatchesPaperSizing) {
@@ -150,9 +174,9 @@ TEST(GridTest, CellBoundsTileTheWorkspace) {
 TEST(GridTest, PointListFifo) {
   Grid g(2, 4);
   const CellIndex c = g.LocateCell(Point{0.1, 0.1});
-  g.InsertPoint(c, 10, Point{0.1, 0.1});
-  g.InsertPoint(c, 11, Point{0.12, 0.1});
-  g.InsertPoint(c, 12, Point{0.14, 0.1});
+  g.InsertPoint(c, 10);
+  g.InsertPoint(c, 11);
+  g.InsertPoint(c, 12);
   EXPECT_EQ(g.num_points(), 3u);
   EXPECT_EQ(g.PointsIn(c).size(), 3u);
   EXPECT_EQ(g.point_list_resizes(), 1u);  // the cell's first block
@@ -166,9 +190,9 @@ TEST(GridTest, PointListFifo) {
 TEST(GridTest, PointListPositionalErase) {
   Grid g(2, 4);
   const CellIndex c = 0;
-  g.InsertPoint(c, 1, Point{0.01, 0.01});
-  g.InsertPoint(c, 2, Point{0.02, 0.02});
-  g.InsertPoint(c, 3, Point{0.03, 0.03});
+  g.InsertPoint(c, 1);
+  g.InsertPoint(c, 2);
+  g.InsertPoint(c, 3);
   ASSERT_TRUE(g.ErasePoint(c, 2).ok());
   EXPECT_EQ(g.PointsIn(c).size(), 2u);
   std::vector<RecordId> remaining(g.PointsIn(c).begin(),
@@ -179,37 +203,34 @@ TEST(GridTest, PointListPositionalErase) {
 
 TEST(GridTest, PointListLongFifoRunKeepsContents) {
   PointList list;
-  for (RecordId i = 0; i < 1000; ++i) {
-    list.PushBack(i, Point{static_cast<double>(i) / 1000.0, 0.5});
-  }
-  for (RecordId i = 0; i < 900; ++i) list.PopFront(i);
+  for (PointHandle i = 0; i < 1000; ++i) list.PushBack(i);
+  for (PointHandle i = 0; i < 900; ++i) list.PopFront(i);
   EXPECT_EQ(list.size(), 100u);
   // The block halved at 256 live entries (1024 -> 512) and at 128
   // (512 -> 256); 100 live entries fill more than a quarter of 256.
   EXPECT_EQ(list.capacity(), 256u);
-  RecordId expect = 900;
-  for (RecordId id : list) EXPECT_EQ(id, expect++);
-  // The coordinate lanes stay aligned with the ids.
+  PointHandle expect = 900;
+  for (PointHandle handle : list) EXPECT_EQ(handle, expect++);
+  // The gathered records stay aligned with the handles.
   const std::vector<Entry> entries = Entries(list, 2);
   ASSERT_EQ(entries.size(), 100u);
   for (std::size_t i = 0; i < entries.size(); ++i) {
     EXPECT_EQ(entries[i].id, 900 + i);
-    EXPECT_DOUBLE_EQ(entries[i].coords[0],
-                     static_cast<double>(900 + i) / 1000.0);
-    EXPECT_DOUBLE_EQ(entries[i].coords[1], 0.5);
+    EXPECT_DOUBLE_EQ(entries[i].coords[0], Coord(900 + i, 0));
+    EXPECT_DOUBLE_EQ(entries[i].coords[1], Coord(900 + i, 1));
   }
 }
 
 // A list whose live size holds steady at L must not grow with the number
 // of records that pass through it: its block holds the live peak L + 1
-// rounded up to a power of two, at most 2 * max(L, 1) entries of 8 + 8d
-// bytes (the initial capacity for the smallest lists).
+// rounded up to a power of two, at most 2 * max(L, 1) handles of 4 bytes
+// (the initial capacity for the smallest lists).
 TEST(GridTest, PointListFootprintBoundedByLive) {
   for (int dim : {2, 4}) {
     for (std::size_t live : {0, 1, 2, 5, 50}) {
       SCOPED_TRACE("dim=" + std::to_string(dim) +
                    " live=" + std::to_string(live));
-      const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(dim);
+      const std::size_t entry_bytes = sizeof(PointHandle);
       const std::size_t bound =
           entry_bytes * std::max<std::size_t>(PointList::kInitialCapacity,
                                               2 * std::max<std::size_t>(
@@ -217,19 +238,19 @@ TEST(GridTest, PointListFootprintBoundedByLive) {
       PointList list;
       RecordId next = 0;
       RecordId oldest = 0;
-      for (; next < live; ++next) list.PushBack(next, PointFor(next, dim));
+      for (; next < live; ++next) list.PushBack(next);
       std::size_t wrapped = 0;
       const std::size_t steps = 2000 * std::max<std::size_t>(live, 1);
       for (std::size_t step = 0; step < steps; ++step) {
-        list.PushBack(next, PointFor(next, dim));
+        list.PushBack(next);
         ++next;
         ASSERT_LE(list.MemoryBytes(), bound) << "after push " << step;
         list.PopFront(oldest++);
         ASSERT_LE(list.MemoryBytes(), bound) << "after pop " << step;
         ASSERT_EQ(list.size(), live);
         if (Runs(list).size() == 2) ++wrapped;
-        // Once per turnover: ids stay in FIFO order and every lane stays
-        // aligned.
+        // Once per turnover: handles stay in FIFO order and every gathered
+        // lane stays aligned.
         if (step % (live + 1) != 0) continue;
         const std::vector<Entry> entries = Entries(list, dim);
         for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -249,8 +270,9 @@ TEST(GridTest, PointListFootprintBoundedByLive) {
 
 // Draining a list leaves a block that follows its current live size, not
 // the peak it once held: at most max(kShrinkFloor, 4L) slots for L live
-// entries. Every shrink keeps the FIFO order and the lanes aligned, also
-// when the ring is wrapped at the time of the shrink.
+// entries, and none once the list is empty. Every shrink keeps the FIFO
+// order and the gathered lanes aligned, also when the ring is wrapped at
+// the time of the shrink.
 TEST(GridTest, PointListFootprintFollowsLiveSize) {
   for (bool wrapped : {false, true}) {
     for (std::size_t live : {0, 1, 5, 50}) {
@@ -259,7 +281,7 @@ TEST(GridTest, PointListFootprintFollowsLiveSize) {
       PointList list;
       RecordId next = 0;
       RecordId oldest = 0;
-      for (; next < 1000; ++next) list.PushBack(next, PointFor(next, 3));
+      for (; next < 1000; ++next) list.PushBack(next);
       if (wrapped) {
         // Turn the ring over part of the way: 1000 entries in a
         // 1024-slot block, the head 100 slots in. The first shrink, at
@@ -267,7 +289,7 @@ TEST(GridTest, PointListFootprintFollowsLiveSize) {
         // entries split across the end of the block.
         for (; oldest < 100; ++oldest) {
           list.PopFront(oldest);
-          list.PushBack(next, PointFor(next, 3));
+          list.PushBack(next);
           ++next;
         }
         ASSERT_EQ(list.capacity(), 1024u);
@@ -279,8 +301,11 @@ TEST(GridTest, PointListFootprintFollowsLiveSize) {
         const bool was_wrapped = Runs(list).size() == 2;
         list.PopFront(oldest++);
         if (list.capacity() == capacity) continue;
-        // A shrink halves the block and keeps the entries in order.
-        EXPECT_EQ(list.capacity(), capacity / 2);
+        // A shrink halves the block and keeps the entries in order; the
+        // removal that empties the list frees its block.
+        EXPECT_EQ(list.capacity(),
+                  list.empty() ? PointList::kInlineCapacity : capacity / 2);
+        EXPECT_EQ(list.MemoryBytes() == 0, list.empty());
         capacity = list.capacity();
         shrank_wrapped |= was_wrapped;
         std::vector<RecordId> ids;
@@ -290,9 +315,11 @@ TEST(GridTest, PointListFootprintFollowsLiveSize) {
       }
       EXPECT_EQ(shrank_wrapped, wrapped);
       EXPECT_LE(list.capacity(),
-                std::max<std::size_t>(PointList::kShrinkFloor, 4 * live));
+                live == 0 ? PointList::kInlineCapacity
+                          : std::max<std::size_t>(PointList::kShrinkFloor,
+                                                  4 * live));
       // The shrunk list keeps working as a FIFO.
-      list.PushBack(next, PointFor(next, 3));
+      list.PushBack(next);
       ++next;
       std::vector<RecordId> ids;
       for (RecordId id = oldest; id < next; ++id) ids.push_back(id);
@@ -304,7 +331,9 @@ TEST(GridTest, PointListFootprintFollowsLiveSize) {
 // Alternating one insertion and one removal at any live size resizes the
 // block in the first step at most: a resize leaves the block half full,
 // and the next one needs a quarter of the block in removals or half in
-// insertions.
+// insertions. A step that empties the list (live size 0, or 1 with the
+// removal first) frees its block, and the next insertion lands in the
+// inline slots without allocating one.
 TEST(GridTest, PointListDoesNotThrashAtABoundary) {
   for (std::size_t boundary = 1; boundary <= 64; boundary *= 2) {
     for (std::size_t live : {boundary - 1, boundary, boundary + 1}) {
@@ -317,7 +346,7 @@ TEST(GridTest, PointListDoesNotThrashAtABoundary) {
         // Reach `live` from above as well as from below: fill to 4x and
         // drain, so the block sits at the shrink edge.
         for (; next < 4 * live + 1; ++next) {
-          list.PushBack(next, PointFor(next, 2));
+          list.PushBack(next);
         }
         while (list.size() > live) list.PopFront(oldest++);
         // Every operation is checked: a grow undone by the next removal
@@ -333,7 +362,7 @@ TEST(GridTest, PointListDoesNotThrashAtABoundary) {
             list.PopFront(oldest++);
             track();
           }
-          list.PushBack(next, PointFor(next, 2));
+          list.PushBack(next);
           ++next;
           track();
           if (!pop_first) {
@@ -348,13 +377,20 @@ TEST(GridTest, PointListDoesNotThrashAtABoundary) {
   }
 }
 
+// An update-stream erase: the handles are RecordPool slots, and the
+// records gathered after the erase are the ones that stayed.
 TEST(GridTest, PointListLanesTrackErase) {
+  RecordPool pool;
   PointList list;
-  list.PushBack(1, Point{0.1, 0.9});
-  list.PushBack(2, Point{0.2, 0.8});
-  list.PushBack(3, Point{0.3, 0.7});
-  ASSERT_TRUE(list.Erase(2));
-  const std::vector<Entry> entries = Entries(list, 2);
+  list.PushBack(*pool.Insert(Record(1, Point{0.1, 0.9}, 0)));
+  const PointHandle victim = *pool.Insert(Record(2, Point{0.2, 0.8}, 0));
+  list.PushBack(victim);
+  list.PushBack(*pool.Insert(Record(3, Point{0.3, 0.7}, 0)));
+  ASSERT_TRUE(list.Erase(victim));
+  TOPKMON_ASSERT_OK(pool.Erase(2));
+  // The freed slot goes to the next record; the list does not see it.
+  EXPECT_EQ(*pool.Insert(Record(4, Point{0.4, 0.6}, 0)), victim);
+  const std::vector<Entry> entries = Entries(list, pool, 2);
   ASSERT_EQ(entries.size(), 2u);
   EXPECT_EQ(entries[0].id, 1u);
   EXPECT_DOUBLE_EQ(entries[0].coords[0], 0.1);
@@ -362,6 +398,38 @@ TEST(GridTest, PointListLanesTrackErase) {
   EXPECT_EQ(entries[1].id, 3u);
   EXPECT_DOUBLE_EQ(entries[1].coords[0], 0.3);
   EXPECT_DOUBLE_EQ(entries[1].coords[1], 0.7);
+}
+
+// Up to kInlineCapacity handles live in the list itself: a cell holding
+// one or two records allocates nothing, the next handle moves them to a
+// kInitialCapacity block, and emptying the list frees it. A moved list
+// takes its handles along, inline or in a block, and leaves an empty one.
+TEST(GridTest, PointListHoldsTwoHandlesInline) {
+  PointList list;
+  EXPECT_EQ(list.capacity(), PointList::kInlineCapacity);
+  for (RecordId id = 0; id < PointList::kInlineCapacity; ++id) {
+    list.PushBack(id);
+  }
+  EXPECT_EQ(list.MemoryBytes(), 0u);
+  ExpectHolds(list, {0, 1});
+  PointList inline_moved(std::move(list));
+  ExpectHolds(inline_moved, {0, 1});
+  EXPECT_TRUE(list.empty());
+
+  inline_moved.PushBack(2);
+  EXPECT_EQ(inline_moved.capacity(), PointList::kInitialCapacity);
+  EXPECT_EQ(inline_moved.MemoryBytes(),
+            PointList::kInitialCapacity * sizeof(PointHandle));
+  ExpectHolds(inline_moved, {0, 1, 2});
+  PointList block_moved(std::move(inline_moved));
+  ExpectHolds(block_moved, {0, 1, 2});
+  EXPECT_EQ(inline_moved.MemoryBytes(), 0u);
+
+  for (RecordId id = 0; id < 3; ++id) block_moved.PopFront(id);
+  EXPECT_EQ(block_moved.capacity(), PointList::kInlineCapacity);
+  EXPECT_EQ(block_moved.MemoryBytes(), 0u);
+  block_moved.PushBack(3);
+  ExpectHolds(block_moved, {3});
 }
 
 TEST(GridTest, PointListWrapAroundKeepsFifoAndLanes) {
@@ -372,7 +440,7 @@ TEST(GridTest, PointListWrapAroundKeepsFifoAndLanes) {
   // Keep cycling through the same block: the head wraps past slot 0 too.
   for (RecordId id = 6; id < 40; ++id) {
     list.PopFront(id - 4);
-    list.PushBack(id, PointFor(id, 3));
+    list.PushBack(id);
     ExpectHolds(list, {id - 3, id - 2, id - 1, id});
   }
   EXPECT_EQ(list.capacity(), PointList::kInitialCapacity);
@@ -381,13 +449,13 @@ TEST(GridTest, PointListWrapAroundKeepsFifoAndLanes) {
 TEST(GridTest, PointListGrowsWhileWrapped) {
   PointList list;
   FillWrapped(&list);
-  list.PushBack(6, PointFor(6, 3));
+  list.PushBack(6);
   EXPECT_EQ(list.capacity(), 2 * PointList::kInitialCapacity);
   ExpectHolds(list, {2, 3, 4, 5, 6});
   // Growth unwraps the ring: the entries form one run again.
   EXPECT_EQ(Runs(list), (std::vector<std::size_t>{5}));
   list.PopFront(2);
-  list.PushBack(7, PointFor(7, 3));
+  list.PushBack(7);
   ExpectHolds(list, {3, 4, 5, 6, 7});
 }
 
@@ -405,7 +473,7 @@ TEST(GridTest, PointListEraseOnEitherSideOfTheWrap) {
     ExpectHolds(list, rest);
     EXPECT_FALSE(list.Erase(victim));
     // The ring keeps working as a FIFO after the erase.
-    list.PushBack(6, PointFor(6, 3));
+    list.PushBack(6);
     list.PopFront(rest.front());
     rest.erase(rest.begin());
     rest.push_back(6);
@@ -416,13 +484,13 @@ TEST(GridTest, PointListEraseOnEitherSideOfTheWrap) {
 TEST(GridTest, PointListForEachRunSplitsAtTheWrap) {
   PointList list;
   EXPECT_TRUE(Runs(list).empty());
-  for (RecordId id = 0; id < 4; ++id) list.PushBack(id, PointFor(id, 3));
+  for (RecordId id = 0; id < 4; ++id) list.PushBack(id);
   list.PopFront(0);
   list.PopFront(1);
   EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2}));
-  list.PushBack(4, PointFor(4, 3));
+  list.PushBack(4);
   EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2, 1}));
-  list.PushBack(5, PointFor(5, 3));
+  list.PushBack(5);
   EXPECT_EQ(Runs(list), (std::vector<std::size_t>{2, 2}));
   // The runs come oldest first.
   ExpectHolds(list, {2, 3, 4, 5});
@@ -473,7 +541,10 @@ TEST(GridTest, InfluenceListSwapEraseKeepsTheOthers) {
 
 TEST(GridTest, MemoryBreakdownHasExpectedComponents) {
   Grid g(2, 8);
-  g.InsertPoint(0, 1, Point{0.05, 0.05});
+  // One handle past the inline slots, so the cell's list has a block.
+  for (PointHandle h = 0; h <= PointList::kInlineCapacity; ++h) {
+    g.InsertPoint(0, h);
+  }
   g.AddInfluence(0, 1);
   const MemoryBreakdown mb = g.Memory();
   EXPECT_GT(mb.Bytes("grid_directory"), 0u);

@@ -4,8 +4,9 @@
 // passed through a cell, nor stay at each cell's all-time peak. A cell's
 // block never holds more than max(8, 4L) slots for L live entries, so the
 // test tracks every cell's live count (and live peak) alongside the
-// engine and holds the lists to those bounds. The window must not keep a
-// second copy of the records beside the grid.
+// engine and holds the lists to those bounds; an emptied cell keeps no
+// block. The records themselves live once, in the window: the lists hold
+// 4-byte handles into it, not a second copy of the coordinates.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +61,8 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
     grid = &tma->grid();
     engine = std::move(tma);
   }
-  const std::size_t entry_bytes = 8 + 8 * static_cast<std::size_t>(c.dim);
+  const std::size_t entry_bytes = sizeof(PointHandle);
+  const std::size_t record_bytes = 12 + 8 * static_cast<std::size_t>(c.dim);
   // The engine's cells, with each one's live count and live peak. Both
   // engines insert a cycle's arrivals before they expire, so a peak may
   // count up to per_cycle records beyond the window.
@@ -88,23 +90,25 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
       for (; window.size() > n; window.pop_front()) --live[window.front()];
     }
     ASSERT_EQ(engine->WindowSize(), n);
-    // A block doubles only when full, so it holds fewer than twice its
-    // cell's peak entries, or the initial capacity.
+    // A cell that never held more than kInlineCapacity entries has no
+    // block, and a block doubles only when full, so it holds fewer than
+    // twice its cell's peak entries.
     std::size_t bound_entries = 0;
     for (std::size_t p : peak) {
-      bound_entries += std::max<std::size_t>(PointList::kInitialCapacity,
-                                             2 * p - (p > 0 ? 1 : 0));
+      bound_entries += p <= PointList::kInlineCapacity ? 0 : 2 * p - 1;
     }
     ASSERT_LE(engine->Memory().Bytes("point_lists"),
               entry_bytes * bound_entries)
         << "after " << t + 1 << " window turnovers";
     // A removal that leaves a block a quarter full halves it, down to
-    // kShrinkFloor slots, so the lists follow the current live counts too.
+    // kShrinkFloor slots, and one that empties it frees it, so the lists
+    // follow the current live counts too.
+    auto live_bound = [](std::size_t l) {
+      return l == 0 ? 0
+                    : std::max<std::size_t>(PointList::kShrinkFloor, 4 * l);
+    };
     std::size_t live_bound_entries = 0;
-    for (std::size_t l : live) {
-      live_bound_entries +=
-          std::max<std::size_t>(PointList::kShrinkFloor, 4 * l);
-    }
+    for (std::size_t l : live) live_bound_entries += live_bound(l);
     ASSERT_LE(engine->Memory().Bytes("point_lists"),
               entry_bytes * live_bound_entries)
         << "after " << t + 1 << " window turnovers";
@@ -113,17 +117,72 @@ TEST_P(SteadyStateSpace, PointListsStayProportionalToWindow) {
     for (CellIndex cell = 0; cell < grid->num_cells(); ++cell) {
       const PointList& points = grid->PointsIn(cell);
       ASSERT_EQ(points.size(), live[cell]) << "cell " << cell;
-      ASSERT_LE(points.capacity(),
-                std::max<std::size_t>(PointList::kShrinkFloor,
-                                      4 * live[cell]))
+      ASSERT_LE(points.MemoryBytes(), entry_bytes * live_bound(live[cell]))
           << "cell " << cell << " (peak " << peak[cell] << ") after "
           << t + 1 << " window turnovers";
     }
-    // The point lists hold each record's id and coordinates; the window
-    // keeps only a 16-byte (cell, arrival) entry per record, plus at most
-    // one 512-byte deque block. A whole-Record copy is 88 bytes.
-    ASSERT_LE(engine->Memory().Bytes("window"), 16 * n + 512)
+    // The window keeps each record's arrival, cell and coordinates,
+    // 12 + 8d bytes, in chunks with less than one chunk of slack at each
+    // end. A whole-Record copy is 88 bytes.
+    ASSERT_LE(engine->Memory().Bytes("window"),
+              record_bytes * (n + 2 * GridWindow::kChunkRecords))
         << "after " << t + 1 << " window turnovers";
+  }
+}
+
+// The grid and the window do not creep: over many turnovers of a window
+// much smaller than the grid, records keep landing in cells that were
+// empty before, and a cell that empties again must give its block back.
+// After the last turnover the grid plus window bytes are within 2% of
+// their value after the second.
+TEST(NoCreep, GridPlusWindowBytesHoldAcrossTurnovers) {
+  struct Case {
+    bool sma;
+    int dim;
+    Distribution dist;
+  };
+  for (const Case& c : {Case{true, 4, Distribution::kAntiCorrelated},
+                        Case{false, 2, Distribution::kIndependent}}) {
+    SCOPED_TRACE(std::string(c.sma ? "SMA" : "TMA") +
+                 " d=" + std::to_string(c.dim));
+    // Whole chunks of the window, so each turnover ends with the same
+    // chunk slack.
+    const std::size_t n = 8 * GridWindow::kChunkRecords;
+    const std::size_t per_cycle = GridWindow::kChunkRecords;
+    const int turnovers = 60;
+    GridEngineOptions opt;
+    opt.dim = c.dim;
+    opt.window = WindowSpec::Count(n);
+    std::unique_ptr<MonitorEngine> engine;
+    if (c.sma) {
+      engine = std::make_unique<SmaEngine>(opt);
+    } else {
+      engine = std::make_unique<TmaEngine>(opt);
+    }
+    for (const QuerySpec& q : MakeRandomQueries(c.dim, 4, 10, 7)) {
+      TOPKMON_ASSERT_OK(engine->RegisterQuery(q));
+    }
+    RecordSource source(MakeGenerator(c.dist, c.dim, /*seed=*/23));
+    auto bytes = [&engine] {
+      const MemoryBreakdown mb = engine->Memory();
+      return mb.Bytes("grid_directory") + mb.Bytes("point_lists") +
+             mb.Bytes("influence_lists") + mb.Bytes("window");
+    };
+    Timestamp now = 0;
+    std::size_t after_second = 0;
+    for (int t = 1; t <= turnovers; ++t) {
+      for (std::size_t i = 0; i < n / per_cycle; ++i) {
+        ++now;
+        TOPKMON_ASSERT_OK(
+            engine->ProcessCycle(now, source.NextBatch(per_cycle, now)));
+      }
+      if (t == 2) after_second = bytes();
+    }
+    const std::size_t after_last = bytes();
+    EXPECT_LE(after_last, after_second + after_second / 50)
+        << "after turnover 2: " << after_second << " bytes, after turnover "
+        << turnovers << ": " << after_last;
+    EXPECT_GE(after_last, after_second - after_second / 50);
   }
 }
 

@@ -156,9 +156,7 @@ int WrappedCells(const Grid& grid) {
   for (CellIndex cell = 0; cell < grid.num_cells(); ++cell) {
     int runs = 0;
     grid.PointsIn(cell).ForEachRun(
-        [&runs](const RecordId*, const double* const*, std::size_t) {
-          ++runs;
-        });
+        [&runs](const PointHandle*, std::size_t) { ++runs; });
     wrapped += runs == 2 ? 1 : 0;
   }
   return wrapped;

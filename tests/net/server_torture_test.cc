@@ -13,9 +13,11 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -451,6 +453,34 @@ TEST(ServerIdleTimeoutTest, APeerThatNeverReadsCannotGrowServerMemory) {
   service.Shutdown();
 }
 
+/// A latch a cycle observer can hold the service's driver on.
+class Gate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+/// Opens the gate when it goes out of scope, so an early return cannot
+/// leave the driver waiting while the service shuts down.
+struct OpenOnExit {
+  std::shared_ptr<Gate> gate;
+  ~OpenOnExit() { gate->Open(); }
+};
+
 TEST(ServerIngestBlockTest, MaximalFrameLeavesTheDecodeBlockAtItsBound) {
   // d = 1 makes the densest frame: 10 bytes a record, so a body at the
   // 16 MiB frame limit declares ~1.68M records. The poll loop decodes it
@@ -459,7 +489,13 @@ TEST(ServerIngestBlockTest, MaximalFrameLeavesTheDecodeBlockAtItsBound) {
   MonitorService service(
       std::make_unique<BruteForceEngine>(kOneDim, WindowSpec::Count(100)),
       FastOptions());
+  // The driver waits in its first cycle until the ack has been read, so
+  // the queue cannot drain while the frame is decoded and fills however
+  // fast either thread runs. The gate opens on every exit from the test.
+  auto gate = std::make_shared<Gate>();
+  service.SetCycleObserver([gate](Timestamp, RecordSpan) { gate->Wait(); });
   TcpServer server(service, FastServer());
+  const OpenOnExit open_on_exit{gate};
   TOPKMON_ASSERT_OK(server.Start());
 
   constexpr std::size_t kSpanHeader = 1 + 8 + 8;  // dim, base id, arrival
@@ -501,6 +537,7 @@ TEST(ServerIngestBlockTest, MaximalFrameLeavesTheDecodeBlockAtItsBound) {
   EXPECT_EQ(server.stats().ingest_block_records, kIngestBlockRecords);
 
   // Another connection keeps ingesting once the backlog has drained.
+  gate->Open();
   TOPKMON_ASSERT_OK(service.Flush());
   auto client = MonitorClient::Connect("127.0.0.1", server.port(), "small",
                                        /*resume=*/false);

@@ -16,9 +16,9 @@ TEST(RecordPoolTest, InsertFindErase) {
   ASSERT_TRUE(pool.Insert(Rec(7, 0.5)).ok());
   EXPECT_TRUE(pool.Contains(7));
   EXPECT_EQ(pool.size(), 1u);
-  const Result<Record> found = pool.Find(7);
+  const Result<PointHandle> found = pool.Find(7);
   ASSERT_TRUE(found.ok());
-  EXPECT_DOUBLE_EQ(found->position[0], 0.5);
+  EXPECT_DOUBLE_EQ(pool.At(*found).position[0], 0.5);
   ASSERT_TRUE(pool.Erase(7).ok());
   EXPECT_FALSE(pool.Contains(7));
   EXPECT_TRUE(pool.empty());
@@ -27,7 +27,8 @@ TEST(RecordPoolTest, InsertFindErase) {
 TEST(RecordPoolTest, DuplicateInsertFails) {
   RecordPool pool;
   ASSERT_TRUE(pool.Insert(Rec(1, 0.1)).ok());
-  EXPECT_EQ(pool.Insert(Rec(1, 0.2)).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(pool.Insert(Rec(1, 0.2)).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(RecordPoolTest, EraseMissingFails) {
@@ -42,7 +43,7 @@ TEST(RecordPoolTest, FindMissingFails) {
 
 TEST(RecordPoolTest, RejectsInvalidId) {
   RecordPool pool;
-  EXPECT_EQ(pool.Insert(Rec(kInvalidRecordId, 0.5)).code(),
+  EXPECT_EQ(pool.Insert(Rec(kInvalidRecordId, 0.5)).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compares a fresh bench run against the committed baselines in
-bench/results/ and fails on throughput regressions (run by the CI
-bench-smoke job after check_bench_json.py).
+bench/results/ and fails on throughput regressions and changed byte
+counts (run by the CI bench-smoke job after check_bench_json.py).
 
 Matching: every fresh BENCH_<slug>.json is paired with a baseline of the
 same slug AND the same "scale" field — baselines are searched recursively
@@ -11,14 +11,20 @@ run is never compared against a paper-scale baseline. A fresh file with
 no same-scale baseline is reported and skipped; it becomes a candidate
 for committing as a new baseline.
 
-Comparison: only throughput-like metrics are gated — metric names ending
-in "_per_s" — because wall-clock seconds and memory vary legitimately
-with scale knobs while a throughput collapse on identical config is the
+Comparison: throughput-like metrics — names ending in "_per_s" — are
+gated with a tolerance, because wall-clock seconds vary legitimately
+with the host while a throughput collapse on identical config is the
 regression signal this tool exists for. For each row label present in
 both files, each shared *_per_s metric must not drop by more than
 --max-drop (default 0.25, i.e. 25%) relative to the baseline. Rows or
 metrics present on only one side are noted but do not fail: benches are
 allowed to grow new rows.
+
+Counts are gated at zero tolerance instead: metric names ending in
+"_bytes_per_record" (bench_fig20_space's byte counts) are fixed by the
+binary and the seed, so every fresh run must equal the baseline, and a
+row or metric of the baseline that a fresh run lacks fails too. A change
+that moves them re-records the baseline.
 
 Throughput on shared CI hardware is noisy — a loaded runner can halve a
 short smoke run's numbers without any code change — so both sides of the
@@ -89,10 +95,24 @@ def merge_best(docs):
     return merged
 
 
-def compare(fresh_path, fresh_rows, base_path, base, max_drop, failures):
+def compare(fresh_path, docs, base_path, base, max_drop, failures):
+    """Returns the number of throughput metrics and of counts gated."""
     base_rows = rows_by_label(base)
-    gated = 0
+    fresh_rows = merge_best(docs)
+    runs = [rows_by_label(doc) for doc in docs]
+    gated = counted = 0
     for label in sorted(base_rows):
+        for metric, base_value in sorted(base_rows[label].items()):
+            if not metric.endswith("_bytes_per_record"):
+                continue
+            counted += 1
+            for run, rows in enumerate(runs):
+                fresh_value = rows.get(label, {}).get(metric)
+                if fresh_value != base_value:
+                    failures.append(
+                        f"{fresh_path} (run {run + 1}): row '{label}' "
+                        f"metric '{metric}' is {fresh_value}, baseline "
+                        f"{base_value} (a count: must be equal)")
         if label not in fresh_rows:
             print(f"  note: row '{label}' in baseline only "
                   f"({os.path.basename(base_path)})")
@@ -113,7 +133,7 @@ def compare(fresh_path, fresh_rows, base_path, base, max_drop, failures):
                     f"{fresh_path}: row '{label}' metric '{metric}' "
                     f"dropped {drop:.1%} (baseline {base_value:.1f}, "
                     f"fresh {fresh_value:.1f}, allowed {max_drop:.0%})")
-    return gated
+    return gated, counted
 
 
 def main(argv):
@@ -145,7 +165,7 @@ def main(argv):
 
     failures = []
     compared = 0
-    gated = 0
+    gated = counted = 0
     for base_name in fresh_files:
         docs = []
         key = None
@@ -173,18 +193,22 @@ def main(argv):
         base_path, base = baselines[key]
         print(f"compare {base_name} (scale={key[1]}, best of "
               f"{len(docs)} run(s)) vs {base_path}")
-        gated += compare(base_name, merge_best(docs), base_path, base,
-                         args.max_drop, failures)
+        file_gated, file_counted = compare(base_name, docs, base_path, base,
+                                           args.max_drop, failures)
+        gated += file_gated
+        counted += file_counted
         compared += 1
 
     for failure in failures:
         print(f"BENCH REGRESSION: {failure}")
     if failures:
-        print(f"{len(failures)} regression(s) beyond "
-              f"{args.max_drop:.0%} in {compared} compared file(s)")
+        print(f"{len(failures)} regression(s) in {compared} compared "
+              f"file(s): throughput beyond {args.max_drop:.0%} or a changed "
+              f"count")
         return 1
     print(f"bench compare OK: {compared} file(s), {gated} throughput "
-          f"metric(s) within {args.max_drop:.0%} of baseline")
+          f"metric(s) within {args.max_drop:.0%} of baseline, {counted} "
+          f"count(s) equal to it")
     return 0
 
 
